@@ -12,7 +12,6 @@ self-detecting through that check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -26,15 +25,6 @@ DEFAULT_BACKUP_KEY = bytes.fromhex(
 
 SQLITE_MAGIC = b"SQLite format 3\x00"
 BLOCK_SIZE = 16
-
-
-@dataclass(frozen=True)
-class CryptBackup:
-    """Metadata for one encrypted backup file."""
-
-    path: str
-    ciphertext_length: int
-    decrypted: bytes | None = None
 
 
 def _cipher(key: bytes) -> Cipher:

@@ -3,7 +3,8 @@
 The CLI is a thin shell over the library: every behavior here is
 reachable through ``ingest``/``correlator``/``report`` calls. Exit
 codes: 0 clean run, 1 report produced but with warnings, 2 structural
-or tool errors, 64 usage errors.
+or tool errors (a damaged live database, or an unexpected internal
+error), 64 usage errors.
 """
 
 from __future__ import annotations
@@ -162,14 +163,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_decrypt(args) -> int:
     plain = backup_crypto.decrypt_backup(args.in_path, args.key)
-    info = backup_crypto.CryptBackup(
-        path=str(args.in_path), ciphertext_length=len(plain), decrypted=plain
-    )
-    Path(args.out).write_bytes(info.decrypted)
-    print(
-        f"decrypted {info.ciphertext_length} bytes from {info.path} to {args.out}",
-        file=sys.stderr,
-    )
+    Path(args.out).write_bytes(plain)
+    print(f"decrypted {len(plain)} bytes from {args.in_path} to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -271,6 +266,9 @@ def run(argv) -> int:
         return EXIT_ERROR
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # exit 1 must only ever mean "finished with warnings"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -265,9 +265,12 @@ class HistoryEntry:
 
 
 def backup_recovered_records(bundle: CaseBundle) -> list[MessageRecord]:
-    """Backup rows absent from the live store, deduplicated across backups."""
-    live = {(m.key_remote_jid.raw, m.key_id_raw) for m in bundle.messages}
-    seen = set(live)
+    """Backup rows absent from the live store, deduplicated across backups.
+
+    Backups hold only rows the live store lost (see ``BackupSet``), so
+    this merely drops the rows several backups share.
+    """
+    seen = set()
     recovered = []
     for backup in bundle.backups:
         for record in backup.messages:

@@ -4,7 +4,8 @@ Rows are mapped by column NAME, never by position: the app's schema has
 drifted across versions, so extra columns are ignored and missing
 optional columns decode to absent values. The reader never writes to an
 evidence file (databases are opened through SQLite's read-only
-immutable mode).
+immutable mode). SQLite's own errors on a damaged file are raised as
+CorruptDatabase, so callers handle them like any other tool error.
 
 Recovery of deleted rows from freelist/WAL pages is out of scope; the
 correlator's log-based inference covers deletions instead.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import MissingTable, NotSqlite, UnreadableFile
+from .errors import CorruptDatabase, MissingTable, NotSqlite, UnreadableFile
 from .model import (
     ChatListRecord,
     ContactRecord,
@@ -90,16 +91,19 @@ def open_source(path: str | Path, db_kind: DbKind) -> DbSource:
     if not path.is_file():
         raise UnreadableFile(f"no such database file: {path}")
     _check_magic(path)
-    conn = _connect_ro(path)
     try:
-        names = tuple(
-            row[0]
-            for row in conn.execute(
-                "SELECT name FROM sqlite_master WHERE type='table' ORDER BY name"
+        conn = _connect_ro(path)
+        try:
+            names = tuple(
+                row[0]
+                for row in conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type='table' ORDER BY name"
+                )
             )
-        )
-    finally:
-        conn.close()
+        finally:
+            conn.close()
+    except sqlite3.DatabaseError as exc:
+        raise CorruptDatabase(f"{path} is damaged or unreadable: {exc}") from exc
     missing = [t for t in _REQUIRED_TABLES[db_kind] if t not in names]
     if missing:
         raise MissingTable(f"{path} lacks required table(s): {', '.join(missing)}")
@@ -109,9 +113,11 @@ def open_source(path: str | Path, db_kind: DbKind) -> DbSource:
 class _Row:
     """Column-name access over one row with type-tolerant getters."""
 
-    def __init__(self, row: sqlite3.Row, source: str, warn: WarningLog | None):
+    def __init__(
+        self, row: sqlite3.Row, keys: frozenset[str], source: str, warn: WarningLog | None
+    ):
         self._row = row
-        self._keys = set(row.keys())
+        self._keys = keys
         self.source = source
         self.warn = warn
 
@@ -188,13 +194,19 @@ class _Row:
         return value != 0
 
 
-def _fetch_rows(source: DbSource, table: str) -> list[sqlite3.Row]:
-    conn = _connect_ro(Path(source.path))
+def _fetch_rows(source: DbSource, table: str) -> tuple[frozenset[str], list[sqlite3.Row]]:
+    """The table's column names and its rows in ascending _id order."""
     try:
-        conn.row_factory = sqlite3.Row
-        return list(conn.execute(f"SELECT * FROM {table} ORDER BY _id"))
-    finally:
-        conn.close()
+        conn = _connect_ro(Path(source.path))
+        try:
+            conn.row_factory = sqlite3.Row
+            cursor = conn.execute(f"SELECT * FROM {table} ORDER BY _id")
+            keys = frozenset(column[0] for column in cursor.description)
+            return keys, list(cursor)
+        finally:
+            conn.close()
+    except sqlite3.DatabaseError as exc:
+        raise CorruptDatabase(f"{source.path}: table {table} is damaged: {exc}") from exc
 
 
 def load_contacts(source: DbSource, warn: WarningLog | None = None) -> list[ContactRecord]:
@@ -203,9 +215,10 @@ def load_contacts(source: DbSource, warn: WarningLog | None = None) -> list[Cont
         raise ValueError("load_contacts requires a CONTACTS source")
     name = Path(source.path).name
     records = []
-    for raw_row in _fetch_rows(source, CONTACTS_TABLE):
+    keys, raw_rows = _fetch_rows(source, CONTACTS_TABLE)
+    for raw_row in raw_rows:
         rid = raw_row["_id"]
-        row = _Row(raw_row, f"{name}:{CONTACTS_TABLE}#{rid}", warn)
+        row = _Row(raw_row, keys, f"{name}:{CONTACTS_TABLE}#{rid}", warn)
         jid = classify_jid(row.text("jid"), warn, row.source)
         thumb_ts = row.int_("thumb_ts")
         photo_id_ts = row.int_("photo_id_timestamp")
@@ -255,19 +268,38 @@ def _decode_media_hash(row: _Row, value: str | None) -> None:
         )
 
 
-def load_messages(source: DbSource, warn: WarningLog | None = None) -> list[MessageRecord]:
-    """Materialize every messages-table row, in ascending _id order.
+def _message_pair(row: _Row) -> tuple[str, str]:
+    """(key_remote_jid.raw, key_id_raw) of the record decoded from ``row``."""
+    return row.text("key_remote_jid") or "", row.text("key_id") or ""
 
-    Blob columns are carried as opaque bytes; ``thumb_image`` is retained
-    but never examined.
+
+def load_messages(
+    source: DbSource,
+    warn: WarningLog | None = None,
+    skip_pairs: frozenset[tuple[str, str]] = frozenset(),
+) -> list[MessageRecord]:
+    """Materialize the messages-table rows, in ascending _id order.
+
+    Rows whose (conversation jid, key) pair is in ``skip_pairs`` are
+    dropped before they are decoded, so they give neither a record nor a
+    warning. Blob columns are carried as opaque bytes; ``thumb_image`` is
+    retained but never examined.
     """
     if source.db_kind is not DbKind.CHAT_STORE:
         raise ValueError("load_messages requires a CHAT_STORE source")
     name = Path(source.path).name
+    keys, raw_rows = _fetch_rows(source, MESSAGES_TABLE)
+    if skip_pairs:
+        # Read the pair as the decoded record holds it below, without warnings.
+        raw_rows = [
+            raw_row
+            for raw_row in raw_rows
+            if _message_pair(_Row(raw_row, keys, "", None)) not in skip_pairs
+        ]
     records = []
-    for raw_row in _fetch_rows(source, MESSAGES_TABLE):
+    for raw_row in raw_rows:
         rid = raw_row["_id"]
-        row = _Row(raw_row, f"{name}:{MESSAGES_TABLE}#{rid}", warn)
+        row = _Row(raw_row, keys, f"{name}:{MESSAGES_TABLE}#{rid}", warn)
         key_raw = row.text("key_id") or ""
         try:
             key = parse_message_key(key_raw)
@@ -361,9 +393,10 @@ def load_chat_list(source: DbSource, warn: WarningLog | None = None) -> list[Cha
         raise ValueError("load_chat_list requires a CHAT_STORE source")
     name = Path(source.path).name
     records = []
-    for raw_row in _fetch_rows(source, CHAT_LIST_TABLE):
+    keys, raw_rows = _fetch_rows(source, CHAT_LIST_TABLE)
+    for raw_row in raw_rows:
         rid = raw_row["_id"]
-        row = _Row(raw_row, f"{name}:{CHAT_LIST_TABLE}#{rid}", warn)
+        row = _Row(raw_row, keys, f"{name}:{CHAT_LIST_TABLE}#{rid}", warn)
         records.append(
             ChatListRecord(
                 id=row.int_("_id", 0) or 0,

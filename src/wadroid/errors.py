@@ -33,6 +33,10 @@ class UnreadableFile(WadroidError):
     """An evidence file cannot be opened or read."""
 
 
+class CorruptDatabase(WadroidError):
+    """SQLite reports an evidence database as damaged while reading it."""
+
+
 class BadBlockLength(WadroidError):
     """Ciphertext/plaintext length is not a whole number of AES blocks."""
 

@@ -1169,7 +1169,10 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
     ]
     _write_msgstore(root / layout.MSGSTORE_DB, live_rows, chat_rows)
 
-    expected_backups = []
+    # The parsed backups hold only rows whose (conversation, key) pair is
+    # not live; the analytics oracle reads the full snapshots instead.
+    live_pairs = {(row["key_remote_jid"], row["key_id"]) for row in live_rows}
+    snapshots, expected_backups = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for name, as_of in sorted(sim.snapshots, key=lambda s: s[0]):
             rows = [
@@ -1198,8 +1201,16 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
             _write_msgstore(tmp_db, rows, snapshot_chats)
             plain = tmp_db.read_bytes()
             (root / layout.BACKUPS_DIR / name).write_bytes(encrypt_fixture(plain))
+            snapshots.append(rows)
             expected_backups.append(
-                BackupSet(name=name, messages=tuple(_expected_message(r) for r in rows))
+                BackupSet(
+                    name=name,
+                    messages=tuple(
+                        _expected_message(r)
+                        for r in rows
+                        if (r["key_remote_jid"], r["key_id"]) not in live_pairs
+                    ),
+                )
             )
 
     # log file
@@ -1278,14 +1289,15 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
         backups=tuple(expected_backups),
         warnings=predicted.items,
     )
-    expected = _expected_analytics(sim, script, expected_backups)
+    expected = _expected_analytics(sim, script, snapshots)
     return ForgeResult(root=root, bundle=bundle, expected=expected)
 
 
-def _expected_analytics(sim: _Simulator, script: ScenarioScript, backups) -> ExpectedAnalytics:
-    backup_keys = set()
-    for backup in backups:
-        backup_keys.update(record.key_id_raw for record in backup.messages)
+def _expected_analytics(
+    sim: _Simulator, script: ScenarioScript, snapshots: list[list[dict]]
+) -> ExpectedAnalytics:
+    """Ground truth from the simulation and the full rows of every snapshot."""
+    backup_keys = {row["key_id"] for rows in snapshots for row in rows}
     live_keys = {m.key_raw for m in sim.messages if m.delete_ms is None}
 
     # histories: live rows plus rows only a backup retains
@@ -1314,16 +1326,12 @@ def _expected_analytics(sim: _Simulator, script: ScenarioScript, backups) -> Exp
     for m in sim.messages:
         if m.delete_ms is None:
             add_entry(m.materialize(None), "live")
-    for backup in backups:
-        for record in backup.messages:
-            pair = (record.key_remote_jid.raw, record.key_id_raw)
+    for rows in snapshots:
+        for row in rows:
+            pair = (row["key_remote_jid"], row["key_id"])
             if pair in recovered_pairs:
                 continue
-            sims = [
-                s
-                for s in sim.by_key.get(record.key_id_raw, [])
-                if s.jid_raw == record.key_remote_jid.raw
-            ]
+            sims = [s for s in sim.by_key.get(row["key_id"], []) if s.jid_raw == pair[0]]
             if not sims or sims[0].delete_ms is None:
                 continue
             recovered_pairs.add(pair)

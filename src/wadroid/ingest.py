@@ -77,6 +77,9 @@ def load_case_bundle(
     else:
         warn_to(warn, layout.MSGSTORE_DB, "chat database missing; message analysis degraded")
 
+    # Backups are kept as deltas: a row whose (conversation, key) pair is
+    # live adds nothing the live copy does not hold, so it is not decoded.
+    live_pairs = frozenset((m.key_remote_jid.raw, m.key_id_raw) for m in messages)
     backups = []
     for crypt in crypt_files:
         try:
@@ -85,15 +88,18 @@ def load_case_bundle(
             warn_to(warn, _rel(root, crypt), f"backup not decrypted: {exc}")
             continue
         with tempfile.TemporaryDirectory() as tmp:
-            tmp_db = Path(tmp) / "backup.db"
+            # Named after its crypt file, so row warnings name the backup.
+            tmp_db = Path(tmp) / crypt.name
             tmp_db.write_bytes(plain)
             try:
                 # Only the messages matter for recovery; a backup's own
                 # chat_list pointers legitimately dangle mid-history.
                 source = db_reader.open_source(tmp_db, db_reader.DbKind.CHAT_STORE)
-                backup_messages = db_reader.load_messages(source, warn)
+                backup_messages = db_reader.load_messages(source, warn, skip_pairs=live_pairs)
             except WadroidError as exc:
-                warn_to(warn, _rel(root, crypt), f"decrypted backup unreadable: {exc}")
+                # The temp directory's name is random; keep it out of the report.
+                reason = str(exc).replace(str(tmp_db), crypt.name)
+                warn_to(warn, _rel(root, crypt), f"decrypted backup unreadable: {reason}")
                 continue
         backups.append(BackupSet(name=crypt.name, messages=tuple(backup_messages)))
 

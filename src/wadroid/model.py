@@ -468,7 +468,13 @@ class AvatarFile:
 
 @dataclass(frozen=True)
 class BackupSet:
-    """Messages recovered from one decrypted chat-database backup."""
+    """Messages recovered from one decrypted chat-database backup.
+
+    Only the rows the live store lost are kept: a backup row whose
+    (conversation jid, key) pair is also a live row's is dropped at
+    ingest, undecoded. ``messages`` is therefore a delta against
+    ``CaseBundle.messages``, in ascending _id order.
+    """
 
     name: str
     messages: tuple[MessageRecord, ...]

@@ -230,6 +230,14 @@ def msgstore_db(path: Path, messages=(), chats=()) -> Path:
     return build_db(path, MSGSTORE_SCHEMA, {"messages": messages, "chat_list": chats})
 
 
+def corrupt_page_2(data: bytes) -> bytes:
+    """Overwrite the second page of a SQLite file, the root of its first table."""
+    data = bytearray(data)
+    page_size = int.from_bytes(data[16:18], "big")
+    data[page_size : 2 * page_size] = b"\xa5" * page_size
+    return bytes(data)
+
+
 # --- reference scenarios ----------------------------------------------------------
 #
 # Times are UTC epoch milliseconds; the device clock in the reference

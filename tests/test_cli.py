@@ -1,13 +1,15 @@
 """Command-line behavior: subcommands, exit codes, output stability."""
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
 import helpers
-from wadroid import forge, ingest
-from wadroid.backup_crypto import SQLITE_MAGIC
+from wadroid import forge, ingest, layout
+from wadroid import report as report_mod
+from wadroid.backup_crypto import SQLITE_MAGIC, decrypt_backup, encrypt_fixture
 from wadroid.cli import EXIT_ERROR, EXIT_OK, EXIT_USAGE, EXIT_WARNINGS, run
 from wadroid.errors import StructuralError
 
@@ -132,6 +134,84 @@ def test_diff_lists_recovered_messages(tmp_path, capsys):
     assert code == EXIT_WARNINGS  # dangling chat pointer after deletion
     assert doc["backups"][0]["recovered_count"] == 1
     assert doc["backups"][0]["recovered"][0]["data"] == "gone"
+
+
+def _three_backups(tmp_path):
+    """Two messages, each deleted after it reached some of three backups."""
+    base = 1380000000000
+    send = functools.partial(forge.SendText, sender=helpers.OWNER, to=helpers.PARTNER)
+    script = forge.ScenarioScript(
+        owner=helpers.OWNER,
+        actors=(helpers.OWNER, helpers.PARTNER),
+        actions=(
+            send(at_ms=base, text="first", label="m1"),
+            forge.SnapshotBackup(at_ms=base + 60_000),
+            send(at_ms=base + 90_000, text="second", label="m2"),
+            forge.SnapshotBackup(at_ms=base + 120_000),
+            forge.SnapshotBackup(at_ms=base + 180_000),
+            forge.DeleteMessage(at_ms=base + 240_000, target="m1"),
+            forge.DeleteMessage(at_ms=base + 300_000, target="m2"),
+        ),
+    )
+    return forge.generate_bundle(script, tmp_path / "evidence")
+
+
+def test_corrupt_backup_is_skipped_with_a_warning(tmp_path, capsys):
+    result = _three_backups(tmp_path)
+    crypts = sorted((result.root / layout.BACKUPS_DIR).glob("*.crypt"))
+    assert len(crypts) == 3
+    bad = crypts[1]
+    bad.write_bytes(encrypt_fixture(helpers.corrupt_page_2(decrypt_backup(bad))))
+    out = tmp_path / "report.json"
+    code = run(["report", "--in", str(result.root), "--out", str(out)])
+    assert code == EXIT_WARNINGS
+    assert "Traceback" not in capsys.readouterr().err
+    again = tmp_path / "again.json"
+    assert run(["report", "--in", str(result.root), "--out", str(again)]) == EXIT_WARNINGS
+    assert again.read_bytes() == out.read_bytes()  # no temp path leaks into the report
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    unreadable = [w for w in doc["warnings"] if "decrypted backup unreadable" in w["message"]]
+    assert [w["source"] for w in unreadable] == [f"{layout.BACKUPS_DIR}/{bad.name}"]
+    assert bad.name in unreadable[0]["message"]
+    assert doc["bundle_summary"]["backups"] == [crypts[0].name, crypts[2].name]
+    recovered = {
+        m["content"]["text"]
+        for c in doc["conversations"]
+        for m in c["messages"]
+        if m["source"] == "recovered-from-backup"
+    }
+    assert recovered == {"first", "second"}
+
+
+def test_corrupt_live_database_is_a_tool_error(conversation_dir, capsys):
+    msgstore = conversation_dir / layout.MSGSTORE_DB
+    msgstore.write_bytes(helpers.corrupt_page_2(msgstore.read_bytes()))
+    assert run(["report", "--in", str(conversation_dir)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_backup_row_warnings_name_their_backup(tmp_path):
+    result = _three_backups(tmp_path)
+    crypt = sorted((result.root / layout.BACKUPS_DIR).glob("*.crypt"))[0]
+    row = {"key_remote_jid": helpers.jid(helpers.PARTNER), "key_id": "1-1", "media_hash": "%%"}
+    plain = helpers.msgstore_db(tmp_path / "replacement.db", [row]).read_bytes()
+    crypt.write_bytes(encrypt_fixture(plain))
+    bundle = ingest.load_case_bundle(result.root)
+    assert [w.source for w in bundle.warnings if "media_hash" in w.message] == [
+        f"{crypt.name}:messages#1"
+    ]
+
+
+def test_unexpected_exception_is_a_tool_error(conversation_dir, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulated defect")
+
+    monkeypatch.setattr(report_mod, "build_report", broken)
+    assert run(["report", "--in", str(conversation_dir)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "internal error" in err and "simulated defect" in err
+    assert "Traceback" not in err
 
 
 def test_timeline_csv(tmp_path, capsys):

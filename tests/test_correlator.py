@@ -655,6 +655,36 @@ def test_backup_recovers_deleted_content(tmp_path):
     assert entries[0].content.text == "doomed"
 
 
+def test_backups_hold_only_rows_the_live_store_lost(tmp_path):
+    base = 1380000000000
+    script = forge.ScenarioScript(
+        owner=helpers.OWNER,
+        actors=(helpers.OWNER, helpers.PARTNER),
+        actions=(
+            forge.SendText(at_ms=base, sender=helpers.PARTNER, to=helpers.OWNER, text="kept"),
+            forge.SendText(
+                at_ms=base + 1_000,
+                sender=helpers.OWNER,
+                to=helpers.PARTNER,
+                text="doomed",
+                label="m",
+            ),
+            forge.SnapshotBackup(at_ms=base + 60_000),
+            forge.SnapshotBackup(at_ms=base + 90_000),
+            forge.DeleteMessage(at_ms=base + 120_000, target="m"),
+        ),
+    )
+    result = forge.generate_bundle(script, tmp_path)
+    bundle = ingest.load_case_bundle(result.root)
+    assert bundle.backups == result.bundle.backups
+    assert len(bundle.backups) == 2
+    for backup in bundle.backups:
+        assert [m.data for m in backup.messages] == ["doomed"]
+    findings = infer_deleted_messages(bundle)
+    assert len(findings) == 1
+    assert findings[0].payload["backups"] == sorted(b.name for b in bundle.backups)
+
+
 # --- backup diff -------------------------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import sqlite3
 
 import pytest
 
-from helpers import MESSAGE_DEFAULTS, contacts_db, jid, msgstore_db
+from helpers import MESSAGE_DEFAULTS, contacts_db, corrupt_page_2, jid, msgstore_db
 from wadroid.db_reader import (
     DbKind,
     check_chat_list_consistency,
@@ -13,7 +13,7 @@ from wadroid.db_reader import (
     load_messages,
     open_source,
 )
-from wadroid.errors import MissingTable, NotSqlite, UnreadableFile
+from wadroid.errors import CorruptDatabase, MissingTable, NotSqlite, UnreadableFile
 from wadroid.model import JidKind, WarningLog
 
 CONTACT_ROW = {
@@ -244,6 +244,31 @@ def test_column_type_mismatch_keeps_row(tmp_path):
     assert len(records) == 1
     assert records[0].timestamp is None
     assert any("expected integer" in w.message for w in warn)
+
+
+def test_skipped_pairs_are_matched_on_decoded_text(tmp_path):
+    live = (jid("393480000002"), "1329112000-1")
+    rows = [
+        # the live key stored as a BLOB of its UTF-8 bytes decodes to the live pair
+        {"key_remote_jid": live[0], "key_id": live[1].encode("utf-8"), "data": "live copy"},
+        {"key_remote_jid": live[0], "key_id": "1329112000-2", "data": "lost"},
+        # an undecodable key reads as "", which is not live: decoded, and warned about
+        {"key_remote_jid": live[0], "key_id": b"\xff", "data": "bad key"},
+    ]
+    source = _store_source(tmp_path, rows)
+    assert [r.key_id_raw for r in load_messages(source)] == [live[1], "1329112000-2", ""]
+    warn = WarningLog()
+    records = load_messages(source, warn, skip_pairs=frozenset({live}))
+    assert [r.data for r in records] == ["lost", "bad key"]
+    assert warn.items and all(w.source == "msgstore.db:messages#3" for w in warn)
+
+
+def test_corrupt_database_is_a_tool_error(tmp_path):
+    path = msgstore_db(tmp_path / "msgstore.db", [{"key_remote_jid": jid("1"), "key_id": "1-1"}])
+    source = open_source(path, DbKind.CHAT_STORE)
+    path.write_bytes(corrupt_page_2(path.read_bytes()))  # the messages table's root
+    with pytest.raises(CorruptDatabase):
+        load_messages(source)
 
 
 def test_chat_list_single_conversation(tmp_path):
