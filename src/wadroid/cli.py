@@ -202,20 +202,9 @@ def _cmd_timeline(args) -> int:
     if args.format == "csv":
         _emit(report_mod.render_timeline_csv(analysis, args.tz), args.out)
     else:
-        doc = {
-            "groups": [report_mod._timeline_json(t, args.tz) for t in analysis.timelines],
-            "chats": [
-                {
-                    "partner": jid,
-                    "messages": [
-                        report_mod._history_entry_json(e, args.tz) for e in entries
-                    ],
-                }
-                for jid, entries in analysis.histories.items()
-            ],
-        }
+        doc = report_mod.timeline_document(analysis, args.tz)
         _emit(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n", args.out)
-    return EXIT_WARNINGS if bundle.warnings else EXIT_OK
+    return EXIT_WARNINGS if bundle.warnings or analysis.warnings else EXIT_OK
 
 
 def _cmd_forge(args) -> int:

@@ -121,7 +121,6 @@ def message_state(record: MessageRecord) -> MessageState:
 @dataclass(frozen=True)
 class TextContent:
     text: str
-    kind = "text"
 
 
 @dataclass(frozen=True)
@@ -134,14 +133,12 @@ class MediaContent:
     hash_b64: str | None
     server_filename: str | None
     thumbnail: bytes | None
-    kind = "media"
 
 
 @dataclass(frozen=True)
 class ContactCardContent:
     vcard: str
     display_name: str | None
-    kind = "vcard"
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,6 @@ class GeoContent:
     latitude: float
     longitude: float
     map_thumbnail: bytes | None
-    kind = "geo"
 
 
 _MEDIA_KIND_NAMES = {1: "image", 2: "audio", 3: "video"}
@@ -241,11 +237,52 @@ def sort_findings(findings) -> list[Finding]:
     )
 
 
-def _coverage_note(bundle: CaseBundle) -> str:
+@dataclass(frozen=True)
+class LogIndex:
+    """The log facts several correlators share, gathered in one pass.
+
+    ``analyze`` builds one index and hands it to every log-based
+    correlator; a correlator called with only a bundle builds its own.
+    """
+
+    coverage_note: str
+    additions: tuple[tuple[WaJid, int], ...]  # earliest addition time per contact, by jid
+    addition_refs: dict[str, list[str]]
+    block_refs: dict[str, list[str]]
+    unblock_refs: tuple[str, ...]
+
+
+def log_index(bundle: CaseBundle) -> LogIndex:
     first, last = bundle.log_coverage()
     if first is None:
-        return "no dated log events available"
-    return f"log coverage window {first}..{last} ms; conclusions hold only within it"
+        note = "no dated log events available"
+    else:
+        note = f"log coverage window {first}..{last} ms; conclusions hold only within it"
+    earliest: dict[str, tuple[WaJid, int]] = {}
+    addition_refs: dict[str, list[str]] = {}
+    block_refs: dict[str, list[str]] = {}
+    unblock_refs = []
+    for event in bundle.log_events:
+        subject = event.subject_jid
+        if event.kind in CONTACT_ADDITION_KINDS:
+            if subject is None:
+                continue
+            addition_refs.setdefault(subject.raw, []).append(event.evidence_ref)
+            at_ms = event.occurred_at
+            if subject.is_parsed and at_ms is not None:
+                if subject.raw not in earliest or at_ms < earliest[subject.raw][1]:
+                    earliest[subject.raw] = (subject, at_ms)
+        elif event.kind is EventKind.CONTACT_BLOCKED and subject is not None:
+            block_refs.setdefault(subject.raw, []).append(event.evidence_ref)
+        elif event.kind is EventKind.CONTACT_UNBLOCKED:
+            unblock_refs.append(event.evidence_ref)
+    return LogIndex(
+        coverage_note=note,
+        additions=tuple(earliest[raw] for raw in sorted(earliest)),
+        addition_refs=addition_refs,
+        block_refs=block_refs,
+        unblock_refs=tuple(unblock_refs),
+    )
 
 
 # --- chat history -----------------------------------------------------------
@@ -706,17 +743,11 @@ def block_statuses(blocks, unblock_times) -> dict[str, tuple[str, int]]:
     return state
 
 
-def infer_block_status(bundle: CaseBundle) -> list[Finding]:
+def infer_block_status(bundle: CaseBundle, index: LogIndex | None = None) -> list[Finding]:
     """Block-status findings for every contact that was ever blocked."""
+    index = index or log_index(bundle)
     blocks, unblock_times = classify_block_events(bundle.log_events)
     statuses = block_statuses(blocks, unblock_times)
-    evidence_by_jid: dict[str, list[str]] = {}
-    unblock_refs = []
-    for event in bundle.log_events:
-        if event.kind is EventKind.CONTACT_BLOCKED and event.subject_jid:
-            evidence_by_jid.setdefault(event.subject_jid.raw, []).append(event.evidence_ref)
-        elif event.kind is EventKind.CONTACT_UNBLOCKED:
-            unblock_refs.append(event.evidence_ref)
     notes = {
         BLOCKED: "no unblock event follows the block",
         UNBLOCKED: "an unblock fired while this was the only blocked contact",
@@ -728,15 +759,15 @@ def infer_block_status(bundle: CaseBundle) -> list[Finding]:
     findings = []
     for raw in sorted(statuses):
         status, at_ms = statuses[raw]
-        evidence = tuple(evidence_by_jid.get(raw, ()))
+        evidence = tuple(index.block_refs.get(raw, ()))
         if status != BLOCKED:
-            evidence = evidence + tuple(unblock_refs)
+            evidence = evidence + index.unblock_refs
         findings.append(
             Finding(
                 category=FindingCategory.BLOCK_STATUS,
                 subject=raw,
                 summary=f"{raw}: {status}",
-                confidence_note=f"{notes[status]}; {_coverage_note(bundle)}",
+                confidence_note=f"{notes[status]}; {index.coverage_note}",
                 evidence=evidence,
                 payload={"jid": raw, "status": status, "at_ms": at_ms},
                 at_ms=at_ms,
@@ -755,41 +786,26 @@ def contact_addition_times(bundle: CaseBundle) -> list[tuple[WaJid, int]]:
     profile-query, and avatar-download events written at addition time
     do.
     """
-    earliest: dict[str, tuple[WaJid, int]] = {}
-    for event in bundle.log_events:
-        if event.kind not in CONTACT_ADDITION_KINDS:
-            continue
-        if event.subject_jid is None or not event.subject_jid.is_parsed:
-            continue
-        if event.occurred_at is None:
-            continue
-        raw = event.subject_jid.raw
-        if raw not in earliest or event.occurred_at < earliest[raw][1]:
-            earliest[raw] = (event.subject_jid, event.occurred_at)
-    return [earliest[raw] for raw in sorted(earliest)]
+    return list(log_index(bundle).additions)
 
 
-def contact_added_findings(bundle: CaseBundle) -> list[Finding]:
-    additions = contact_addition_times(bundle)
-    refs: dict[str, list[str]] = {}
-    for event in bundle.log_events:
-        if event.kind in CONTACT_ADDITION_KINDS and event.subject_jid:
-            refs.setdefault(event.subject_jid.raw, []).append(event.evidence_ref)
+def contact_added_findings(bundle: CaseBundle, index: LogIndex | None = None) -> list[Finding]:
+    index = index or log_index(bundle)
     return [
         Finding(
             category=FindingCategory.CONTACT_ADDED,
             subject=jid.raw,
             summary=f"{jid.raw} added to contacts at {at_ms} ms",
-            confidence_note=_coverage_note(bundle),
-            evidence=tuple(refs.get(jid.raw, ())),
+            confidence_note=index.coverage_note,
+            evidence=tuple(index.addition_refs.get(jid.raw, ())),
             payload={"jid": jid.raw, "added_at_ms": at_ms},
             at_ms=at_ms,
         )
-        for jid, at_ms in additions
+        for jid, at_ms in index.additions
     ]
 
 
-def infer_deleted_contacts(bundle: CaseBundle) -> list[Finding]:
+def infer_deleted_contacts(bundle: CaseBundle, index: LogIndex | None = None) -> list[Finding]:
     """Contacts evidenced by the logs but absent from the contacts table.
 
     The deletion time itself is unrecoverable: contact deletions log no
@@ -807,12 +823,9 @@ def infer_deleted_contacts(bundle: CaseBundle) -> list[Finding]:
                 payload={"no_log_coverage": True},
             )
         ]
+    index = index or log_index(bundle)
     current = {c.jid.raw for c in bundle.contacts}
-    additions = {jid.raw: at_ms for jid, at_ms in contact_addition_times(bundle)}
-    refs: dict[str, list[str]] = {}
-    for event in bundle.log_events:
-        if event.kind in CONTACT_ADDITION_KINDS and event.subject_jid:
-            refs.setdefault(event.subject_jid.raw, []).append(event.evidence_ref)
+    additions = {jid.raw: at_ms for jid, at_ms in index.additions}
     orphan_avatars: dict[str, list[str]] = {}
     for avatar in bundle.avatar_inventory:
         if avatar.jid_raw not in current:
@@ -823,7 +836,7 @@ def infer_deleted_contacts(bundle: CaseBundle) -> list[Finding]:
         paths = orphan_avatars.pop(raw, [])
         note = (
             "added per log evidence but missing from the contacts table; "
-            f"deletion time is unrecoverable; {_coverage_note(bundle)}"
+            f"deletion time is unrecoverable; {index.coverage_note}"
         )
         if paths:
             note += "; an orphaned avatar file corroborates the deletion"
@@ -833,7 +846,7 @@ def infer_deleted_contacts(bundle: CaseBundle) -> list[Finding]:
                 subject=raw,
                 summary=f"{raw} was deleted from contacts",
                 confidence_note=note,
-                evidence=tuple(refs.get(raw, ())) + tuple(paths),
+                evidence=tuple(index.addition_refs.get(raw, ())) + tuple(paths),
                 payload={
                     "jid": raw,
                     "added_at_ms": additions[raw],
@@ -868,7 +881,7 @@ def infer_deleted_contacts(bundle: CaseBundle) -> list[Finding]:
 # --- deleted messages ---------------------------------------------------------
 
 
-def infer_deleted_messages(bundle: CaseBundle) -> list[Finding]:
+def infer_deleted_messages(bundle: CaseBundle, index: LogIndex | None = None) -> list[Finding]:
     """Messages that once existed but are gone from the live store.
 
     Three independent sources are combined: explicit deletion log events
@@ -877,6 +890,7 @@ def infer_deleted_messages(bundle: CaseBundle) -> list[Finding]:
     database lost. Content is unrecoverable from logs; a backup copy, if
     any, is referenced instead.
     """
+    index = index or log_index(bundle)
     live_keys = {m.key_id_raw for m in bundle.messages}
 
     deletes: dict[str, tuple[int, list[str]]] = {}
@@ -945,7 +959,7 @@ def infer_deleted_messages(bundle: CaseBundle) -> list[Finding]:
             if not recovered
             else f"a backup copy retains the full record ({', '.join(recovered)})",
             state_ref,
-            _coverage_note(bundle),
+            index.coverage_note,
         ]
         findings.append(
             Finding(
@@ -1003,19 +1017,28 @@ def correlate_media(sender_records, recipient_records, media_inventory) -> list[
     name alone, because the receiving side stores no local file name.
     """
     findings = []
-    senders = _media_records(sender_records)
-    recipients = _media_records(recipient_records)
+    senders = sorted(_media_records(sender_records), key=lambda r: r.id)
+    recipients = sorted(_media_records(recipient_records), key=lambda r: r.id)
+    recipient_names = [server_filename(r.media_url) for r in recipients]
+    # Recipients are indexed by their position in id order, so each sender
+    # visits its matches in that order and a recipient matching on both
+    # name and hash only once.
+    by_name: dict[str, list[int]] = {}
+    by_hash: dict[str, list[int]] = {}
+    for pos, (r_rec, r_name) in enumerate(zip(recipients, recipient_names)):
+        if r_name is not None:
+            by_name.setdefault(r_name, []).append(pos)
+        if r_rec.media_hash is not None:
+            by_hash.setdefault(r_rec.media_hash, []).append(pos)
 
-    for s_rec in sorted(senders, key=lambda r: r.id):
+    for s_rec in senders:
         s_name = server_filename(s_rec.media_url)
         s_hash = s_rec.media_hash
-        for r_rec in sorted(recipients, key=lambda r: r.id):
-            r_name = server_filename(r_rec.media_url)
-            r_hash = r_rec.media_hash
-            name_match = s_name is not None and s_name == r_name
-            hash_match = s_hash is not None and s_hash == r_hash
-            if not name_match and not hash_match:
-                continue
+        matches = set(by_name.get(s_name, ())) | set(by_hash.get(s_hash, ()))
+        for pos in sorted(matches):
+            r_rec = recipients[pos]
+            name_match = s_name is not None and s_name == recipient_names[pos]
+            hash_match = s_hash is not None and s_hash == r_rec.media_hash
             if name_match and hash_match:
                 match, note = "full", (
                     "server file name and content hash both agree; the records "
@@ -1184,10 +1207,11 @@ def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
                 at_ms=timeline.created_at_ms(),
             )
         )
-    findings.extend(contact_added_findings(bundle))
-    findings.extend(infer_block_status(bundle))
-    findings.extend(infer_deleted_contacts(bundle))
-    findings.extend(infer_deleted_messages(bundle))
+    index = log_index(bundle)
+    findings.extend(contact_added_findings(bundle, index))
+    findings.extend(infer_block_status(bundle, index))
+    findings.extend(infer_deleted_contacts(bundle, index))
+    findings.extend(infer_deleted_messages(bundle, index))
     findings.extend(
         correlate_media(
             [m for m in bundle.messages if m.from_me],

@@ -112,6 +112,21 @@ def _timeline_json(timeline, tz: int) -> dict:
     }
 
 
+def timeline_document(analysis: Analysis, tz: int = 0) -> dict:
+    """Group and chat chronologies: the ``timeline --format json`` document.
+
+    The report embeds the same lists as ``group_timelines`` and
+    ``conversations``.
+    """
+    return {
+        "groups": [_timeline_json(t, tz) for t in analysis.timelines],
+        "chats": [
+            {"partner": jid_raw, "messages": [_history_entry_json(e, tz) for e in entries]}
+            for jid_raw, entries in analysis.histories.items()
+        ],
+    }
+
+
 def bundle_summary(bundle: CaseBundle, tz: int = 0) -> dict:
     first, last = bundle.log_coverage()
     return {
@@ -142,18 +157,13 @@ def build_report(
         {"source": w.source, "message": w.message}
         for w in (*bundle.warnings, *analysis.warnings)
     ]
+    chronologies = timeline_document(analysis, tz)
     return {
         "tool_version": tool_version,
         "display_offset_minutes": tz,
         "bundle_summary": bundle_summary(bundle, tz),
-        "conversations": [
-            {
-                "partner": jid_raw,
-                "messages": [_history_entry_json(e, tz) for e in entries],
-            }
-            for jid_raw, entries in analysis.histories.items()
-        ],
-        "group_timelines": [_timeline_json(t, tz) for t in analysis.timelines],
+        "conversations": chronologies["chats"],
+        "group_timelines": chronologies["groups"],
         "broadcasts": [
             {
                 "key": b.key_raw,

@@ -225,6 +225,37 @@ def test_timeline_csv(tmp_path, capsys):
     assert "2013-11-14 22:11:36.000 +00:00" in "\n".join(group_lines)
 
 
+def test_timeline_json_matches_the_report(tmp_path, capsys):
+    result = _golden_scenario(tmp_path)
+    out = tmp_path / "report.json"
+    run(["report", "--in", str(result.root), "--out", str(out), "--tz", "+01:00"])
+    capsys.readouterr()
+    run(["timeline", "--in", str(result.root), "--format", "json", "--tz", "+01:00"])
+    doc = json.loads(capsys.readouterr().out)
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert set(doc) == {"groups", "chats"}
+    assert doc["groups"] and doc["chats"]
+    assert doc["groups"] == report["group_timelines"]
+    assert doc["chats"] == report["conversations"]
+
+
+def test_timeline_exit_code_counts_analysis_warnings(tmp_path, capsys):
+    from wadroid.log_parser import body_group_member_left, format_line
+
+    result = forge.generate_bundle(helpers.group_script(), tmp_path / "evidence")
+    (gid,) = result.expected.group_timelines
+    stranger = helpers.jid("393209999999")
+    with (result.root / layout.MAIN_LOG).open("a", encoding="utf-8") as log:
+        log.write(format_line(helpers.GRP_LEAVE_E + 1000, body_group_member_left(gid, stranger)))
+        log.write("\n")
+    out = tmp_path / "report.json"
+    assert run(["report", "--in", str(result.root), "--out", str(out)]) == EXIT_WARNINGS
+    warnings = json.loads(out.read_text(encoding="utf-8"))["warnings"]
+    assert [w["message"] for w in warnings] == [f"{stranger} leaves {gid} without a recorded join"]
+    for fmt in ("csv", "json"):
+        assert run(["timeline", "--in", str(result.root), "--format", fmt]) == EXIT_WARNINGS
+
+
 def test_forge_cli(tmp_path, capsys):
     script_path = tmp_path / "scenario.json"
     script_path.write_text(forge.script_to_json(helpers.conversation_script()), "utf-8")

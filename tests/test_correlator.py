@@ -11,6 +11,8 @@ from helpers import jid
 from wadroid import forge, ingest
 from wadroid.correlator import (
     BLOCKED,
+    Finding,
+    FindingCategory,
     GeoContent,
     ContactCardContent,
     GroupEventKind,
@@ -19,6 +21,7 @@ from wadroid.correlator import (
     TextContent,
     UNBLOCKED,
     UNKNOWN,
+    analyze,
     backup_diff,
     block_statuses,
     contact_addition_times,
@@ -32,11 +35,14 @@ from wadroid.correlator import (
     message_state,
     reconstruct_history,
     resolve_partners,
+    server_filename,
 )
 from wadroid.log_parser import (
     body_avatar_downloaded,
+    body_contact_blocked,
     body_contact_missing,
     body_contact_query,
+    body_contact_unblocked,
     body_device_ack,
     body_message_deleted,
     body_message_sent,
@@ -685,6 +691,41 @@ def test_backups_hold_only_rows_the_live_store_lost(tmp_path):
     assert findings[0].payload["backups"] == sorted(b.name for b in bundle.backups)
 
 
+def test_analyze_scans_log_coverage_once(monkeypatch):
+    a, b, c = jid("393310000001"), jid("393310000002"), jid("393310000003")
+    lines = [
+        *_addition_lines(a, 1000),
+        *_addition_lines(b, 5000),
+        format_line(9000, body_contact_blocked(a)),
+        format_line(9500, body_contact_blocked(c)),
+        format_line(9800, body_contact_unblocked()),
+        format_line(10000, body_message_sent("1-1", a)),
+        format_line(10500, body_message_sent("1-2", b)),
+        format_line(11000, body_message_deleted("1-1")),
+        format_line(11500, body_message_deleted("1-2")),
+    ]
+    bundle = _log_bundle(lines)
+    scans = []
+    log_coverage = CaseBundle.log_coverage
+
+    def counted(self):
+        scans.append(self)
+        return log_coverage(self)
+
+    monkeypatch.setattr(CaseBundle, "log_coverage", counted)
+    findings = analyze(bundle).findings
+    counts = {}
+    for finding in findings:
+        counts[finding.category] = counts.get(finding.category, 0) + 1
+    assert counts[FindingCategory.CONTACT_ADDED] == 2
+    assert counts[FindingCategory.DELETED_CONTACT] == 2
+    assert counts[FindingCategory.BLOCK_STATUS] == 2
+    assert counts[FindingCategory.DELETED_MESSAGE] == 2
+    assert len(scans) == 1
+    deleted = [f for f in findings if f.category is FindingCategory.DELETED_MESSAGE]
+    assert all("log coverage window 1000..11500 ms" in f.confidence_note for f in deleted)
+
+
 # --- backup diff -------------------------------------------------------------------------
 
 
@@ -815,6 +856,99 @@ def test_recipient_file_identified_by_hash():
     findings = correlate_media([], [record], inventory)
     assert [f.payload["match"] for f in findings] == ["local-file"]
     assert findings[0].payload["record_id"] == 5
+
+
+def _media_pairs_by_nested_loop(sender_records, recipient_records) -> list[Finding]:
+    """Reference: every media sender record compared with every media recipient record."""
+    findings = []
+    senders = [r for r in sender_records if r.media_wa_type in (1, 2, 3)]
+    recipients = [r for r in recipient_records if r.media_wa_type in (1, 2, 3)]
+    for s_rec in sorted(senders, key=lambda r: r.id):
+        s_name = server_filename(s_rec.media_url)
+        s_hash = s_rec.media_hash
+        for r_rec in sorted(recipients, key=lambda r: r.id):
+            r_name = server_filename(r_rec.media_url)
+            r_hash = r_rec.media_hash
+            name_match = s_name is not None and s_name == r_name
+            hash_match = s_hash is not None and s_hash == r_hash
+            if not name_match and not hash_match:
+                continue
+            if name_match and hash_match:
+                match, note = "full", (
+                    "server file name and content hash both agree; the records "
+                    "describe the same transferred file"
+                )
+            elif name_match:
+                match, note = "name-only", (
+                    "server file name agrees but the content hash differs; "
+                    "lower confidence, the payloads are not identical"
+                )
+            else:
+                match, note = "hash-only", (
+                    "content hash agrees but the server file name differs; "
+                    "lower confidence, possibly a re-upload of the same file"
+                )
+            findings.append(
+                Finding(
+                    category=FindingCategory.MEDIA_CORRELATION,
+                    subject=s_name or s_hash or "",
+                    summary=f"sender record {s_rec.id} / recipient record {r_rec.id}: "
+                    f"{match} match",
+                    confidence_note=note,
+                    evidence=(f"messages:_id={s_rec.id}", f"messages:_id={r_rec.id}"),
+                    payload={
+                        "match": match,
+                        "sender_record_id": s_rec.id,
+                        "recipient_record_id": r_rec.id,
+                        "server_filename": s_name if name_match else None,
+                        "media_hash": s_hash if hash_match else None,
+                    },
+                )
+            )
+    return findings
+
+
+def test_media_pairing_matches_nested_loop():
+    def media(rid, name, digest, from_me, **overrides):
+        url = f"https://mms402.whatsapp.net/d/{name}" if name else None
+        return make_record(
+            id=rid,
+            key_id_raw=f"1-{rid}",
+            from_me=from_me,
+            media_wa_type=overrides.pop("media_wa_type", 1),
+            media_hash=digest,
+            media_url=url,
+            **overrides,
+        )
+
+    senders = [
+        media(5, "dup.jpg", "h5", True),
+        media(1, "a.jpg", "h1", True),
+        media(2, "b.jpg", "h2", True),
+        media(3, None, "h3", True),
+        media(4, "a.jpg", None, True),  # name-only against 10 and the first 13
+        media(2, "c.jpg", None, True),  # same id as another sender
+        media(6, None, None, True),
+        media(7, "a.jpg", "h1", True, media_wa_type=0),  # not media: never paired
+    ]
+    recipients = [
+        media(16, None, None, False),
+        media(15, "dup.jpg", "x", False),
+        media(13, "a.jpg", None, False),
+        media(10, "a.jpg", "h1", False),  # full with s1, name-only with s4
+        media(12, "other.jpg", "h3", False),  # hash-only with s3
+        media(11, "c.jpg", "h2", False),  # hash-only with s2, name-only with the other s2
+        media(14, "dup.jpg", "x", False),  # duplicate server name
+        media(13, "", "h5", False),  # same id as another recipient, hash-only with s5
+        media(17, "b.jpg", "h2", False, media_wa_type=4),
+    ]
+    expected = _media_pairs_by_nested_loop(senders, recipients)
+    assert correlate_media(senders, recipients, ()) == expected
+    assert {f.payload["match"] for f in expected} == {"full", "name-only", "hash-only"}
+    assert sum(f.payload["recipient_record_id"] == 10 for f in expected) == 2
+    assert sum(f.payload["recipient_record_id"] == 13 for f in expected) == 3
+    reversed_expected = _media_pairs_by_nested_loop(senders[::-1], recipients[::-1])
+    assert correlate_media(senders[::-1], recipients[::-1], ()) == reversed_expected
 
 
 # --- identity ---------------------------------------------------------------------------
