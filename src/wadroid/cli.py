@@ -1,24 +1,25 @@
 """Command-line front end.
 
-The CLI is a thin shell over the library: every behavior here is
-reachable through ``ingest``/``correlator``/``report`` calls. Exit
-codes: 0 clean run, 1 report produced but with warnings, 2 structural
-or tool errors (a damaged live database, or an unexpected internal
-error), 64 usage errors.
+The CLI is a thin shell over the library: it parses arguments, calls
+``ingest``/``correlator``, writes the documents ``report`` shapes and
+serializes, and maps the outcome to an exit code. Exit codes: 0 clean
+run, 1 report produced but with warnings, 2 structural or tool errors
+(a damaged live database, or an unexpected internal error), 64 usage
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
 from . import __version__, backup_crypto, forge, ingest, report as report_mod
-from .correlator import analyze, backup_diff
+from .correlator import analyze
 from .errors import WadroidError
 from .log_parser import DEFAULT_GRAMMAR, LogGrammar
-from .model import parse_tz_offset, render_epoch_ms
+from .model import parse_tz_offset
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -110,11 +111,19 @@ def _load_grammar(path: str | None) -> LogGrammar:
     return LogGrammar.from_json_file(path) if path else DEFAULT_GRAMMAR
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | Path | None) -> None:
+    """Write ``text`` as UTF-8 to the file ``out``, or to stdout's bytes.
+
+    Stdout gets the same bytes as the file whatever the locale's encoding;
+    it is flushed here so that a failed write maps to an exit code.
+    """
+    data = text.encode("utf-8")
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_bytes(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
 
 
 def _bundle(args):
@@ -125,11 +134,7 @@ def _bundle(args):
 
 def _cmd_ingest(args) -> int:
     bundle = _bundle(args)
-    summary = {
-        "bundle_summary": report_mod.bundle_summary(bundle),
-        "warnings": [{"source": w.source, "message": w.message} for w in bundle.warnings],
-    }
-    _emit(json.dumps(summary, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(report_mod.render_report_json(report_mod.ingest_document(bundle)), args.out)
     return EXIT_WARNINGS if bundle.warnings else EXIT_OK
 
 
@@ -145,7 +150,7 @@ def _cmd_report(args) -> int:
         if not args.out:
             raise WadroidError("--format csv needs --out to place the timeline CSV")
         csv_path = Path(args.out).with_suffix(".timeline.csv")
-        csv_path.write_text(report_mod.render_timeline_csv(analysis, args.tz), encoding="utf-8")
+        _emit(report_mod.render_timeline_csv(analysis, args.tz), csv_path)
     if args.verify_readonly:
         after = ingest.snapshot_tree(args.in_path)
         if before != after:
@@ -170,29 +175,7 @@ def _cmd_decrypt(args) -> int:
 
 def _cmd_diff(args) -> int:
     bundle = _bundle(args)
-    out = {"backups": []}
-    for backup in bundle.backups:
-        recovered = backup_diff(bundle.messages, backup.messages)
-        out["backups"].append(
-            {
-                "name": backup.name,
-                "recovered_count": len(recovered),
-                "recovered": [
-                    {
-                        "record_id": r.id,
-                        "conversation": r.key_remote_jid.raw,
-                        "key": r.key_id_raw,
-                        "direction": "outgoing" if r.from_me else "incoming",
-                        "timestamp": r.timestamp,
-                        "timestamp_local": render_epoch_ms(r.timestamp, args.tz),
-                        "data": r.data,
-                        "media_wa_type": r.media_wa_type,
-                    }
-                    for r in recovered
-                ],
-            }
-        )
-    _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(report_mod.render_report_json(report_mod.diff_document(bundle, args.tz)), args.out)
     return EXIT_WARNINGS if bundle.warnings else EXIT_OK
 
 
@@ -203,30 +186,16 @@ def _cmd_timeline(args) -> int:
         _emit(report_mod.render_timeline_csv(analysis, args.tz), args.out)
     else:
         doc = report_mod.timeline_document(analysis, args.tz)
-        _emit(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n", args.out)
+        _emit(report_mod.render_report_json(doc), args.out)
     return EXIT_WARNINGS if bundle.warnings or analysis.warnings else EXIT_OK
 
 
 def _cmd_forge(args) -> int:
     script = forge.script_from_json(Path(args.script).read_text(encoding="utf-8"))
     if args.seed is not None:
-        script = forge.ScenarioScript(
-            owner=script.owner,
-            actors=script.actors,
-            actions=script.actions,
-            seed=args.seed,
-            tz_offset_minutes=script.tz_offset_minutes,
-        )
+        script = dataclasses.replace(script, seed=args.seed)
     result = forge.generate_bundle(script, args.out)
-    summary = {
-        "root": str(result.root),
-        "contacts": len(result.bundle.contacts),
-        "messages": len(result.bundle.messages),
-        "log_events": len(result.bundle.log_events),
-        "backups": [b.name for b in result.bundle.backups],
-        "media_files": len(result.bundle.media_inventory),
-    }
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _emit(report_mod.render_report_json(report_mod.forge_summary(result)), None)
     return EXIT_OK
 
 

@@ -25,7 +25,6 @@ import binascii
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .log_parser import classify_block_events
 from .model import (
     CaseBundle,
     CONTACT_ADDITION_KINDS,
@@ -250,6 +249,10 @@ class LogIndex:
     addition_refs: dict[str, list[str]]
     block_refs: dict[str, list[str]]
     unblock_refs: tuple[str, ...]
+    # Block operations as (jid, at_ms), and the times of the anonymous
+    # unblocks: an unblock line never says whom it covered.
+    blocks: tuple[tuple[WaJid, int | None], ...]
+    unblock_times: tuple[int, ...]
 
 
 def log_index(bundle: CaseBundle) -> LogIndex:
@@ -262,6 +265,8 @@ def log_index(bundle: CaseBundle) -> LogIndex:
     addition_refs: dict[str, list[str]] = {}
     block_refs: dict[str, list[str]] = {}
     unblock_refs = []
+    blocks = []
+    unblock_times = []
     for event in bundle.log_events:
         subject = event.subject_jid
         if event.kind in CONTACT_ADDITION_KINDS:
@@ -274,14 +279,19 @@ def log_index(bundle: CaseBundle) -> LogIndex:
                     earliest[subject.raw] = (subject, at_ms)
         elif event.kind is EventKind.CONTACT_BLOCKED and subject is not None:
             block_refs.setdefault(subject.raw, []).append(event.evidence_ref)
+            blocks.append((subject, event.occurred_at))
         elif event.kind is EventKind.CONTACT_UNBLOCKED:
             unblock_refs.append(event.evidence_ref)
+            if event.occurred_at is not None:
+                unblock_times.append(event.occurred_at)
     return LogIndex(
         coverage_note=note,
         additions=tuple(earliest[raw] for raw in sorted(earliest)),
         addition_refs=addition_refs,
         block_refs=block_refs,
         unblock_refs=tuple(unblock_refs),
+        blocks=tuple(blocks),
+        unblock_times=tuple(unblock_times),
     )
 
 
@@ -334,9 +344,7 @@ def backup_diff(live_messages, backup_messages) -> list[MessageRecord]:
 
 
 def reconstruct_history(
-    bundle: CaseBundle,
-    include_recovered: bool = True,
-    warn: WarningLog | None = None,
+    bundle: CaseBundle, warn: WarningLog | None = None
 ) -> dict[str, list[HistoryEntry]]:
     """Group messages per conversation and order them chronologically.
 
@@ -345,8 +353,7 @@ def reconstruct_history(
     only survive in backups are merged in, tagged recovered-from-backup.
     """
     pool: list[tuple[MessageRecord, str]] = [(m, LIVE) for m in bundle.messages]
-    if include_recovered:
-        pool.extend((m, RECOVERED) for m in backup_recovered_records(bundle))
+    pool.extend((m, RECOVERED) for m in backup_recovered_records(bundle))
     conversations: dict[str, list[HistoryEntry]] = {}
     for record, source in pool:
         # Group rows have been observed storing the receipt time in
@@ -571,11 +578,16 @@ class GroupTimeline:
             return self.group.creation_time * 1000
         return None
 
-    def membership_at(self, at_ms: int) -> frozenset[str]:
-        """Replay events up to (and including) ``at_ms``."""
+    def replay(self, at_ms: int | None = None) -> tuple[frozenset[str], tuple[GroupEvent, ...]]:
+        """Replay events up to (and including) ``at_ms``, or all of them.
+
+        Returns the members, and the leave events of members who had no
+        recorded join at the time.
+        """
         members: set[str] = set()
+        unjoined_leaves = []
         for event in self.events:
-            if event.at_ms is not None and event.at_ms > at_ms:
+            if at_ms is not None and event.at_ms is not None and event.at_ms > at_ms:
                 break
             if event.kind is GroupEventKind.CREATED:
                 creator = self.group.creator.raw if self.group else event.member_raw
@@ -584,8 +596,20 @@ class GroupTimeline:
             elif event.kind is GroupEventKind.JOINED and event.member_raw:
                 members.add(event.member_raw)
             elif event.kind is GroupEventKind.LEFT and event.member_raw:
+                if event.member_raw not in members:
+                    unjoined_leaves.append(event)
                 members.discard(event.member_raw)
-        return frozenset(members)
+        return frozenset(members), tuple(unjoined_leaves)
+
+    def membership_at(self, at_ms: int) -> frozenset[str]:
+        """Members after replaying events up to (and including) ``at_ms``."""
+        return self.replay(at_ms)[0]
+
+    def final_members(self) -> list[str]:
+        """Members after every event, sorted; none when the last event is undated."""
+        if not self.events or self.events[-1].at_ms is None:
+            return []
+        return sorted(self.replay()[0])
 
 
 def group_membership_timeline(
@@ -673,32 +697,14 @@ def group_membership_timeline(
             gid = parse_group_id(gid_raw)
         except Exception:
             warn_to(warn, f"group:{gid_raw}", "group id does not parse; creator unknown")
-        # A leave without a preceding join is kept, but flagged.
-        members: set[str] = set()
-        for event in events:
-            if event.kind is GroupEventKind.CREATED:
-                creator = gid.creator.raw if gid else event.member_raw
-                if creator:
-                    members.add(creator)
-            elif event.kind is GroupEventKind.JOINED and event.member_raw:
-                members.add(event.member_raw)
-            elif event.kind is GroupEventKind.LEFT:
-                if event.member_raw and event.member_raw not in members:
-                    warn_to(
-                        warn,
-                        event.evidence,
-                        f"{event.member_raw} leaves {gid_raw} without a recorded join",
-                    )
-                if event.member_raw:
-                    members.discard(event.member_raw)
-        timelines.append(
-            GroupTimeline(
-                group_raw=gid_raw,
-                group=gid,
-                group_name=names.get(gid_raw),
-                events=tuple(events),
-            )
+        timeline = GroupTimeline(
+            group_raw=gid_raw, group=gid, group_name=names.get(gid_raw), events=tuple(events)
         )
+        # A leave without a preceding join is kept, but flagged.
+        for event in timeline.replay()[1]:
+            message = f"{event.member_raw} leaves {gid_raw} without a recorded join"
+            warn_to(warn, event.evidence, message)
+        timelines.append(timeline)
     return timelines
 
 
@@ -746,8 +752,7 @@ def block_statuses(blocks, unblock_times) -> dict[str, tuple[str, int]]:
 def infer_block_status(bundle: CaseBundle, index: LogIndex | None = None) -> list[Finding]:
     """Block-status findings for every contact that was ever blocked."""
     index = index or log_index(bundle)
-    blocks, unblock_times = classify_block_events(bundle.log_events)
-    statuses = block_statuses(blocks, unblock_times)
+    statuses = block_statuses(index.blocks, index.unblock_times)
     notes = {
         BLOCKED: "no unblock event follows the block",
         UNBLOCKED: "an unblock fired while this was the only blocked contact",
@@ -1188,7 +1193,6 @@ def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
             )
         )
     for timeline in timelines:
-        last = timeline.events[-1].at_ms if timeline.events else None
         findings.append(
             Finding(
                 category=FindingCategory.GROUP_MEMBERSHIP,
@@ -1200,9 +1204,7 @@ def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
                     "group": timeline.group_raw,
                     "name": timeline.group_name,
                     "event_count": len(timeline.events),
-                    "members_at_end": sorted(timeline.membership_at(last))
-                    if last is not None
-                    else [],
+                    "members_at_end": timeline.final_members(),
                 },
                 at_ms=timeline.created_at_ms(),
             )

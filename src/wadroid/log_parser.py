@@ -265,23 +265,6 @@ def merge_events(*event_lists) -> list[LogEvent]:
     return merged
 
 
-def classify_block_events(events) -> tuple[list[tuple], list[int]]:
-    """Extract block operations and anonymous unblock times.
-
-    Returns ``(blocks, unblock_times)`` where blocks are ``(jid, at_ms)``
-    pairs. Unblocks never carry an identity: the log only proves that
-    *some* currently-blocked contacts were unblocked at that time.
-    """
-    blocks = []
-    unblock_times = []
-    for event in events:
-        if event.kind is EventKind.CONTACT_BLOCKED and event.subject_jid is not None:
-            blocks.append((event.subject_jid, event.occurred_at))
-        elif event.kind is EventKind.CONTACT_UNBLOCKED and event.occurred_at is not None:
-            unblock_times.append(event.occurred_at)
-    return blocks, unblock_times
-
-
 # --- canonical line bodies -------------------------------------------------
 #
 # The fixture forge emits log lines through these helpers so the DEFAULT

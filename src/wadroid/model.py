@@ -501,13 +501,3 @@ class CaseBundle:
         if not times:
             return (None, None)
         return (min(times), max(times))
-
-    def owner_jid(self) -> WaJid | None:
-        """The device owner's user jid, derived from the registered number."""
-        if not self.registered_number:
-            return None
-        return WaJid(
-            raw=self.registered_number + USER_JID_SUFFIX,
-            phone_number=self.registered_number,
-            kind=JidKind.USER,
-        )

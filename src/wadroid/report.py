@@ -1,6 +1,8 @@
 """Report document assembly and serialization.
 
-JSON is the canonical output: stable key order, every timestamp emitted
+Every document the CLI writes is shaped here and serialized by
+``render_report_json``. JSON is the canonical output: UTF-8 with
+non-ASCII text unescaped, stable key order, every timestamp emitted
 both as the raw epoch integer and as a rendered string in the requested
 display offset, so the same bundle always serializes to the same bytes
 (modulo the tool version field). The timeline CSV export is a
@@ -21,6 +23,7 @@ from .correlator import (
     MediaContent,
     TextContent,
     analyze,
+    backup_diff,
 )
 from .model import CaseBundle, render_epoch_ms
 
@@ -92,7 +95,6 @@ def _finding_json(finding, tz: int) -> dict:
 
 
 def _timeline_json(timeline, tz: int) -> dict:
-    last = timeline.events[-1].at_ms if timeline.events else None
     return {
         "group": timeline.group_raw,
         "name": timeline.group_name,
@@ -108,7 +110,7 @@ def _timeline_json(timeline, tz: int) -> dict:
             }
             for event in timeline.events
         ],
-        "final_members": sorted(timeline.membership_at(last)) if last is not None else [],
+        "final_members": timeline.final_members(),
     }
 
 
@@ -143,6 +145,55 @@ def bundle_summary(bundle: CaseBundle, tz: int = 0) -> dict:
     }
 
 
+def _warnings_json(warnings) -> list[dict]:
+    return [{"source": w.source, "message": w.message} for w in warnings]
+
+
+def ingest_document(bundle: CaseBundle) -> dict:
+    """The ``ingest`` document: what the bundle holds, and the ingest warnings."""
+    return {"bundle_summary": bundle_summary(bundle), "warnings": _warnings_json(bundle.warnings)}
+
+
+def diff_document(bundle: CaseBundle, tz: int = 0) -> dict:
+    """The ``diff`` document: per backup, the rows the live store lost."""
+    backups = []
+    for backup in bundle.backups:
+        recovered = backup_diff(bundle.messages, backup.messages)
+        backups.append(
+            {
+                "name": backup.name,
+                "recovered_count": len(recovered),
+                "recovered": [
+                    {
+                        "record_id": r.id,
+                        "conversation": r.key_remote_jid.raw,
+                        "key": r.key_id_raw,
+                        "direction": "outgoing" if r.from_me else "incoming",
+                        "timestamp": r.timestamp,
+                        "timestamp_local": render_epoch_ms(r.timestamp, tz),
+                        "data": r.data,
+                        "media_wa_type": r.media_wa_type,
+                    }
+                    for r in recovered
+                ],
+            }
+        )
+    return {"backups": backups}
+
+
+def forge_summary(result) -> dict:
+    """The summary ``forge`` prints of a ``forge.ForgeResult``."""
+    bundle = result.bundle
+    return {
+        "root": str(result.root),
+        "contacts": len(bundle.contacts),
+        "messages": len(bundle.messages),
+        "log_events": len(bundle.log_events),
+        "backups": [b.name for b in bundle.backups],
+        "media_files": len(bundle.media_inventory),
+    }
+
+
 def build_report(
     bundle: CaseBundle,
     tz_offset_minutes: int = 0,
@@ -153,10 +204,6 @@ def build_report(
     """Run the full analysis and assemble the canonical report document."""
     analysis = analysis if analysis is not None else analyze(bundle, sim_number)
     tz = tz_offset_minutes
-    warnings = [
-        {"source": w.source, "message": w.message}
-        for w in (*bundle.warnings, *analysis.warnings)
-    ]
     chronologies = timeline_document(analysis, tz)
     return {
         "tool_version": tool_version,
@@ -176,13 +223,14 @@ def build_report(
             for b in analysis.partners.broadcasts
         ],
         "findings": [_finding_json(f, tz) for f in analysis.findings],
-        "warnings": warnings,
+        "warnings": _warnings_json((*bundle.warnings, *analysis.warnings)),
         "clock_caveat": "all timestamps come from the local device clock and are "
         "not comparable across devices as ground truth",
     }
 
 
 def render_report_json(report: dict) -> str:
+    """The one JSON serialization of every output document."""
     return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 

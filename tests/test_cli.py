@@ -2,11 +2,15 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import helpers
+import wadroid
 from wadroid import forge, ingest, layout
 from wadroid import report as report_mod
 from wadroid.backup_crypto import SQLITE_MAGIC, decrypt_backup, encrypt_fixture
@@ -114,26 +118,99 @@ def test_decrypt_wrong_key_fails(tmp_path):
     assert not out.exists()
 
 
-def test_diff_lists_recovered_messages(tmp_path, capsys):
-    base = 1380000000000
+DELETED_AT = 1380000000000  # 2013-09-24 05:20:00Z
+
+
+def _deleted_after_backup(tmp_path, text):
+    """One sent message that reached a backup and was then deleted."""
     script = forge.ScenarioScript(
         owner=helpers.OWNER,
         actors=(helpers.OWNER, helpers.PARTNER),
         actions=(
             forge.SendText(
-                at_ms=base, sender=helpers.OWNER, to=helpers.PARTNER, text="gone", label="m"
+                at_ms=DELETED_AT, sender=helpers.OWNER, to=helpers.PARTNER, text=text, label="m"
             ),
-            forge.SnapshotBackup(at_ms=base + 60_000),
-            forge.DeleteMessage(at_ms=base + 120_000, target="m"),
+            forge.SnapshotBackup(at_ms=DELETED_AT + 60_000),
+            forge.DeleteMessage(at_ms=DELETED_AT + 120_000, target="m"),
         ),
     )
-    result = forge.generate_bundle(script, tmp_path / "evidence")
+    return forge.generate_bundle(script, tmp_path / "evidence")
+
+
+def test_diff_lists_recovered_messages(tmp_path, capsys):
+    result = _deleted_after_backup(tmp_path, "gone")
     code = run(["diff", "--in", str(result.root)])
     captured = capsys.readouterr().out
     doc = json.loads(captured)
     assert code == EXIT_WARNINGS  # dangling chat pointer after deletion
     assert doc["backups"][0]["recovered_count"] == 1
     assert doc["backups"][0]["recovered"][0]["data"] == "gone"
+
+
+def test_diff_writes_non_ascii_text_verbatim(tmp_path):
+    result = _deleted_after_backup(tmp_path, "caffè ☕")
+    out = tmp_path / "diff.json"
+    assert run(["diff", "--in", str(result.root), "--out", str(out)]) == EXIT_WARNINGS
+    data = out.read_bytes()
+    assert '"data": "caffè ☕"'.encode("utf-8") in data
+    assert b"\\u" not in data
+
+
+def test_diff_document_renders_times_in_the_display_offset(tmp_path):
+    result = _deleted_after_backup(tmp_path, "gone")
+    bundle = ingest.load_case_bundle(result.root)
+    doc = report_mod.diff_document(bundle, 60)
+    (backup,) = doc["backups"]
+    assert backup["name"] == bundle.backups[0].name
+    assert backup["recovered_count"] == 1
+    (row,) = backup["recovered"]
+    assert row["direction"] == "outgoing"
+    assert row["timestamp"] == DELETED_AT
+    assert row["timestamp_local"] == "2013-09-24 06:20:00.000 +01:00"
+
+
+def test_ingest_lists_warnings_by_source(tmp_path, capsys):
+    result = _deleted_after_backup(tmp_path, "gone")
+    assert run(["ingest", "--in", str(result.root)]) == EXIT_WARNINGS
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["bundle_summary"]["backups"] == [b.name for b in result.bundle.backups]
+    assert doc["warnings"] == [
+        {
+            "source": "msgstore.db:chat_list#1",
+            "message": "message_table_id 1 does not reference a live messages row "
+            "(the message may have been deleted)",
+        }
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest"],
+        ["report"],
+        ["diff"],
+        ["timeline", "--format", "json"],
+        ["timeline", "--format", "csv"],
+    ],
+    ids=["ingest", "report", "diff", "timeline-json", "timeline-csv"],
+)
+def test_stdout_gets_the_out_file_bytes_whatever_the_locale(tmp_path, argv):
+    text = "caffè ☕"
+    result = _deleted_after_backup(tmp_path, text)
+    env = {
+        **os.environ,
+        "PYTHONIOENCODING": "ascii",
+        "PYTHONPATH": str(Path(wadroid.__file__).parents[1]),
+    }
+    command = [sys.executable, "-m", "wadroid.cli", *argv, "--in", str(result.root)]
+    out = tmp_path / "out"
+    wadroid_cli = functools.partial(subprocess.run, env=env, capture_output=True, timeout=60)
+    to_stdout = wadroid_cli(command)
+    to_file = wadroid_cli([*command, "--out", str(out)])
+    assert to_stdout.returncode == to_file.returncode == EXIT_WARNINGS, to_stdout.stderr
+    assert to_stdout.stdout == out.read_bytes()
+    if argv != ["ingest"]:
+        assert text.encode("utf-8") in to_stdout.stdout
 
 
 def _three_backups(tmp_path):

@@ -2,6 +2,7 @@
 deletions, media linkage, identity."""
 
 import base64
+import dataclasses
 import hashlib
 
 import pytest
@@ -32,6 +33,7 @@ from wadroid.correlator import (
     infer_block_status,
     infer_deleted_contacts,
     infer_deleted_messages,
+    log_index,
     message_state,
     reconstruct_history,
     resolve_partners,
@@ -482,12 +484,46 @@ def test_block_findings_cite_log_lines(tmp_path):
     assert findings[0].evidence  # log line citations present
 
 
-# --- contact addition and deletion ---------------------------------------------------
-
-
 def _log_bundle(lines, **kwargs):
     events = parse_log_lines(lines, "whatsapp.log")
     return CaseBundle(log_events=tuple(events), **kwargs)
+
+
+def test_log_index_block_facts():
+    target = "39331xxxxxxx@s.whatsapp.net"
+    lines = [
+        format_line(1000, body_contact_blocked(target)),
+        format_line(2000, body_contact_unblocked()),
+        format_line(3000, body_contact_blocked("39320xxxxxxx@s.whatsapp.net")),
+    ]
+    index = log_index(_log_bundle(lines))
+    assert [(j.raw, t) for j, t in index.blocks] == [
+        (target, 1000),
+        ("39320xxxxxxx@s.whatsapp.net", 3000),
+    ]
+    assert index.unblock_times == (2000,)
+
+
+def test_undated_block_events():
+    target = "39331xxxxxxx@s.whatsapp.net"
+    lines = [
+        format_line(1000, body_contact_blocked(target)),
+        format_line(2000, body_contact_unblocked()),
+    ]
+    blocked, unblocked = (
+        dataclasses.replace(e, occurred_at=None) for e in parse_log_lines(lines, "whatsapp.log")
+    )
+    bundle = CaseBundle(log_events=(blocked, unblocked))
+    index = log_index(bundle)
+    assert [(j.raw, t) for j, t in index.blocks] == [(target, None)]
+    assert index.unblock_times == ()  # an undated unblock gives no time...
+    assert index.unblock_refs == (unblocked.evidence_ref,)  # ...but keeps its evidence
+    (finding,) = infer_block_status(bundle)
+    assert finding.payload == {"jid": target, "status": BLOCKED, "at_ms": 0}
+    assert finding.evidence == (blocked.evidence_ref,)
+
+
+# --- contact addition and deletion ---------------------------------------------------
 
 
 ADD_TIME = 1380118464000  # 2013-09-25 14:14:24Z

@@ -22,7 +22,6 @@ from wadroid.log_parser import (
     body_message_received,
     body_message_sent,
     body_server_ack,
-    classify_block_events,
     format_line,
     merge_events,
     parse_log_file,
@@ -201,17 +200,3 @@ def test_bad_grammar_rejected(tmp_path):
                 "rules": [],
             }
         )
-
-
-def test_classify_block_events():
-    lines = [
-        format_line(1000, body_contact_blocked(JID)),
-        format_line(2000, body_contact_unblocked()),
-        format_line(3000, body_contact_blocked("39320xxxxxxx@s.whatsapp.net")),
-    ]
-    blocks, unblocks = classify_block_events(parse_log_lines(lines, "whatsapp.log"))
-    assert [(j.raw, t) for j, t in blocks] == [
-        (JID, 1000),
-        ("39320xxxxxxx@s.whatsapp.net", 3000),
-    ]
-    assert unblocks == [2000]
