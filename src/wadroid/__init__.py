@@ -20,7 +20,6 @@ from .model import (  # noqa: F401
     CaseBundle,
     ChatListRecord,
     ContactRecord,
-    EpochUnit,
     EventKind,
     GroupId,
     JidKind,
@@ -28,7 +27,6 @@ from .model import (  # noqa: F401
     MessageKey,
     MessageRecord,
     WaJid,
-    decode_epoch,
     parse_group_id,
     parse_jid,
     parse_message_key,

@@ -142,13 +142,9 @@ def _cmd_report(args) -> int:
     before = ingest.snapshot_tree(args.in_path) if args.verify_readonly else None
     bundle = _bundle(args)
     analysis = analyze(bundle, args.sim)
-    doc = report_mod.build_report(
-        bundle, args.tz, args.sim, tool_version=__version__, analysis=analysis
-    )
+    doc = report_mod.build_report(bundle, analysis, args.tz)
     _emit(report_mod.render_report_json(doc), args.out)
     if args.format == "csv":
-        if not args.out:
-            raise WadroidError("--format csv needs --out to place the timeline CSV")
         csv_path = Path(args.out).with_suffix(".timeline.csv")
         _emit(report_mod.render_timeline_csv(analysis, args.tz), csv_path)
     if args.verify_readonly:
@@ -213,6 +209,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "report" and args.format == "csv" and not args.out:
+            parser.error("--format csv needs --out to place the timeline CSV")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -161,10 +161,11 @@ def server_filename(media_url: str | None) -> str | None:
 def extract_content(record: MessageRecord, warn: WarningLog | None = None):
     """Decode the typed content of one message row.
 
-    Inconsistent rows (e.g. a geo message without coordinates) degrade
-    to text content with a warning instead of failing.
+    Inconsistent rows degrade to text content instead of failing: a geo
+    message without usable coordinates silently, because ingest already
+    warned about it under its file's name; an unknown media type with a
+    warning.
     """
-    source = f"messages:_id={record.id}"
     mtype = record.media_wa_type
     if mtype == 0:
         return TextContent(text=record.data or "")
@@ -190,10 +191,9 @@ def extract_content(record: MessageRecord, warn: WarningLog | None = None):
             or not (-90.0 <= lat <= 90.0)
             or not (-180.0 <= lon <= 180.0)
         ):
-            warn_to(warn, source, "geo message without usable coordinates; kept as text")
             return TextContent(text=record.data or "")
         return GeoContent(latitude=lat, longitude=lon, map_thumbnail=record.raw_data)
-    warn_to(warn, source, f"unknown media_wa_type {mtype}; kept as text")
+    warn_to(warn, f"messages:_id={record.id}", f"unknown media_wa_type {mtype}; kept as text")
     return TextContent(text=record.data or "")
 
 
@@ -241,7 +241,7 @@ class LogIndex:
     """The log facts several correlators share, gathered in one pass.
 
     ``analyze`` builds one index and hands it to every log-based
-    correlator; a correlator called with only a bundle builds its own.
+    correlator.
     """
 
     coverage_note: str
@@ -749,9 +749,8 @@ def block_statuses(blocks, unblock_times) -> dict[str, tuple[str, int]]:
     return state
 
 
-def infer_block_status(bundle: CaseBundle, index: LogIndex | None = None) -> list[Finding]:
+def infer_block_status(index: LogIndex) -> list[Finding]:
     """Block-status findings for every contact that was ever blocked."""
-    index = index or log_index(bundle)
     statuses = block_statuses(index.blocks, index.unblock_times)
     notes = {
         BLOCKED: "no unblock event follows the block",
@@ -784,18 +783,13 @@ def infer_block_status(bundle: CaseBundle, index: LogIndex | None = None) -> lis
 # --- contact addition / deletion ----------------------------------------------
 
 
-def contact_addition_times(bundle: CaseBundle) -> list[tuple[WaJid, int]]:
-    """Earliest addition-evidence time per contact, from the logs.
+def contact_added_findings(index: LogIndex) -> list[Finding]:
+    """One finding per contact with its earliest addition time from the logs.
 
     The database does not store when a contact was added; the discovery,
     profile-query, and avatar-download events written at addition time
     do.
     """
-    return list(log_index(bundle).additions)
-
-
-def contact_added_findings(bundle: CaseBundle, index: LogIndex | None = None) -> list[Finding]:
-    index = index or log_index(bundle)
     return [
         Finding(
             category=FindingCategory.CONTACT_ADDED,
@@ -810,7 +804,7 @@ def contact_added_findings(bundle: CaseBundle, index: LogIndex | None = None) ->
     ]
 
 
-def infer_deleted_contacts(bundle: CaseBundle, index: LogIndex | None = None) -> list[Finding]:
+def infer_deleted_contacts(bundle: CaseBundle, index: LogIndex) -> list[Finding]:
     """Contacts evidenced by the logs but absent from the contacts table.
 
     The deletion time itself is unrecoverable: contact deletions log no
@@ -828,7 +822,6 @@ def infer_deleted_contacts(bundle: CaseBundle, index: LogIndex | None = None) ->
                 payload={"no_log_coverage": True},
             )
         ]
-    index = index or log_index(bundle)
     current = {c.jid.raw for c in bundle.contacts}
     additions = {jid.raw: at_ms for jid, at_ms in index.additions}
     orphan_avatars: dict[str, list[str]] = {}
@@ -886,7 +879,7 @@ def infer_deleted_contacts(bundle: CaseBundle, index: LogIndex | None = None) ->
 # --- deleted messages ---------------------------------------------------------
 
 
-def infer_deleted_messages(bundle: CaseBundle, index: LogIndex | None = None) -> list[Finding]:
+def infer_deleted_messages(bundle: CaseBundle, index: LogIndex) -> list[Finding]:
     """Messages that once existed but are gone from the live store.
 
     Three independent sources are combined: explicit deletion log events
@@ -895,7 +888,6 @@ def infer_deleted_messages(bundle: CaseBundle, index: LogIndex | None = None) ->
     database lost. Content is unrecoverable from logs; a backup copy, if
     any, is referenced instead.
     """
-    index = index or log_index(bundle)
     live_keys = {m.key_id_raw for m in bundle.messages}
 
     deletes: dict[str, tuple[int, list[str]]] = {}
@@ -1210,8 +1202,8 @@ def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
             )
         )
     index = log_index(bundle)
-    findings.extend(contact_added_findings(bundle, index))
-    findings.extend(infer_block_status(bundle, index))
+    findings.extend(contact_added_findings(index))
+    findings.extend(infer_block_status(index))
     findings.extend(infer_deleted_contacts(bundle, index))
     findings.extend(infer_deleted_messages(bundle, index))
     findings.extend(

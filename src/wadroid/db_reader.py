@@ -407,12 +407,7 @@ def load_chat_list(source: DbSource, warn: WarningLog | None = None) -> list[Cha
     return records
 
 
-def check_chat_list_consistency(
-    chat_list,
-    messages,
-    warn: WarningLog | None,
-    source_name: str = "msgstore.db",
-) -> None:
+def check_chat_list_consistency(chat_list, messages, warn: WarningLog | None) -> None:
     """Warn for chat-list rows whose last-message pointer is dangling.
 
     A dangling pointer is normal after the referenced message was
@@ -423,7 +418,7 @@ def check_chat_list_consistency(
         if row.message_table_id not in known:
             warn_to(
                 warn,
-                f"{source_name}:{CHAT_LIST_TABLE}#{row.id}",
+                f"msgstore.db:{CHAT_LIST_TABLE}#{row.id}",
                 f"message_table_id {row.message_table_id} does not reference a "
                 "live messages row (the message may have been deleted)",
             )

@@ -914,35 +914,6 @@ CREATE TABLE chat_list (
 );
 """
 
-_MSG_COLUMNS = (
-    "_id",
-    "key_remote_jid",
-    "key_from_me",
-    "key_id",
-    "status",
-    "needs_push",
-    "data",
-    "timestamp",
-    "media_url",
-    "media_mime_type",
-    "media_wa_type",
-    "media_size",
-    "media_name",
-    "media_hash",
-    "media_duration",
-    "latitude",
-    "longitude",
-    "thumb_image",
-    "remote_resource",
-    "received_timestamp",
-    "send_timestamp",
-    "receipt_server_timestamp",
-    "receipt_device_timestamp",
-    "raw_data",
-    "recipient_count",
-)
-
-
 def _contact_columns(contact: _SimContact) -> dict:
     number = contact.number
     return {
@@ -1250,9 +1221,7 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
         for row in chat_rows
     )
     predicted = WarningLog()
-    db_reader.check_chat_list_consistency(
-        expected_chat_list, expected_messages, predicted, "msgstore.db"
-    )
+    db_reader.check_chat_list_consistency(expected_chat_list, expected_messages, predicted)
     media_inventory = tuple(
         MediaFile(
             path=path,
@@ -1479,19 +1448,15 @@ def _parse_at(value, tz_offset_minutes: int) -> int:
     text = str(value).strip()
     m = re.match(
         r"^(\d{4})-(\d{2})-(\d{2})[ T](\d{2}):(\d{2}):(\d{2})(?:\.(\d{1,3}))?"
-        r"(?: ?([+-]\d{2}):?(\d{2})|Z)?$",
+        r"(?: ?([+-]\d{2}:?\d{2})|(Z))?$",
         text,
     )
     if not m:
         raise InvalidScript(f"unparsable action time {value!r}")
     year, month, day, hour, minute, second = (int(m.group(i)) for i in range(1, 7))
     millis = int((m.group(7) or "0").ljust(3, "0"))
-    if m.group(8) is not None:
-        offset = int(m.group(8)) * 60 + (int(m.group(9)) if int(m.group(8)) >= 0 else -int(m.group(9)))
-    elif text.endswith("Z"):
-        offset = 0
-    else:
-        offset = tz_offset_minutes
+    zone = m.group(8) or m.group(9)
+    offset = parse_tz_offset(zone) if zone else tz_offset_minutes
     stamp = datetime(year, month, day, hour, minute, second, millis * 1000, tzinfo=timezone.utc)
     return int(stamp.timestamp() * 1000) - offset * 60_000
 

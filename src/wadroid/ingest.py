@@ -27,16 +27,20 @@ from .model import (
     warn_to,
 )
 
+# Media files are hashed in chunks of this size, so a multi-GB video
+# never sits in memory whole.
+MEDIA_HASH_CHUNK = 1 << 20
+
 
 def _rel(root: Path, path: Path) -> str:
     return path.relative_to(root).as_posix()
 
 
-def _load_store(path: Path, warn: WarningLog, label: str):
+def _load_store(path: Path, warn: WarningLog):
     source = db_reader.open_source(path, db_reader.DbKind.CHAT_STORE)
     messages = db_reader.load_messages(source, warn)
     chats = db_reader.load_chat_list(source, warn)
-    db_reader.check_chat_list_consistency(chats, messages, warn, label)
+    db_reader.check_chat_list_consistency(chats, messages, warn)
     return messages, chats
 
 
@@ -44,13 +48,12 @@ def load_case_bundle(
     root: str | Path,
     grammar: LogGrammar = DEFAULT_GRAMMAR,
     key: bytes | None = None,
-    warn: WarningLog | None = None,
 ) -> CaseBundle:
     """Parse every artifact under ``root`` into an immutable CaseBundle."""
     root = Path(root)
     if not root.is_dir():
         raise StructuralError(f"evidence root {root} is not a directory")
-    warn = warn if warn is not None else WarningLog()
+    warn = WarningLog()
 
     wa_db = root / layout.WA_DB
     msgstore = root / layout.MSGSTORE_DB
@@ -73,7 +76,7 @@ def load_case_bundle(
 
     messages, chats = [], []
     if msgstore.is_file():
-        messages, chats = _load_store(msgstore, warn, "msgstore.db")
+        messages, chats = _load_store(msgstore, warn)
     else:
         warn_to(warn, layout.MSGSTORE_DB, "chat database missing; message analysis degraded")
 
@@ -125,13 +128,13 @@ def load_case_bundle(
             key=lambda p: _rel(root, p),
         )
         for path in media_paths:
-            data = path.read_bytes()
+            digest, size = hashlib.sha256(), 0
+            with path.open("rb") as handle:
+                while chunk := handle.read(MEDIA_HASH_CHUNK):
+                    digest.update(chunk)
+                    size += len(chunk)
             media.append(
-                MediaFile(
-                    path=_rel(root, path),
-                    size_bytes=len(data),
-                    sha256=hashlib.sha256(data).hexdigest(),
-                )
+                MediaFile(path=_rel(root, path), size_bytes=size, sha256=digest.hexdigest())
             )
 
     avatars = []

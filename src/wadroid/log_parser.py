@@ -80,28 +80,32 @@ class LogGrammar:
     line_pattern: re.Pattern
     timestamp_format: str
     rules: tuple[GrammarRule, ...]
-    version: int = GRAMMAR_FORMAT_VERSION
 
     @classmethod
     def from_dict(cls, spec: dict) -> "LogGrammar":
+        # A grammar file is outside input: check its shape before reading it.
+        if not isinstance(spec, dict):
+            raise BadGrammar("invalid grammar: not a JSON object")
+        version = spec.get("version", GRAMMAR_FORMAT_VERSION)
+        if version != GRAMMAR_FORMAT_VERSION:
+            raise BadGrammar(f"unsupported grammar version {version!r}")
         try:
-            version = int(spec.get("version", GRAMMAR_FORMAT_VERSION))
             line_pattern = re.compile(spec["line_pattern"])
             ts_format = spec["timestamp_format"]
-            rules = tuple(
-                GrammarRule(kind=EventKind(rule["kind"]), pattern=re.compile(rule["pattern"]))
-                for rule in spec["rules"]
-            )
-        except (KeyError, ValueError, re.error) as exc:
+            if not isinstance(ts_format, str):
+                raise BadGrammar("invalid grammar: timestamp_format is not a string")
+            rules = []
+            for number, rule in enumerate(spec["rules"], start=1):
+                if not isinstance(rule, dict):
+                    raise BadGrammar(f"invalid grammar: rule #{number} is not a JSON object")
+                rules.append(
+                    GrammarRule(kind=EventKind(rule["kind"]), pattern=re.compile(rule["pattern"]))
+                )
+        except (KeyError, TypeError, ValueError, re.error) as exc:
             raise BadGrammar(f"invalid grammar: {exc}") from exc
         if "ts" not in line_pattern.groupindex or "body" not in line_pattern.groupindex:
             raise BadGrammar("line_pattern must define 'ts' and 'body' groups")
-        return cls(
-            line_pattern=line_pattern,
-            timestamp_format=ts_format,
-            rules=rules,
-            version=version,
-        )
+        return cls(line_pattern=line_pattern, timestamp_format=ts_format, rules=tuple(rules))
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "LogGrammar":
@@ -115,7 +119,7 @@ class LogGrammar:
 
     def to_dict(self) -> dict:
         return {
-            "version": self.version,
+            "version": GRAMMAR_FORMAT_VERSION,
             "line_pattern": self.line_pattern.pattern,
             "timestamp_format": self.timestamp_format,
             "rules": [
@@ -234,7 +238,6 @@ def parse_log_file(
     path: str | Path,
     grammar: LogGrammar = DEFAULT_GRAMMAR,
     warn: WarningLog | None = None,
-    source_name: str | None = None,
 ) -> list[LogEvent]:
     """Parse one log file into events, preserving file order and line numbers."""
     path = Path(path)
@@ -242,9 +245,7 @@ def parse_log_file(
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         raise UnreadableFile(f"cannot read log file {path}: {exc}") from exc
-    return parse_log_lines(
-        text.splitlines(), source_name or path.name, grammar, warn
-    )
+    return parse_log_lines(text.splitlines(), path.name, grammar, warn)
 
 
 def merge_events(*event_lists) -> list[LogEvent]:

@@ -25,9 +25,6 @@ USER_JID_SUFFIX = "@s.whatsapp.net"
 GROUP_JID_SUFFIX = "@g.us"
 BROADCAST_JID = "broadcast"
 
-#: Sentinel used by the chat database for "no value yet".
-ABSENT = -1
-
 # Phone numbers may carry 'x' characters: evidence shared publicly (and
 # some anonymized exports) masks tail digits, and the parser must keep
 # accepting those identifiers instead of rejecting the record.
@@ -36,10 +33,6 @@ _GROUP_JID_RE = re.compile(r"^(?P<creator>[0-9][0-9x]*)-(?P<epoch>[0-9]+)@g\.us$
 _MESSAGE_KEY_RE = re.compile(r"^(?P<bc>%~)?(?P<start>[0-9]+)-(?P<seq>[0-9]+)$")
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-
-#: Group ids whose embedded creation epoch falls before this bound are
-#: implausible for real evidence (the service did not exist).
-MIN_PLAUSIBLE_GROUP_EPOCH = 1230768000  # 2009-01-01T00:00:00Z
 
 
 @dataclass(frozen=True)
@@ -66,9 +59,6 @@ class WarningLog:
 
     def add(self, source: str, message: str) -> None:
         self._items.append(ParseWarning(source, message))
-
-    def extend(self, items) -> None:
-        self._items.extend(items)
 
     @property
     def items(self) -> tuple[ParseWarning, ...]:
@@ -136,16 +126,6 @@ class GroupId:
 
     def rebuild(self) -> str:
         return f"{self.creator.phone_number}-{self.creation_time}{GROUP_JID_SUFFIX}"
-
-    def plausible_creation(self, now_s: int | None = None) -> bool:
-        """True when the embedded epoch is a credible creation time."""
-        if self.creation_time < MIN_PLAUSIBLE_GROUP_EPOCH:
-            return False
-        if len(str(self.creation_time)) != 10:
-            return False
-        if now_s is not None and self.creation_time > now_s:
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -224,39 +204,9 @@ def parse_message_key(raw: str) -> MessageKey:
     )
 
 
-class EpochUnit(Enum):
-    SECONDS = "seconds"
-    MILLIS = "millis"
-
-
 def ts_present(value: int | None) -> bool:
     """True when an epoch field holds an actual timestamp (not NULL / -1 / 0)."""
     return value is not None and value > 0
-
-
-def decode_epoch(
-    value: int | None,
-    unit: EpochUnit,
-    warn: WarningLog | None = None,
-    source: str = "",
-) -> datetime | None:
-    """Decode an epoch integer to a UTC datetime.
-
-    The sentinel -1 (and SQL NULL) maps to None. Other negative values
-    also map to None, with a warning: they are not valid artifact
-    timestamps.
-    """
-    if value is None or value == ABSENT:
-        return None
-    if value < 0:
-        warn_to(warn, source, f"negative epoch value {value} treated as absent")
-        return None
-    ms = value if unit is EpochUnit.MILLIS else value * 1000
-    try:
-        return _EPOCH + timedelta(milliseconds=ms)
-    except OverflowError:
-        warn_to(warn, source, f"epoch value {value} out of datetime range")
-        return None
 
 
 def parse_tz_offset(text: str) -> int:

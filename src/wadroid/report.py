@@ -22,7 +22,6 @@ from .correlator import (
     ContactCardContent,
     MediaContent,
     TextContent,
-    analyze,
     backup_diff,
 )
 from .model import CaseBundle, render_epoch_ms
@@ -194,19 +193,11 @@ def forge_summary(result) -> dict:
     }
 
 
-def build_report(
-    bundle: CaseBundle,
-    tz_offset_minutes: int = 0,
-    sim_number: str | None = None,
-    tool_version: str = __version__,
-    analysis: Analysis | None = None,
-) -> dict:
-    """Run the full analysis and assemble the canonical report document."""
-    analysis = analysis if analysis is not None else analyze(bundle, sim_number)
-    tz = tz_offset_minutes
+def build_report(bundle: CaseBundle, analysis: Analysis, tz: int = 0) -> dict:
+    """Assemble the canonical report document from a bundle and its analysis."""
     chronologies = timeline_document(analysis, tz)
     return {
-        "tool_version": tool_version,
+        "tool_version": __version__,
         "display_offset_minutes": tz,
         "bundle_summary": bundle_summary(bundle, tz),
         "conversations": chronologies["chats"],

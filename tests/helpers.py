@@ -10,10 +10,10 @@ from wadroid.correlator import (
     ContactCardContent,
     GeoContent,
     MediaContent,
-    contact_addition_times,
     group_membership_timeline,
     infer_deleted_contacts,
     infer_deleted_messages,
+    log_index,
     reconstruct_history,
     resolve_partners,
 )
@@ -56,6 +56,7 @@ def observed_analytics(bundle):
         )
         for t in group_membership_timeline(bundle)
     }
+    index = log_index(bundle)
     deleted_messages = frozenset(
         (
             f.payload["key"],
@@ -66,14 +67,14 @@ def observed_analytics(bundle):
             f.payload["last_state"],
             f.payload["recovered_from_backup"],
         )
-        for f in infer_deleted_messages(bundle)
+        for f in infer_deleted_messages(bundle, index)
     )
     deleted_contacts = frozenset(
         (f.payload["jid"], f.payload["added_at_ms"])
-        for f in infer_deleted_contacts(bundle)
+        for f in infer_deleted_contacts(bundle, index)
         if f.payload.get("added_at_ms") is not None
     )
-    additions = {jid.raw: ms for jid, ms in contact_addition_times(bundle)}
+    additions = {jid.raw: ms for jid, ms in index.additions}
     return {
         "histories": histories,
         "partners": partners,

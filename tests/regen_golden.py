@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from test_cli import _golden_scenario  # noqa: E402
 
 from wadroid import ingest  # noqa: E402
+from wadroid.correlator import analyze  # noqa: E402
 from wadroid.report import build_report, render_report_json  # noqa: E402
 
 
@@ -16,7 +17,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         result = _golden_scenario(Path(tmp))
         bundle = ingest.load_case_bundle(result.root)
-        doc = build_report(bundle, tz_offset_minutes=60, sim_number="393400000001")
+        doc = build_report(bundle, analyze(bundle, "393400000001"), 60)
         doc["tool_version"] = "TEST"
         target = Path(__file__).parent / "data" / "golden_report.json"
         target.parent.mkdir(exist_ok=True)

@@ -1,8 +1,10 @@
 """Command-line behavior: subcommands, exit codes, output stability."""
 
 import functools
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +84,17 @@ def test_usage_error_exit_code(capsys):
     assert run(["report"]) == EXIT_USAGE  # --in is required
     assert run(["no-such-command"]) == EXIT_USAGE
     assert run([]) == EXIT_USAGE
+
+
+def test_report_csv_without_out_is_a_usage_error(conversation_dir, monkeypatch, capsys):
+    def loaded(*args, **kwargs):
+        raise AssertionError("evidence loaded before the usage check")
+
+    monkeypatch.setattr(ingest, "load_case_bundle", loaded)
+    assert run(["report", "--in", str(conversation_dir), "--format", "csv"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format csv needs --out" in captured.err
 
 
 def test_ingest_summary(conversation_dir, capsys):
@@ -280,6 +293,52 @@ def test_backup_row_warnings_name_their_backup(tmp_path):
     ]
 
 
+def test_geo_row_without_coordinates_warns_once(conversation_dir, tmp_path):
+    row = {"key_remote_jid": helpers.jid(helpers.PARTNER), "key_id": "1-1", "media_wa_type": 5}
+    msgstore = conversation_dir / layout.MSGSTORE_DB
+    msgstore.write_bytes(helpers.msgstore_db(tmp_path / "geo.db", [row]).read_bytes())
+    out = tmp_path / "report.json"
+    assert run(["report", "--in", str(conversation_dir), "--out", str(out)]) == EXIT_WARNINGS
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert [w for w in doc["warnings"] if "geo" in w["message"]] == [
+        {"source": "msgstore.db:messages#1", "message": "geo message lacks latitude/longitude"}
+    ]
+
+
+def test_media_hashed_in_chunks(conversation_dir):
+    content = random.Random(5).randbytes(2 * ingest.MEDIA_HASH_CHUNK + 1)
+    video = conversation_dir / layout.MEDIA_DIR / "WhatsApp Video" / "big.mp4"
+    video.parent.mkdir(parents=True, exist_ok=True)
+    video.write_bytes(content)
+    bundle = ingest.load_case_bundle(conversation_dir)
+    (media,) = [m for m in bundle.media_inventory if m.path.endswith("big.mp4")]
+    assert media.size_bytes == len(content)
+    assert media.sha256 == hashlib.sha256(content).hexdigest()
+
+
+_SPLIT_LINES = {"line_pattern": r"^(?P<ts>\S+) (?P<body>.*)$", "timestamp_format": "epoch_s"}
+
+
+@pytest.mark.parametrize(
+    "spec, reason",
+    [
+        ([1, 2], "not a JSON object"),
+        ({"version": 1, **_SPLIT_LINES, "rules": ["x"]}, "rule #1 is not a JSON object"),
+        ({"version": 99, **_SPLIT_LINES, "rules": []}, "unsupported grammar version 99"),
+        ({"version": 1, **_SPLIT_LINES, "line_pattern": 5, "rules": []}, "invalid grammar"),
+        ({"version": 1, **_SPLIT_LINES, "timestamp_format": 5, "rules": []}, "invalid grammar"),
+    ],
+    ids=["not-an-object", "string-rule", "version-99", "numeric-pattern", "numeric-format"],
+)
+def test_malformed_grammar_file_is_an_error(conversation_dir, tmp_path, capsys, spec, reason):
+    grammar_path = tmp_path / "grammar.json"
+    grammar_path.write_text(json.dumps(spec), encoding="utf-8")
+    code = run(["report", "--in", str(conversation_dir), "--grammar", str(grammar_path)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+
+
 def test_unexpected_exception_is_a_tool_error(conversation_dir, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("simulated defect")
@@ -458,10 +517,11 @@ def test_golden_report(tmp_path):
     Regenerate with: python -m tests.regen_golden (see that module).
     """
     result = _golden_scenario(tmp_path)
+    from wadroid.correlator import analyze
     from wadroid.report import build_report, render_report_json
 
     bundle = ingest.load_case_bundle(result.root)
-    doc = build_report(bundle, tz_offset_minutes=60, sim_number="393400000001")
+    doc = build_report(bundle, analyze(bundle, "393400000001"), 60)
     doc["tool_version"] = "TEST"
     rendered = render_report_json(doc)
     assert rendered == GOLDEN.read_text(encoding="utf-8")

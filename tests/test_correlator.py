@@ -25,7 +25,6 @@ from wadroid.correlator import (
     analyze,
     backup_diff,
     block_statuses,
-    contact_addition_times,
     correlate_media,
     extract_content,
     group_membership_timeline,
@@ -210,7 +209,7 @@ def test_geo_without_coordinates_degrades_to_text():
         make_record(media_wa_type=5, latitude=None, longitude=None, data="x"), warn
     )
     assert isinstance(content, TextContent)
-    assert len(warn) == 1
+    assert len(warn) == 0  # ingest warns about the row, under its file's name
 
 
 # --- chat history -----------------------------------------------------------------
@@ -478,7 +477,7 @@ def test_block_findings_cite_log_lines(tmp_path):
     )
     result = forge.generate_bundle(script, tmp_path)
     bundle = ingest.load_case_bundle(result.root)
-    findings = infer_block_status(bundle)
+    findings = infer_block_status(log_index(bundle))
     assert len(findings) == 1
     assert findings[0].payload["status"] == UNBLOCKED
     assert findings[0].evidence  # log line citations present
@@ -518,7 +517,7 @@ def test_undated_block_events():
     assert [(j.raw, t) for j, t in index.blocks] == [(target, None)]
     assert index.unblock_times == ()  # an undated unblock gives no time...
     assert index.unblock_refs == (unblocked.evidence_ref,)  # ...but keeps its evidence
-    (finding,) = infer_block_status(bundle)
+    (finding,) = infer_block_status(index)
     assert finding.payload == {"jid": target, "status": BLOCKED, "at_ms": 0}
     assert finding.evidence == (blocked.evidence_ref,)
 
@@ -542,7 +541,7 @@ def _addition_lines(jid_raw, t0=ADD_TIME):
 def test_contact_addition_time_from_log_sequence():
     target = "39331xxxxxxx@s.whatsapp.net"
     bundle = _log_bundle(_addition_lines(target))
-    additions = contact_addition_times(bundle)
+    additions = log_index(bundle).additions
     assert [(j.raw, t) for j, t in additions] == [(target, ADD_TIME)]
 
 
@@ -554,14 +553,14 @@ def test_contact_addition_interleaved():
         format_line(2000, body_avatar_downloaded(a)),
         format_line(2500, body_avatar_downloaded(b)),
     ]
-    additions = contact_addition_times(_log_bundle(lines))
+    additions = log_index(_log_bundle(lines)).additions
     assert {j.raw: t for j, t in additions} == {a: 1000, b: 1500}
 
 
 def test_deleted_contact_inference():
     target = "39331xxxxxxx@s.whatsapp.net"
     bundle = _log_bundle(_addition_lines(target))  # no contact rows at all
-    findings = infer_deleted_contacts(bundle)
+    findings = infer_deleted_contacts(bundle, log_index(bundle))
     assert len(findings) == 1
     assert findings[0].payload["jid"] == target
     assert findings[0].payload["added_at_ms"] == ADD_TIME
@@ -577,7 +576,7 @@ def test_contact_present_yields_no_deletion_finding(tmp_path):
     )
     result = forge.generate_bundle(script, tmp_path)
     bundle = ingest.load_case_bundle(result.root)
-    assert infer_deleted_contacts(bundle) == []
+    assert infer_deleted_contacts(bundle, log_index(bundle)) == []
 
 
 def test_orphan_avatar_corroborates():
@@ -588,7 +587,7 @@ def test_orphan_avatar_corroborates():
             AvatarFile(jid_raw=target, path=f"mnt/sdcard/WhatsApp/ProfilePictures/{target}.j"),
         ),
     )
-    findings = infer_deleted_contacts(bundle)
+    findings = infer_deleted_contacts(bundle, log_index(bundle))
     assert findings[0].payload["orphan_avatars"]
     assert "avatar" in findings[0].confidence_note
 
@@ -599,13 +598,14 @@ def test_orphan_avatar_without_log_trace():
         log_events=tuple(parse_log_lines([format_line(1, "noise")], "whatsapp.log")),
         avatar_inventory=(AvatarFile(jid_raw=target, path=f"x/{target}.j"),),
     )
-    findings = infer_deleted_contacts(bundle)
+    findings = infer_deleted_contacts(bundle, log_index(bundle))
     assert len(findings) == 1
     assert findings[0].payload["added_at_ms"] is None
 
 
 def test_no_log_coverage_finding():
-    findings = infer_deleted_contacts(CaseBundle())
+    bundle = CaseBundle()
+    findings = infer_deleted_contacts(bundle, log_index(bundle))
     assert len(findings) == 1
     assert findings[0].payload.get("no_log_coverage") is True
 
@@ -622,7 +622,8 @@ def test_deleted_message_reference_case():
         format_line(1363253870000, body_device_ack(key)),
         format_line(1363258162000, body_message_deleted(key)),
     ]
-    findings = infer_deleted_messages(_log_bundle(lines))
+    bundle = _log_bundle(lines)
+    findings = infer_deleted_messages(bundle, log_index(bundle))
     assert len(findings) == 1
     payload = findings[0].payload
     assert payload["key"] == key
@@ -636,7 +637,7 @@ def test_deleted_message_reference_case():
 def test_no_deletions_no_findings(tmp_path):
     result = forge.generate_bundle(helpers.conversation_script(), tmp_path)
     bundle = ingest.load_case_bundle(result.root)
-    assert infer_deleted_messages(bundle) == []
+    assert infer_deleted_messages(bundle, log_index(bundle)) == []
 
 
 def test_delete_three_of_ten(tmp_path):
@@ -667,7 +668,7 @@ def test_delete_three_of_ten(tmp_path):
     )
     result = forge.generate_bundle(script, tmp_path)
     bundle = ingest.load_case_bundle(result.root)
-    findings = infer_deleted_messages(bundle)
+    findings = infer_deleted_messages(bundle, log_index(bundle))
     assert len(findings) == 3
     observed = helpers.observed_analytics(bundle)["deleted_messages"]
     assert observed == result.expected.deleted_messages
@@ -688,7 +689,7 @@ def test_backup_recovers_deleted_content(tmp_path):
     )
     result = forge.generate_bundle(script, tmp_path)
     bundle = ingest.load_case_bundle(result.root)
-    findings = infer_deleted_messages(bundle)
+    findings = infer_deleted_messages(bundle, log_index(bundle))
     assert len(findings) == 1
     assert findings[0].payload["recovered_from_backup"] is True
     histories = reconstruct_history(bundle)
@@ -722,7 +723,7 @@ def test_backups_hold_only_rows_the_live_store_lost(tmp_path):
     assert len(bundle.backups) == 2
     for backup in bundle.backups:
         assert [m.data for m in backup.messages] == ["doomed"]
-    findings = infer_deleted_messages(bundle)
+    findings = infer_deleted_messages(bundle, log_index(bundle))
     assert len(findings) == 1
     assert findings[0].payload["backups"] == sorted(b.name for b in bundle.backups)
 

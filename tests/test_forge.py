@@ -181,6 +181,20 @@ def test_script_json_human_times():
     assert script.actions[0].at_ms == 1381932937884
 
 
+@pytest.mark.parametrize(
+    "at, at_ms",
+    [
+        ("2013-01-01 00:00:00 -00:30", 1357000200000),
+        ("2013-01-01 00:00:00 -01:30", 1357003800000),
+        ("2013-01-01 00:00:00 +05:45", 1356977700000),
+        ("2013-01-01 00:00:00Z", 1356998400000),
+    ],
+)
+def test_script_json_time_offsets(at, at_ms):
+    spec = {"version": 1, "owner": "1", "actors": ["1"], "actions": [{"at": at, "do": "unblock_all"}]}
+    assert forge.script_from_json(json.dumps(spec)).actions[0].at_ms == at_ms
+
+
 def test_script_json_rejects_unknown_action():
     spec = {
         "version": 1,
@@ -229,9 +243,10 @@ def test_unicode_content_survives_the_pipeline(tmp_path):
     result = forge.generate_bundle(script, tmp_path)
     parsed = ingest.load_case_bundle(result.root)
     assert parsed == result.bundle
+    from wadroid.correlator import analyze
     from wadroid.report import build_report, render_report_json
 
-    rendered = render_report_json(build_report(parsed))
+    rendered = render_report_json(build_report(parsed, analyze(parsed)))
     assert "😊" in rendered and "日本語テキスト" in rendered
     assert "vacanze ⛱ estate" in rendered
 

@@ -1,17 +1,14 @@
-"""Identifier grammars and epoch decoding."""
+"""Identifier grammars and timestamp rendering."""
 
 import random
-from datetime import datetime, timezone
 
 import pytest
 
 from wadroid.errors import MalformedGroupId, MalformedJid, MalformedKey
 from wadroid.model import (
-    EpochUnit,
     JidKind,
     WarningLog,
     classify_jid,
-    decode_epoch,
     format_tz_offset,
     parse_group_id,
     parse_jid,
@@ -57,17 +54,12 @@ def test_group_id():
     gid = parse_group_id("3933xxxxxxx-1363078943@g.us")
     assert gid.creator.phone_number == "3933xxxxxxx"
     assert gid.creation_time == 1363078943
-    when = decode_epoch(gid.creation_time, EpochUnit.SECONDS)
-    assert when == datetime(2013, 3, 12, 9, 2, 23, tzinfo=timezone.utc)
-    assert gid.plausible_creation()
 
 
 def test_group_id_epoch_zero():
     gid = parse_group_id("1-0@g.us")
     assert gid.creator.phone_number == "1"
     assert gid.creation_time == 0
-    assert decode_epoch(0, EpochUnit.SECONDS) == datetime(1970, 1, 1, tzinfo=timezone.utc)
-    assert not gid.plausible_creation()
 
 
 def test_group_id_missing_epoch():
@@ -101,22 +93,6 @@ def test_malformed_keys(raw):
         parse_message_key(raw)
 
 
-def test_decode_epoch_millis_reference():
-    when = decode_epoch(1381932937884, EpochUnit.MILLIS)
-    assert when == datetime(2013, 10, 16, 14, 15, 37, 884000, tzinfo=timezone.utc)
-
-
-def test_decode_epoch_absent_sentinel():
-    assert decode_epoch(-1, EpochUnit.MILLIS) is None
-    assert decode_epoch(None, EpochUnit.SECONDS) is None
-
-
-def test_decode_epoch_negative_warns():
-    warn = WarningLog()
-    assert decode_epoch(-5, EpochUnit.SECONDS, warn, "here") is None
-    assert len(warn) == 1
-
-
 def test_render_epoch_offsets():
     assert render_epoch_ms(1381932937884, 0) == "2013-10-16 14:15:37.884 +00:00"
     assert render_epoch_ms(1381932937884, 120) == "2013-10-16 16:15:37.884 +02:00"
@@ -131,17 +107,6 @@ def test_tz_offset_parsing():
     assert format_tz_offset(-330) == "-05:30"
     with pytest.raises(ValueError):
         parse_tz_offset("1:00")
-
-
-def test_decode_epoch_monotone():
-    rng = random.Random(7)
-    for unit in (EpochUnit.SECONDS, EpochUnit.MILLIS):
-        values = sorted(rng.randrange(0, 4_000_000_000) for _ in range(500))
-        decoded = [decode_epoch(v, unit) for v in values]
-        for (v1, d1), (v2, d2) in zip(zip(values, decoded), zip(values[1:], decoded[1:])):
-            if v1 == v2:
-                continue
-            assert d1 < d2
 
 
 def _random_user(rng):
