@@ -15,7 +15,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import __version__, backup_crypto, forge, ingest, report as report_mod
+from . import __version__, backup_crypto, ingest, report as report_mod
 from .correlator import analyze
 from .errors import WadroidError
 from .log_parser import DEFAULT_GRAMMAR, LogGrammar
@@ -187,6 +187,9 @@ def _cmd_timeline(args) -> int:
 
 
 def _cmd_forge(args) -> int:
+    # Imported here: the forge is large and no other command uses it.
+    from . import forge
+
     script = forge.script_from_json(Path(args.script).read_text(encoding="utf-8"))
     if args.seed is not None:
         script = dataclasses.replace(script, seed=args.seed)

@@ -1463,18 +1463,35 @@ def _parse_at(value, tz_offset_minutes: int) -> int:
 
 def script_from_json(source: str | dict) -> ScenarioScript:
     """Load a scenario script from JSON text or an already-parsed dict."""
-    spec = json.loads(source) if isinstance(source, str) else source
+    # A script is outside input: check its shape before reading it.
+    try:
+        spec = json.loads(source) if isinstance(source, str) else source
+    except json.JSONDecodeError as exc:
+        raise InvalidScript(f"script is not valid JSON: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise InvalidScript("script is not a JSON object")
     version = spec.get("version", SCRIPT_FORMAT_VERSION)
     if version != SCRIPT_FORMAT_VERSION:
         raise InvalidScript(f"unsupported script version {version}")
     try:
         owner = spec["owner"]
-        actors = tuple(spec["actors"])
+        actors = spec["actors"]
     except KeyError as exc:
         raise InvalidScript(f"script lacks required field {exc}") from exc
-    tz_offset = parse_tz_offset(spec.get("tz", "+00:00"))
+    if not isinstance(actors, list):
+        raise InvalidScript("script field 'actors' is not a list")
+    entries = spec.get("actions", [])
+    if not isinstance(entries, list):
+        raise InvalidScript("script field 'actions' is not a list")
+    try:
+        tz_offset = parse_tz_offset(spec.get("tz", "+00:00"))
+        seed = int(spec.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise InvalidScript(f"script field 'tz' or 'seed': {exc}") from exc
     actions = []
-    for index, entry in enumerate(spec.get("actions", []), start=1):
+    for index, entry in enumerate(entries, start=1):
+        if not isinstance(entry, dict):
+            raise InvalidScript(f"action #{index} is not a JSON object")
         entry = dict(entry)
         try:
             name = entry.pop("do")
@@ -1487,7 +1504,10 @@ def script_from_json(source: str | dict) -> ScenarioScript:
         if "recipients" in entry:
             entry["recipients"] = tuple(entry["recipients"])
         if "content_hex" in entry:
-            entry["content"] = bytes.fromhex(entry.pop("content_hex"))
+            try:
+                entry["content"] = bytes.fromhex(entry.pop("content_hex"))
+            except (TypeError, ValueError) as exc:
+                raise InvalidScript(f"action #{index}: content_hex: {exc}") from exc
         if "kind" in entry and cls is SendMedia:
             entry["media_kind"] = entry.pop("kind")
         try:
@@ -1496,9 +1516,9 @@ def script_from_json(source: str | dict) -> ScenarioScript:
             raise InvalidScript(f"action #{index}: {exc}") from exc
     return ScenarioScript(
         owner=owner,
-        actors=actors,
+        actors=tuple(actors),
         actions=tuple(actions),
-        seed=int(spec.get("seed", 0)),
+        seed=seed,
         tz_offset_minutes=tz_offset,
     )
 

@@ -11,6 +11,8 @@ directory, never next to the evidence.
 from __future__ import annotations
 
 import hashlib
+import re
+import stat
 import tempfile
 from pathlib import Path
 
@@ -30,6 +32,9 @@ from .model import (
 # Media files are hashed in chunks of this size, so a multi-GB video
 # never sits in memory whole.
 MEDIA_HASH_CHUNK = 1 << 20
+
+# C0 and C1 control characters, which no registered number holds.
+_CONTROL_CHARACTER = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 
 def _rel(root: Path, path: Path) -> str:
@@ -116,7 +121,18 @@ def load_case_bundle(
     me_file = root / layout.ME_FILE
     registered = None
     if me_file.is_file():
-        registered = me_file.read_text(encoding="utf-8", errors="replace").strip() or None
+        raw = me_file.read_bytes()
+        registered = raw.decode("utf-8", errors="replace").strip() or None
+        try:
+            damaged = _CONTROL_CHARACTER.search(raw.decode("utf-8").strip()) is not None
+        except UnicodeDecodeError:
+            damaged = True
+        if damaged:
+            warn_to(
+                warn,
+                layout.ME_FILE,
+                f"registered number file is not clean UTF-8 text: {registered!r}",
+            )
     else:
         warn_to(warn, layout.ME_FILE, "settings file with the registered number missing")
 
@@ -167,8 +183,12 @@ def load_case_bundle(
 def snapshot_tree(root: str | Path) -> dict[str, tuple[int, int]]:
     """Map of every file to (mtime_ns, size), for read-only verification."""
     root = Path(root)
-    return {
-        _rel(root, p): (p.stat().st_mtime_ns, p.stat().st_size)
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
+    snapshot = {}
+    for path in sorted(root.rglob("*")):
+        try:
+            info = path.stat()
+        except OSError:  # vanished, or a dangling or looping link: not a file
+            continue
+        if stat.S_ISREG(info.st_mode):
+            snapshot[_rel(root, path)] = (info.st_mtime_ns, info.st_size)
+    return snapshot

@@ -22,6 +22,7 @@ kind=other.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -136,12 +137,51 @@ DEFAULT_GRAMMAR = LogGrammar(
 )
 
 
+# The DEFAULT format's stamps, read without strptime. Only the exact
+# shape matches: ASCII digits, a 1-6 digit fraction, and a ±HHMM offset
+# whose minutes are below 60 (strptime rejects +0060). A stamp that does
+# not match, or whose fields datetime() or timezone() reject, goes to
+# strptime, so every error is strptime's own.
+_DEFAULT_STAMP = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2}) ([0-9]{2}):([0-9]{2}):([0-9]{2})"
+    r"\.([0-9]{1,6}) ([+-][0-9]{2}[0-5][0-9])"
+)
+
+
+@functools.cache  # bounded: the pattern admits 2 × 100 × 60 offsets
+def _offset(text: str) -> timezone:
+    minutes = int(text[1:3]) * 60 + int(text[3:])
+    return timezone(timedelta(minutes=-minutes if text[0] == "-" else minutes))
+
+
+def _default_stamp(text: str) -> datetime | None:
+    m = _DEFAULT_STAMP.fullmatch(text)
+    if m is None:
+        return None
+    year, month, day, hour, minute, second, fraction, offset = m.groups()
+    try:
+        return datetime(
+            int(year),
+            int(month),
+            int(day),
+            int(hour),
+            int(minute),
+            int(second),
+            int(fraction.ljust(6, "0")),
+            _offset(offset),
+        )
+    except ValueError:
+        return None
+
+
 def _parse_timestamp(text: str, fmt: str) -> int:
     if fmt == "epoch_ms":
         return int(text)
     if fmt == "epoch_s":
         return int(text) * 1000
-    stamp = datetime.strptime(text, fmt)
+    stamp = _default_stamp(text) if fmt == _DEFAULT_TIMESTAMP_FORMAT else None
+    if stamp is None:
+        stamp = datetime.strptime(text, fmt)
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return int(round(stamp.timestamp() * 1000))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+from json.encoder import encode_basestring as _encode_str
 
 from . import __version__
 from .correlator import (
@@ -25,6 +25,8 @@ from .correlator import (
     backup_diff,
 )
 from .model import CaseBundle, render_epoch_ms
+
+_INFINITY = float("inf")
 
 
 def _ts(value_ms: int | None, tz: int) -> dict | None:
@@ -220,9 +222,90 @@ def build_report(bundle: CaseBundle, analysis: Analysis, tz: int = 0) -> dict:
     }
 
 
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write_json(value, indent: str, out: list[str]) -> None:
+    """Append ``value``'s chunks, nested at ``indent``, to ``out``.
+
+    The checks run in the order of CPython's ``json`` encoder, so a
+    subclass (an int enum, a str enum) is written as its base type.
+    """
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        lead, separator = "[\n" + inner, ",\n" + inner
+        for item in value:
+            out.append(lead)
+            lead = separator
+            _write_json(item, inner, out)
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        lead, separator = "{\n" + inner, ",\n" + inner
+        for key, item in sorted(value.items()):
+            out.append(lead)
+            lead = separator
+            out.append(_encode_str(_json_key(key)))
+            out.append(": ")
+            _write_json(item, inner, out)
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_report_json(report: dict) -> str:
-    """The one JSON serialization of every output document."""
-    return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """The one JSON serialization of every output document.
+
+    The bytes are those of ``json.dumps(report, indent=2, sort_keys=True,
+    ensure_ascii=False) + "\\n"``, which runs CPython's pure-Python encoder
+    whenever ``indent`` is set; this writer keeps that layout and
+    escapes strings with the C ``encode_basestring``.
+    """
+    out: list[str] = []
+    _write_json(report, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 TIMELINE_COLUMNS = ("scope", "subject", "epoch_ms", "local_time", "event", "participant", "detail")

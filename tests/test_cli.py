@@ -405,6 +405,83 @@ def test_forge_cli(tmp_path, capsys):
     assert len(bundle.messages) == 4
 
 
+def test_cli_import_skips_the_forge(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(wadroid.__file__).parents[1])}
+    python = functools.partial(subprocess.run, env=env, capture_output=True, timeout=60)
+    check = "import sys, wadroid.cli; print('wadroid.forge' in sys.modules)"
+    probe = python([sys.executable, "-c", check])
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == b"False\n"
+    # the forge command still imports it
+    script_path = tmp_path / "scenario.json"
+    script_path.write_text(forge.script_to_json(helpers.conversation_script()), "utf-8")
+    out_dir = tmp_path / "bundle"
+    command = ["forge", "--script", str(script_path), "--out", str(out_dir)]
+    done = python([sys.executable, "-m", "wadroid.cli", *command])
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["messages"] == 4
+
+
+_OWNER_ONLY = {"version": 1, "owner": "1"}
+_BAD_HEX = {"at": 1, "do": "send_media", "sender": "1", "to": "2", "content_hex": "zz"}
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[1, 2]", "script is not a JSON object"),
+        ('"script"', "script is not a JSON object"),
+        ("{", "script is not valid JSON"),
+        (json.dumps({**_OWNER_ONLY, "actors": "1"}), "'actors' is not a list"),
+        (json.dumps({**_OWNER_ONLY, "actors": ["1"], "actions": {}}), "'actions' is not a list"),
+        (json.dumps({**_OWNER_ONLY, "actors": ["1"], "actions": ["x"]}), "action #1 is not"),
+        (json.dumps({**_OWNER_ONLY, "actors": ["1"], "tz": "noon"}), "'tz' or 'seed'"),
+        (json.dumps({**_OWNER_ONLY, "actors": ["1"], "seed": "x"}), "'tz' or 'seed'"),
+        (json.dumps({**_OWNER_ONLY, "actors": ["1"], "actions": [_BAD_HEX]}), "content_hex"),
+    ],
+    ids=[
+        "list",
+        "string",
+        "not-json",
+        "actors-text",
+        "actions-object",
+        "action-text",
+        "bad-tz",
+        "bad-seed",
+        "bad-hex",
+    ],
+)
+def test_malformed_script_is_an_error(tmp_path, capsys, text, reason):
+    script_path = tmp_path / "scenario.json"
+    script_path.write_text(text, encoding="utf-8")
+    code = run(["forge", "--script", str(script_path), "--out", str(tmp_path / "bundle")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+
+
+@pytest.mark.parametrize(
+    "content, registered",
+    [(b"\x00\xff", "\x00\ufffd"), (b"39340\x07\n", "39340\x07"), (b"\xc3", "\ufffd")],
+    ids=["nul-and-invalid-utf8", "control-character", "truncated-utf8"],
+)
+def test_damaged_me_file_warns(conversation_dir, capsys, content, registered):
+    (conversation_dir / layout.ME_FILE).write_bytes(content)
+    code = run(["ingest", "--in", str(conversation_dir)])
+    assert code == EXIT_WARNINGS
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["bundle_summary"]["registered_number"] == registered
+    assert [w["source"] for w in doc["warnings"]] == [layout.ME_FILE]
+
+
+def test_clean_me_file_does_not_warn(conversation_dir, capsys):
+    (conversation_dir / layout.ME_FILE).write_bytes(" 393400000001 \r\n".encode())
+    code = run(["ingest", "--in", str(conversation_dir)])
+    assert code == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)["bundle_summary"]
+    assert summary["registered_number"] == "393400000001"
+
+
 def test_report_csv_export(conversation_dir, tmp_path):
     out = tmp_path / "report.json"
     code = run(

@@ -1,9 +1,13 @@
-"""Log tokenization, grammar handling, block-event classification."""
+"""Log tokenization, grammar handling, timestamp parsing."""
 
+import dataclasses
 import json
+import re
+from datetime import datetime
 
 import pytest
 
+from wadroid import forge, layout, log_parser
 from wadroid.errors import BadGrammar, UnreadableFile
 from wadroid.log_parser import (
     DEFAULT_GRAMMAR,
@@ -200,3 +204,109 @@ def test_bad_grammar_rejected(tmp_path):
                 "rules": [],
             }
         )
+
+
+# --- the default format's fast path against strptime ------------------------
+
+_FORMAT = DEFAULT_GRAMMAR.timestamp_format
+
+# Stamps of the exact default shape with valid fields: read without strptime.
+_FAST_STAMPS = [
+    "2013-10-16 14:15:37.8 +0000",
+    "2013-10-16 14:15:37.88 +0000",
+    "2013-10-16 14:15:37.884 +0000",
+    "2013-10-16 14:15:37.8841 +0000",
+    "2013-10-16 14:15:37.88412 +0000",
+    "2013-10-16 14:15:37.884123 +0000",
+    "2013-10-16 14:15:37.884 +0200",
+    "2013-10-16 14:15:37.884 -0030",
+    "2013-10-16 14:15:37.884 -0000",
+    "2013-10-16 14:15:37.884 +2359",
+    "2013-10-16 14:15:37.884 -2359",
+    "2012-02-29 23:59:59.999 +0100",
+    "1970-01-01 00:00:00.000 +0000",
+]
+# Every other stamp goes to strptime, which reads these ...
+_STRPTIME_READ = [
+    "2013-10-16 14:15:37.884 +05:30",
+    "2013-10-16 14:15:37.884 -00:30",
+    "2013-10-16 14:15:37.884 Z",
+    "2013-1-16 14:15:37.884 +0000",
+    "2013-10-16  14:15:37.884 +0000",
+    "\u0662\u0660\u0661\u0663-10-16 14:15:37.884 +0000",
+]
+# ... and rejects these.
+_REJECTED = [
+    "2013-10-16 14:15:37.884 +\u0660\u0661\u0660\u0660",
+    "2013-10-16 14:15:37.884 +0060",
+    "2013-10-16 14:15:37.884 +2400",
+    "2013-10-16 14:15:37.884 -2400",
+    "2013-10-16 24:00:00.000 +0000",
+    "2013-10-16 14:60:00.000 +0000",
+    "2013-10-16 14:15:60.000 +0000",
+    "2013-02-30 14:15:37.884 +0000",
+    "2013-13-01 14:15:37.884 +0000",
+    "2013-00-01 14:15:37.884 +0000",
+    "0000-01-01 00:00:00.000 +0000",
+    "2013-10-16 14:15:37.8841234 +0000",
+    "2013-10-16 14:15:37 +0000",
+    "2013-10-16 14:15:37.884 +0000 ",
+    "2013-10-16 14:15:37.884",
+]
+_STAMPS = _FAST_STAMPS + _STRPTIME_READ + _REJECTED
+
+
+def _strptime_ms(text):
+    return int(round(datetime.strptime(text, _FORMAT).timestamp() * 1000))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+def test_default_stamp_fast_path_covers_exactly_the_default_shape():
+    assert [s for s in _FAST_STAMPS if log_parser._default_stamp(s) is None] == []
+    slow = _STRPTIME_READ + _REJECTED
+    assert [s for s in slow if log_parser._default_stamp(s) is not None] == []
+
+
+@pytest.mark.parametrize("text", _STAMPS)
+def test_default_timestamp_parse_equals_strptime(text):
+    fast = _outcome(lambda t: log_parser._parse_timestamp(t, _FORMAT), text)
+    assert fast == _outcome(_strptime_ms, text)
+    assert (fast is ValueError) == (text in _REJECTED)
+
+
+def test_default_timestamp_parse_equals_strptime_on_a_forged_log(tmp_path):
+    script = forge.random_script(seed=11, max_actions=120)
+    script = dataclasses.replace(script, tz_offset_minutes=-30)
+    root = forge.generate_bundle(script, tmp_path / "evidence").root
+    lines = (root / layout.MAIN_LOG).read_text(encoding="utf-8").splitlines()
+    stamps = [DEFAULT_GRAMMAR.line_pattern.match(line).group("ts") for line in lines]
+    assert len(stamps) > 100 and all(s.endswith("-0030") for s in stamps)
+    assert [log_parser._parse_timestamp(s, _FORMAT) for s in stamps] == [
+        _strptime_ms(s) for s in stamps
+    ]
+
+
+def test_malformed_stamps_give_the_strptime_events_and_warnings(monkeypatch):
+    # A line pattern that hands any stamp to the default timestamp format.
+    grammar = dataclasses.replace(
+        DEFAULT_GRAMMAR, line_pattern=re.compile(r"^(?P<ts>.+?) \| (?P<body>.*)$")
+    )
+    lines = [f"{stamp} | {body_contact_blocked(JID)}" for stamp in _STAMPS]
+
+    def parse():
+        warn = WarningLog()
+        return parse_log_lines(lines, "whatsapp.log", grammar, warn), warn.items
+
+    fast_events, fast_warnings = parse()
+    monkeypatch.setattr(log_parser, "_default_stamp", lambda text: None)
+    assert parse() == (fast_events, fast_warnings)
+    assert [w.message for w in fast_warnings] == [f"unparsable timestamp {s!r}" for s in _REJECTED]
+    read, rejected = len(_STAMPS) - len(_REJECTED), len(_REJECTED)
+    expected = [(EventKind.CONTACT_BLOCKED, False)] * read + [(EventKind.OTHER, True)] * rejected
+    assert [(e.kind, e.occurred_at is None) for e in fast_events] == expected
