@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, backup_crypto, ingest, report as report_mod
-from .correlator import analyze
+from .correlator import analyze, build_chronology
 from .errors import WadroidError
 from .log_parser import DEFAULT_GRAMMAR, LogGrammar
 from .model import parse_tz_offset
@@ -177,13 +177,13 @@ def _cmd_diff(args) -> int:
 
 def _cmd_timeline(args) -> int:
     bundle = _bundle(args)
-    analysis = analyze(bundle)
+    chronology = build_chronology(bundle)
     if args.format == "csv":
-        _emit(report_mod.render_timeline_csv(analysis, args.tz), args.out)
+        _emit(report_mod.render_timeline_csv(chronology, args.tz), args.out)
     else:
-        doc = report_mod.timeline_document(analysis, args.tz)
+        doc = report_mod.timeline_document(chronology, args.tz)
         _emit(report_mod.render_report_json(doc), args.out)
-    return EXIT_WARNINGS if bundle.warnings or analysis.warnings else EXIT_OK
+    return EXIT_WARNINGS if bundle.warnings or chronology.warnings else EXIT_OK
 
 
 def _cmd_forge(args) -> int:

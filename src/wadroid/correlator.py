@@ -1069,13 +1069,17 @@ def correlate_media(sender_records, recipient_records, media_inventory) -> list[
                 )
             )
 
+    hashed_records = [
+        (record, hex_digest)
+        for record in sorted(recipients + senders, key=lambda r: r.id)
+        if (hex_digest := _hash_to_hex(record.media_hash)) is not None
+    ]
+    # Files are hashed (read) only when some record has a hash to compare.
     by_hash: dict[str, list] = {}
-    for media in media_inventory:
-        by_hash.setdefault(media.sha256, []).append(media)
-    for record in sorted(recipients + senders, key=lambda r: r.id):
-        hex_digest = _hash_to_hex(record.media_hash)
-        if hex_digest is None:
-            continue
+    if hashed_records:
+        for media in media_inventory:
+            by_hash.setdefault(media.sha256, []).append(media)
+    for record, hex_digest in hashed_records:
         for media in by_hash.get(hex_digest, []):
             findings.append(
                 Finding(
@@ -1148,20 +1152,37 @@ def identity_check(bundle: CaseBundle, sim_number: str | None = None) -> Finding
 
 
 @dataclass
-class Analysis:
+class Chronology:
+    """Per-conversation histories, group timelines and partners of a bundle."""
+
     histories: dict
     timelines: list[GroupTimeline]
     partners: PartnerAnalysis
-    findings: list[Finding]
     warnings: WarningLog
 
 
-def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
-    """Run every correlation over a bundle and merge the findings."""
+@dataclass
+class Analysis(Chronology):
+    """A chronology with the findings of every correlator."""
+
+    findings: list[Finding]
+
+
+def build_chronology(bundle: CaseBundle) -> Chronology:
+    """Run the chronology steps, the only ones that warn about the evidence."""
     warn = WarningLog()
-    histories = reconstruct_history(bundle, warn=warn)
-    timelines = group_membership_timeline(bundle, warn)
-    partners = resolve_partners(bundle, warn)
+    return Chronology(
+        histories=reconstruct_history(bundle, warn=warn),
+        timelines=group_membership_timeline(bundle, warn),
+        partners=resolve_partners(bundle, warn),
+        warnings=warn,
+    )
+
+
+def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
+    """Build the chronology, then run every correlator and merge the findings."""
+    chronology = build_chronology(bundle)
+    histories, timelines = chronology.histories, chronology.timelines
 
     findings: list[Finding] = []
     for jid_raw, entries in histories.items():
@@ -1214,10 +1235,4 @@ def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
         )
     )
     findings.append(identity_check(bundle, sim_number))
-    return Analysis(
-        histories=histories,
-        timelines=timelines,
-        partners=partners,
-        findings=sort_findings(findings),
-        warnings=warn,
-    )
+    return Analysis(**vars(chronology), findings=sort_findings(findings))

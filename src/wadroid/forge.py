@@ -1226,7 +1226,7 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
         MediaFile(
             path=path,
             size_bytes=len(content),
-            sha256=hashlib.sha256(content).hexdigest(),
+            known_sha256=hashlib.sha256(content).hexdigest(),
         )
         for path, content in sorted(sim.media_files.items())
     )
@@ -1456,8 +1456,13 @@ def _parse_at(value, tz_offset_minutes: int) -> int:
     year, month, day, hour, minute, second = (int(m.group(i)) for i in range(1, 7))
     millis = int((m.group(7) or "0").ljust(3, "0"))
     zone = m.group(8) or m.group(9)
-    offset = parse_tz_offset(zone) if zone else tz_offset_minutes
-    stamp = datetime(year, month, day, hour, minute, second, millis * 1000, tzinfo=timezone.utc)
+    try:
+        offset = parse_tz_offset(zone) if zone else tz_offset_minutes
+        stamp = datetime(
+            year, month, day, hour, minute, second, millis * 1000, tzinfo=timezone.utc
+        )
+    except ValueError as exc:
+        raise InvalidScript(f"unparsable action time {value!r}: {exc}") from exc
     return int(stamp.timestamp() * 1000) - offset * 60_000
 
 

@@ -10,7 +10,6 @@ directory, never next to the evidence.
 
 from __future__ import annotations
 
-import hashlib
 import re
 import stat
 import tempfile
@@ -28,10 +27,6 @@ from .model import (
     WarningLog,
     warn_to,
 )
-
-# Media files are hashed in chunks of this size, so a multi-GB video
-# never sits in memory whole.
-MEDIA_HASH_CHUNK = 1 << 20
 
 # C0 and C1 control characters, which no registered number holds.
 _CONTROL_CHARACTER = re.compile(r"[\x00-\x1f\x7f-\x9f]")
@@ -139,19 +134,15 @@ def load_case_bundle(
     media = []
     media_dir = root / layout.MEDIA_DIR
     if media_dir.is_dir():
-        media_paths = sorted(
-            (p for p in media_dir.rglob("*") if p.is_file()),
-            key=lambda p: _rel(root, p),
-        )
-        for path in media_paths:
-            digest, size = hashlib.sha256(), 0
-            with path.open("rb") as handle:
-                while chunk := handle.read(MEDIA_HASH_CHUNK):
-                    digest.update(chunk)
-                    size += len(chunk)
-            media.append(
-                MediaFile(path=_rel(root, path), size_bytes=size, sha256=digest.hexdigest())
-            )
+        # Listed, not read: ``MediaFile.sha256`` reads a file when first asked.
+        for path in media_dir.rglob("*"):
+            try:
+                info = path.stat()
+            except OSError:  # a dangling or looping link: not a file
+                continue
+            if stat.S_ISREG(info.st_mode):
+                media.append(MediaFile(_rel(root, path), info.st_size, source=path))
+        media.sort(key=lambda m: m.path)
 
     avatars = []
     for directory in (root / layout.AVATARS_DIR, root / layout.PROFILE_PICTURES_DIR):

@@ -13,10 +13,13 @@ display timezone is strictly a report-rendering concern (see
 
 from __future__ import annotations
 
+import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from functools import cached_property
+from pathlib import Path
 from typing import Mapping
 
 from .errors import MalformedGroupId, MalformedJid, MalformedKey
@@ -33,6 +36,10 @@ _GROUP_JID_RE = re.compile(r"^(?P<creator>[0-9][0-9x]*)-(?P<epoch>[0-9]+)@g\.us$
 _MESSAGE_KEY_RE = re.compile(r"^(?P<bc>%~)?(?P<start>[0-9]+)-(?P<seq>[0-9]+)$")
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+# Media files are hashed in chunks of this size, so a multi-GB video
+# never sits in memory whole.
+MEDIA_HASH_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -214,7 +221,8 @@ def parse_tz_offset(text: str) -> int:
     if text in ("Z", "z", ""):
         return 0
     m = re.match(r"^(?P<sign>[+-])(?P<h>\d{2}):?(?P<m>\d{2})$", text)
-    if not m:
+    # strptime's %z bounds: hours below 24, minutes below 60.
+    if not m or int(m.group("h")) >= 24 or int(m.group("m")) >= 60:
         raise ValueError(f"bad timezone offset {text!r}; expected +HH:MM")
     minutes = int(m.group("h")) * 60 + int(m.group("m"))
     return -minutes if m.group("sign") == "-" else minutes
@@ -401,13 +409,48 @@ class LogEvent:
         return f"{self.source_file}:{self.line_number}"
 
 
+def file_sha256(path: Path) -> str:
+    """Hex SHA-256 of a file, read in ``MEDIA_HASH_CHUNK`` chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(MEDIA_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 @dataclass(frozen=True)
 class MediaFile:
-    """One file found under the media directories; hash always computed."""
+    """One file found under the media directories.
+
+    The content hash is computed on demand: ``sha256`` reads ``source``
+    once, on first access, and caches the digest, so a command that never
+    asks for it never opens the file. A digest already known, such as the
+    forge's hash of the bytes it wrote, is passed as ``known_sha256`` and
+    no file is read. Equality compares the digests too.
+    """
 
     path: str  # POSIX path relative to the evidence root
     size_bytes: int
-    sha256: str
+    source: Path | None = field(default=None, repr=False, compare=False)
+    known_sha256: InitVar[str | None] = None
+
+    def __post_init__(self, known_sha256: str | None) -> None:
+        if known_sha256 is not None:
+            # Fills the cache of ``sha256``, which has no setter to refuse it.
+            object.__setattr__(self, "sha256", known_sha256)
+
+    @cached_property
+    def sha256(self) -> str:
+        return file_sha256(self.source)
+
+    def __eq__(self, other):
+        if not isinstance(other, MediaFile):
+            return NotImplemented
+        return (
+            self.path == other.path
+            and self.size_bytes == other.size_bytes
+            and self.sha256 == other.sha256
+        )
 
 
 @dataclass(frozen=True)

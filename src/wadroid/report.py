@@ -18,6 +18,7 @@ from json.encoder import encode_basestring as _encode_str
 from . import __version__
 from .correlator import (
     Analysis,
+    Chronology,
     GeoContent,
     ContactCardContent,
     MediaContent,
@@ -115,17 +116,17 @@ def _timeline_json(timeline, tz: int) -> dict:
     }
 
 
-def timeline_document(analysis: Analysis, tz: int = 0) -> dict:
+def timeline_document(chronology: Chronology, tz: int = 0) -> dict:
     """Group and chat chronologies: the ``timeline --format json`` document.
 
     The report embeds the same lists as ``group_timelines`` and
     ``conversations``.
     """
     return {
-        "groups": [_timeline_json(t, tz) for t in analysis.timelines],
+        "groups": [_timeline_json(t, tz) for t in chronology.timelines],
         "chats": [
             {"partner": jid_raw, "messages": [_history_entry_json(e, tz) for e in entries]}
-            for jid_raw, entries in analysis.histories.items()
+            for jid_raw, entries in chronology.histories.items()
         ],
     }
 
@@ -311,10 +312,10 @@ def render_report_json(report: dict) -> str:
 TIMELINE_COLUMNS = ("scope", "subject", "epoch_ms", "local_time", "event", "participant", "detail")
 
 
-def timeline_rows(analysis: Analysis, tz: int = 0) -> list[tuple]:
+def timeline_rows(chronology: Chronology, tz: int = 0) -> list[tuple]:
     """Flat chronology rows (groups and chats) for the CSV export."""
     rows = []
-    for timeline in analysis.timelines:
+    for timeline in chronology.timelines:
         for event in timeline.events:
             rows.append(
                 (
@@ -327,7 +328,7 @@ def timeline_rows(analysis: Analysis, tz: int = 0) -> list[tuple]:
                     f"source={event.source}",
                 )
             )
-    for jid_raw, entries in analysis.histories.items():
+    for jid_raw, entries in chronology.histories.items():
         for entry in entries:
             content = _content_json(entry.content)
             detail = content["type"]
@@ -348,9 +349,9 @@ def timeline_rows(analysis: Analysis, tz: int = 0) -> list[tuple]:
     return rows
 
 
-def render_timeline_csv(analysis: Analysis, tz: int = 0) -> str:
+def render_timeline_csv(chronology: Chronology, tz: int = 0) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(TIMELINE_COLUMNS)
-    writer.writerows(timeline_rows(analysis, tz))
+    writer.writerows(timeline_rows(chronology, tz))
     return buffer.getvalue()

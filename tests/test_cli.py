@@ -1,7 +1,10 @@
 """Command-line behavior: subcommands, exit codes, output stability."""
 
+import builtins
+import collections
 import functools
 import hashlib
+import io
 import json
 import os
 import random
@@ -13,7 +16,7 @@ import pytest
 
 import helpers
 import wadroid
-from wadroid import forge, ingest, layout
+from wadroid import forge, ingest, layout, model
 from wadroid import report as report_mod
 from wadroid.backup_crypto import SQLITE_MAGIC, decrypt_backup, encrypt_fixture
 from wadroid.cli import EXIT_ERROR, EXIT_OK, EXIT_USAGE, EXIT_WARNINGS, run
@@ -95,6 +98,14 @@ def test_report_csv_without_out_is_a_usage_error(conversation_dir, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--format csv needs --out" in captured.err
+
+
+@pytest.mark.parametrize("offset", ["+00:75", "+24:00"])
+def test_out_of_range_tz_is_a_usage_error(conversation_dir, capsys, offset):
+    assert run(["diff", "--in", str(conversation_dir), "--tz", offset]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad timezone offset" in captured.err
 
 
 def test_ingest_summary(conversation_dir, capsys):
@@ -306,14 +317,95 @@ def test_geo_row_without_coordinates_warns_once(conversation_dir, tmp_path):
 
 
 def test_media_hashed_in_chunks(conversation_dir):
-    content = random.Random(5).randbytes(2 * ingest.MEDIA_HASH_CHUNK + 1)
+    content = random.Random(5).randbytes(2 * model.MEDIA_HASH_CHUNK + 1)
     video = conversation_dir / layout.MEDIA_DIR / "WhatsApp Video" / "big.mp4"
     video.parent.mkdir(parents=True, exist_ok=True)
     video.write_bytes(content)
     bundle = ingest.load_case_bundle(conversation_dir)
     (media,) = [m for m in bundle.media_inventory if m.path.endswith("big.mp4")]
     assert media.size_bytes == len(content)
+    assert "sha256" not in vars(media)  # listed at ingest, hashed on first use
     assert media.sha256 == hashlib.sha256(content).hexdigest()
+
+
+@pytest.fixture()
+def media_root(tmp_path):
+    """A device that sent two images and received two."""
+    peers = (helpers.OWNER, helpers.PARTNER)
+    actions = tuple(
+        forge.SendMedia(
+            at_ms=helpers.CONV_IN_1 + i * 60_000,
+            sender=peers[i % 2],
+            to=peers[1 - i % 2],
+            media_kind="image",
+        )
+        for i in range(4)
+    )
+    script = forge.ScenarioScript(owner=helpers.OWNER, actors=peers, actions=actions)
+    return forge.generate_bundle(script, tmp_path / "evidence").root
+
+
+def _count_media_hashing(monkeypatch, root: Path) -> collections.Counter:
+    """Count how often each file is hashed, by path relative to ``root``."""
+    hashed = collections.Counter()
+    file_sha256 = model.file_sha256
+
+    def counted(path):
+        hashed[Path(path).relative_to(root).as_posix()] += 1
+        return file_sha256(path)
+
+    monkeypatch.setattr(model, "file_sha256", counted)
+    return hashed
+
+
+def _make_media_unreadable(monkeypatch, root: Path) -> None:
+    """Opening any file under the media directory raises PermissionError."""
+    media_dir = root / layout.MEDIA_DIR
+    real_open = io.open
+
+    def guarded_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).is_relative_to(media_dir):
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", guarded_open)
+    monkeypatch.setattr(io, "open", guarded_open)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["diff"], ["timeline", "--format", "json"], ["timeline", "--format", "csv"], ["ingest"]],
+    ids=["diff", "timeline-json", "timeline-csv", "ingest"],
+)
+def test_only_report_reads_media(media_root, monkeypatch, capsys, argv):
+    hashed = _count_media_hashing(monkeypatch, media_root)
+    _make_media_unreadable(monkeypatch, media_root)
+    assert run([argv[0], "--in", str(media_root), *argv[1:]]) == EXIT_OK
+    assert capsys.readouterr().out
+    assert not hashed
+
+
+def test_report_hashes_each_media_file_once(media_root, monkeypatch, tmp_path):
+    hashed = _count_media_hashing(monkeypatch, media_root)
+    out = tmp_path / "report.json"
+    assert run(["report", "--in", str(media_root), "--out", str(out)]) == EXIT_OK
+    media = sorted(
+        p.relative_to(media_root).as_posix()
+        for p in (media_root / layout.MEDIA_DIR).rglob("*")
+        if p.is_file()
+    )
+    assert len(media) == 4
+    assert dict(hashed) == {path: 1 for path in media}
+    findings = json.loads(out.read_text(encoding="utf-8"))["findings"]
+    local = {f["payload"]["path"] for f in findings if f["payload"].get("match") == "local-file"}
+    assert local == set(media)
+
+
+def test_report_on_unreadable_media_is_an_io_error(media_root, monkeypatch, tmp_path, capsys):
+    _make_media_unreadable(monkeypatch, media_root)
+    out = tmp_path / "report.json"
+    assert run(["report", "--in", str(media_root), "--out", str(out)]) == EXIT_ERROR
+    assert "i/o error" in capsys.readouterr().err
 
 
 _SPLIT_LINES = {"line_pattern": r"^(?P<ts>\S+) (?P<body>.*)$", "timestamp_format": "epoch_s"}
@@ -424,6 +516,7 @@ def test_cli_import_skips_the_forge(tmp_path):
 
 _OWNER_ONLY = {"version": 1, "owner": "1"}
 _BAD_HEX = {"at": 1, "do": "send_media", "sender": "1", "to": "2", "content_hex": "zz"}
+_LATE_AT = {"at": "2013-01-01 00:00:00 +24:00", "do": "unblock_all"}
 
 
 @pytest.mark.parametrize(
@@ -438,6 +531,8 @@ _BAD_HEX = {"at": 1, "do": "send_media", "sender": "1", "to": "2", "content_hex"
         (json.dumps({**_OWNER_ONLY, "actors": ["1"], "tz": "noon"}), "'tz' or 'seed'"),
         (json.dumps({**_OWNER_ONLY, "actors": ["1"], "seed": "x"}), "'tz' or 'seed'"),
         (json.dumps({**_OWNER_ONLY, "actors": ["1"], "actions": [_BAD_HEX]}), "content_hex"),
+        (json.dumps({**_OWNER_ONLY, "actors": ["1"], "tz": "+00:75"}), "'tz' or 'seed'"),
+        (json.dumps({**_OWNER_ONLY, "actors": ["1"], "actions": [_LATE_AT]}), "action time"),
     ],
     ids=[
         "list",
@@ -449,6 +544,8 @@ _BAD_HEX = {"at": 1, "do": "send_media", "sender": "1", "to": "2", "content_hex"
         "bad-tz",
         "bad-seed",
         "bad-hex",
+        "tz-minutes-out-of-range",
+        "at-hours-out-of-range",
     ],
 )
 def test_malformed_script_is_an_error(tmp_path, capsys, text, reason):

@@ -9,7 +9,7 @@ import pytest
 
 import helpers
 from helpers import jid
-from wadroid import forge, ingest
+from wadroid import forge, ingest, layout, model
 from wadroid.correlator import (
     BLOCKED,
     Finding,
@@ -25,6 +25,7 @@ from wadroid.correlator import (
     analyze,
     backup_diff,
     block_statuses,
+    build_chronology,
     correlate_media,
     extract_content,
     group_membership_timeline,
@@ -45,6 +46,7 @@ from wadroid.log_parser import (
     body_contact_query,
     body_contact_unblocked,
     body_device_ack,
+    body_group_member_left,
     body_message_deleted,
     body_message_sent,
     body_server_ack,
@@ -728,6 +730,44 @@ def test_backups_hold_only_rows_the_live_store_lost(tmp_path):
     assert findings[0].payload["backups"] == sorted(b.name for b in bundle.backups)
 
 
+def test_chronology_is_the_start_of_the_analysis(tmp_path):
+    script = helpers.group_script()
+    script = dataclasses.replace(
+        script,
+        actions=(
+            *script.actions,
+            forge.SendText(
+                at_ms=helpers.GRP_LEAVE_E + 60_000,
+                sender=helpers.USER_E,
+                to=helpers.USER_D,
+                text="after the group",
+            ),
+            forge.Broadcast(
+                at_ms=helpers.GRP_LEAVE_E + 120_000,
+                sender=helpers.USER_D,
+                recipients=(helpers.USER_E, helpers.USER_F),
+                text="to both",
+            ),
+        ),
+    )
+    result = forge.generate_bundle(script, tmp_path / "evidence")
+    (gid,) = result.expected.group_timelines
+    stranger = jid("393209999999")
+    with (result.root / layout.MAIN_LOG).open("a", encoding="utf-8") as log:
+        log.write(format_line(helpers.GRP_LEAVE_E + 1000, body_group_member_left(gid, stranger)))
+        log.write("\n")
+    bundle = ingest.load_case_bundle(result.root)
+    chronology, analysis = build_chronology(bundle), analyze(bundle)
+    assert chronology.histories and chronology.timelines and chronology.partners.broadcasts
+    assert [w.message for w in chronology.warnings] == [
+        f"{stranger} leaves {gid} without a recorded join"
+    ]
+    assert chronology.histories == analysis.histories
+    assert chronology.timelines == analysis.timelines
+    assert chronology.partners == analysis.partners
+    assert chronology.warnings.items == analysis.warnings.items
+
+
 def test_analyze_scans_log_coverage_once(monkeypatch):
     a, b, c = jid("393310000001"), jid("393310000002"), jid("393310000003")
     lines = [
@@ -887,12 +927,28 @@ def test_recipient_file_identified_by_hash():
         MediaFile(
             path="mnt/sdcard/WhatsApp/Media/blob.m4a",
             size_bytes=len(payload),
-            sha256=hashlib.sha256(payload).hexdigest(),
+            known_sha256=hashlib.sha256(payload).hexdigest(),
         ),
     )
     findings = correlate_media([], [record], inventory)
     assert [f.payload["match"] for f in findings] == ["local-file"]
     assert findings[0].payload["record_id"] == 5
+
+
+def test_media_files_not_hashed_without_a_record_hash(tmp_path, monkeypatch):
+    """No record carries a decodable 32-byte hash, so no file is read."""
+
+    def unreadable(path):
+        raise AssertionError(f"{path} hashed")
+
+    monkeypatch.setattr(model, "file_sha256", unreadable)
+    short = base64.b64encode(b"sixteen byte sum").decode()
+    sender = make_record(id=1, from_me=True, media_wa_type=1, media_hash=short, media_url=None)
+    recipient = make_record(id=2, media_wa_type=1, media_hash="not base64!", media_url=None)
+    plain = make_record(id=3, media_wa_type=1, media_hash=None, media_url=None)
+    inventory = (MediaFile("mnt/sdcard/WhatsApp/Media/a.jpg", 3, source=tmp_path / "a.jpg"),)
+    assert correlate_media([sender], [recipient, plain], inventory) == []
+    assert "sha256" not in vars(inventory[0])
 
 
 def _media_pairs_by_nested_loop(sender_records, recipient_records) -> list[Finding]:

@@ -113,6 +113,17 @@ def _random_user(rng):
     return "".join(rng.choice("0123456789") for _ in range(rng.randrange(8, 14)))
 
 
+@pytest.mark.parametrize("text, minutes", [("+23:59", 1439), ("-00:30", -30), ("Z", 0)])
+def test_tz_offset_in_range(text, minutes):
+    assert parse_tz_offset(text) == minutes
+
+
+@pytest.mark.parametrize("text", ["+24:00", "+00:60", "+00:75"])
+def test_tz_offset_out_of_range(text):
+    with pytest.raises(ValueError, match="bad timezone offset"):
+        parse_tz_offset(text)
+
+
 def test_roundtrip_properties():
     rng = random.Random(20130312)
     for _ in range(1000):
