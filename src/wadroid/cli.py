@@ -6,6 +6,13 @@ serializes, and maps the outcome to an exit code. Exit codes: 0 clean
 run, 1 report produced but with warnings, 2 structural or tool errors
 (a damaged live database, or an unexpected internal error), 64 usage
 errors.
+
+Each command loads only what its output uses, and its exit code counts
+the warnings about that. ``diff`` reads the backups and the live
+store's (conversation, key) pairs (``ingest.load_backup_deltas``), so it
+counts only warnings about backups and a missing chat database.
+``timeline`` and ``report`` also count the warnings of the analysis
+steps they run.
 """
 
 from __future__ import annotations
@@ -58,9 +65,10 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"wadroid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def evidence_options(p):
+    def evidence_options(p, reads_logs=True):
         p.add_argument("--in", dest="in_path", required=True, help="evidence directory")
-        p.add_argument("--grammar", help="log grammar JSON file")
+        if reads_logs:
+            p.add_argument("--grammar", help="log grammar JSON file")
         p.add_argument("--key", type=_hex_key, help="backup AES key override (hex)")
 
     p_ingest = sub.add_parser("ingest", help="parse an evidence directory and summarize it")
@@ -90,7 +98,7 @@ def build_parser() -> _Parser:
     p_decrypt.add_argument("--key", type=_hex_key, help="backup AES key override (hex)")
 
     p_diff = sub.add_parser("diff", help="messages present in backups but not live")
-    evidence_options(p_diff)
+    evidence_options(p_diff, reads_logs=False)
     p_diff.add_argument("--out", help="write the diff JSON here instead of stdout")
     p_diff.add_argument("--tz", type=_tz, default=0)
 
@@ -127,9 +135,7 @@ def _emit(text: str, out: str | Path | None) -> None:
 
 
 def _bundle(args):
-    return ingest.load_case_bundle(
-        args.in_path, _load_grammar(args.grammar), getattr(args, "key", None)
-    )
+    return ingest.load_case_bundle(args.in_path, _load_grammar(args.grammar), args.key)
 
 
 def _cmd_ingest(args) -> int:
@@ -170,9 +176,10 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    bundle = _bundle(args)
-    _emit(report_mod.render_report_json(report_mod.diff_document(bundle, args.tz)), args.out)
-    return EXIT_WARNINGS if bundle.warnings else EXIT_OK
+    deltas = ingest.load_backup_deltas(args.in_path, args.key)
+    doc = report_mod.diff_document(deltas.backups, deltas.live_pairs, args.tz)
+    _emit(report_mod.render_report_json(doc), args.out)
+    return EXIT_WARNINGS if deltas.warnings else EXIT_OK
 
 
 def _cmd_timeline(args) -> int:

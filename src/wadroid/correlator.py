@@ -329,17 +329,17 @@ def backup_recovered_records(bundle: CaseBundle) -> list[MessageRecord]:
     return recovered
 
 
-def backup_diff(live_messages, backup_messages) -> list[MessageRecord]:
+def backup_diff(live_pairs, backup_messages) -> list[MessageRecord]:
     """Rows present in a backup but not in the live store.
 
     Identity is the (conversation jid, key) pair: the key alone is shared
     by every fan-out row of a broadcast, so it cannot identify a row.
+    ``live_pairs`` holds the pairs of the live store's rows.
     """
-    live = {(m.key_remote_jid.raw, m.key_id_raw) for m in live_messages}
     return [
         record
         for record in backup_messages
-        if (record.key_remote_jid.raw, record.key_id_raw) not in live
+        if (record.key_remote_jid.raw, record.key_id_raw) not in live_pairs
     ]
 
 

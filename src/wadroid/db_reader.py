@@ -14,6 +14,7 @@ correlator's log-based inference covers deletions instead.
 from __future__ import annotations
 
 import sqlite3
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -194,19 +195,29 @@ class _Row:
         return value != 0
 
 
-def _fetch_rows(source: DbSource, table: str) -> tuple[frozenset[str], list[sqlite3.Row]]:
-    """The table's column names and its rows in ascending _id order."""
+@contextmanager
+def _reading(source: DbSource, table: str):
+    """A read-only connection returning ``sqlite3.Row`` rows.
+
+    SQLite's errors while reading ``table`` are raised as CorruptDatabase.
+    """
     try:
         conn = _connect_ro(Path(source.path))
         try:
             conn.row_factory = sqlite3.Row
-            cursor = conn.execute(f"SELECT * FROM {table} ORDER BY _id")
-            keys = frozenset(column[0] for column in cursor.description)
-            return keys, list(cursor)
+            yield conn
         finally:
             conn.close()
     except sqlite3.DatabaseError as exc:
         raise CorruptDatabase(f"{source.path}: table {table} is damaged: {exc}") from exc
+
+
+def _fetch_rows(source: DbSource, table: str) -> tuple[frozenset[str], list[sqlite3.Row]]:
+    """The table's column names and its rows in ascending _id order."""
+    with _reading(source, table) as conn:
+        cursor = conn.execute(f"SELECT * FROM {table} ORDER BY _id")
+        keys = frozenset(column[0] for column in cursor.description)
+        return keys, list(cursor)
 
 
 def load_contacts(source: DbSource, warn: WarningLog | None = None) -> list[ContactRecord]:
@@ -216,6 +227,7 @@ def load_contacts(source: DbSource, warn: WarningLog | None = None) -> list[Cont
     name = Path(source.path).name
     records = []
     keys, raw_rows = _fetch_rows(source, CONTACTS_TABLE)
+    phonebook_columns = [col for col in PHONEBOOK_COLUMNS if col in keys]
     for raw_row in raw_rows:
         rid = raw_row["_id"]
         row = _Row(raw_row, keys, f"{name}:{CONTACTS_TABLE}#{rid}", warn)
@@ -232,9 +244,7 @@ def load_contacts(source: DbSource, warn: WarningLog | None = None) -> list[Cont
             photo_id_timestamp=photo_id_ts,
             wa_name=row.text("wa_name"),
             status_line=row.text("status"),
-            phonebook={
-                col: raw_row[col] for col in PHONEBOOK_COLUMNS if col in raw_row.keys()
-            },
+            phonebook={col: raw_row[col] for col in phonebook_columns},
         )
         # An avatar cannot be downloaded before the contact set it.
         if thumb_ts and photo_id_ts and thumb_ts > 0 and photo_id_ts > 0:
@@ -268,9 +278,31 @@ def _decode_media_hash(row: _Row, value: str | None) -> None:
         )
 
 
+_PAIR_COLUMNS = ("key_remote_jid", "key_id")
+
+
 def _message_pair(row: _Row) -> tuple[str, str]:
     """(key_remote_jid.raw, key_id_raw) of the record decoded from ``row``."""
     return row.text("key_remote_jid") or "", row.text("key_id") or ""
+
+
+def load_message_pairs(source: DbSource) -> frozenset[tuple[str, str]]:
+    """The (conversation jid, key) pair of every messages-table row.
+
+    Each pair is read as ``load_messages`` would decode it into
+    (``key_remote_jid.raw``, ``key_id_raw``), without warnings; no other
+    column is read. A missing key column reads as absent in every row.
+    """
+    if source.db_kind is not DbKind.CHAT_STORE:
+        raise ValueError("load_message_pairs requires a CHAT_STORE source")
+    with _reading(source, MESSAGES_TABLE) as conn:
+        present = {row["name"] for row in conn.execute(f"PRAGMA table_info({MESSAGES_TABLE})")}
+        columns = ", ".join(c if c in present else f"NULL AS {c}" for c in _PAIR_COLUMNS)
+        # NOT INDEXED: read the table's own pages, as ``load_messages`` does,
+        # even where an index holds both key columns.
+        cursor = conn.execute(f"SELECT {columns} FROM {MESSAGES_TABLE} NOT INDEXED")
+        keys = frozenset(_PAIR_COLUMNS)
+        return frozenset(_message_pair(_Row(raw_row, keys, "", None)) for raw_row in cursor)
 
 
 def load_messages(

@@ -5,7 +5,9 @@ The directory is expected to follow the on-device layout (see
 partial one with warnings; only a directory containing no recognizable
 artifact at all is a structural error. Evidence files are opened
 strictly read-only; encrypted backups are decrypted into a temporary
-directory, never next to the evidence.
+directory, never next to the evidence. ``load_backup_deltas`` reads
+only the backups and the live store's (conversation, key) pairs, with
+the same steps ``load_case_bundle`` uses for them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import re
 import stat
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import db_reader, layout
@@ -24,6 +27,7 @@ from .model import (
     BackupSet,
     CaseBundle,
     MediaFile,
+    ParseWarning,
     WarningLog,
     warn_to,
 )
@@ -36,59 +40,64 @@ def _rel(root: Path, path: Path) -> str:
     return path.relative_to(root).as_posix()
 
 
-def _load_store(path: Path, warn: WarningLog):
-    source = db_reader.open_source(path, db_reader.DbKind.CHAT_STORE)
-    messages = db_reader.load_messages(source, warn)
-    chats = db_reader.load_chat_list(source, warn)
-    db_reader.check_chat_list_consistency(chats, messages, warn)
-    return messages, chats
+@dataclass(frozen=True)
+class _Evidence:
+    """An evidence root known to hold at least one recognizable artifact."""
+
+    root: Path
+    log_files: list[Path]
+    crypt_files: list[Path]
 
 
-def load_case_bundle(
-    root: str | Path,
-    grammar: LogGrammar = DEFAULT_GRAMMAR,
-    key: bytes | None = None,
-) -> CaseBundle:
-    """Parse every artifact under ``root`` into an immutable CaseBundle."""
+def _find_evidence(root: str | Path) -> _Evidence:
+    """Where the artifacts under ``root`` are; StructuralError if there are none."""
     root = Path(root)
     if not root.is_dir():
         raise StructuralError(f"evidence root {root} is not a directory")
-    warn = WarningLog()
-
-    wa_db = root / layout.WA_DB
-    msgstore = root / layout.MSGSTORE_DB
     logs_dir = root / layout.LOGS_DIR
     backups_dir = root / layout.BACKUPS_DIR
     log_files = sorted(logs_dir.glob("whatsapp*.log")) if logs_dir.is_dir() else []
     crypt_files = sorted(backups_dir.glob("*.crypt")) if backups_dir.is_dir() else []
-    if not wa_db.is_file() and not msgstore.is_file() and not log_files and not crypt_files:
+    if (
+        not (root / layout.WA_DB).is_file()
+        and not (root / layout.MSGSTORE_DB).is_file()
+        and not log_files
+        and not crypt_files
+    ):
         raise StructuralError(
             f"{root} holds no recognizable evidence (no contacts/chat database, "
             "logs, or backups in the expected layout)"
         )
+    return _Evidence(root, log_files, crypt_files)
 
-    contacts = []
-    if wa_db.is_file():
-        source = db_reader.open_source(wa_db, db_reader.DbKind.CONTACTS)
-        contacts = db_reader.load_contacts(source, warn)
-    else:
-        warn_to(warn, layout.WA_DB, "contacts database missing; contact analysis degraded")
 
-    messages, chats = [], []
-    if msgstore.is_file():
-        messages, chats = _load_store(msgstore, warn)
-    else:
-        warn_to(warn, layout.MSGSTORE_DB, "chat database missing; message analysis degraded")
+def _chat_store(root: Path, warn: WarningLog) -> db_reader.DbSource | None:
+    """The live chat database, or None, with a warning, when it is missing."""
+    path = root / layout.MSGSTORE_DB
+    if path.is_file():
+        return db_reader.open_source(path, db_reader.DbKind.CHAT_STORE)
+    warn_to(warn, layout.MSGSTORE_DB, "chat database missing; message analysis degraded")
+    return None
 
-    # Backups are kept as deltas: a row whose (conversation, key) pair is
-    # live adds nothing the live copy does not hold, so it is not decoded.
-    live_pairs = frozenset((m.key_remote_jid.raw, m.key_id_raw) for m in messages)
+
+def _load_backups(
+    evidence: _Evidence,
+    key: bytes | None,
+    live_pairs: frozenset[tuple[str, str]],
+    warn: WarningLog,
+) -> list[BackupSet]:
+    """Every readable backup, kept as a delta against ``live_pairs``.
+
+    A row whose (conversation, key) pair is live adds nothing the live
+    copy does not hold, so it is not decoded.
+    """
     backups = []
-    for crypt in crypt_files:
+    for crypt in evidence.crypt_files:
+        rel_path = _rel(evidence.root, crypt)
         try:
             plain = decrypt_backup(crypt, key)
         except WadroidError as exc:
-            warn_to(warn, _rel(root, crypt), f"backup not decrypted: {exc}")
+            warn_to(warn, rel_path, f"backup not decrypted: {exc}")
             continue
         with tempfile.TemporaryDirectory() as tmp:
             # Named after its crypt file, so row warnings name the backup.
@@ -102,13 +111,71 @@ def load_case_bundle(
             except WadroidError as exc:
                 # The temp directory's name is random; keep it out of the report.
                 reason = str(exc).replace(str(tmp_db), crypt.name)
-                warn_to(warn, _rel(root, crypt), f"decrypted backup unreadable: {reason}")
+                warn_to(warn, rel_path, f"decrypted backup unreadable: {reason}")
                 continue
         backups.append(BackupSet(name=crypt.name, messages=tuple(backup_messages)))
+    return backups
+
+
+@dataclass(frozen=True)
+class BackupDeltas:
+    """What ``diff`` reads of an evidence root.
+
+    ``backups`` are the deltas against ``live_pairs``, the (conversation
+    jid, key) pairs of the live chat database; ``warnings`` are those
+    raised while reading them.
+    """
+
+    live_pairs: frozenset[tuple[str, str]]
+    backups: tuple[BackupSet, ...]
+    warnings: tuple[ParseWarning, ...]
+
+
+def load_backup_deltas(root: str | Path, key: bytes | None = None) -> BackupDeltas:
+    """The backups under ``root`` and the live pairs, and nothing else.
+
+    Of the live chat database only the key columns of ``messages`` are
+    read; contacts, chat list, logs, settings and media are not opened.
+    """
+    evidence = _find_evidence(root)
+    warn = WarningLog()
+    source = _chat_store(evidence.root, warn)
+    live_pairs = db_reader.load_message_pairs(source) if source is not None else frozenset()
+    backups = _load_backups(evidence, key, live_pairs, warn)
+    return BackupDeltas(live_pairs, tuple(backups), warn.items)
+
+
+def load_case_bundle(
+    root: str | Path,
+    grammar: LogGrammar = DEFAULT_GRAMMAR,
+    key: bytes | None = None,
+) -> CaseBundle:
+    """Parse every artifact under ``root`` into an immutable CaseBundle."""
+    evidence = _find_evidence(root)
+    root = evidence.root
+    warn = WarningLog()
+
+    contacts = []
+    wa_db = root / layout.WA_DB
+    if wa_db.is_file():
+        source = db_reader.open_source(wa_db, db_reader.DbKind.CONTACTS)
+        contacts = db_reader.load_contacts(source, warn)
+    else:
+        warn_to(warn, layout.WA_DB, "contacts database missing; contact analysis degraded")
+
+    messages, chats = [], []
+    source = _chat_store(root, warn)
+    if source is not None:
+        messages = db_reader.load_messages(source, warn)
+        chats = db_reader.load_chat_list(source, warn)
+        db_reader.check_chat_list_consistency(chats, messages, warn)
+
+    live_pairs = frozenset((m.key_remote_jid.raw, m.key_id_raw) for m in messages)
+    backups = _load_backups(evidence, key, live_pairs, warn)
 
     events = []
-    if log_files:
-        per_file = [parse_log_file(path, grammar, warn) for path in log_files]
+    if evidence.log_files:
+        per_file = [parse_log_file(path, grammar, warn) for path in evidence.log_files]
         events = merge_events(*per_file)
     else:
         warn_to(warn, layout.LOGS_DIR, "no log files found; log-based inference disabled")

@@ -25,7 +25,7 @@ from .correlator import (
     TextContent,
     backup_diff,
 )
-from .model import CaseBundle, render_epoch_ms
+from .model import BackupSet, CaseBundle, render_epoch_ms
 
 _INFINITY = float("inf")
 
@@ -156,12 +156,17 @@ def ingest_document(bundle: CaseBundle) -> dict:
     return {"bundle_summary": bundle_summary(bundle), "warnings": _warnings_json(bundle.warnings)}
 
 
-def diff_document(bundle: CaseBundle, tz: int = 0) -> dict:
-    """The ``diff`` document: per backup, the rows the live store lost."""
-    backups = []
-    for backup in bundle.backups:
-        recovered = backup_diff(bundle.messages, backup.messages)
-        backups.append(
+def diff_document(
+    backups: tuple[BackupSet, ...], live_pairs: frozenset[tuple[str, str]], tz: int = 0
+) -> dict:
+    """The ``diff`` document: per backup, the rows the live store lost.
+
+    ``live_pairs`` holds the (conversation jid, key) pair of every live row.
+    """
+    documents = []
+    for backup in backups:
+        recovered = backup_diff(live_pairs, backup.messages)
+        documents.append(
             {
                 "name": backup.name,
                 "recovered_count": len(recovered),
@@ -180,7 +185,7 @@ def diff_document(bundle: CaseBundle, tz: int = 0) -> dict:
                 ],
             }
         )
-    return {"backups": backups}
+    return {"backups": documents}
 
 
 def forge_summary(result) -> dict:

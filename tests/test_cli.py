@@ -8,6 +8,8 @@ import io
 import json
 import os
 import random
+import shutil
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ import pytest
 
 import helpers
 import wadroid
-from wadroid import forge, ingest, layout, model
+from wadroid import db_reader, forge, ingest, layout, log_parser, model
 from wadroid import report as report_mod
 from wadroid.backup_crypto import SQLITE_MAGIC, decrypt_backup, encrypt_fixture
 from wadroid.cli import EXIT_ERROR, EXIT_OK, EXIT_USAGE, EXIT_WARNINGS, run
@@ -166,7 +168,7 @@ def test_diff_lists_recovered_messages(tmp_path, capsys):
     code = run(["diff", "--in", str(result.root)])
     captured = capsys.readouterr().out
     doc = json.loads(captured)
-    assert code == EXIT_WARNINGS  # dangling chat pointer after deletion
+    assert code == EXIT_OK  # diff reads no chat list, so the dangling pointer is not seen
     assert doc["backups"][0]["recovered_count"] == 1
     assert doc["backups"][0]["recovered"][0]["data"] == "gone"
 
@@ -174,7 +176,7 @@ def test_diff_lists_recovered_messages(tmp_path, capsys):
 def test_diff_writes_non_ascii_text_verbatim(tmp_path):
     result = _deleted_after_backup(tmp_path, "caffè ☕")
     out = tmp_path / "diff.json"
-    assert run(["diff", "--in", str(result.root), "--out", str(out)]) == EXIT_WARNINGS
+    assert run(["diff", "--in", str(result.root), "--out", str(out)]) == EXIT_OK
     data = out.read_bytes()
     assert '"data": "caffè ☕"'.encode("utf-8") in data
     assert b"\\u" not in data
@@ -182,15 +184,115 @@ def test_diff_writes_non_ascii_text_verbatim(tmp_path):
 
 def test_diff_document_renders_times_in_the_display_offset(tmp_path):
     result = _deleted_after_backup(tmp_path, "gone")
-    bundle = ingest.load_case_bundle(result.root)
-    doc = report_mod.diff_document(bundle, 60)
+    deltas = ingest.load_backup_deltas(result.root)
+    doc = report_mod.diff_document(deltas.backups, deltas.live_pairs, 60)
     (backup,) = doc["backups"]
-    assert backup["name"] == bundle.backups[0].name
+    assert backup["name"] == deltas.backups[0].name
     assert backup["recovered_count"] == 1
     (row,) = backup["recovered"]
     assert row["direction"] == "outgoing"
     assert row["timestamp"] == DELETED_AT
     assert row["timestamp_local"] == "2013-09-24 06:20:00.000 +01:00"
+
+
+def test_diff_reads_only_the_backups_and_the_live_pairs(tmp_path, monkeypatch):
+    script = forge.ScenarioScript(
+        owner=helpers.OWNER,
+        actors=(helpers.OWNER, helpers.PARTNER),
+        actions=(
+            forge.SendText(
+                at_ms=DELETED_AT, sender=helpers.OWNER, to=helpers.PARTNER, text="x", label="m"
+            ),
+            forge.SendMedia(at_ms=DELETED_AT + 30_000, sender=helpers.PARTNER, to=helpers.OWNER),
+            forge.SnapshotBackup(at_ms=DELETED_AT + 60_000),
+            forge.DeleteMessage(at_ms=DELETED_AT + 120_000, target="m"),
+        ),
+    )
+    root = forge.generate_bundle(script, tmp_path / "evidence").root
+    expected = tmp_path / "expected.json"
+    assert run(["diff", "--in", str(root), "--out", str(expected)]) == EXIT_OK
+    assert json.loads(expected.read_text(encoding="utf-8"))["backups"][0]["recovered_count"] == 1
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("diff reads no log, contact or chat-list row")
+
+    for module, name in [
+        (log_parser, "parse_log_file"),
+        (log_parser, "parse_log_lines"),
+        (ingest, "parse_log_file"),
+        (db_reader, "load_contacts"),
+        (db_reader, "load_chat_list"),
+        (db_reader, "check_chat_list_consistency"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    load_messages = db_reader.load_messages
+
+    def backup_messages_only(source, *args, **kwargs):
+        assert not Path(source.path).is_relative_to(root), "diff decodes no live messages row"
+        return load_messages(source, *args, **kwargs)
+
+    monkeypatch.setattr(db_reader, "load_messages", backup_messages_only)
+    unreadable = [root / layout.LOGS_DIR, root / layout.ME_FILE, root / layout.MEDIA_DIR]
+    assert all(path.exists() for path in unreadable)
+    _make_unreadable(monkeypatch, *unreadable)
+    assert run(["report", "--in", str(root)]) == EXIT_ERROR  # the traps are armed
+    out = tmp_path / "diff.json"
+    assert run(["diff", "--in", str(root), "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_diff_exit_code_counts_only_what_diff_reads(conversation_dir):
+    (conversation_dir / layout.WA_DB).unlink()
+    (conversation_dir / layout.ME_FILE).unlink()
+    shutil.rmtree(conversation_dir / layout.LOGS_DIR)
+    assert run(["report", "--in", str(conversation_dir)]) == EXIT_WARNINGS
+    assert run(["diff", "--in", str(conversation_dir)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt-page"])
+def test_diff_warns_on_a_damaged_backup(tmp_path, capsys, damage):
+    result = _three_backups(tmp_path)
+    crypts = sorted((result.root / layout.BACKUPS_DIR).glob("*.crypt"))
+    bad = crypts[1]
+    if damage == "truncated":
+        bad.write_bytes(bad.read_bytes()[:17])
+    else:
+        bad.write_bytes(encrypt_fixture(helpers.corrupt_page_2(decrypt_backup(bad))))
+    assert run(["diff", "--in", str(result.root)]) == EXIT_WARNINGS
+    doc = json.loads(capsys.readouterr().out)
+    assert [b["name"] for b in doc["backups"]] == [crypts[0].name, crypts[2].name]
+
+
+def test_diff_without_a_chat_database_lists_every_backup_row(tmp_path, capsys):
+    result = _three_backups(tmp_path)
+    (result.root / layout.MSGSTORE_DB).unlink()
+    assert run(["diff", "--in", str(result.root)]) == EXIT_WARNINGS
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["backups"]) == 3
+    for backup in doc["backups"]:
+        plain = tmp_path / backup["name"]
+        plain.write_bytes(decrypt_backup(result.root / layout.BACKUPS_DIR / backup["name"]))
+        conn = sqlite3.connect(plain)
+        ids = [row[0] for row in conn.execute("SELECT _id FROM messages ORDER BY _id")]
+        conn.close()
+        assert ids
+        assert [r["record_id"] for r in backup["recovered"]] == ids
+
+
+def test_diff_on_a_corrupt_live_messages_table_is_a_tool_error(conversation_dir, capsys):
+    msgstore = conversation_dir / layout.MSGSTORE_DB
+    msgstore.write_bytes(helpers.corrupt_page_2(msgstore.read_bytes()))
+    assert run(["diff", "--in", str(conversation_dir)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "table messages is damaged" in err
+    assert "Traceback" not in err
+
+
+def test_diff_takes_no_grammar(conversation_dir, tmp_path, capsys):
+    grammar = tmp_path / "grammar.json"
+    grammar.write_text("{}", encoding="utf-8")
+    assert run(["diff", "--in", str(conversation_dir), "--grammar", str(grammar)]) == EXIT_USAGE
+    assert "--grammar" in capsys.readouterr().err
 
 
 def test_ingest_lists_warnings_by_source(tmp_path, capsys):
@@ -231,7 +333,9 @@ def test_stdout_gets_the_out_file_bytes_whatever_the_locale(tmp_path, argv):
     wadroid_cli = functools.partial(subprocess.run, env=env, capture_output=True, timeout=60)
     to_stdout = wadroid_cli(command)
     to_file = wadroid_cli([*command, "--out", str(out)])
-    assert to_stdout.returncode == to_file.returncode == EXIT_WARNINGS, to_stdout.stderr
+    # The deletion leaves a dangling chat-list pointer, which diff does not read.
+    expected = EXIT_OK if argv == ["diff"] else EXIT_WARNINGS
+    assert to_stdout.returncode == to_file.returncode == expected, to_stdout.stderr
     assert to_stdout.stdout == out.read_bytes()
     if argv != ["ingest"]:
         assert text.encode("utf-8") in to_stdout.stdout
@@ -358,13 +462,14 @@ def _count_media_hashing(monkeypatch, root: Path) -> collections.Counter:
     return hashed
 
 
-def _make_media_unreadable(monkeypatch, root: Path) -> None:
-    """Opening any file under the media directory raises PermissionError."""
-    media_dir = root / layout.MEDIA_DIR
+def _make_unreadable(monkeypatch, *paths: Path) -> None:
+    """Opening any of ``paths``, or any file under them, raises PermissionError."""
     real_open = io.open
 
     def guarded_open(file, *args, **kwargs):
-        if isinstance(file, (str, os.PathLike)) and Path(file).is_relative_to(media_dir):
+        if isinstance(file, (str, os.PathLike)) and any(
+            Path(file).is_relative_to(path) for path in paths
+        ):
             raise PermissionError(13, "Permission denied", str(file))
         return real_open(file, *args, **kwargs)
 
@@ -379,7 +484,7 @@ def _make_media_unreadable(monkeypatch, root: Path) -> None:
 )
 def test_only_report_reads_media(media_root, monkeypatch, capsys, argv):
     hashed = _count_media_hashing(monkeypatch, media_root)
-    _make_media_unreadable(monkeypatch, media_root)
+    _make_unreadable(monkeypatch, media_root / layout.MEDIA_DIR)
     assert run([argv[0], "--in", str(media_root), *argv[1:]]) == EXIT_OK
     assert capsys.readouterr().out
     assert not hashed
@@ -402,7 +507,7 @@ def test_report_hashes_each_media_file_once(media_root, monkeypatch, tmp_path):
 
 
 def test_report_on_unreadable_media_is_an_io_error(media_root, monkeypatch, tmp_path, capsys):
-    _make_media_unreadable(monkeypatch, media_root)
+    _make_unreadable(monkeypatch, media_root / layout.MEDIA_DIR)
     out = tmp_path / "report.json"
     assert run(["report", "--in", str(media_root), "--out", str(out)]) == EXIT_ERROR
     assert "i/o error" in capsys.readouterr().err

@@ -806,22 +806,26 @@ def test_analyze_scans_log_coverage_once(monkeypatch):
 # --- backup diff -------------------------------------------------------------------------
 
 
+def _pairs(records):
+    return frozenset((r.key_remote_jid.raw, r.key_id_raw) for r in records)
+
+
 def test_backup_diff_superset():
     live = [make_record(id=1, key_id_raw="1-1"), make_record(id=2, key_id_raw="1-2")]
     backup = live + [make_record(id=3, key_id_raw="1-3"), make_record(id=4, key_id_raw="1-4")]
-    recovered = backup_diff(live, backup)
+    recovered = backup_diff(_pairs(live), backup)
     assert [r.key_id_raw for r in recovered] == ["1-3", "1-4"]
 
 
 def test_backup_diff_identical():
     live = [make_record(id=1, key_id_raw="1-1")]
-    assert backup_diff(live, list(live)) == []
+    assert backup_diff(_pairs(live), list(live)) == []
 
 
 def test_backup_diff_disjoint():
     live = [make_record(id=1, key_id_raw="1-1")]
     backup = [make_record(id=9, key_id_raw="9-9", key_remote_jid=jid("393111111111"))]
-    assert backup_diff(live, backup) == backup
+    assert backup_diff(_pairs(live), backup) == backup
 
 
 # --- media correlation -------------------------------------------------------------------

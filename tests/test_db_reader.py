@@ -10,6 +10,7 @@ from wadroid.db_reader import (
     check_chat_list_consistency,
     load_chat_list,
     load_contacts,
+    load_message_pairs,
     load_messages,
     open_source,
 )
@@ -68,6 +69,25 @@ def test_phonebook_only_entry(tmp_path):
     row = dict(CONTACT_ROW, is_whatsapp_user=0)
     records = load_contacts(_contacts_source(tmp_path, [row]))
     assert records[0].is_whatsapp_user is False
+
+
+def test_phonebook_holds_the_columns_the_table_has(tmp_path):
+    path = tmp_path / "wa.db"
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE wa_contacts (_id INTEGER PRIMARY KEY, jid TEXT, sort_name TEXT,
+                                  number TEXT, mystery TEXT);
+        INSERT INTO wa_contacts VALUES (1, '1@s.whatsapp.net', 'Zed', '+1', 'x');
+        INSERT INTO wa_contacts VALUES (2, '2@s.whatsapp.net', NULL, '+2', 'y');
+        """
+    )
+    conn.close()
+    records = load_contacts(open_source(path, DbKind.CONTACTS))
+    assert [list(r.phonebook.items()) for r in records] == [
+        [("number", "+1"), ("sort_name", "Zed")],
+        [("number", "+2"), ("sort_name", None)],
+    ]
 
 
 def test_contact_avatar_time_inversion_warns(tmp_path):
@@ -261,6 +281,49 @@ def test_skipped_pairs_are_matched_on_decoded_text(tmp_path):
     records = load_messages(source, warn, skip_pairs=frozenset({live}))
     assert [r.data for r in records] == ["lost", "bad key"]
     assert warn.items and all(w.source == "msgstore.db:messages#3" for w in warn)
+
+
+_AWKWARD_KEYS = [
+    {"key_remote_jid": jid("393480000002"), "key_id": "1329112000-1"},
+    {"key_remote_jid": None, "key_id": None},
+    {"key_remote_jid": jid("393480000002").encode("utf-8"), "key_id": b"1329112000-2"},
+    {"key_remote_jid": b"\xff\xfe", "key_id": b"\xff"},
+    {"key_remote_jid": 393480000002, "key_id": 7},  # stored as text: both columns are TEXT
+    {"key_remote_jid": "not a jid", "key_id": ""},
+]
+
+
+@pytest.mark.parametrize("dropped", [None, "key_id", "key_remote_jid"])
+def test_message_pairs_are_the_decoded_records_pairs(tmp_path, dropped):
+    path = msgstore_db(tmp_path / "msgstore.db", _AWKWARD_KEYS)
+    if dropped:
+        conn = sqlite3.connect(path)
+        conn.execute(f"ALTER TABLE messages DROP COLUMN {dropped}")
+        conn.commit()
+        conn.close()
+    source = open_source(path, DbKind.CHAT_STORE)
+    pairs = load_message_pairs(source)
+    assert pairs == {(m.key_remote_jid.raw, m.key_id_raw) for m in load_messages(source)}
+    if not dropped:
+        conversation = jid("393480000002")
+        assert pairs == {
+            (conversation, "1329112000-1"),
+            ("", ""),  # NULL, and undecodable bytes, read as absent
+            (conversation, "1329112000-2"),  # BLOBs holding UTF-8 read as text
+            ("393480000002", "7"),
+            ("not a jid", ""),
+        }
+
+
+def test_corrupt_messages_table_fails_the_pair_read(tmp_path):
+    path = msgstore_db(tmp_path / "msgstore.db", [{"key_remote_jid": jid("1"), "key_id": "1-1"}])
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE INDEX messages_key ON messages (key_remote_jid, key_id)")  # intact
+    conn.close()
+    source = open_source(path, DbKind.CHAT_STORE)
+    path.write_bytes(corrupt_page_2(path.read_bytes()))  # the messages table's root
+    with pytest.raises(CorruptDatabase):
+        load_message_pairs(source)
 
 
 def test_corrupt_database_is_a_tool_error(tmp_path):
