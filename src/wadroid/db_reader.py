@@ -1,8 +1,9 @@
 """Read-only access to the contacts and chat-store SQLite databases.
 
-Rows are mapped by column NAME, never by position: the app's schema has
-drifted across versions, so extra columns are ignored and missing
-optional columns decode to absent values. The reader never writes to an
+Rows are mapped by column NAME, never by position, and names are matched
+case-insensitively, as SQLite matches them: the app's schema has drifted
+across versions, so extra columns are ignored and missing optional
+columns decode to absent values. The reader never writes to an
 evidence file (databases are opened through SQLite's read-only
 immutable mode). SQLite's own errors on a damaged file are raised as
 CorruptDatabase, so callers handle them like any other tool error.
@@ -18,12 +19,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from types import NoneType
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import CorruptDatabase, MissingTable, NotSqlite, UnreadableFile
 from .model import (
     ChatListRecord,
     ContactRecord,
+    MessageKey,
     MessageRecord,
+    WaJid,
     WarningLog,
     classify_jid,
     parse_message_key,
@@ -112,20 +117,23 @@ def open_source(path: str | Path, db_kind: DbKind) -> DbSource:
 
 
 class _Row:
-    """Column-name access over one row with type-tolerant getters."""
+    """Column-name access over one row with type-tolerant getters.
 
-    def __init__(
-        self, row: sqlite3.Row, keys: frozenset[str], source: str, warn: WarningLog | None
-    ):
+    ``index`` maps each lower-cased column name to its position in the
+    row; a name it lacks reads as absent.
+    """
+
+    def __init__(self, row: tuple, index: Mapping[str, int], source: str, warn: WarningLog | None):
         self._row = row
-        self._keys = keys
+        self._index = index
         self.source = source
         self.warn = warn
 
     def _raw(self, name):
-        if name not in self._keys:
+        position = self._index.get(name)
+        if position is None:
             return None
-        return self._row[name]
+        return self._row[position]
 
     def _mismatch(self, name, value, expected) -> None:
         warn_to(
@@ -197,14 +205,13 @@ class _Row:
 
 @contextmanager
 def _reading(source: DbSource, table: str):
-    """A read-only connection returning ``sqlite3.Row`` rows.
+    """A read-only connection returning rows as plain tuples.
 
     SQLite's errors while reading ``table`` are raised as CorruptDatabase.
     """
     try:
         conn = _connect_ro(Path(source.path))
         try:
-            conn.row_factory = sqlite3.Row
             yield conn
         finally:
             conn.close()
@@ -212,20 +219,103 @@ def _reading(source: DbSource, table: str):
         raise CorruptDatabase(f"{source.path}: table {table} is damaged: {exc}") from exc
 
 
-def _fetch_rows(source: DbSource, table: str) -> tuple[frozenset[str], list[sqlite3.Row]]:
-    """The table's column names and its rows in ascending _id order.
+class _Table(NamedTuple):
+    """The shape of one table: what reading its rows depends on."""
 
-    A table without an ``_id`` column is read in rowid order. Each row
-    starts with the number that names it in warnings, outside the column
-    names: its ``_id``, or its rowid where the table has no ``_id``.
-    """
+    name: str
+    columns: tuple[str, ...]  # lower-cased, as SQLite matches them
+    has_rowid: bool  # False for a WITHOUT ROWID table
+
+    @classmethod
+    def probe(cls, conn: sqlite3.Connection, name: str) -> _Table:
+        # From queries that read no row: PRAGMA table_info cost a spawned
+        # ``diff`` of 41 backups ~20 ms more (measured on 2 vCPUs).
+        try:
+            columns = conn.execute(f"SELECT rowid, * FROM {name} LIMIT 0").description[1:]
+            has_rowid = True
+        except sqlite3.OperationalError:  # no such column: a WITHOUT ROWID table
+            columns = conn.execute(f"SELECT * FROM {name} LIMIT 0").description
+            has_rowid = False
+        return cls(name, tuple(c[0].lower() for c in columns), has_rowid)
+
+    def index(self) -> dict[str, int]:
+        """Position of each column in a ``rows(conn, "*")`` row; the first of a name wins."""
+        index: dict[str, int] = {}
+        for position, column in enumerate(self.columns, start=1):
+            index.setdefault(column, position)
+        return index
+
+    def select(self, columns: Sequence[str]) -> str:
+        """A select list of ``columns``, each one the table lacks read as NULL."""
+        return ", ".join(c if c in self.columns else f"NULL AS {c}" for c in columns)
+
+    def rows(self, conn: sqlite3.Connection, select: str) -> list[tuple]:
+        """Every row's ``select`` columns, after the number naming the row in warnings.
+
+        Rows come in ascending _id order (equal ids in rowid order) and are
+        named by their _id. A table without ``_id`` is read in rowid order
+        and names its rows by rowid; one without rowids either is read in
+        primary-key order and names its rows by their 1-based position.
+        """
+        if self.has_rowid:
+            label, order = self._label_and_order()
+        elif "_id" in self.columns:
+            label, order = "_id", "_id"
+        else:
+            cursor = conn.execute(f"SELECT {select} FROM {self.name}")
+            return [(position, *row) for position, row in enumerate(cursor, start=1)]
+        return conn.execute(f"SELECT {label}, {select} FROM {self.name} ORDER BY {order}").fetchall()
+
+    def _label_and_order(self) -> tuple[str, str]:
+        """The column naming a row, and the ORDER BY list, of a table with rowids."""
+        if "_id" in self.columns:
+            return "_id", "_id, rowid"
+        return "rowid", "rowid"
+
+    def rows_not_in(
+        self, conn: sqlite3.Connection, select: str, skip_pairs: frozenset[tuple[str, str]]
+    ) -> list[tuple]:
+        """``rows(conn, select)`` without those whose (conversation, key) pair is skipped.
+
+        Only the rowid and the key columns of a skipped row are read: the
+        pairs are filtered first, then the full rows of the others are
+        fetched by rowid, at most ``_MAX_PARAMETERS`` to a statement. A
+        table without rowids is read whole and filtered.
+        """
+        pairs = self.select(_PAIR_COLUMNS)
+        if not self.has_rowid:
+            rows = self.rows(conn, f"{select}, {pairs}")
+            return [row[:-2] for row in rows if _pair(*row[-2:]) not in skip_pairs]
+        label, order = self._label_and_order()
+        # NOT INDEXED: read the table's own pages, as ``rows`` does, even
+        # where an index holds the key columns.
+        keys = conn.execute(f"SELECT rowid, {pairs} FROM {self.name} NOT INDEXED ORDER BY {order}")
+        # ``skip_pairs`` holds pairs of str, so a raw pair is in it only when
+        # both values are TEXT, and then it is its own decoding: most skipped
+        # rows are found without ``_pair``.
+        kept = [
+            rowid
+            for rowid, jid, key in keys
+            if (jid, key) not in skip_pairs and _pair(jid, key) not in skip_pairs
+        ]
+        by_rowid = {}
+        for start in range(0, len(kept), _MAX_PARAMETERS):
+            chunk = kept[start : start + _MAX_PARAMETERS]
+            cursor = conn.execute(
+                f"SELECT rowid, {label}, {select} FROM {self.name} "
+                f"WHERE rowid IN ({', '.join('?' * len(chunk))})",
+                chunk,
+            )
+            for row in cursor:
+                by_rowid[row[0]] = row[1:]
+        return [by_rowid[rowid] for rowid in kept]
+
+
+def _fetch_rows(source: DbSource, table: str) -> tuple[dict[str, int], list[tuple]]:
+    """The table's column index and its rows, all columns, in ``_Table.rows`` order."""
     with _reading(source, table) as conn:
-        # Column names from a query that reads no row: PRAGMA table_info cost
-        # a spawned ``diff`` of 41 backups ~20 ms more (measured on 2 vCPUs).
-        columns = [c[0] for c in conn.execute(f"SELECT * FROM {table} LIMIT 0").description]
-        order = "_id" if "_id" in {c.lower() for c in columns} else "rowid"
-        rows = conn.execute(f"SELECT {order}, * FROM {table} ORDER BY {order}").fetchall()
-        return frozenset(columns), rows
+        shape = _Table.probe(conn, table)
+        return shape.index(), shape.rows(conn, "*")
 
 
 def load_contacts(source: DbSource, warn: WarningLog | None = None) -> list[ContactRecord]:
@@ -234,11 +324,11 @@ def load_contacts(source: DbSource, warn: WarningLog | None = None) -> list[Cont
         raise ValueError("load_contacts requires a CONTACTS source")
     name = Path(source.path).name
     records = []
-    keys, raw_rows = _fetch_rows(source, CONTACTS_TABLE)
-    phonebook_columns = [col for col in PHONEBOOK_COLUMNS if col in keys]
+    index, raw_rows = _fetch_rows(source, CONTACTS_TABLE)
+    phonebook_columns = [(col, index[col]) for col in PHONEBOOK_COLUMNS if col in index]
     for raw_row in raw_rows:
         rid = raw_row[0]
-        row = _Row(raw_row, keys, f"{name}:{CONTACTS_TABLE}#{rid}", warn)
+        row = _Row(raw_row, index, f"{name}:{CONTACTS_TABLE}#{rid}", warn)
         jid = classify_jid(row.text("jid"), warn, row.source)
         thumb_ts = row.int_("thumb_ts")
         photo_id_ts = row.int_("photo_id_timestamp")
@@ -252,7 +342,7 @@ def load_contacts(source: DbSource, warn: WarningLog | None = None) -> list[Cont
             photo_id_timestamp=photo_id_ts,
             wa_name=row.text("wa_name"),
             status_line=row.text("status"),
-            phonebook={col: raw_row[col] for col in phonebook_columns},
+            phonebook={col: raw_row[position] for col, position in phonebook_columns},
         )
         # An avatar cannot be downloaded before the contact set it.
         if thumb_ts and photo_id_ts and thumb_ts > 0 and photo_id_ts > 0:
@@ -266,7 +356,7 @@ def load_contacts(source: DbSource, warn: WarningLog | None = None) -> list[Cont
     return records
 
 
-def _decode_media_hash(row: _Row, value: str | None) -> None:
+def _decode_media_hash(value: str | None, source: str, warn: WarningLog | None) -> None:
     """Warn when media_hash is not base64 for exactly 32 bytes (kept verbatim)."""
     if value is None:
         return
@@ -276,22 +366,40 @@ def _decode_media_hash(row: _Row, value: str | None) -> None:
     try:
         digest = base64.b64decode(value, validate=True)
     except (binascii.Error, ValueError):
-        warn_to(row.warn, row.source, f"media_hash is not valid base64: {value!r}")
+        warn_to(warn, source, f"media_hash is not valid base64: {value!r}")
         return
     if len(digest) != 32:
         warn_to(
-            row.warn,
-            row.source,
+            warn,
+            source,
             f"media_hash decodes to {len(digest)} bytes; expected a 32-byte digest",
         )
 
 
 _PAIR_COLUMNS = ("key_remote_jid", "key_id")
 
+#: At most this many bound parameters go in one statement (SQLite's
+#: default limit before 3.32).
+_MAX_PARAMETERS = 999
 
-def _message_pair(row: _Row) -> tuple[str, str]:
-    """(key_remote_jid.raw, key_id_raw) of the record decoded from ``row``."""
-    return row.text("key_remote_jid") or "", row.text("key_id") or ""
+
+def _key_text(value) -> str:
+    """A key column's value as ``_Row.text`` reads it, "" for absent, without warnings."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bytes):
+        try:
+            return value.decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+    return ""
+
+
+def _pair(jid, key) -> tuple[str, str]:
+    """(key_remote_jid.raw, key_id_raw) of the record decoded from these key columns."""
+    if type(jid) is str and type(key) is str:
+        return jid, key
+    return _key_text(jid), _key_text(key)
 
 
 def load_message_pairs(source: DbSource) -> frozenset[tuple[str, str]]:
@@ -304,13 +412,54 @@ def load_message_pairs(source: DbSource) -> frozenset[tuple[str, str]]:
     if source.db_kind is not DbKind.CHAT_STORE:
         raise ValueError("load_message_pairs requires a CHAT_STORE source")
     with _reading(source, MESSAGES_TABLE) as conn:
-        present = {row["name"] for row in conn.execute(f"PRAGMA table_info({MESSAGES_TABLE})")}
-        columns = ", ".join(c if c in present else f"NULL AS {c}" for c in _PAIR_COLUMNS)
+        shape = _Table.probe(conn, MESSAGES_TABLE)
         # NOT INDEXED: read the table's own pages, as ``load_messages`` does,
         # even where an index holds both key columns.
-        cursor = conn.execute(f"SELECT {columns} FROM {MESSAGES_TABLE} NOT INDEXED")
-        keys = frozenset(_PAIR_COLUMNS)
-        return frozenset(_message_pair(_Row(raw_row, keys, "", None)) for raw_row in cursor)
+        cursor = conn.execute(
+            f"SELECT {shape.select(_PAIR_COLUMNS)} FROM {MESSAGES_TABLE} NOT INDEXED"
+        )
+        return frozenset(_pair(jid, key) for jid, key in cursor)
+
+
+#: The messages columns a record is decoded from, each with the storage
+#: class it holds when it needs no conversion, in ``_plain_message`` order.
+_MESSAGE_COLUMNS = {
+    "_id": int,
+    "key_remote_jid": str,
+    "key_id": str,
+    "key_from_me": int,
+    "status": int,
+    "timestamp": int,
+    "received_timestamp": int,
+    "receipt_server_timestamp": int,
+    "receipt_device_timestamp": int,
+    "send_timestamp": int,
+    "needs_push": int,
+    "recipient_count": int,
+    "remote_resource": str,
+    "media_wa_type": int,
+    "data": str,
+    "raw_data": bytes,
+    "media_hash": str,
+    "media_url": str,
+    "media_mime_type": str,
+    "media_size": int,
+    "media_name": str,
+    "media_duration": int,
+    "latitude": float,
+    "longitude": float,
+    "thumb_image": bytes,
+}
+# A row read by ``load_messages`` holds the number naming it, then these.
+_MESSAGE_INDEX = {column: position for position, column in enumerate(_MESSAGE_COLUMNS, start=1)}
+
+
+def _is_plain(signature: tuple[type, ...]) -> bool:
+    """Whether each value of a row of these types is NULL or of its column's class."""
+    return all(
+        kind is NoneType or kind is expected
+        for kind, expected in zip(signature[1:], _MESSAGE_COLUMNS.values())
+    )
 
 
 def load_messages(
@@ -321,83 +470,172 @@ def load_messages(
     """Materialize the messages-table rows, in ascending _id order.
 
     Rows whose (conversation jid, key) pair is in ``skip_pairs`` are
-    dropped before they are decoded, so they give neither a record nor a
+    dropped before they are fetched, so they give neither a record nor a
     warning. Blob columns are carried as opaque bytes; ``thumb_image`` is
     retained but never examined.
     """
     if source.db_kind is not DbKind.CHAT_STORE:
         raise ValueError("load_messages requires a CHAT_STORE source")
     name = Path(source.path).name
-    keys, raw_rows = _fetch_rows(source, MESSAGES_TABLE)
-    if skip_pairs:
-        # Read the pair as the decoded record holds it below, without warnings.
-        raw_rows = [
-            raw_row
-            for raw_row in raw_rows
-            if _message_pair(_Row(raw_row, keys, "", None)) not in skip_pairs
-        ]
+    with _reading(source, MESSAGES_TABLE) as conn:
+        shape = _Table.probe(conn, MESSAGES_TABLE)
+        select = shape.select(_MESSAGE_COLUMNS)
+        if skip_pairs:
+            raw_rows = shape.rows_not_in(conn, select, skip_pairs)
+        else:
+            raw_rows = shape.rows(conn, select)
     records = []
+    plain: dict[tuple[type, ...], bool] = {}  # by the types of a row's values
     for raw_row in raw_rows:
-        rid = raw_row[0]
-        row = _Row(raw_row, keys, f"{name}:{MESSAGES_TABLE}#{rid}", warn)
-        key_raw = row.text("key_id") or ""
-        try:
-            key = parse_message_key(key_raw)
-        except Exception:
-            warn_to(warn, row.source, f"malformed key_id kept verbatim: {key_raw!r}")
-            key = None
-        rr_raw = row.text("remote_resource")
-        rr_jid = None
-        needs_push = row.int_("needs_push", 0) or 0
-        if rr_raw:
-            try:
-                rr_jid = classify_jid(rr_raw, None, row.source)
-                if not rr_jid.is_parsed:
-                    rr_jid = None
-                    # Broadcast fan-out rows store the whole destination
-                    # set in this column; that is expected, not malformed.
-                    if needs_push != 2:
-                        warn_to(
-                            warn,
-                            row.source,
-                            f"remote_resource is not a single jid: {rr_raw!r}",
-                        )
-            except Exception:
-                rr_jid = None
-        media_hash = row.text("media_hash")
-        _decode_media_hash(row, media_hash)
-        record = MessageRecord(
-            id=row.int_("_id", 0) or 0,
-            key_remote_jid=classify_jid(row.text("key_remote_jid"), warn, row.source),
-            key_id_raw=key_raw,
-            key_id=key,
-            from_me=row.bool_("key_from_me"),
-            status_code=row.int_("status", 0) or 0,
-            timestamp=row.int_("timestamp"),
-            received_timestamp=row.int_("received_timestamp"),
-            receipt_server_timestamp=row.int_("receipt_server_timestamp"),
-            receipt_device_timestamp=row.int_("receipt_device_timestamp"),
-            send_timestamp=row.int_("send_timestamp"),
-            needs_push=needs_push,
-            recipient_count=row.int_("recipient_count"),
-            remote_resource_raw=rr_raw,
-            remote_resource=rr_jid,
-            media_wa_type=row.int_("media_wa_type", 0) or 0,
-            data=row.text("data"),
-            raw_data=row.blob("raw_data"),
-            media_hash=media_hash,
-            media_url=row.text("media_url"),
-            media_mime_type=row.text("media_mime_type"),
-            media_size=row.int_("media_size"),
-            media_name=row.text("media_name"),
-            media_duration=row.int_("media_duration"),
-            latitude=row.float_("latitude"),
-            longitude=row.float_("longitude"),
-            thumb_image=row.blob("thumb_image"),
-        )
-        _check_message_invariants(record, row.source, warn)
+        where = f"{name}:{MESSAGES_TABLE}#{raw_row[0]}"
+        signature = tuple(map(type, raw_row))
+        is_plain = plain.get(signature)
+        if is_plain is None:
+            is_plain = plain[signature] = _is_plain(signature)
+        if is_plain:
+            record = _plain_message(raw_row, where, warn)
+        else:
+            record = _message(_Row(raw_row, _MESSAGE_INDEX, where, warn))
+        _check_message_invariants(record, where, warn)
         records.append(record)
     return records
+
+
+def _message_key(key_raw: str, source: str, warn: WarningLog | None) -> MessageKey | None:
+    try:
+        return parse_message_key(key_raw)
+    except Exception:
+        warn_to(warn, source, f"malformed key_id kept verbatim: {key_raw!r}")
+        return None
+
+
+def _remote_resource(
+    rr_raw: str | None, needs_push: int, source: str, warn: WarningLog | None
+) -> WaJid | None:
+    if not rr_raw:
+        return None
+    try:
+        rr_jid = classify_jid(rr_raw, None, source)
+    except Exception:
+        return None
+    if rr_jid.is_parsed:
+        return rr_jid
+    # Broadcast fan-out rows store the whole destination set in this
+    # column; that is expected, not malformed.
+    if needs_push != 2:
+        warn_to(warn, source, f"remote_resource is not a single jid: {rr_raw!r}")
+    return None
+
+
+def _message(row: _Row) -> MessageRecord:
+    """The record of a row, with each value converted, or warned about, by the getters."""
+    key_raw = row.text("key_id") or ""
+    key = _message_key(key_raw, row.source, row.warn)
+    rr_raw = row.text("remote_resource")
+    needs_push = row.int_("needs_push", 0) or 0
+    rr_jid = _remote_resource(rr_raw, needs_push, row.source, row.warn)
+    media_hash = row.text("media_hash")
+    _decode_media_hash(media_hash, row.source, row.warn)
+    return MessageRecord(
+        id=row.int_("_id", 0) or 0,
+        key_remote_jid=classify_jid(row.text("key_remote_jid"), row.warn, row.source),
+        key_id_raw=key_raw,
+        key_id=key,
+        from_me=row.bool_("key_from_me"),
+        status_code=row.int_("status", 0) or 0,
+        timestamp=row.int_("timestamp"),
+        received_timestamp=row.int_("received_timestamp"),
+        receipt_server_timestamp=row.int_("receipt_server_timestamp"),
+        receipt_device_timestamp=row.int_("receipt_device_timestamp"),
+        send_timestamp=row.int_("send_timestamp"),
+        needs_push=needs_push,
+        recipient_count=row.int_("recipient_count"),
+        remote_resource_raw=rr_raw,
+        remote_resource=rr_jid,
+        media_wa_type=row.int_("media_wa_type", 0) or 0,
+        data=row.text("data"),
+        raw_data=row.blob("raw_data"),
+        media_hash=media_hash,
+        media_url=row.text("media_url"),
+        media_mime_type=row.text("media_mime_type"),
+        media_size=row.int_("media_size"),
+        media_name=row.text("media_name"),
+        media_duration=row.int_("media_duration"),
+        latitude=row.float_("latitude"),
+        longitude=row.float_("longitude"),
+        thumb_image=row.blob("thumb_image"),
+    )
+
+
+def _plain_message(row: tuple, source: str, warn: WarningLog | None) -> MessageRecord:
+    """``_message`` of a row whose values all need no conversion (``_is_plain``).
+
+    Such a row gives no mismatch warning, so the getters' checks are
+    skipped; the record and the other warnings, in their order, are
+    ``_message``'s.
+    """
+    (
+        _,
+        id_,
+        jid_raw,
+        key_raw,
+        from_me,
+        status,
+        timestamp,
+        received_timestamp,
+        receipt_server_timestamp,
+        receipt_device_timestamp,
+        send_timestamp,
+        needs_push,
+        recipient_count,
+        rr_raw,
+        media_wa_type,
+        data,
+        raw_data,
+        media_hash,
+        media_url,
+        media_mime_type,
+        media_size,
+        media_name,
+        media_duration,
+        latitude,
+        longitude,
+        thumb_image,
+    ) = row
+    key_raw = key_raw or ""
+    key = _message_key(key_raw, source, warn)
+    needs_push = needs_push or 0
+    rr_jid = _remote_resource(rr_raw, needs_push, source, warn)
+    _decode_media_hash(media_hash, source, warn)
+    return MessageRecord(
+        id=id_ or 0,
+        key_remote_jid=classify_jid(jid_raw, warn, source),
+        key_id_raw=key_raw,
+        key_id=key,
+        from_me=bool(from_me),
+        status_code=status or 0,
+        timestamp=timestamp,
+        received_timestamp=received_timestamp,
+        receipt_server_timestamp=receipt_server_timestamp,
+        receipt_device_timestamp=receipt_device_timestamp,
+        send_timestamp=send_timestamp,
+        needs_push=needs_push,
+        recipient_count=recipient_count,
+        remote_resource_raw=rr_raw,
+        remote_resource=rr_jid,
+        media_wa_type=media_wa_type or 0,
+        data=data,
+        raw_data=raw_data,
+        media_hash=media_hash,
+        media_url=media_url,
+        media_mime_type=media_mime_type,
+        media_size=media_size,
+        media_name=media_name,
+        media_duration=media_duration,
+        latitude=latitude,
+        longitude=longitude,
+        thumb_image=thumb_image,
+    )
 
 
 def _check_message_invariants(rec: MessageRecord, source: str, warn: WarningLog | None) -> None:
@@ -433,10 +671,10 @@ def load_chat_list(source: DbSource, warn: WarningLog | None = None) -> list[Cha
         raise ValueError("load_chat_list requires a CHAT_STORE source")
     name = Path(source.path).name
     records = []
-    keys, raw_rows = _fetch_rows(source, CHAT_LIST_TABLE)
+    index, raw_rows = _fetch_rows(source, CHAT_LIST_TABLE)
     for raw_row in raw_rows:
         rid = raw_row[0]
-        row = _Row(raw_row, keys, f"{name}:{CHAT_LIST_TABLE}#{rid}", warn)
+        row = _Row(raw_row, index, f"{name}:{CHAT_LIST_TABLE}#{rid}", warn)
         records.append(
             ChatListRecord(
                 id=row.int_("_id", 0) or 0,

@@ -20,7 +20,7 @@ import weakref
 from dataclasses import InitVar, dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Mapping, NoReturn, Sequence
 
@@ -185,10 +185,22 @@ def classify_jid(raw: str | None, warn: WarningLog | None = None, source: str = 
     """
     text = raw if raw is not None else ""
     try:
-        return parse_jid(text)
+        return _known_jid(text)
     except MalformedJid as exc:
         warn_to(warn, source, f"malformed jid kept verbatim: {exc}")
         return WaJid(raw=text, phone_number="", kind=JidKind.OTHER)
+
+
+# A device's identifiers repeat: a conversation's jid in each of its rows
+# and log lines, a message's key in its send and ack lines. Successful
+# parses are kept, this many of each kind; malformed input is not, so it
+# is parsed, and warned about, every time.
+_PARSE_CACHE_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _known_jid(raw: str) -> WaJid:
+    return parse_jid(raw)
 
 
 def parse_group_id(raw: str) -> GroupId:
@@ -204,8 +216,12 @@ def parse_group_id(raw: str) -> GroupId:
     return GroupId(raw=raw, creator=creator, creation_time=int(m.group("epoch")))
 
 
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_message_key(raw: str) -> MessageKey:
-    """Parse ``[%~]<epoch>-<sequence>``; raises MalformedKey otherwise."""
+    """Parse ``[%~]<epoch>-<sequence>``; raises MalformedKey otherwise.
+
+    Memoised: equal keys give the same (immutable) MessageKey.
+    """
     if not raw:
         raise MalformedKey("empty message key")
     m = _MESSAGE_KEY_RE.match(raw)

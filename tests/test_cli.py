@@ -436,6 +436,53 @@ def test_tables_without_id_are_read_in_rowid_order(tmp_path):
     assert run(["timeline", "--in", str(root)]) in (EXIT_OK, EXIT_WARNINGS)
 
 
+_WITHOUT_ROWID_SCHEMA = """
+CREATE TABLE messages (key_remote_jid TEXT, key_id TEXT, data TEXT,
+                       PRIMARY KEY (key_remote_jid, key_id)) WITHOUT ROWID;
+CREATE TABLE chat_list (key_remote_jid TEXT, message_table_id INTEGER);
+"""
+
+
+def test_without_rowid_tables_are_read_in_primary_key_order(tmp_path):
+    root = tmp_path / "evidence"
+    for directory in (layout.BACKUPS_DIR, Path(layout.MSGSTORE_DB).parent):
+        (root / directory).mkdir(parents=True, exist_ok=True)
+    partner = helpers.jid(helpers.PARTNER)
+    kept = {"key_remote_jid": partner, "key_id": "1381932937-2", "data": "kept"}
+    helpers.build_db(root / layout.MSGSTORE_DB, _WITHOUT_ROWID_SCHEMA, {
+        "messages": [kept, {"key_remote_jid": partner, "key_id": "malformed", "data": "odd"}],
+        "chat_list": [{"key_remote_jid": partner, "message_table_id": 1}],
+    })
+    backup = helpers.build_db(tmp_path / "backup.db", _WITHOUT_ROWID_SCHEMA, {
+        "messages": [
+            {"key_remote_jid": partner, "key_id": "1381932937-3", "data": "lost"},
+            kept,
+            {"key_remote_jid": partner, "key_id": "1381932937-1", "data": "lost first"},
+        ],
+    })
+    crypt = root / layout.BACKUPS_DIR / "msgstore-2013-10-16.1.db.crypt"
+    crypt.write_bytes(encrypt_fixture(backup.read_bytes()))
+    bundle = ingest.load_case_bundle(root)
+    # Primary-key order, and each row named by its position in it.
+    assert [m.data for m in bundle.messages] == ["kept", "odd"]
+    (warning,) = [w for w in bundle.warnings if "malformed key_id" in w.message]
+    assert warning.source == "msgstore.db:messages#2"
+    (recovered,) = bundle.backups
+    assert [m.data for m in recovered.messages] == ["lost first", "lost"]
+    deltas = ingest.load_backup_deltas(root)
+    assert deltas.live_pairs == {(m.key_remote_jid.raw, m.key_id_raw) for m in bundle.messages}
+    assert deltas.backups == bundle.backups
+    for argv in (
+        ["ingest", "--in", str(root)],
+        ["report", "--in", str(root), "--out", str(tmp_path / "report.json")],
+        ["timeline", "--in", str(root)],
+        ["diff", "--in", str(root), "--out", str(tmp_path / "diff.json")],
+    ):
+        assert run(argv) in (EXIT_OK, EXIT_WARNINGS), argv
+    doc = json.loads((tmp_path / "diff.json").read_text(encoding="utf-8"))
+    assert [row["data"] for row in doc["backups"][0]["recovered"]] == ["lost first", "lost"]
+
+
 def test_backup_row_warnings_name_their_backup(tmp_path):
     result = _three_backups(tmp_path)
     crypt = sorted((result.root / layout.BACKUPS_DIR).glob("*.crypt"))[0]

@@ -1,10 +1,13 @@
 """Evidence database readers: decoding, tolerance, read-only behavior."""
 
+import base64
+import random
 import sqlite3
 
 import pytest
 
-from helpers import MESSAGE_DEFAULTS, contacts_db, corrupt_page_2, jid, msgstore_db
+from helpers import MESSAGE_DEFAULTS, build_db, contacts_db, corrupt_page_2, jid, msgstore_db
+from wadroid import db_reader
 from wadroid.db_reader import (
     DbKind,
     check_chat_list_consistency,
@@ -379,3 +382,172 @@ def test_loading_never_writes(tmp_path):
     assert before == after
     assert not (tmp_path / "msgstore.db-journal").exists()
     assert not (tmp_path / "msgstore.db-wal").exists()
+
+
+# --- fast decoding and key-first filtering ----------------------------------------
+
+_PLAIN_ROW = {
+    "_id": 1,
+    "key_remote_jid": jid("393480000002"),
+    "key_id": "1329112000-1",
+    "key_from_me": 1,
+    "status": 5,
+    "timestamp": 1329112000000,
+    "received_timestamp": 1329112000500,
+    "receipt_server_timestamp": 1329112001000,
+    "receipt_device_timestamp": 1329112002000,
+    "send_timestamp": -1,
+    "needs_push": 0,
+    "recipient_count": 1,
+    "remote_resource": jid("393200000003"),
+    "media_wa_type": 5,
+    "data": "café",
+    "raw_data": b"\x00\x01",
+    "media_hash": base64.b64encode(bytes(range(32))).decode("ascii"),
+    "media_url": "https://mms.example/1",
+    "media_mime_type": "image/jpeg",
+    "media_size": 1024,
+    "media_name": "IMG-1.jpg",
+    "media_duration": 0,
+    "latitude": 45.5,
+    "longitude": 9.25,
+    "thumb_image": b"\xff\xd8",
+}
+
+_STORAGE_CLASSES = {
+    "null": None,
+    "integer": 7,
+    "integral-real": 7.0,
+    "real": 7.5,
+    "numeric-text": "7",
+    "text": "some text",
+    "utf8-blob": "café".encode("utf-8"),
+    "invalid-utf8-blob": b"\xff\xfe",
+}
+
+
+def _untyped_store(path, rows, id_column="_id INTEGER PRIMARY KEY"):
+    """A chat store whose decoded messages columns have no type affinity.
+
+    Each value keeps the storage class it was inserted with.
+    """
+    others = [c for c in db_reader._MESSAGE_COLUMNS if c != "_id"]
+    schema = f"""
+        CREATE TABLE messages ({id_column}, {', '.join(others)});
+        CREATE TABLE chat_list (_id INTEGER PRIMARY KEY, key_remote_jid TEXT,
+                                message_table_id INTEGER);
+    """
+    return open_source(build_db(path, schema, {"messages": rows}), DbKind.CHAT_STORE)
+
+
+def _load(source, **kwargs):
+    warn = WarningLog()
+    return load_messages(source, warn, **kwargs), warn.items
+
+
+@pytest.mark.parametrize("storage_class", list(_STORAGE_CLASSES))
+@pytest.mark.parametrize("column", list(db_reader._MESSAGE_COLUMNS))
+def test_plain_rows_decode_as_the_getters_do(tmp_path, monkeypatch, column, storage_class):
+    rows = [
+        _PLAIN_ROW,
+        {**_PLAIN_ROW, "_id": 2, column: _STORAGE_CLASSES[storage_class]},
+        # warns on its key, remote resource, media hash, jid and coordinates
+        dict(_PLAIN_ROW, _id=3, key_id="bad", remote_resource="a,b", media_hash="%%",
+             key_remote_jid="nobody", latitude=99.0),
+    ]
+    source = _untyped_store(tmp_path / "msgstore.db", rows, id_column="_id")
+    plain_calls = []
+    plain_message = db_reader._plain_message
+
+    def counted(*args):
+        plain_calls.append(args[1])
+        return plain_message(*args)
+
+    monkeypatch.setattr(db_reader, "_plain_message", counted)
+    fast = _load(source)
+    assert {"msgstore.db:messages#1", "msgstore.db:messages#3"} <= set(plain_calls)
+    monkeypatch.setattr(db_reader, "_is_plain", lambda signature: False)
+    plain_calls.clear()
+    tolerant = _load(source)
+    assert not plain_calls
+    assert fast == tolerant
+    assert repr(fast) == repr(tolerant)  # ``==`` alone takes True for 1 and 7.0 for 7
+    assert len(fast[0]) == 3
+
+
+def test_key_first_filter_keeps_order_and_ignores_duplicate_ids(tmp_path):
+    live, lost = jid("393480000002"), jid("393200000003")
+    rows = [
+        {"_id": 3, "key_remote_jid": live, "key_id": "1-1", "data": "live"},
+        {"_id": 1, "key_remote_jid": lost, "key_id": "1-2", "data": "b"},
+        {"_id": 3, "key_remote_jid": lost, "key_id": "1-3", "data": "c"},
+        {"_id": 1, "key_remote_jid": live, "key_id": "1-1", "data": "live again"},
+        {"_id": 2, "key_remote_jid": lost, "key_id": b"1-4", "data": "d"},
+        {"_id": 1, "key_remote_jid": lost, "key_id": "1-5", "data": "e"},
+    ]
+    source = _untyped_store(tmp_path / "msgstore.db", rows, id_column="_id INTEGER")
+    skip = frozenset({(live, "1-1")})
+    records, warnings = _load(source, skip_pairs=skip)
+    everything, _ = _load(source)
+    assert records == [r for r in everything if (r.key_remote_jid.raw, r.key_id_raw) not in skip]
+    assert [(r.id, r.data) for r in records] == [(1, "b"), (1, "e"), (2, "d"), (3, "c")]
+    assert warnings == ()
+
+
+def test_key_first_filter_fetches_only_the_kept_rows(tmp_path, monkeypatch):
+    order = list(range(1, 2501))
+    random.Random(3).shuffle(order)
+    rows = [
+        {"_id": n, "key_remote_jid": jid("393480000002"), "key_id": f"1-{n}", "data": str(n)}
+        for n in order
+    ]
+    source = _untyped_store(tmp_path / "msgstore.db", rows, id_column="_id INTEGER")
+    skip = frozenset((jid("393480000002"), f"1-{n}") for n in range(1, 2501) if n % 3 == 0)
+    statements = []
+    connect = db_reader._connect_ro
+
+    def traced(path):
+        conn = connect(path)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(db_reader, "_connect_ro", traced)
+    records = load_messages(source, skip_pairs=skip)
+    assert [r.id for r in records] == [n for n in range(1, 2501) if n % 3]
+    fetched = [s for s in statements if "WHERE rowid IN" in s]
+    sizes = [s.count(",", s.index("WHERE rowid IN")) + 1 for s in fetched]
+    assert sum(sizes) == len(records) and max(sizes) <= 999
+
+
+def test_column_names_match_case_insensitively(tmp_path):
+    partner = jid("393480000002")
+    path = tmp_path / "msgstore.db"
+    build_db(path, """
+        CREATE TABLE messages (_ID INTEGER PRIMARY KEY, KEY_REMOTE_JID TEXT, Key_Id TEXT,
+                               DATA TEXT, TIMESTAMP INTEGER);
+        CREATE TABLE chat_list (_ID INTEGER PRIMARY KEY, KEY_REMOTE_JID TEXT,
+                                MESSAGE_TABLE_ID INTEGER);
+    """, {
+        "messages": [{"_id": 4, "key_remote_jid": partner, "key_id": "1-1", "data": "hi",
+                      "timestamp": 5}],
+        "chat_list": [{"_id": 1, "key_remote_jid": partner, "message_table_id": 4}],
+    })
+    source = open_source(path, DbKind.CHAT_STORE)
+    warn = WarningLog()
+    (message,) = load_messages(source, warn)
+    assert (message.id, message.key_remote_jid.raw, message.key_id_raw, message.data) == (
+        4, partner, "1-1", "hi"
+    )
+    assert message.timestamp == 5
+    assert load_message_pairs(source) == {(partner, "1-1")}
+    assert load_messages(source, skip_pairs=frozenset({(partner, "1-1")})) == []
+    (chat,) = load_chat_list(source, warn)
+    assert (chat.key_remote_jid.raw, chat.message_table_id) == (partner, 4)
+    contacts = tmp_path / "wa.db"
+    build_db(contacts, "CREATE TABLE wa_contacts (_ID INTEGER PRIMARY KEY, JID TEXT, "
+             "Display_Name TEXT, IS_WHATSAPP_USER INTEGER)",
+             {"wa_contacts": [{"jid": partner, "display_name": "Partner", "is_whatsapp_user": 1}]})
+    (contact,) = load_contacts(open_source(contacts, DbKind.CONTACTS), warn)
+    assert (contact.jid.raw, contact.is_whatsapp_user) == (partner, True)
+    assert contact.phonebook == {"display_name": "Partner"}
+    assert warn.items == ()

@@ -91,6 +91,18 @@ def test_message_key_broadcast_prefix():
 def test_malformed_keys(raw):
     with pytest.raises(MalformedKey):
         parse_message_key(raw)
+    with pytest.raises(MalformedKey):  # a failed parse is not kept
+        parse_message_key(raw)
+
+
+def test_parses_are_kept_but_malformed_input_warns_every_time():
+    assert parse_message_key("1363253484-7") is parse_message_key("1363253484-7")
+    user = "393480000077@s.whatsapp.net"
+    assert classify_jid(user) is classify_jid(user)
+    warn = WarningLog()
+    for n in range(3):
+        classify_jid("not-a-jid", warn, f"wa.db:wa_contacts#{n}")
+    assert [w.source for w in warn] == [f"wa.db:wa_contacts#{n}" for n in range(3)]
 
 
 def test_render_epoch_offsets():
