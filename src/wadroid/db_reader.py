@@ -1,12 +1,22 @@
 """Read-only access to the contacts and chat-store SQLite databases.
 
-Rows are mapped by column NAME, never by position, and names are matched
-case-insensitively, as SQLite matches them: the app's schema has drifted
-across versions, so extra columns are ignored and missing optional
-columns decode to absent values. The reader never writes to an
-evidence file (databases are opened through SQLite's read-only
-immutable mode). SQLite's own errors on a damaged file are raised as
-CorruptDatabase, so callers handle them like any other tool error.
+Rows are mapped by column NAME, never by position, and table and column
+names are matched case-insensitively, as SQLite matches them: the app's
+schema has drifted across versions, so extra columns are ignored and
+missing optional columns decode to absent values. The reader never
+writes to an evidence file (databases are opened through SQLite's
+read-only immutable mode). SQLite's own errors on a damaged file are
+raised as CorruptDatabase, so callers handle them like any other tool
+error.
+
+Each table a record is decoded from has a column table, {name: the
+storage class its values need no conversion in}. A value that is NULL or
+of its column's class is kept as it is. Any other goes to that class's
+converter (``_CONVERTERS``), which converts it where the conversion
+loses nothing, and otherwise warns about the mismatch and reads it as
+absent. A row's warnings come in this order: its mismatch warnings, in
+column-table order, then the warnings about the decoded record (key,
+remote resource, media hash, jid, then the record's invariants).
 
 Recovery of deleted rows from freelist/WAL pages is out of scope; the
 correlator's log-based inference covers deletions instead.
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import NoneType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorruptDatabase, MissingTable, NotSqlite, UnreadableFile
 from .model import (
@@ -71,7 +81,6 @@ class DbSource:
 
     path: str
     db_kind: DbKind
-    table_names_found: tuple[str, ...]
 
 
 def _check_magic(path: Path) -> None:
@@ -100,12 +109,10 @@ def open_source(path: str | Path, db_kind: DbKind) -> DbSource:
     try:
         conn = _connect_ro(path)
         try:
-            names = tuple(
-                row[0]
-                for row in conn.execute(
-                    "SELECT name FROM sqlite_master WHERE type='table' ORDER BY name"
-                )
-            )
+            names = {
+                name.lower()
+                for (name,) in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")
+            }
         finally:
             conn.close()
     except sqlite3.DatabaseError as exc:
@@ -113,94 +120,7 @@ def open_source(path: str | Path, db_kind: DbKind) -> DbSource:
     missing = [t for t in _REQUIRED_TABLES[db_kind] if t not in names]
     if missing:
         raise MissingTable(f"{path} lacks required table(s): {', '.join(missing)}")
-    return DbSource(path=str(path), db_kind=db_kind, table_names_found=names)
-
-
-class _Row:
-    """Column-name access over one row with type-tolerant getters.
-
-    ``index`` maps each lower-cased column name to its position in the
-    row; a name it lacks reads as absent.
-    """
-
-    def __init__(self, row: tuple, index: Mapping[str, int], source: str, warn: WarningLog | None):
-        self._row = row
-        self._index = index
-        self.source = source
-        self.warn = warn
-
-    def _raw(self, name):
-        position = self._index.get(name)
-        if position is None:
-            return None
-        return self._row[position]
-
-    def _mismatch(self, name, value, expected) -> None:
-        warn_to(
-            self.warn,
-            self.source,
-            f"column {name!r}: expected {expected}, got {type(value).__name__}; "
-            "field treated as absent",
-        )
-
-    def int_(self, name: str, default: int | None = None) -> int | None:
-        value = self._raw(name)
-        if value is None:
-            return default
-        if isinstance(value, bool):
-            return int(value)
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        if isinstance(value, str):
-            try:
-                return int(value, 10)
-            except ValueError:
-                pass
-        self._mismatch(name, value, "integer")
-        return default
-
-    def float_(self, name: str) -> float | None:
-        value = self._raw(name)
-        if value is None:
-            return None
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        self._mismatch(name, value, "real")
-        return None
-
-    def text(self, name: str) -> str | None:
-        value = self._raw(name)
-        if value is None:
-            return None
-        if isinstance(value, str):
-            return value
-        if isinstance(value, bytes):
-            try:
-                return value.decode("utf-8")
-            except UnicodeDecodeError:
-                self._mismatch(name, value, "text")
-                return None
-        self._mismatch(name, value, "text")
-        return None
-
-    def blob(self, name: str) -> bytes | None:
-        value = self._raw(name)
-        if value is None:
-            return None
-        if isinstance(value, bytes):
-            return value
-        if isinstance(value, str):
-            return value.encode("utf-8")
-        self._mismatch(name, value, "blob")
-        return None
-
-    def bool_(self, name: str, default: bool = False) -> bool:
-        value = self.int_(name)
-        if value is None:
-            return default
-        return value != 0
+    return DbSource(path=str(path), db_kind=db_kind)
 
 
 @contextmanager
@@ -237,13 +157,6 @@ class _Table(NamedTuple):
             columns = conn.execute(f"SELECT * FROM {name} LIMIT 0").description
             has_rowid = False
         return cls(name, tuple(c[0].lower() for c in columns), has_rowid)
-
-    def index(self) -> dict[str, int]:
-        """Position of each column in a ``rows(conn, "*")`` row; the first of a name wins."""
-        index: dict[str, int] = {}
-        for position, column in enumerate(self.columns, start=1):
-            index.setdefault(column, position)
-        return index
 
     def select(self, columns: Sequence[str]) -> str:
         """A select list of ``columns``, each one the table lacks read as NULL."""
@@ -311,45 +224,151 @@ class _Table(NamedTuple):
         return [by_rowid[rowid] for rowid in kept]
 
 
-def _fetch_rows(source: DbSource, table: str) -> tuple[dict[str, int], list[tuple]]:
-    """The table's column index and its rows, all columns, in ``_Table.rows`` order."""
-    with _reading(source, table) as conn:
-        shape = _Table.probe(conn, table)
-        return shape.index(), shape.rows(conn, "*")
+def _mismatch(value, name: str, expected: str, source: str, warn: WarningLog | None) -> None:
+    warn_to(
+        warn,
+        source,
+        f"column {name!r}: expected {expected}, got {type(value).__name__}; "
+        "field treated as absent",
+    )
+
+
+def _as_int(value, name: str, source: str, warn: WarningLog | None) -> int | None:
+    """An INTEGER column's value: an integral real or base-10 text converts."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value, 10)
+        except ValueError:
+            pass
+    return _mismatch(value, name, "integer", source, warn)
+
+
+def _as_real(value, name: str, source: str, warn: WarningLog | None) -> float | None:
+    """A REAL column's value: an integer converts."""
+    if isinstance(value, (int, float)):
+        return float(value)
+    return _mismatch(value, name, "real", source, warn)
+
+
+def _as_text(value, name: str, source: str, warn: WarningLog | None) -> str | None:
+    """A TEXT column's value: a blob holding UTF-8 converts."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bytes):
+        try:
+            return value.decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+    return _mismatch(value, name, "text", source, warn)
+
+
+def _as_blob(value, name: str, source: str, warn: WarningLog | None) -> bytes | None:
+    """A BLOB column's value: text converts to its UTF-8 bytes."""
+    if isinstance(value, bytes):
+        return value
+    if isinstance(value, str):
+        return value.encode("utf-8")
+    return _mismatch(value, name, "blob", source, warn)
+
+
+#: The converter of each storage class a column table names.
+_CONVERTERS = {int: _as_int, float: _as_real, str: _as_text, bytes: _as_blob}
+
+
+def _decoded(
+    rows: Iterable[Sequence], columns: dict[str, type], prefix: str, warn: WarningLog | None
+) -> Iterator[tuple[str, Sequence]]:
+    """Each row, with its ``columns`` values converted, after the source naming it.
+
+    A row holds the number naming it (the source is ``prefix`` and that
+    number), then a value for each of ``columns``, then any values kept
+    verbatim. A value neither NULL nor of its column's class goes to the
+    class's converter, in column order, so a row's mismatch warnings
+    precede those its caller gives about the record. The positions to
+    convert are found once for each signature of value types: a row
+    needing no conversion is passed on as it is.
+    """
+    # For each signature of value types: (position, column, converter) to apply.
+    to_convert: dict[tuple[type, ...], list[tuple[int, str, Callable]]] = {}
+    for row in rows:
+        source = f"{prefix}{row[0]}"
+        signature = tuple(map(type, row))
+        plan = to_convert.get(signature)
+        if plan is None:
+            plan = to_convert[signature] = [
+                (position, name, _CONVERTERS[expected])
+                for position, (kind, (name, expected)) in enumerate(
+                    zip(signature[1:], columns.items()), start=1
+                )
+                if kind is not NoneType and kind is not expected
+            ]
+        if plan:
+            row = list(row)
+            for position, name, convert in plan:
+                row[position] = convert(row[position], name, source, warn)
+        yield source, row
+
+
+#: The contacts columns a record is decoded from, each with its storage class.
+_CONTACT_COLUMNS = {
+    "_id": int,
+    "jid": str,
+    "is_whatsapp_user": int,
+    "unseen_msg_count": int,
+    "photo_ts": int,
+    "thumb_ts": int,
+    "photo_id_timestamp": int,
+    "wa_name": str,
+    "status": str,
+}
 
 
 def load_contacts(source: DbSource, warn: WarningLog | None = None) -> list[ContactRecord]:
     """Materialize every contacts-table row, in ascending _id order."""
     if source.db_kind is not DbKind.CONTACTS:
         raise ValueError("load_contacts requires a CONTACTS source")
-    name = Path(source.path).name
+    with _reading(source, CONTACTS_TABLE) as conn:
+        shape = _Table.probe(conn, CONTACTS_TABLE)
+        phonebook_columns = [c for c in PHONEBOOK_COLUMNS if c in shape.columns]
+        raw_rows = shape.rows(conn, shape.select([*_CONTACT_COLUMNS, *phonebook_columns]))
+    prefix = f"{Path(source.path).name}:{CONTACTS_TABLE}#"
     records = []
-    index, raw_rows = _fetch_rows(source, CONTACTS_TABLE)
-    phonebook_columns = [(col, index[col]) for col in PHONEBOOK_COLUMNS if col in index]
-    for raw_row in raw_rows:
-        rid = raw_row[0]
-        row = _Row(raw_row, index, f"{name}:{CONTACTS_TABLE}#{rid}", warn)
-        jid = classify_jid(row.text("jid"), warn, row.source)
-        thumb_ts = row.int_("thumb_ts")
-        photo_id_ts = row.int_("photo_id_timestamp")
+    for where, row in _decoded(raw_rows, _CONTACT_COLUMNS, prefix, warn):
+        (
+            _,
+            id_,
+            jid_raw,
+            is_whatsapp_user,
+            unseen_msg_count,
+            photo_ts,
+            thumb_ts,
+            photo_id_ts,
+            wa_name,
+            status,
+            *phonebook,
+        ) = row
         record = ContactRecord(
-            id=row.int_("_id", 0) or 0,
-            jid=jid,
-            is_whatsapp_user=row.bool_("is_whatsapp_user"),
-            unseen_msg_count=row.int_("unseen_msg_count", 0) or 0,
-            photo_ts=row.int_("photo_ts"),
+            id=id_ or 0,
+            jid=classify_jid(jid_raw, warn, where),
+            is_whatsapp_user=bool(is_whatsapp_user),
+            unseen_msg_count=unseen_msg_count or 0,
+            photo_ts=photo_ts,
             thumb_ts=thumb_ts,
             photo_id_timestamp=photo_id_ts,
-            wa_name=row.text("wa_name"),
-            status_line=row.text("status"),
-            phonebook={col: raw_row[position] for col, position in phonebook_columns},
+            wa_name=wa_name,
+            status_line=status,
+            phonebook=dict(zip(phonebook_columns, phonebook)),
         )
         # An avatar cannot be downloaded before the contact set it.
         if thumb_ts and photo_id_ts and thumb_ts > 0 and photo_id_ts > 0:
             if thumb_ts * 1000 > photo_id_ts:
                 warn_to(
                     warn,
-                    row.source,
+                    where,
                     f"thumb_ts {thumb_ts} is later than photo_id_timestamp {photo_id_ts}",
                 )
         records.append(record)
@@ -383,23 +402,11 @@ _PAIR_COLUMNS = ("key_remote_jid", "key_id")
 _MAX_PARAMETERS = 999
 
 
-def _key_text(value) -> str:
-    """A key column's value as ``_Row.text`` reads it, "" for absent, without warnings."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bytes):
-        try:
-            return value.decode("utf-8")
-        except UnicodeDecodeError:
-            pass
-    return ""
-
-
 def _pair(jid, key) -> tuple[str, str]:
     """(key_remote_jid.raw, key_id_raw) of the record decoded from these key columns."""
     if type(jid) is str and type(key) is str:
         return jid, key
-    return _key_text(jid), _key_text(key)
+    return _as_text(jid, "", "", None) or "", _as_text(key, "", "", None) or ""
 
 
 def load_message_pairs(source: DbSource) -> frozenset[tuple[str, str]]:
@@ -422,7 +429,7 @@ def load_message_pairs(source: DbSource) -> frozenset[tuple[str, str]]:
 
 
 #: The messages columns a record is decoded from, each with the storage
-#: class it holds when it needs no conversion, in ``_plain_message`` order.
+#: class it holds when it needs no conversion.
 _MESSAGE_COLUMNS = {
     "_id": int,
     "key_remote_jid": str,
@@ -450,16 +457,6 @@ _MESSAGE_COLUMNS = {
     "longitude": float,
     "thumb_image": bytes,
 }
-# A row read by ``load_messages`` holds the number naming it, then these.
-_MESSAGE_INDEX = {column: position for position, column in enumerate(_MESSAGE_COLUMNS, start=1)}
-
-
-def _is_plain(signature: tuple[type, ...]) -> bool:
-    """Whether each value of a row of these types is NULL or of its column's class."""
-    return all(
-        kind is NoneType or kind is expected
-        for kind, expected in zip(signature[1:], _MESSAGE_COLUMNS.values())
-    )
 
 
 def load_messages(
@@ -476,7 +473,6 @@ def load_messages(
     """
     if source.db_kind is not DbKind.CHAT_STORE:
         raise ValueError("load_messages requires a CHAT_STORE source")
-    name = Path(source.path).name
     with _reading(source, MESSAGES_TABLE) as conn:
         shape = _Table.probe(conn, MESSAGES_TABLE)
         select = shape.select(_MESSAGE_COLUMNS)
@@ -484,21 +480,9 @@ def load_messages(
             raw_rows = shape.rows_not_in(conn, select, skip_pairs)
         else:
             raw_rows = shape.rows(conn, select)
-    records = []
-    plain: dict[tuple[type, ...], bool] = {}  # by the types of a row's values
-    for raw_row in raw_rows:
-        where = f"{name}:{MESSAGES_TABLE}#{raw_row[0]}"
-        signature = tuple(map(type, raw_row))
-        is_plain = plain.get(signature)
-        if is_plain is None:
-            is_plain = plain[signature] = _is_plain(signature)
-        if is_plain:
-            record = _plain_message(raw_row, where, warn)
-        else:
-            record = _message(_Row(raw_row, _MESSAGE_INDEX, where, warn))
-        _check_message_invariants(record, where, warn)
-        records.append(record)
-    return records
+    prefix = f"{Path(source.path).name}:{MESSAGES_TABLE}#"
+    decoded = _decoded(raw_rows, _MESSAGE_COLUMNS, prefix, warn)
+    return [_message(row, where, warn) for where, row in decoded]
 
 
 def _message_key(key_raw: str, source: str, warn: WarningLog | None) -> MessageKey | None:
@@ -527,53 +511,8 @@ def _remote_resource(
     return None
 
 
-def _message(row: _Row) -> MessageRecord:
-    """The record of a row, with each value converted, or warned about, by the getters."""
-    key_raw = row.text("key_id") or ""
-    key = _message_key(key_raw, row.source, row.warn)
-    rr_raw = row.text("remote_resource")
-    needs_push = row.int_("needs_push", 0) or 0
-    rr_jid = _remote_resource(rr_raw, needs_push, row.source, row.warn)
-    media_hash = row.text("media_hash")
-    _decode_media_hash(media_hash, row.source, row.warn)
-    return MessageRecord(
-        id=row.int_("_id", 0) or 0,
-        key_remote_jid=classify_jid(row.text("key_remote_jid"), row.warn, row.source),
-        key_id_raw=key_raw,
-        key_id=key,
-        from_me=row.bool_("key_from_me"),
-        status_code=row.int_("status", 0) or 0,
-        timestamp=row.int_("timestamp"),
-        received_timestamp=row.int_("received_timestamp"),
-        receipt_server_timestamp=row.int_("receipt_server_timestamp"),
-        receipt_device_timestamp=row.int_("receipt_device_timestamp"),
-        send_timestamp=row.int_("send_timestamp"),
-        needs_push=needs_push,
-        recipient_count=row.int_("recipient_count"),
-        remote_resource_raw=rr_raw,
-        remote_resource=rr_jid,
-        media_wa_type=row.int_("media_wa_type", 0) or 0,
-        data=row.text("data"),
-        raw_data=row.blob("raw_data"),
-        media_hash=media_hash,
-        media_url=row.text("media_url"),
-        media_mime_type=row.text("media_mime_type"),
-        media_size=row.int_("media_size"),
-        media_name=row.text("media_name"),
-        media_duration=row.int_("media_duration"),
-        latitude=row.float_("latitude"),
-        longitude=row.float_("longitude"),
-        thumb_image=row.blob("thumb_image"),
-    )
-
-
-def _plain_message(row: tuple, source: str, warn: WarningLog | None) -> MessageRecord:
-    """``_message`` of a row whose values all need no conversion (``_is_plain``).
-
-    Such a row gives no mismatch warning, so the getters' checks are
-    skipped; the record and the other warnings, in their order, are
-    ``_message``'s.
-    """
+def _message(row: Sequence, source: str, warn: WarningLog | None) -> MessageRecord:
+    """The record of a ``_decoded`` messages row, checked for its invariants."""
     (
         _,
         id_,
@@ -607,7 +546,7 @@ def _plain_message(row: tuple, source: str, warn: WarningLog | None) -> MessageR
     needs_push = needs_push or 0
     rr_jid = _remote_resource(rr_raw, needs_push, source, warn)
     _decode_media_hash(media_hash, source, warn)
-    return MessageRecord(
+    record = MessageRecord(
         id=id_ or 0,
         key_remote_jid=classify_jid(jid_raw, warn, source),
         key_id_raw=key_raw,
@@ -636,6 +575,8 @@ def _plain_message(row: tuple, source: str, warn: WarningLog | None) -> MessageR
         longitude=longitude,
         thumb_image=thumb_image,
     )
+    _check_message_invariants(record, source, warn)
+    return record
 
 
 def _check_message_invariants(rec: MessageRecord, source: str, warn: WarningLog | None) -> None:
@@ -665,24 +606,28 @@ def _check_message_invariants(rec: MessageRecord, source: str, warn: WarningLog 
             warn_to(warn, source, f"geo coordinates out of range: {lat}, {lon}")
 
 
+#: The chat-list columns a record is decoded from, each with its storage class.
+_CHAT_LIST_COLUMNS = {"_id": int, "key_remote_jid": str, "message_table_id": int}
+
+
 def load_chat_list(source: DbSource, warn: WarningLog | None = None) -> list[ChatListRecord]:
     """Materialize every chat-list row, in ascending _id order."""
     if source.db_kind is not DbKind.CHAT_STORE:
         raise ValueError("load_chat_list requires a CHAT_STORE source")
-    name = Path(source.path).name
-    records = []
-    index, raw_rows = _fetch_rows(source, CHAT_LIST_TABLE)
-    for raw_row in raw_rows:
-        rid = raw_row[0]
-        row = _Row(raw_row, index, f"{name}:{CHAT_LIST_TABLE}#{rid}", warn)
-        records.append(
-            ChatListRecord(
-                id=row.int_("_id", 0) or 0,
-                key_remote_jid=classify_jid(row.text("key_remote_jid"), warn, row.source),
-                message_table_id=row.int_("message_table_id", 0) or 0,
-            )
+    with _reading(source, CHAT_LIST_TABLE) as conn:
+        shape = _Table.probe(conn, CHAT_LIST_TABLE)
+        raw_rows = shape.rows(conn, shape.select(_CHAT_LIST_COLUMNS))
+    prefix = f"{Path(source.path).name}:{CHAT_LIST_TABLE}#"
+    return [
+        ChatListRecord(
+            id=id_ or 0,
+            key_remote_jid=classify_jid(jid_raw, warn, where),
+            message_table_id=message_table_id or 0,
         )
-    return records
+        for where, (_, id_, jid_raw, message_table_id) in _decoded(
+            raw_rows, _CHAT_LIST_COLUMNS, prefix, warn
+        )
+    ]
 
 
 def check_chat_list_consistency(chat_list, messages, warn: WarningLog | None) -> None:

@@ -208,12 +208,16 @@ def parse_group_id(raw: str) -> GroupId:
     m = _GROUP_JID_RE.match(raw)
     if not m:
         raise MalformedGroupId(f"group id missing creator/epoch structure: {raw!r}")
+    try:
+        creation_time = int(m.group("epoch"))
+    except ValueError as exc:  # more digits than CPython converts
+        raise MalformedGroupId(f"group id epoch has too many digits: {raw!r}") from exc
     creator = WaJid(
         raw=m.group("creator") + USER_JID_SUFFIX,
         phone_number=m.group("creator"),
         kind=JidKind.USER,
     )
-    return GroupId(raw=raw, creator=creator, creation_time=int(m.group("epoch")))
+    return GroupId(raw=raw, creator=creator, creation_time=creation_time)
 
 
 @lru_cache(maxsize=_PARSE_CACHE_SIZE)

@@ -87,6 +87,19 @@ def test_partial_bundle_warns_exit_code(tmp_path, conversation_dir):
     assert any("contacts database missing" in w["message"] for w in doc["warnings"])
 
 
+def test_group_id_epoch_too_long_to_convert_is_a_warning(tmp_path):
+    root = tmp_path / "evidence"
+    (root / layout.LOGS_DIR).mkdir(parents=True)
+    gid = "1-" + "9" * 5000 + "@g.us"  # more digits than CPython converts to int
+    (root / layout.MAIN_LOG).write_text(
+        f"2013-09-24 05:20:00.000 +0000 contact/block jid={gid}\n", encoding="utf-8"
+    )
+    out = tmp_path / "report.json"
+    assert run(["report", "--in", str(root), "--out", str(out)]) == EXIT_WARNINGS
+    warnings = json.loads(out.read_text(encoding="utf-8"))["warnings"]
+    assert any("too many digits" in w["message"] for w in warnings)
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["report"]) == EXIT_USAGE  # --in is required
     assert run(["no-such-command"]) == EXIT_USAGE

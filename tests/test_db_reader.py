@@ -2,6 +2,7 @@
 
 import base64
 import random
+import re
 import sqlite3
 
 import pytest
@@ -18,7 +19,15 @@ from wadroid.db_reader import (
     open_source,
 )
 from wadroid.errors import CorruptDatabase, MissingTable, NotSqlite, UnreadableFile
-from wadroid.model import JidKind, WarningLog
+from wadroid.model import (
+    ChatListRecord,
+    ContactRecord,
+    JidKind,
+    MessageRecord,
+    WarningLog,
+    classify_jid,
+    warn_to,
+)
 
 CONTACT_ROW = {
     "jid": "39331xxxxxxx@s.whatsapp.net",
@@ -445,34 +454,299 @@ def _load(source, **kwargs):
     return load_messages(source, warn, **kwargs), warn.items
 
 
-@pytest.mark.parametrize("storage_class", list(_STORAGE_CLASSES))
-@pytest.mark.parametrize("column", list(db_reader._MESSAGE_COLUMNS))
-def test_plain_rows_decode_as_the_getters_do(tmp_path, monkeypatch, column, storage_class):
-    rows = [
+class _ReferenceRow:
+    """Column-name access over one ``SELECT _id, *`` row, with type-tolerant getters.
+
+    The reference the column-table decoder is checked against: each getter
+    reads its column as that column's storage class, converting where
+    nothing is lost and otherwise warning and reading it as absent.
+    """
+
+    def __init__(self, row, index, source, warn):
+        self.row = row
+        self.index = index
+        self.source = source
+        self.warn = warn
+
+    def raw(self, name):
+        position = self.index.get(name)
+        return None if position is None else self.row[position]
+
+    def _mismatch(self, name, value, expected):
+        warn_to(
+            self.warn,
+            self.source,
+            f"column {name!r}: expected {expected}, got {type(value).__name__}; "
+            "field treated as absent",
+        )
+
+    def int_(self, name, default=None):
+        value = self.raw(name)
+        if value is None:
+            return default
+        if isinstance(value, int):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, str):
+            try:
+                return int(value, 10)
+            except ValueError:
+                pass
+        self._mismatch(name, value, "integer")
+        return default
+
+    def float_(self, name):
+        value = self.raw(name)
+        if value is None:
+            return None
+        if isinstance(value, (int, float)):
+            return float(value)
+        self._mismatch(name, value, "real")
+        return None
+
+    def text(self, name):
+        value = self.raw(name)
+        if value is None:
+            return None
+        if isinstance(value, str):
+            return value
+        if isinstance(value, bytes):
+            try:
+                return value.decode("utf-8")
+            except UnicodeDecodeError:
+                pass
+        self._mismatch(name, value, "text")
+        return None
+
+    def blob(self, name):
+        value = self.raw(name)
+        if value is None:
+            return None
+        if isinstance(value, bytes):
+            return value
+        if isinstance(value, str):
+            return value.encode("utf-8")
+        self._mismatch(name, value, "blob")
+        return None
+
+    def bool_(self, name):
+        value = self.int_(name)
+        return False if value is None else value != 0
+
+
+def _reference_message(row):
+    key_raw = row.text("key_id") or ""
+    key = db_reader._message_key(key_raw, row.source, row.warn)
+    rr_raw = row.text("remote_resource")
+    needs_push = row.int_("needs_push", 0) or 0
+    rr_jid = db_reader._remote_resource(rr_raw, needs_push, row.source, row.warn)
+    media_hash = row.text("media_hash")
+    db_reader._decode_media_hash(media_hash, row.source, row.warn)
+    record = MessageRecord(
+        id=row.int_("_id", 0) or 0,
+        key_remote_jid=classify_jid(row.text("key_remote_jid"), row.warn, row.source),
+        key_id_raw=key_raw,
+        key_id=key,
+        from_me=row.bool_("key_from_me"),
+        status_code=row.int_("status", 0) or 0,
+        timestamp=row.int_("timestamp"),
+        received_timestamp=row.int_("received_timestamp"),
+        receipt_server_timestamp=row.int_("receipt_server_timestamp"),
+        receipt_device_timestamp=row.int_("receipt_device_timestamp"),
+        send_timestamp=row.int_("send_timestamp"),
+        needs_push=needs_push,
+        recipient_count=row.int_("recipient_count"),
+        remote_resource_raw=rr_raw,
+        remote_resource=rr_jid,
+        media_wa_type=row.int_("media_wa_type", 0) or 0,
+        data=row.text("data"),
+        raw_data=row.blob("raw_data"),
+        media_hash=media_hash,
+        media_url=row.text("media_url"),
+        media_mime_type=row.text("media_mime_type"),
+        media_size=row.int_("media_size"),
+        media_name=row.text("media_name"),
+        media_duration=row.int_("media_duration"),
+        latitude=row.float_("latitude"),
+        longitude=row.float_("longitude"),
+        thumb_image=row.blob("thumb_image"),
+    )
+    db_reader._check_message_invariants(record, row.source, row.warn)
+    return record
+
+
+def _reference_contact(row):
+    jid_ = classify_jid(row.text("jid"), row.warn, row.source)
+    thumb_ts = row.int_("thumb_ts")
+    photo_id_ts = row.int_("photo_id_timestamp")
+    record = ContactRecord(
+        id=row.int_("_id", 0) or 0,
+        jid=jid_,
+        is_whatsapp_user=row.bool_("is_whatsapp_user"),
+        unseen_msg_count=row.int_("unseen_msg_count", 0) or 0,
+        photo_ts=row.int_("photo_ts"),
+        thumb_ts=thumb_ts,
+        photo_id_timestamp=photo_id_ts,
+        wa_name=row.text("wa_name"),
+        status_line=row.text("status"),
+        phonebook={c: row.raw(c) for c in db_reader.PHONEBOOK_COLUMNS if c in row.index},
+    )
+    if thumb_ts and photo_id_ts and thumb_ts > 0 and photo_id_ts > 0:
+        if thumb_ts * 1000 > photo_id_ts:
+            warn_to(
+                row.warn,
+                row.source,
+                f"thumb_ts {thumb_ts} is later than photo_id_timestamp {photo_id_ts}",
+            )
+    return record
+
+
+def _reference_chat(row):
+    return ChatListRecord(
+        id=row.int_("_id", 0) or 0,
+        key_remote_jid=classify_jid(row.text("key_remote_jid"), row.warn, row.source),
+        message_table_id=row.int_("message_table_id", 0) or 0,
+    )
+
+
+_PLAIN_CONTACT = {
+    "_id": 1,
+    "jid": jid("393480000002"),
+    "is_whatsapp_user": 1,
+    "unseen_msg_count": 2,
+    "photo_ts": 0,
+    "thumb_ts": 1380000000,
+    "photo_id_timestamp": 1380111266000,
+    "wa_name": "someone",
+    "status": "hi",
+    "number": "+393480000002",
+    "display_name": "Someone",
+    "given_name": "Some",
+    "family_name": "One",
+    "phone_type": 2,
+    "phone_label": "mobile",
+    "raw_contact_id": 12,
+    "sort_name": "Someone",
+}
+
+_PLAIN_CHAT = {"_id": 1, "key_remote_jid": jid("393480000002"), "message_table_id": 1}
+
+#: Per table: its decoder's columns, a row that needs no conversion, one
+#: that warns about the record it gives (not about any column), the
+#: reference decoder and the loader.
+_TABLES = {
+    "messages": (
+        db_reader._MESSAGE_COLUMNS,
         _PLAIN_ROW,
-        {**_PLAIN_ROW, "_id": 2, column: _STORAGE_CLASSES[storage_class]},
-        # warns on its key, remote resource, media hash, jid and coordinates
-        dict(_PLAIN_ROW, _id=3, key_id="bad", remote_resource="a,b", media_hash="%%",
+        dict(_PLAIN_ROW, key_id="bad", remote_resource="a,b", media_hash="%%",
              key_remote_jid="nobody", latitude=99.0),
+        _reference_message,
+        load_messages,
+    ),
+    "wa_contacts": (
+        [*db_reader._CONTACT_COLUMNS, *db_reader.PHONEBOOK_COLUMNS],
+        _PLAIN_CONTACT,
+        dict(_PLAIN_CONTACT, jid="nobody", thumb_ts=2000000000, photo_id_timestamp=10**12),
+        _reference_contact,
+        load_contacts,
+    ),
+    "chat_list": (
+        db_reader._CHAT_LIST_COLUMNS,
+        _PLAIN_CHAT,
+        dict(_PLAIN_CHAT, key_remote_jid="nobody"),
+        _reference_chat,
+        load_chat_list,
+    ),
+}
+
+
+def _reference_load(path, table, decode):
+    """Every row of ``table`` decoded by the reference getters, and their warnings."""
+    warn = WarningLog()
+    conn = sqlite3.connect(path)
+    try:
+        cursor = conn.execute(f"SELECT _id, * FROM {table} ORDER BY _id, rowid")
+        names = [d[0].lower() for d in cursor.description[1:]]
+        index = {name: position for position, name in enumerate(names, start=1)}
+        rows = cursor.fetchall()
+    finally:
+        conn.close()
+    records = [decode(_ReferenceRow(row, index, f"{path.name}:{table}#{row[0]}", warn))
+               for row in rows]
+    return records, warn.items
+
+
+def _mismatches_first(warnings, columns):
+    """``warnings`` with each row's column mismatches first, in column order."""
+    sources = list(dict.fromkeys(w.source for w in warnings))
+    columns = list(columns)
+
+    def rank(warning):
+        mismatch = re.match(r"column '(\w+)': expected ", warning.message)
+        in_row = columns.index(mismatch[1]) if mismatch else len(columns)
+        return sources.index(warning.source), in_row
+
+    return sorted(warnings, key=rank)
+
+
+@pytest.mark.parametrize("storage_class", list(_STORAGE_CLASSES))
+@pytest.mark.parametrize(
+    "table, column",
+    [
+        pytest.param(table, column, id=column if table == "messages" else f"{table}.{column}")
+        for table, (columns, *_) in _TABLES.items()
+        for column in columns
+    ],
+)
+def test_plain_rows_decode_as_the_getters_do(tmp_path, monkeypatch, table, column, storage_class):
+    columns, plain, warning, reference, load = _TABLES[table]
+    rows = [
+        plain,
+        {**plain, "_id": 2, column: _STORAGE_CLASSES[storage_class]},
+        dict(warning, _id=3),
     ]
-    source = _untyped_store(tmp_path / "msgstore.db", rows, id_column="_id")
-    plain_calls = []
-    plain_message = db_reader._plain_message
+    # No type affinity: each value keeps the storage class it was inserted with.
+    schema = "".join(f"CREATE TABLE {t} ({', '.join(c)});" for t, (c, *_) in _TABLES.items())
+    path = build_db(tmp_path / "evidence.db", schema, {table: rows})
+    kind = DbKind.CONTACTS if table == "wa_contacts" else DbKind.CHAT_STORE
+    converted = []
 
-    def counted(*args):
-        plain_calls.append(args[1])
-        return plain_message(*args)
+    def counting(convert):
+        def counted(value, name, source, warn):
+            converted.append(source)
+            return convert(value, name, source, warn)
 
-    monkeypatch.setattr(db_reader, "_plain_message", counted)
-    fast = _load(source)
-    assert {"msgstore.db:messages#1", "msgstore.db:messages#3"} <= set(plain_calls)
-    monkeypatch.setattr(db_reader, "_is_plain", lambda signature: False)
-    plain_calls.clear()
-    tolerant = _load(source)
-    assert not plain_calls
-    assert fast == tolerant
-    assert repr(fast) == repr(tolerant)  # ``==`` alone takes True for 1 and 7.0 for 7
-    assert len(fast[0]) == 3
+        return counted
+
+    converters = {storage: counting(c) for storage, c in db_reader._CONVERTERS.items()}
+    monkeypatch.setattr(db_reader, "_CONVERTERS", converters)
+    warn = WarningLog()
+    records = load(open_source(path, kind), warn)
+    expected, expected_warnings = _reference_load(path, table, reference)
+    assert len(records) == 3
+    assert records == expected
+    assert repr(records) == repr(expected)  # ``==`` alone takes True for 1 and 7.0 for 7
+    assert list(warn.items) == _mismatches_first(expected_warnings, columns)
+    # the rows needing no conversion go through no converter
+    assert not {f"{path.name}:{table}#1", f"{path.name}:{table}#3"} & set(converted)
+
+
+def test_a_rows_mismatch_warnings_precede_its_record_warnings(tmp_path):
+    row = dict(_PLAIN_ROW, key_id=b"\xff", timestamp="soon", remote_resource="a,b",
+               media_hash="%%", key_remote_jid="nobody", latitude=99.0)
+    source = _untyped_store(tmp_path / "msgstore.db", [row])
+    records, warnings = _load(source)
+    assert [w.message.split(":")[0] for w in warnings] == [
+        "column 'key_id'",  # the column mismatches, in column-table order
+        "column 'timestamp'",
+        "malformed key_id kept verbatim",  # then the record's own warnings
+        "remote_resource is not a single jid",
+        "media_hash is not valid base64",
+        "malformed jid kept verbatim",
+        "geo coordinates out of range",
+    ]
+    assert (records[0].key_id_raw, records[0].timestamp) == ("", None)
 
 
 def test_key_first_filter_keeps_order_and_ignores_duplicate_ids(tmp_path):
@@ -523,9 +797,9 @@ def test_column_names_match_case_insensitively(tmp_path):
     partner = jid("393480000002")
     path = tmp_path / "msgstore.db"
     build_db(path, """
-        CREATE TABLE messages (_ID INTEGER PRIMARY KEY, KEY_REMOTE_JID TEXT, Key_Id TEXT,
+        CREATE TABLE MESSAGES (_ID INTEGER PRIMARY KEY, KEY_REMOTE_JID TEXT, Key_Id TEXT,
                                DATA TEXT, TIMESTAMP INTEGER);
-        CREATE TABLE chat_list (_ID INTEGER PRIMARY KEY, KEY_REMOTE_JID TEXT,
+        CREATE TABLE Chat_List (_ID INTEGER PRIMARY KEY, KEY_REMOTE_JID TEXT,
                                 MESSAGE_TABLE_ID INTEGER);
     """, {
         "messages": [{"_id": 4, "key_remote_jid": partner, "key_id": "1-1", "data": "hi",
@@ -544,7 +818,7 @@ def test_column_names_match_case_insensitively(tmp_path):
     (chat,) = load_chat_list(source, warn)
     assert (chat.key_remote_jid.raw, chat.message_table_id) == (partner, 4)
     contacts = tmp_path / "wa.db"
-    build_db(contacts, "CREATE TABLE wa_contacts (_ID INTEGER PRIMARY KEY, JID TEXT, "
+    build_db(contacts, "CREATE TABLE WA_Contacts (_ID INTEGER PRIMARY KEY, JID TEXT, "
              "Display_Name TEXT, IS_WHATSAPP_USER INTEGER)",
              {"wa_contacts": [{"jid": partner, "display_name": "Partner", "is_whatsapp_user": 1}]})
     (contact,) = load_contacts(open_source(contacts, DbKind.CONTACTS), warn)

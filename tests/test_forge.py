@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -76,12 +77,20 @@ def test_empty_script_structurally_valid(tmp_path):
     assert parsed.own_avatar_present
     assert len(parsed.warnings) == 0
     # tables exist even when empty
-    wa = open_source(result.root / "data/data/com.whatsapp/databases/wa.db", DbKind.CONTACTS)
-    assert "sqlite_sequence" in wa.table_names_found
-    store = open_source(
-        result.root / "data/data/com.whatsapp/databases/msgstore.db", DbKind.CHAT_STORE
-    )
-    assert {"messages", "chat_list"} <= set(store.table_names_found)
+    databases = result.root / "data/data/com.whatsapp/databases"
+    open_source(databases / "wa.db", DbKind.CONTACTS)
+    open_source(databases / "msgstore.db", DbKind.CHAT_STORE)
+    assert "sqlite_sequence" in _table_names(databases / "wa.db")
+    assert {"messages", "chat_list"} <= _table_names(databases / "msgstore.db")
+
+
+def _table_names(path) -> set[str]:
+    conn = sqlite3.connect(path)
+    try:
+        tables = conn.execute("SELECT name FROM sqlite_master WHERE type='table'")
+        return {name for (name,) in tables}
+    finally:
+        conn.close()
 
 
 def test_deleting_last_message_leaves_dangling_pointer(tmp_path):

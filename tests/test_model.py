@@ -67,6 +67,16 @@ def test_group_id_missing_epoch():
         parse_group_id("abc@g.us")
 
 
+def test_group_id_epoch_too_long_to_convert_is_kept_and_warned():
+    raw = "1-" + "9" * 5000 + "@g.us"  # more digits than CPython converts to int
+    with pytest.raises(MalformedGroupId):
+        parse_group_id(raw)
+    warn = WarningLog()
+    jid = classify_jid(raw, warn, "whatsapp.log:1")
+    assert (jid.raw, jid.kind) == (raw, JidKind.OTHER)
+    assert [w.source for w in warn] == ["whatsapp.log:1"]
+
+
 def test_jid_parse_delegates_group():
     jid = parse_jid("3933xxxxxxx-1363078943@g.us")
     assert jid.kind is JidKind.GROUP
