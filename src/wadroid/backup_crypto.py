@@ -16,6 +16,7 @@ from pathlib import Path
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from .db_reader import SQLITE_MAGIC
 from .errors import BadBlockLength, MagicMismatch, UnreadableFile
 
 #: The fixed 24-byte backup key shared by all devices of this app build.
@@ -23,7 +24,6 @@ DEFAULT_BACKUP_KEY = bytes.fromhex(
     "346a23652a46392b4d73257c67317e352e3372482177652c"
 )
 
-SQLITE_MAGIC = b"SQLite format 3\x00"
 BLOCK_SIZE = 16
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -113,6 +114,13 @@ def build_parser() -> _Parser:
     p_forge.add_argument("--out", required=True, help="output directory")
     p_forge.add_argument("--seed", type=int, help="override the script's seed")
     return parser
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either does not exist
+        return False
 
 
 def _load_grammar(path: str | None) -> LogGrammar:
@@ -224,6 +232,8 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         if args.command == "report" and args.format == "csv" and not args.out:
             parser.error("--format csv needs --out to place the timeline CSV")
+        if args.command == "decrypt" and _same_file(args.in_path, args.out):
+            parser.error("--out names the backup given as --in; it would be overwritten")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -3,11 +3,11 @@
 Rows are mapped by column NAME, never by position, and table and column
 names are matched case-insensitively, as SQLite matches them: the app's
 schema has drifted across versions, so extra columns are ignored and
-missing optional columns decode to absent values. The reader never
-writes to an evidence file (databases are opened through SQLite's
-read-only immutable mode). SQLite's own errors on a damaged file are
-raised as CorruptDatabase, so callers handle them like any other tool
-error.
+missing optional columns decode to absent values. A source is one
+connection: to a file, through SQLite's read-only immutable mode, so the
+reader never writes to an evidence file, or to a decrypted backup's
+image in memory. SQLite's own errors on a damaged database are raised as
+CorruptDatabase, so callers handle them like any other tool error.
 
 Each table a record is decoded from has a column table, {name: the
 storage class its values need no conversion in}. A value that is NULL or
@@ -25,7 +25,7 @@ correlator's log-based inference covers deletions instead.
 from __future__ import annotations
 
 import sqlite3
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -76,65 +76,67 @@ _REQUIRED_TABLES = {
 
 
 @dataclass(frozen=True)
-class DbSource:
-    """A verified handle on one evidence database file."""
+class DbSource(AbstractContextManager):
+    """A verified evidence database, open until its ``with`` block ends."""
 
-    path: str
+    path: str  # the file, or the name of an in-memory image
     db_kind: DbKind
+    connection: sqlite3.Connection
+
+    def __exit__(self, *exc_info) -> None:
+        self.connection.close()
 
 
-def _check_magic(path: Path) -> None:
+def _head(path: Path) -> bytes:
     try:
         with open(path, "rb") as fh:
-            head = fh.read(len(SQLITE_MAGIC))
+            return fh.read(len(SQLITE_MAGIC))
     except OSError as exc:
         raise UnreadableFile(f"cannot read {path}: {exc}") from exc
-    if head != SQLITE_MAGIC:
-        raise NotSqlite(f"{path} does not start with the SQLite magic header")
 
 
-def _connect_ro(path: Path) -> sqlite3.Connection:
-    # immutable=1 disables locking and journal access entirely, so the
-    # evidence file is guaranteed untouched.
-    uri = f"file:{path.as_posix()}?mode=ro&immutable=1"
-    return sqlite3.connect(uri, uri=True)
+def open_source(path: str | Path, db_kind: DbKind, *, image: bytes | None = None) -> DbSource:
+    """Validate magic and required tables, returning an open DbSource.
 
-
-def open_source(path: str | Path, db_kind: DbKind) -> DbSource:
-    """Validate magic and required tables, returning a DbSource handle."""
+    Given its bytes as ``image``, the database is read from a copy of them
+    in memory, and ``path`` only names it.
+    """
     path = Path(path)
-    if not path.is_file():
+    if image is None and not path.is_file():
         raise UnreadableFile(f"no such database file: {path}")
-    _check_magic(path)
+    if not (_head(path) if image is None else image).startswith(SQLITE_MAGIC):
+        raise NotSqlite(f"{path} does not start with the SQLite magic header")
+    if image is None:
+        # immutable=1 disables locking and journal access entirely, so the
+        # evidence file is guaranteed untouched.
+        conn = sqlite3.connect(f"file:{path.as_posix()}?mode=ro&immutable=1", uri=True)
+    else:
+        conn = sqlite3.connect(":memory:")
+        if image[18:20] == b"\x02\x02":  # WAL mode, which SQLite cannot read in memory
+            image = bytearray(image)
+            image[18:20] = b"\x01\x01"  # the same pages, as a rollback-journal database
     try:
-        conn = _connect_ro(path)
-        try:
-            names = {
-                name.lower()
-                for (name,) in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")
-            }
-        finally:
-            conn.close()
+        if image is not None:
+            conn.deserialize(image)
+        names = {
+            name.lower()
+            for (name,) in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")
+        }
     except sqlite3.DatabaseError as exc:
+        conn.close()
         raise CorruptDatabase(f"{path} is damaged or unreadable: {exc}") from exc
     missing = [t for t in _REQUIRED_TABLES[db_kind] if t not in names]
     if missing:
+        conn.close()
         raise MissingTable(f"{path} lacks required table(s): {', '.join(missing)}")
-    return DbSource(path=str(path), db_kind=db_kind)
+    return DbSource(path=str(path), db_kind=db_kind, connection=conn)
 
 
 @contextmanager
 def _reading(source: DbSource, table: str):
-    """A read-only connection returning rows as plain tuples.
-
-    SQLite's errors while reading ``table`` are raised as CorruptDatabase.
-    """
+    """The source's connection; SQLite's errors reading ``table`` become CorruptDatabase."""
     try:
-        conn = _connect_ro(Path(source.path))
-        try:
-            yield conn
-        finally:
-            conn.close()
+        yield source.connection
     except sqlite3.DatabaseError as exc:
         raise CorruptDatabase(f"{source.path}: table {table} is damaged: {exc}") from exc
 

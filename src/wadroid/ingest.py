@@ -4,8 +4,8 @@ The directory is expected to follow the on-device layout (see
 ``layout``), rooted anywhere. Missing artifacts degrade the bundle to a
 partial one with warnings; only a directory containing no recognizable
 artifact at all is a structural error. Evidence files are opened
-strictly read-only; encrypted backups are decrypted into a temporary
-directory, never next to the evidence. ``load_backup_deltas`` reads
+strictly read-only; encrypted backups are decrypted in memory and never
+written anywhere. ``load_backup_deltas`` reads
 only the backups and the live store's (conversation, key) pairs, with
 the same steps ``load_case_bundle`` uses for them.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 import stat
-import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,13 +72,30 @@ def _find_evidence(root: str | Path) -> _Evidence:
     return _Evidence(root, log_files, crypt_files)
 
 
-def _chat_store(root: Path, warn: WarningLog) -> db_reader.DbSource | None:
-    """The live chat database, or None, with a warning, when it is missing."""
-    path = root / layout.MSGSTORE_DB
-    if path.is_file():
-        return db_reader.open_source(path, db_reader.DbKind.CHAT_STORE)
+def _live_source(
+    root: Path, rel_path: str, kind: db_reader.DbKind, warn: WarningLog
+) -> db_reader.DbSource:
+    """The live database at ``rel_path``, opened in SQLite's immutable mode.
+
+    That mode reads no write-ahead log, so a non-empty one beside the
+    database is warned about.
+    """
+    wal = root / f"{rel_path}-wal"
+    if wal.is_file() and wal.stat().st_size > 0:
+        warn_to(
+            warn,
+            f"{rel_path}-wal",
+            "write-ahead log ignored: rows committed after the last checkpoint are not read",
+        )
+    return db_reader.open_source(root / rel_path, kind)
+
+
+def _chat_store(root: Path, warn: WarningLog) -> db_reader.DbSource | nullcontext[None]:
+    """The live chat database to read in a ``with``; if it is missing, a warning and None."""
+    if (root / layout.MSGSTORE_DB).is_file():
+        return _live_source(root, layout.MSGSTORE_DB, db_reader.DbKind.CHAT_STORE, warn)
     warn_to(warn, layout.MSGSTORE_DB, "chat database missing; message analysis degraded")
-    return None
+    return nullcontext()
 
 
 def _load_backups(
@@ -100,20 +117,17 @@ def _load_backups(
         except WadroidError as exc:
             warn_to(warn, rel_path, f"backup not decrypted: {exc}")
             continue
-        with tempfile.TemporaryDirectory() as tmp:
+        try:
             # Named after its crypt file, so row warnings name the backup.
-            tmp_db = Path(tmp) / crypt.name
-            tmp_db.write_bytes(plain)
-            try:
+            source = db_reader.open_source(crypt.name, db_reader.DbKind.CHAT_STORE, image=plain)
+            del plain  # SQLite reads its own copy
+            with source:
                 # Only the messages matter for recovery; a backup's own
                 # chat_list pointers legitimately dangle mid-history.
-                source = db_reader.open_source(tmp_db, db_reader.DbKind.CHAT_STORE)
                 backup_messages = db_reader.load_messages(source, warn, skip_pairs=live_pairs)
-            except WadroidError as exc:
-                # The temp directory's name is random; keep it out of the report.
-                reason = str(exc).replace(str(tmp_db), crypt.name)
-                warn_to(warn, rel_path, f"decrypted backup unreadable: {reason}")
-                continue
+        except WadroidError as exc:
+            warn_to(warn, rel_path, f"decrypted backup unreadable: {exc}")
+            continue
         backups.append(BackupSet(name=crypt.name, messages=tuple(backup_messages)))
     return backups
 
@@ -140,8 +154,8 @@ def load_backup_deltas(root: str | Path, key: bytes | None = None) -> BackupDelt
     """
     evidence = _find_evidence(root)
     warn = WarningLog()
-    source = _chat_store(evidence.root, warn)
-    live_pairs = db_reader.load_message_pairs(source) if source is not None else frozenset()
+    with _chat_store(evidence.root, warn) as source:
+        live_pairs = db_reader.load_message_pairs(source) if source is not None else frozenset()
     backups = _load_backups(evidence, key, live_pairs, warn)
     return BackupDeltas(live_pairs, tuple(backups), warn.items)
 
@@ -183,7 +197,7 @@ def load_case_bundle(
     listed = _list_media(evidence.root)
     hashes = None
     if prehash_media:
-        # Forked before this command opens any database or temp directory.
+        # Forked before this command opens any database.
         sources = [path for _, _, path in listed]
         hashes = MediaHashes.start(sources, sum(size for _, size, _ in listed))
     try:
@@ -205,19 +219,18 @@ def _read_bundle(
     warn = WarningLog()
 
     contacts = []
-    wa_db = root / layout.WA_DB
-    if wa_db.is_file():
-        source = db_reader.open_source(wa_db, db_reader.DbKind.CONTACTS)
-        contacts = db_reader.load_contacts(source, warn)
+    if (root / layout.WA_DB).is_file():
+        with _live_source(root, layout.WA_DB, db_reader.DbKind.CONTACTS, warn) as source:
+            contacts = db_reader.load_contacts(source, warn)
     else:
         warn_to(warn, layout.WA_DB, "contacts database missing; contact analysis degraded")
 
     messages, chats = [], []
-    source = _chat_store(root, warn)
-    if source is not None:
-        messages = db_reader.load_messages(source, warn)
-        chats = db_reader.load_chat_list(source, warn)
-        db_reader.check_chat_list_consistency(chats, messages, warn)
+    with _chat_store(root, warn) as source:
+        if source is not None:
+            messages = db_reader.load_messages(source, warn)
+            chats = db_reader.load_chat_list(source, warn)
+            db_reader.check_chat_list_consistency(chats, messages, warn)
 
     live_pairs = frozenset((m.key_remote_jid.raw, m.key_id_raw) for m in messages)
     backups = _load_backups(evidence, key, live_pairs, warn)

@@ -13,6 +13,7 @@ import shutil
 import sqlite3
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -159,6 +160,18 @@ def test_decrypt_wrong_key_fails(tmp_path):
     assert not out.exists()
 
 
+def test_decrypt_refuses_to_overwrite_its_input(tmp_path, capsys):
+    crypt = tmp_path / "x.crypt"
+    crypt.write_bytes(encrypt_fixture(SQLITE_MAGIC + bytes(16)))
+    before = crypt.read_bytes()
+    link = tmp_path / "hard-link.db"
+    os.link(crypt, link)
+    for out in (crypt, tmp_path / "." / crypt.name, link):
+        assert run(["decrypt", "--in", str(crypt), "--out", str(out)]) == EXIT_USAGE
+        assert "--out" in capsys.readouterr().err
+    assert crypt.read_bytes() == before
+
+
 DELETED_AT = 1380000000000  # 2013-09-24 05:20:00Z
 
 
@@ -303,6 +316,36 @@ def test_diff_on_a_corrupt_live_messages_table_is_a_tool_error(conversation_dir,
     assert "Traceback" not in err
 
 
+def _committed_wal(db: Path, tmp_path: Path) -> bytes:
+    """A write-ahead log holding one committed transaction, made on a copy of ``db``."""
+    copy = tmp_path / f"wal-of-{db.name}"
+    shutil.copyfile(db, copy)
+    conn = sqlite3.connect(copy)
+    try:
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("CREATE TABLE committed_after_the_checkpoint (x)")
+        conn.commit()
+        return Path(f"{copy}-wal").read_bytes()
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("store", [layout.MSGSTORE_DB, layout.WA_DB], ids=["msgstore", "wa"])
+def test_an_unread_write_ahead_log_is_a_warning(conversation_dir, tmp_path, store):
+    wal = conversation_dir / f"{store}-wal"
+    wal.touch()  # an empty log holds no rows
+    out = tmp_path / "report.json"
+    assert run(["report", "--in", str(conversation_dir), "--out", str(out)]) == EXIT_OK
+    wal.write_bytes(_committed_wal(conversation_dir / store, tmp_path))
+    assert run(["report", "--in", str(conversation_dir), "--out", str(out)]) == EXIT_WARNINGS
+    (warning,) = json.loads(out.read_text(encoding="utf-8"))["warnings"]
+    assert warning["source"] == f"{store}-wal"
+    assert "rows committed after the last checkpoint are not read" in warning["message"]
+    # diff reads msgstore.db only.
+    expected = EXIT_WARNINGS if store == layout.MSGSTORE_DB else EXIT_OK
+    assert run(["diff", "--in", str(conversation_dir), "--out", str(out)]) == expected
+
+
 def test_diff_takes_no_grammar(conversation_dir, tmp_path, capsys):
     grammar = tmp_path / "grammar.json"
     grammar.write_text("{}", encoding="utf-8")
@@ -401,6 +444,47 @@ def test_corrupt_backup_is_skipped_with_a_warning(tmp_path, capsys):
         if m["source"] == "recovered-from-backup"
     }
     assert recovered == {"first", "second"}
+
+
+# The deletions leave dangling chat-list pointers, which diff does not read.
+@pytest.mark.parametrize(
+    "command, code, connects",
+    [("report", EXIT_WARNINGS, 5), ("diff", EXIT_OK, 4)],
+    ids=["report", "diff"],
+)
+def test_each_database_is_connected_once_and_no_file_is_written(
+    tmp_path, monkeypatch, command, code, connects
+):
+    root = _three_backups(tmp_path).root
+    temp_dir = tmp_path / "temp"
+    temp_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+    connected = []
+    real_connect = sqlite3.connect
+
+    def connect(database, *args, **kwargs):
+        connected.append(database)
+        return real_connect(database, *args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", connect)
+    out = tmp_path / "out.json"
+    assert run([command, "--in", str(root), "--out", str(out)]) == code
+    # wa.db (report only), msgstore.db and each of the three backups, in memory.
+    assert len(connected) == connects
+    assert connected.count(":memory:") == 3
+    assert list(temp_dir.iterdir()) == []
+
+
+def test_a_backup_in_wal_mode_is_read(tmp_path):
+    root = _three_backups(tmp_path).root
+    expected, out = tmp_path / "expected.json", tmp_path / "out.json"
+    assert run(["report", "--in", str(root), "--out", str(expected)]) == EXIT_WARNINGS
+    for crypt in (root / layout.BACKUPS_DIR).glob("*.crypt"):
+        plain = bytearray(decrypt_backup(crypt))
+        plain[18:20] = b"\x02\x02"  # the file format versions of a WAL-mode database
+        crypt.write_bytes(encrypt_fixture(bytes(plain)))
+    assert run(["report", "--in", str(root), "--out", str(out)]) == EXIT_WARNINGS
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_corrupt_live_database_is_a_tool_error(conversation_dir, capsys):

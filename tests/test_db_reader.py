@@ -150,6 +150,27 @@ def test_msgstore_missing_messages_table(tmp_path):
         open_source(path, DbKind.CHAT_STORE)
 
 
+def test_an_image_reads_as_its_file_under_the_name_given(tmp_path):
+    row = {"key_remote_jid": jid("393480000002"), "key_id": "1-1", "data": "hi", "latitude": 1}
+    path = msgstore_db(tmp_path / "msgstore.db", [{**row, "media_wa_type": 5}])
+    from_file, from_image = WarningLog(), WarningLog()
+    with open_source(path, DbKind.CHAT_STORE) as source:
+        expected = load_messages(source, from_file)
+    name = "msgstore-1.db.crypt"
+    with open_source(name, DbKind.CHAT_STORE, image=path.read_bytes()) as source:
+        assert source.path == name
+        assert load_messages(source, from_image) == expected
+    assert [w.message for w in from_image] == [w.message for w in from_file]
+    assert [w.source for w in from_image] == [f"{name}:messages#1"]
+    with pytest.raises(NotSqlite, match=re.escape(name)):
+        open_source(name, DbKind.CHAT_STORE, image=b"not a database")
+    with pytest.raises(MissingTable, match=re.escape(name)):
+        open_source(name, DbKind.CONTACTS, image=path.read_bytes())
+    with pytest.raises(CorruptDatabase, match=re.escape(f"{name}: table messages is damaged")):
+        with open_source(name, DbKind.CHAT_STORE, image=corrupt_page_2(path.read_bytes())) as s:
+            load_messages(s)
+
+
 def test_incoming_text_message(tmp_path):
     row = {
         "key_remote_jid": jid("393480000002"),
@@ -768,7 +789,7 @@ def test_key_first_filter_keeps_order_and_ignores_duplicate_ids(tmp_path):
     assert warnings == ()
 
 
-def test_key_first_filter_fetches_only_the_kept_rows(tmp_path, monkeypatch):
+def test_key_first_filter_fetches_only_the_kept_rows(tmp_path):
     order = list(range(1, 2501))
     random.Random(3).shuffle(order)
     rows = [
@@ -778,14 +799,7 @@ def test_key_first_filter_fetches_only_the_kept_rows(tmp_path, monkeypatch):
     source = _untyped_store(tmp_path / "msgstore.db", rows, id_column="_id INTEGER")
     skip = frozenset((jid("393480000002"), f"1-{n}") for n in range(1, 2501) if n % 3 == 0)
     statements = []
-    connect = db_reader._connect_ro
-
-    def traced(path):
-        conn = connect(path)
-        conn.set_trace_callback(statements.append)
-        return conn
-
-    monkeypatch.setattr(db_reader, "_connect_ro", traced)
+    source.connection.set_trace_callback(statements.append)
     records = load_messages(source, skip_pairs=skip)
     assert [r.id for r in records] == [n for n in range(1, 2501) if n % 3]
     fetched = [s for s in statements if "WHERE rowid IN" in s]
