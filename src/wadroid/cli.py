@@ -10,9 +10,10 @@ errors.
 Each command loads only what its output uses, and its exit code counts
 the warnings about that. ``diff`` reads the backups and the live
 store's (conversation, key) pairs (``ingest.load_backup_deltas``), so it
-counts only warnings about backups and a missing chat database.
-``timeline`` and ``report`` also count the warnings of the analysis
-steps they run.
+counts only warnings about backups and the chat database.
+``timeline`` reads the live messages, the backups and the group lines
+of the logs (``ingest.load_chronology``). ``timeline`` and ``report``
+also count the warnings of the analysis steps they run.
 """
 
 from __future__ import annotations
@@ -142,12 +143,8 @@ def _emit(text: str, out: str | Path | None) -> None:
         sys.stdout.buffer.flush()
 
 
-def _bundle(args):
-    return ingest.load_case_bundle(args.in_path, _load_grammar(args.grammar), args.key)
-
-
 def _cmd_ingest(args) -> int:
-    bundle = _bundle(args)
+    bundle = ingest.load_case_bundle(args.in_path, _load_grammar(args.grammar), args.key)
     _emit(report_mod.render_report_json(report_mod.ingest_document(bundle)), args.out)
     return EXIT_WARNINGS if bundle.warnings else EXIT_OK
 
@@ -194,7 +191,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
-    bundle = _bundle(args)
+    bundle = ingest.load_chronology(args.in_path, _load_grammar(args.grammar), args.key)
     chronology = build_chronology(bundle)
     if args.format == "csv":
         _emit(report_mod.render_timeline_csv(chronology, args.tz), args.out)

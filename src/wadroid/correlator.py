@@ -29,6 +29,7 @@ from .model import (
     CaseBundle,
     CONTACT_ADDITION_KINDS,
     EventKind,
+    GROUP_MEMBERSHIP_KINDS,
     GroupId,
     JidKind,
     MessageRecord,
@@ -549,6 +550,7 @@ class GroupEventKind(str, Enum):
 
 
 _CONTROL_OPS = {1: GroupEventKind.CREATED, 4: GroupEventKind.JOINED, 5: GroupEventKind.LEFT}
+_LOG_OPS = dict(zip(GROUP_MEMBERSHIP_KINDS, GroupEventKind, strict=True))
 _EVENT_ORDER = {GroupEventKind.CREATED: 0, GroupEventKind.JOINED: 1, GroupEventKind.LEFT: 2}
 
 
@@ -654,13 +656,8 @@ def group_membership_timeline(
         per_group.setdefault(gid_raw, []).append(event)
         db_seen.add((gid_raw, op.value, member, record.timestamp))
 
-    log_ops = {
-        EventKind.GROUP_CREATED: GroupEventKind.CREATED,
-        EventKind.GROUP_MEMBER_ADDED: GroupEventKind.JOINED,
-        EventKind.GROUP_MEMBER_LEFT: GroupEventKind.LEFT,
-    }
     for event in bundle.log_events:
-        op = log_ops.get(event.kind)
+        op = _LOG_OPS.get(event.kind)
         if op is None or event.group_id is None:
             continue
         gid_raw = event.group_id.raw

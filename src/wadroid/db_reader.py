@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorruptDatabase, MissingTable, NotSqlite, UnreadableFile
 from .model import (
+    CALENDAR_END_MS,
     ChatListRecord,
     ContactRecord,
     MessageKey,
@@ -600,6 +601,9 @@ def _check_message_invariants(rec: MessageRecord, source: str, warn: WarningLog 
                 "state-change times are not monotone",
             )
         previous_name, previous = field_name, value
+    for field_name, value in (*ts, ("received_timestamp", rec.received_timestamp)):
+        if value is not None and value >= CALENDAR_END_MS:
+            warn_to(warn, source, f"{field_name} ({value}) is past the year 9999; no local time")
     if rec.media_wa_type == 5:
         lat, lon = rec.latitude, rec.longitude
         if lat is None or lon is None:

@@ -5,9 +5,11 @@ The directory is expected to follow the on-device layout (see
 partial one with warnings; only a directory containing no recognizable
 artifact at all is a structural error. Evidence files are opened
 strictly read-only; encrypted backups are decrypted in memory and never
-written anywhere. ``load_backup_deltas`` reads
-only the backups and the live store's (conversation, key) pairs, with
-the same steps ``load_case_bundle`` uses for them.
+written anywhere. Two loaders read less than ``load_case_bundle``, with
+the same steps it uses for what they read: ``load_backup_deltas`` reads
+only the backups and the live store's (conversation, key) pairs, and
+``load_chronology`` only the live messages, the backups and the log
+lines of the group membership kinds.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import stat
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Collection
 
 from . import db_reader, layout
 from .backup_crypto import decrypt_backup
@@ -26,6 +29,9 @@ from .model import (
     AvatarFile,
     BackupSet,
     CaseBundle,
+    EventKind,
+    GROUP_MEMBERSHIP_KINDS,
+    LogEvent,
     MediaFile,
     MediaHashes,
     ParseWarning,
@@ -35,6 +41,9 @@ from .model import (
 
 # C0 and C1 control characters, which no registered number holds.
 _CONTROL_CHARACTER = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+
+# The first bytes of a rollback journal that still holds a transaction.
+_JOURNAL_MAGIC = bytes.fromhex("d9d505f920a163d7")
 
 
 def _rel(root: Path, path: Path) -> str:
@@ -77,8 +86,8 @@ def _live_source(
 ) -> db_reader.DbSource:
     """The live database at ``rel_path``, opened in SQLite's immutable mode.
 
-    That mode reads no write-ahead log, so a non-empty one beside the
-    database is warned about.
+    That mode reads no write-ahead log and rolls back no hot journal, so
+    a non-empty log or a hot journal beside the database is warned about.
     """
     wal = root / f"{rel_path}-wal"
     if wal.is_file() and wal.stat().st_size > 0:
@@ -87,6 +96,18 @@ def _live_source(
             f"{rel_path}-wal",
             "write-ahead log ignored: rows committed after the last checkpoint are not read",
         )
+    journal = root / f"{rel_path}-journal"
+    if journal.is_file():
+        with journal.open("rb") as handle:
+            # An empty journal, or one whose header a commit zeroed, is not hot.
+            hot = handle.read(len(_JOURNAL_MAGIC)) == _JOURNAL_MAGIC
+        if hot:
+            warn_to(
+                warn,
+                f"{rel_path}-journal",
+                "hot rollback journal ignored: changes of an unfinished transaction "
+                "may be read as committed",
+            )
     return db_reader.open_source(root / rel_path, kind)
 
 
@@ -96,6 +117,10 @@ def _chat_store(root: Path, warn: WarningLog) -> db_reader.DbSource | nullcontex
         return _live_source(root, layout.MSGSTORE_DB, db_reader.DbKind.CHAT_STORE, warn)
     warn_to(warn, layout.MSGSTORE_DB, "chat database missing; message analysis degraded")
     return nullcontext()
+
+
+def _live_pairs(messages) -> frozenset[tuple[str, str]]:
+    return frozenset((m.key_remote_jid.raw, m.key_id_raw) for m in messages)
 
 
 def _load_backups(
@@ -158,6 +183,47 @@ def load_backup_deltas(root: str | Path, key: bytes | None = None) -> BackupDelt
         live_pairs = db_reader.load_message_pairs(source) if source is not None else frozenset()
     backups = _load_backups(evidence, key, live_pairs, warn)
     return BackupDeltas(live_pairs, tuple(backups), warn.items)
+
+
+def _read_logs(
+    evidence: _Evidence,
+    grammar: LogGrammar,
+    warn: WarningLog,
+    kinds: Collection[EventKind] | None = None,
+) -> list[LogEvent]:
+    """The events of every log file, merged; ``kinds`` as in ``parse_log_file``."""
+    if not evidence.log_files:
+        warn_to(warn, layout.LOGS_DIR, "no log files found; log-based inference disabled")
+        return []
+    return merge_events(
+        *(parse_log_file(path, grammar, warn, kinds) for path in evidence.log_files)
+    )
+
+
+def load_chronology(
+    root: str | Path, grammar: LogGrammar = DEFAULT_GRAMMAR, key: bytes | None = None
+) -> CaseBundle:
+    """The part of ``root`` that ``correlator.build_chronology`` reads, as a CaseBundle.
+
+    It holds the live messages, the backups (deltas against them) and the
+    log events of the group membership kinds, with the warnings of those
+    reads. The contacts database, chat list, settings and media are not
+    opened, and log lines of other kinds are not parsed past their body.
+    """
+    evidence = _find_evidence(root)
+    warn = WarningLog()
+    messages = []
+    with _chat_store(evidence.root, warn) as source:
+        if source is not None:
+            messages = db_reader.load_messages(source, warn)
+    backups = _load_backups(evidence, key, _live_pairs(messages), warn)
+    events = _read_logs(evidence, grammar, warn, GROUP_MEMBERSHIP_KINDS)
+    return CaseBundle(
+        messages=tuple(messages),
+        log_events=tuple(events),
+        backups=tuple(backups),
+        warnings=warn.items,
+    )
 
 
 def _list_media(root: Path) -> list[tuple[str, int, Path]]:
@@ -232,15 +298,8 @@ def _read_bundle(
             chats = db_reader.load_chat_list(source, warn)
             db_reader.check_chat_list_consistency(chats, messages, warn)
 
-    live_pairs = frozenset((m.key_remote_jid.raw, m.key_id_raw) for m in messages)
-    backups = _load_backups(evidence, key, live_pairs, warn)
-
-    events = []
-    if evidence.log_files:
-        per_file = [parse_log_file(path, grammar, warn) for path in evidence.log_files]
-        events = merge_events(*per_file)
-    else:
-        warn_to(warn, layout.LOGS_DIR, "no log files found; log-based inference disabled")
+    backups = _load_backups(evidence, key, _live_pairs(messages), warn)
+    events = _read_logs(evidence, grammar, warn)
 
     me_file = root / layout.ME_FILE
     registered = None

@@ -17,7 +17,9 @@ pattern (naive times are taken as UTC) or the literal ``epoch_s`` /
 
 Parsing is total: every input line yields exactly one event; lines that
 match no rule (or whose timestamp cannot be read) are preserved as
-kind=other.
+kind=other. A caller that reads only some kinds passes ``kinds`` and
+gets only the events of those kinds: the lines of other kinds are
+dropped before their timestamps and fields are parsed.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import Collection
 
 from .errors import BadGrammar, UnreadableFile
 from .model import (
@@ -241,13 +244,29 @@ def _other(line: str, source: str, number: int, occurred_at: int | None = None) 
     )
 
 
+def _find_rule(grammar: LogGrammar, body: str) -> tuple[GrammarRule, re.Match] | None:
+    """The first rule matching ``body``, with its match; None if no rule does."""
+    for rule in grammar.rules:
+        if body.startswith(rule.prefix):
+            bm = rule.pattern.match(body)
+            if bm:
+                return rule, bm
+    return None
+
+
 def _classify_line(
     line: str,
     source: str,
     number: int,
     grammar: LogGrammar,
     warn: WarningLog | None,
-) -> LogEvent:
+    kinds: Collection[EventKind] | None,
+) -> LogEvent | None:
+    """The line's event.
+
+    With ``kinds``, None for a line that fits the line pattern but whose
+    body no rule matches, or whose first matching rule is of another kind.
+    """
     where = f"{source}:{number}"
     if not line.strip():
         return _other(line, source, number)
@@ -255,52 +274,51 @@ def _classify_line(
     if not m:
         warn_to(warn, where, "line does not match the grammar line pattern")
         return _other(line, source, number)
+    body = m.group("body")
+    found = _find_rule(grammar, body)
+    if kinds is not None and (found is None or found[0].kind not in kinds):
+        return None
     try:
         occurred_at = _parse_timestamp(m.group("ts"), grammar.timestamp_format)
     except ValueError:
         warn_to(warn, where, f"unparsable timestamp {m.group('ts')!r}")
         return _other(line, source, number)
+    if found is None:
+        return _other(line, source, number, occurred_at)
 
-    body = m.group("body")
-    for rule in grammar.rules:
-        if not body.startswith(rule.prefix):
-            continue
-        bm = rule.pattern.match(body)
-        if not bm:
-            continue
-        groups = bm.groupdict()
-        jid_text = groups.get("jid") or groups.get("to") or groups.get("from")
-        subject_jid = classify_jid(jid_text, warn, where) if jid_text else None
-        # The unblock operation is anonymous on-device; never attach a jid.
-        if rule.kind is EventKind.CONTACT_UNBLOCKED:
-            subject_jid = None
-        key = None
-        if groups.get("key"):
-            try:
-                key = parse_message_key(groups["key"])
-            except Exception:
-                warn_to(warn, where, f"malformed message key {groups['key']!r}")
-        if rule.kind in KEY_BEARING_KINDS and key is None:
-            warn_to(warn, where, f"{rule.kind.value} line lacks a message key; kept as other")
-            return _other(line, source, number, occurred_at)
-        gid = None
-        if groups.get("gid"):
-            try:
-                gid = parse_group_id(groups["gid"])
-            except Exception:
-                warn_to(warn, where, f"malformed group id {groups['gid']!r}")
-        return LogEvent(
-            occurred_at=occurred_at,
-            kind=rule.kind,
-            subject_jid=subject_jid,
-            message_key=key,
-            group_id=gid,
-            group_subject=groups.get("subject"),
-            raw_line=line,
-            source_file=source,
-            line_number=number,
-        )
-    return _other(line, source, number, occurred_at)
+    rule, bm = found
+    groups = bm.groupdict()
+    jid_text = groups.get("jid") or groups.get("to") or groups.get("from")
+    subject_jid = classify_jid(jid_text, warn, where) if jid_text else None
+    # The unblock operation is anonymous on-device; never attach a jid.
+    if rule.kind is EventKind.CONTACT_UNBLOCKED:
+        subject_jid = None
+    key = None
+    if groups.get("key"):
+        try:
+            key = parse_message_key(groups["key"])
+        except Exception:
+            warn_to(warn, where, f"malformed message key {groups['key']!r}")
+    if rule.kind in KEY_BEARING_KINDS and key is None:
+        warn_to(warn, where, f"{rule.kind.value} line lacks a message key; kept as other")
+        return _other(line, source, number, occurred_at)
+    gid = None
+    if groups.get("gid"):
+        try:
+            gid = parse_group_id(groups["gid"])
+        except Exception:
+            warn_to(warn, where, f"malformed group id {groups['gid']!r}")
+    return LogEvent(
+        occurred_at=occurred_at,
+        kind=rule.kind,
+        subject_jid=subject_jid,
+        message_key=key,
+        group_id=gid,
+        group_subject=groups.get("subject"),
+        raw_line=line,
+        source_file=source,
+        line_number=number,
+    )
 
 
 def parse_log_lines(
@@ -308,20 +326,38 @@ def parse_log_lines(
     source_name: str,
     grammar: LogGrammar = DEFAULT_GRAMMAR,
     warn: WarningLog | None = None,
+    kinds: Collection[EventKind] | None = None,
 ) -> list[LogEvent]:
-    """Classify an iterable of lines; output length equals input length."""
-    return [
-        _classify_line(line.rstrip("\n"), source_name, number, grammar, warn)
+    """Classify an iterable of lines, one event per line.
+
+    With ``kinds``, only the events of those kinds are returned, in line
+    order: exactly those of the full parse. A line whose rule (the first
+    match, as always) is of another kind, or that no rule matches, gives
+    no event; its timestamp and fields are not parsed, so it does not
+    warn. A line that fails the line pattern still warns. ``kinds`` must
+    not hold ``other``.
+    """
+    if kinds is not None and EventKind.OTHER in kinds:
+        raise ValueError("kinds selects classified events; 'other' is what no rule classifies")
+    events = [
+        _classify_line(line.rstrip("\n"), source_name, number, grammar, warn, kinds)
         for number, line in enumerate(lines, start=1)
     ]
+    if kinds is None:
+        return events
+    return [event for event in events if event is not None and event.kind in kinds]
 
 
 def parse_log_file(
     path: str | Path,
     grammar: LogGrammar = DEFAULT_GRAMMAR,
     warn: WarningLog | None = None,
+    kinds: Collection[EventKind] | None = None,
 ) -> list[LogEvent]:
-    """Parse one log file into events, preserving file order and line numbers."""
+    """Parse one log file into events, preserving file order and line numbers.
+
+    ``kinds`` selects events as in ``parse_log_lines``.
+    """
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8", errors="replace")
@@ -334,7 +370,7 @@ def parse_log_file(
     if lines[-1] == "":  # the text ends with a newline, or is empty
         lines.pop()
     lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-    return parse_log_lines(lines, path.name, grammar, warn)
+    return parse_log_lines(lines, path.name, grammar, warn, kinds)
 
 
 def merge_events(*event_lists) -> list[LogEvent]:

@@ -39,6 +39,9 @@ _MESSAGE_KEY_RE = re.compile(r"^(?P<bc>%~)?(?P<start>[0-9]+)-(?P<seq>[0-9]+)$")
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
+#: Epoch milliseconds of 10000-01-01 00:00Z, where datetime's calendar ends.
+CALENDAR_END_MS = 253402300800000
+
 # Media files are hashed in chunks of this size, so a multi-GB video
 # never sits in memory whole.
 MEDIA_HASH_CHUNK = 1 << 20
@@ -266,11 +269,14 @@ def render_epoch_ms(value_ms: int | None, offset_minutes: int = 0) -> str | None
     """Render an epoch-millisecond value in the given display offset.
 
     Format: ``YYYY-MM-DD HH:MM:SS.mmm +HH:MM``. Returns None for absent
-    values.
+    values, and for a value whose local time is past the year 9999.
     """
     if value_ms is None or value_ms < 0:
         return None
-    local = _EPOCH + timedelta(milliseconds=value_ms, minutes=offset_minutes)
+    try:
+        local = _EPOCH + timedelta(milliseconds=value_ms, minutes=offset_minutes)
+    except OverflowError:  # off datetime's calendar
+        return None
     return (
         f"{local.year:04d}-{local.month:02d}-{local.day:02d} "
         f"{local.hour:02d}:{local.minute:02d}:{local.second:02d}"
@@ -401,6 +407,14 @@ KEY_BEARING_KINDS = frozenset(
         EventKind.DEVICE_ACK,
         EventKind.MESSAGE_DELETED,
     }
+)
+
+#: Kinds the group membership timelines read, in the order create, join,
+#: leave (that of ``correlator.GroupEventKind``).
+GROUP_MEMBERSHIP_KINDS = (
+    EventKind.GROUP_CREATED,
+    EventKind.GROUP_MEMBER_ADDED,
+    EventKind.GROUP_MEMBER_LEFT,
 )
 
 #: Kinds giving evidence that a contact was added to the database.

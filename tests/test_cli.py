@@ -223,6 +223,58 @@ def test_diff_document_renders_times_in_the_display_offset(tmp_path):
     assert row["timestamp_local"] == "2013-09-24 06:20:00.000 +01:00"
 
 
+PAST_THE_CALENDAR_MS = 2**62  # a local time in a year after 9999
+
+
+def _update(db: Path, sql: str, parameters=()) -> None:
+    conn = sqlite3.connect(db)
+    with conn:
+        conn.execute(sql, parameters)
+    conn.close()
+
+
+def _set_first_row_times(db: Path, value: int) -> None:
+    _update(
+        db,
+        "UPDATE messages SET timestamp = ?1, received_timestamp = ?1 "
+        "WHERE _id = (SELECT min(_id) FROM messages)",
+        (value,),
+    )
+
+
+def test_a_live_time_past_the_calendar_is_a_warning(conversation_dir, tmp_path, capsys):
+    _set_first_row_times(conversation_dir / layout.MSGSTORE_DB, PAST_THE_CALENDAR_MS)
+    out = tmp_path / "report.json"
+    assert run(["report", "--in", str(conversation_dir), "--out", str(out)]) == EXIT_WARNINGS
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert {
+        "source": "msgstore.db:messages#1",
+        "message": f"timestamp ({PAST_THE_CALENDAR_MS}) is past the year 9999; no local time",
+    } in report["warnings"]
+    capsys.readouterr()
+    assert run(["timeline", "--in", str(conversation_dir)]) == EXIT_WARNINGS
+    chats = json.loads(capsys.readouterr().out)["chats"]
+    assert chats == report["conversations"]
+    times = [m["effective"] for chat in chats for m in chat["messages"]]
+    assert {"epoch_ms": PAST_THE_CALENDAR_MS, "local": None} in times
+    assert run(["timeline", "--in", str(conversation_dir), "--format", "csv"]) == EXIT_WARNINGS
+    (row,) = [r for r in capsys.readouterr().out.splitlines() if str(PAST_THE_CALENDAR_MS) in r]
+    assert row.split(",")[2:4] == [str(PAST_THE_CALENDAR_MS), ""]
+
+
+def test_a_backup_time_past_the_calendar_is_a_warning(tmp_path, capsys):
+    root = _deleted_after_backup(tmp_path, "gone").root
+    (crypt,) = (root / layout.BACKUPS_DIR).glob("*.crypt")
+    plain = tmp_path / "backup.db"
+    plain.write_bytes(decrypt_backup(crypt))
+    _set_first_row_times(plain, PAST_THE_CALENDAR_MS)
+    crypt.write_bytes(encrypt_fixture(plain.read_bytes()))
+    assert run(["diff", "--in", str(root)]) == EXIT_WARNINGS
+    (row,) = json.loads(capsys.readouterr().out)["backups"][0]["recovered"]
+    assert row["timestamp"] == PAST_THE_CALENDAR_MS
+    assert row["timestamp_local"] is None
+
+
 def test_diff_reads_only_the_backups_and_the_live_pairs(tmp_path, monkeypatch):
     script = forge.ScenarioScript(
         owner=helpers.OWNER,
@@ -346,6 +398,47 @@ def test_an_unread_write_ahead_log_is_a_warning(conversation_dir, tmp_path, stor
     assert run(["diff", "--in", str(conversation_dir), "--out", str(out)]) == expected
 
 
+def _spilled_transaction(db: Path, tmp_path: Path) -> tuple[bytes, bytes]:
+    """A copy of ``db`` and its rollback journal, taken in an unfinished transaction.
+
+    With a one-page cache the transaction's changes spill into the
+    database file before it commits, so the journal is hot.
+    """
+    copy = tmp_path / f"spilled-{db.name}"
+    shutil.copyfile(db, copy)
+    conn = sqlite3.connect(copy, isolation_level=None)
+    try:
+        conn.execute("PRAGMA cache_size=1")
+        conn.execute("BEGIN")
+        conn.execute("CREATE TABLE unfinished (x)")
+        conn.executemany("INSERT INTO unfinished VALUES (?)", [(bytes(500),)] * 200)
+        return copy.read_bytes(), Path(f"{copy}-journal").read_bytes()
+    finally:
+        conn.close()  # rolls the copy back
+
+
+@pytest.mark.parametrize("store", [layout.MSGSTORE_DB, layout.WA_DB], ids=["msgstore", "wa"])
+def test_a_hot_rollback_journal_is_a_warning(conversation_dir, tmp_path, store):
+    out = tmp_path / "report.json"
+    journal = conversation_dir / f"{store}-journal"
+    journal.touch()  # an empty journal holds no transaction
+    assert run(["report", "--in", str(conversation_dir), "--out", str(out)]) == EXIT_OK
+    journal.write_bytes(bytes(512))  # a persisted journal, its header zeroed by the commit
+    assert run(["report", "--in", str(conversation_dir), "--out", str(out)]) == EXIT_OK
+    database, hot = _spilled_transaction(conversation_dir / store, tmp_path)
+    assert database != (conversation_dir / store).read_bytes()
+    (conversation_dir / store).write_bytes(database)
+    journal.write_bytes(hot)
+    assert run(["report", "--in", str(conversation_dir), "--out", str(out)]) == EXIT_WARNINGS
+    (warning,) = json.loads(out.read_text(encoding="utf-8"))["warnings"]
+    assert warning["source"] == f"{store}-journal"
+    assert "changes of an unfinished transaction" in warning["message"]
+    # timeline and diff read msgstore.db only.
+    expected = EXIT_WARNINGS if store == layout.MSGSTORE_DB else EXIT_OK
+    for command in ("timeline", "diff"):
+        assert run([command, "--in", str(conversation_dir), "--out", str(out)]) == expected
+
+
 def test_diff_takes_no_grammar(conversation_dir, tmp_path, capsys):
     grammar = tmp_path / "grammar.json"
     grammar.write_text("{}", encoding="utf-8")
@@ -391,8 +484,8 @@ def test_stdout_gets_the_out_file_bytes_whatever_the_locale(tmp_path, argv):
     wadroid_cli = functools.partial(subprocess.run, env=env, capture_output=True, timeout=60)
     to_stdout = wadroid_cli(command)
     to_file = wadroid_cli([*command, "--out", str(out)])
-    # The deletion leaves a dangling chat-list pointer, which diff does not read.
-    expected = EXIT_OK if argv == ["diff"] else EXIT_WARNINGS
+    # The deletion leaves a dangling chat-list pointer, which only ingest and report read.
+    expected = EXIT_WARNINGS if argv[0] in ("ingest", "report") else EXIT_OK
     assert to_stdout.returncode == to_file.returncode == expected, to_stdout.stderr
     assert to_stdout.stdout == out.read_bytes()
     if argv != ["ingest"]:
@@ -1023,6 +1116,143 @@ def test_timeline_exit_code_counts_analysis_warnings(tmp_path, capsys):
     assert [w["message"] for w in warnings] == [f"{stranger} leaves {gid} without a recorded join"]
     for fmt in ("csv", "json"):
         assert run(["timeline", "--in", str(result.root), "--format", fmt]) == EXIT_WARNINGS
+
+
+def _full_device(root: Path) -> Path:
+    """A clean device holding every artifact: a contact, chats, a group, media, a backup."""
+    group_at = helpers.CONV_OUT_2 + 60_000
+    script = forge.ScenarioScript(
+        owner=helpers.OWNER,
+        actors=(helpers.OWNER, helpers.PARTNER),
+        actions=(
+            forge.AddContact(at_ms=helpers.CONV_IN_1 - 60_000, number=helpers.PARTNER),
+            *helpers.conversation_script().actions,
+            forge.SendMedia(at_ms=group_at - 30_000, sender=helpers.PARTNER, to=helpers.OWNER),
+            forge.CreateGroup(at_ms=group_at, name="wa test group", label="g"),
+            forge.AddToGroup(at_ms=group_at + 1000, group="g", member=helpers.PARTNER),
+            forge.SnapshotBackup(at_ms=group_at + 60_000),
+        ),
+    )
+    return forge.generate_bundle(script, root).root
+
+
+def _append_log_line(root: Path, line: str) -> None:
+    with (root / layout.MAIN_LOG).open("a", encoding="utf-8") as log:
+        log.write(line + "\n")
+
+
+_A_GROUP = f"{helpers.OWNER}-1329116620@g.us"
+
+
+def _truncate_backup(root: Path) -> None:
+    (crypt,) = (root / layout.BACKUPS_DIR).glob("*.crypt")
+    crypt.write_bytes(crypt.read_bytes()[:17])
+
+
+# Each damage, and the exit code of ingest, report, timeline and diff after it.
+_EXIT_CONTRACT = {
+    "contact-jid": (
+        lambda root, tmp_path: _update(
+            root / layout.WA_DB,
+            "UPDATE wa_contacts SET jid = 'not a jid' WHERE _id = (SELECT min(_id) FROM wa_contacts)",
+        ),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
+    ),
+    "chat-list-pointer": (
+        lambda root, tmp_path: _update(
+            root / layout.MSGSTORE_DB, "UPDATE chat_list SET message_table_id = 9999"
+        ),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
+    ),
+    "me-file": (
+        lambda root, tmp_path: (root / layout.ME_FILE).write_bytes(b"\x00\xff"),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
+    ),
+    "log-key": (
+        lambda root, tmp_path: _append_log_line(
+            root, log_parser.format_line(helpers.CONV_OUT_2, log_parser.body_message_deleted("bad"))
+        ),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
+    ),
+    "group-log-date": (
+        lambda root, tmp_path: _append_log_line(
+            root,
+            "2013-02-30 10:00:00.000 +0000 "
+            + log_parser.body_group_member_left(_A_GROUP, helpers.jid(helpers.PARTNER)),
+        ),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK),
+    ),
+    "message-key": (
+        lambda root, tmp_path: _update(
+            root / layout.MSGSTORE_DB,
+            "UPDATE messages SET key_id = 'not a key' WHERE _id = (SELECT min(_id) FROM messages)",
+        ),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK),
+    ),
+    "wa-wal": (
+        lambda root, tmp_path: Path(f"{root / layout.WA_DB}-wal").write_bytes(
+            _committed_wal(root / layout.WA_DB, tmp_path)
+        ),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
+    ),
+    "msgstore-wal": (
+        lambda root, tmp_path: Path(f"{root / layout.MSGSTORE_DB}-wal").write_bytes(
+            _committed_wal(root / layout.MSGSTORE_DB, tmp_path)
+        ),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS),
+    ),
+    "backup": (
+        lambda root, tmp_path: _truncate_backup(root),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["ingest", "report", "timeline", "diff"])
+@pytest.mark.parametrize("damage", list(_EXIT_CONTRACT))
+def test_exit_code_counts_the_warnings_about_what_the_command_reads(tmp_path, damage, command):
+    root = _full_device(tmp_path / "evidence")
+    argv = [command, "--in", str(root), "--out", str(tmp_path / "out")]
+    assert run(argv) == EXIT_OK
+    harm, codes = _EXIT_CONTRACT[damage]
+    harm(root, tmp_path)
+    expected = dict(zip(["ingest", "report", "timeline", "diff"], codes))[command]
+    assert run(argv) == expected
+
+
+def test_timeline_reads_only_the_chat_store_the_backups_and_the_logs(tmp_path, monkeypatch):
+    root = _full_device(tmp_path / "evidence")
+    expected = {fmt: tmp_path / f"expected.{fmt}" for fmt in ("json", "csv")}
+    for fmt, out in expected.items():
+        assert run(["timeline", "--in", str(root), "--format", fmt, "--out", str(out)]) == EXIT_OK
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("timeline reads no contact or chat-list row")
+
+    for name in ("load_contacts", "load_chat_list", "check_chat_list_consistency"):
+        monkeypatch.setattr(db_reader, name, forbidden)
+    (root / layout.WA_DB).write_bytes(b"not a database")
+    unreadable = [
+        root / layout.MEDIA_DIR,
+        root / layout.AVATARS_DIR,
+        root / layout.PROFILE_PICTURES_DIR,
+        root / layout.ME_FILE,
+    ]
+    assert all(path.exists() for path in unreadable)
+    _make_unreadable(monkeypatch, *unreadable)
+    real_scandir = os.scandir
+
+    def guarded_scandir(path="."):
+        if any(Path(path).is_relative_to(p) for p in unreadable):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", guarded_scandir)
+    assert run(["report", "--in", str(root)]) == EXIT_ERROR  # the traps are armed
+    for fmt, path in expected.items():
+        out = tmp_path / f"out.{fmt}"
+        assert run(["timeline", "--in", str(root), "--format", fmt, "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == path.read_bytes()
 
 
 def test_forge_cli(tmp_path, capsys):

@@ -32,7 +32,7 @@ from wadroid.log_parser import (
     parse_log_file,
     parse_log_lines,
 )
-from wadroid.model import EventKind, WarningLog
+from wadroid.model import GROUP_MEMBERSHIP_KINDS, EventKind, WarningLog
 
 JID = "39331xxxxxxx@s.whatsapp.net"
 GID = "3933xxxxxxx-1363078943@g.us"
@@ -126,6 +126,59 @@ def test_parse_is_total():
     events = parse_log_lines(lines, "whatsapp.log")
     assert len(events) == len(lines)
     assert [e.line_number for e in events] == [1, 2, 3, 4]
+
+
+_IMPOSSIBLE_DATE = "2013-02-30 10:00:00.000 +0000 "
+
+# Line numbers in comments; "warns" marks a line the full parse warns about.
+_MIXED_LOG = [
+    format_line(1000, body_group_created(GID, "wa test group")),  # 1
+    format_line(2000, body_group_member_added(GID, JID)),  # 2
+    format_line(3000, body_message_sent("123-1", JID)),  # 3
+    format_line(4000, body_contact_blocked("not a jid")),  # 4 warns
+    "",  # 5
+    "garbage",  # 6 warns: fails the line pattern
+    _IMPOSSIBLE_DATE + body_group_member_left(GID, JID),  # 7 warns
+    _IMPOSSIBLE_DATE + body_contact_blocked(JID),  # 8 warns
+    format_line(5000, body_message_deleted("bad")),  # 9 warns twice
+    format_line(6000, body_group_member_added("bad", JID)),  # 10 warns
+    format_line(7000, "something/else entirely"),  # 11
+    format_line(8000, body_group_member_left(GID, JID)),  # 12
+]
+
+# An unwanted rule that takes every group/add line before the DEFAULT one.
+_SHADOWING_GRAMMAR = dataclasses.replace(
+    DEFAULT_GRAMMAR,
+    rules=(
+        GrammarRule(
+            EventKind.CONTACT_QUERY, re.compile(r"^group/add gid=(?P<gid>\S+) jid=(?P<jid>\S+)$")
+        ),
+        *DEFAULT_GRAMMAR.rules,
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "grammar, event_lines, warning_lines",
+    [(DEFAULT_GRAMMAR, [1, 2, 10, 12], [6, 7, 10]), (_SHADOWING_GRAMMAR, [1, 12], [6, 7])],
+    ids=["default", "shadowing"],
+)
+def test_kinds_gives_the_full_parse_events_of_those_kinds(
+    tmp_path, grammar, event_lines, warning_lines
+):
+    log = tmp_path / "whatsapp.log"
+    log.write_text("\n".join(_MIXED_LOG) + "\n", encoding="utf-8")
+    full_warn, warn = WarningLog(), WarningLog()
+    full = parse_log_file(log, grammar, full_warn)
+    events = parse_log_file(log, grammar, warn, kinds=GROUP_MEMBERSHIP_KINDS)
+    assert events == [e for e in full if e.kind in GROUP_MEMBERSHIP_KINDS]
+    assert [e.line_number for e in events] == event_lines
+    # Only lines failing the line pattern, or whose rule is of a wanted kind, warn.
+    sources = {f"whatsapp.log:{n}" for n in warning_lines}
+    assert warn.items == tuple(w for w in full_warn.items if w.source in sources)
+    assert {w.source for w in warn.items} == sources
+    with pytest.raises(ValueError):
+        parse_log_lines(_MIXED_LOG, "whatsapp.log", grammar, kinds={EventKind.OTHER})
 
 
 def test_timestamp_offset_respected():

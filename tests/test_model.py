@@ -6,6 +6,7 @@ import pytest
 
 from wadroid.errors import MalformedGroupId, MalformedJid, MalformedKey
 from wadroid.model import (
+    CALENDAR_END_MS,
     JidKind,
     WarningLog,
     classify_jid,
@@ -120,6 +121,14 @@ def test_render_epoch_offsets():
     assert render_epoch_ms(1381932937884, 120) == "2013-10-16 16:15:37.884 +02:00"
     assert render_epoch_ms(1381932937884, -330) == "2013-10-16 08:45:37.884 -05:30"
     assert render_epoch_ms(None, 0) is None
+
+
+def test_a_time_past_the_calendar_renders_as_absent():
+    assert render_epoch_ms(CALENDAR_END_MS - 1, 0) == "9999-12-31 23:59:59.999 +00:00"
+    assert render_epoch_ms(CALENDAR_END_MS - 1, -60) == "9999-12-31 22:59:59.999 -01:00"
+    assert render_epoch_ms(CALENDAR_END_MS - 1, 60) is None
+    assert render_epoch_ms(CALENDAR_END_MS, 0) is None
+    assert render_epoch_ms(2**62, 0) is None  # past timedelta's range too
 
 
 def test_tz_offset_parsing():
