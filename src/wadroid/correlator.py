@@ -20,8 +20,6 @@ analyses may run concurrently and findings merge deterministically by
 
 from __future__ import annotations
 
-import base64
-import binascii
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -35,6 +33,8 @@ from .model import (
     MessageRecord,
     WaJid,
     WarningLog,
+    coordinates_fault,
+    media_digest,
     parse_group_id,
     ts_present,
     warn_to,
@@ -186,12 +186,7 @@ def extract_content(record: MessageRecord, warn: WarningLog | None = None):
         return ContactCardContent(vcard=record.data or "", display_name=record.media_name)
     if mtype == 5:
         lat, lon = record.latitude, record.longitude
-        if (
-            lat is None
-            or lon is None
-            or not (-90.0 <= lat <= 90.0)
-            or not (-180.0 <= lon <= 180.0)
-        ):
+        if coordinates_fault(lat, lon):
             return TextContent(text=record.data or "")
         return GeoContent(latitude=lat, longitude=lon, map_thumbnail=record.raw_data)
     warn_to(warn, f"messages:_id={record.id}", f"unknown media_wa_type {mtype}; kept as text")
@@ -989,12 +984,9 @@ def _hash_to_hex(hash_b64: str | None) -> str | None:
     if not hash_b64:
         return None
     try:
-        digest = base64.b64decode(hash_b64, validate=True)
-    except (binascii.Error, ValueError):
+        return media_digest(hash_b64).hex()
+    except ValueError:
         return None
-    if len(digest) != 32:
-        return None
-    return digest.hex()
 
 
 def _media_records(records):
@@ -1150,35 +1142,39 @@ def identity_check(bundle: CaseBundle, sim_number: str | None = None) -> Finding
 
 @dataclass
 class Chronology:
-    """Per-conversation histories, group timelines and partners of a bundle."""
+    """Per-conversation histories and group timelines of a bundle."""
 
     histories: dict
     timelines: list[GroupTimeline]
-    partners: PartnerAnalysis
     warnings: WarningLog
 
 
 @dataclass
 class Analysis(Chronology):
-    """A chronology with the findings of every correlator."""
+    """A chronology with the partners and the findings of every correlator."""
 
+    partners: PartnerAnalysis
     findings: list[Finding]
 
 
 def build_chronology(bundle: CaseBundle) -> Chronology:
-    """Run the chronology steps, the only ones that warn about the evidence."""
+    """Reconstruct the conversation histories and the group membership timelines."""
     warn = WarningLog()
     return Chronology(
         histories=reconstruct_history(bundle, warn=warn),
         timelines=group_membership_timeline(bundle, warn),
-        partners=resolve_partners(bundle, warn),
         warnings=warn,
     )
 
 
 def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
-    """Build the chronology, then run every correlator and merge the findings."""
+    """Build the chronology and the partners, then run every correlator.
+
+    The chronology and the partners are the only steps that warn about
+    the evidence; they share one log.
+    """
     chronology = build_chronology(bundle)
+    partners = resolve_partners(bundle, chronology.warnings)
     histories, timelines = chronology.histories, chronology.timelines
 
     findings: list[Finding] = []
@@ -1232,4 +1228,5 @@ def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
         )
     )
     findings.append(identity_check(bundle, sim_number))
-    return Analysis(**vars(chronology), findings=sort_findings(findings))
+    findings = sort_findings(findings)
+    return Analysis(**vars(chronology), partners=partners, findings=findings)

@@ -42,6 +42,8 @@ from .model import (
     WaJid,
     WarningLog,
     classify_jid,
+    coordinates_fault,
+    media_digest,
     parse_message_key,
     warn_to,
 )
@@ -382,20 +384,10 @@ def _decode_media_hash(value: str | None, source: str, warn: WarningLog | None) 
     """Warn when media_hash is not base64 for exactly 32 bytes (kept verbatim)."""
     if value is None:
         return
-    import base64
-    import binascii
-
     try:
-        digest = base64.b64decode(value, validate=True)
-    except (binascii.Error, ValueError):
-        warn_to(warn, source, f"media_hash is not valid base64: {value!r}")
-        return
-    if len(digest) != 32:
-        warn_to(
-            warn,
-            source,
-            f"media_hash decodes to {len(digest)} bytes; expected a 32-byte digest",
-        )
+        media_digest(value)
+    except ValueError as exc:
+        warn_to(warn, source, str(exc))
 
 
 _PAIR_COLUMNS = ("key_remote_jid", "key_id")
@@ -604,12 +596,8 @@ def _check_message_invariants(rec: MessageRecord, source: str, warn: WarningLog 
     for field_name, value in (*ts, ("received_timestamp", rec.received_timestamp)):
         if value is not None and value >= CALENDAR_END_MS:
             warn_to(warn, source, f"{field_name} ({value}) is past the year 9999; no local time")
-    if rec.media_wa_type == 5:
-        lat, lon = rec.latitude, rec.longitude
-        if lat is None or lon is None:
-            warn_to(warn, source, "geo message lacks latitude/longitude")
-        elif not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            warn_to(warn, source, f"geo coordinates out of range: {lat}, {lon}")
+    if rec.media_wa_type == 5 and (fault := coordinates_fault(rec.latitude, rec.longitude)):
+        warn_to(warn, source, fault)
 
 
 #: The chat-list columns a record is decoded from, each with its storage class.

@@ -45,7 +45,6 @@ import json
 import random
 import re
 import sqlite3
-import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -937,40 +936,26 @@ def _contact_columns(contact: _SimContact) -> dict:
     }
 
 
-def _write_sqlite(path: Path, schema: str, inserts) -> None:
-    if path.exists():
-        path.unlink()
-    conn = sqlite3.connect(path)
+def _sqlite_image(schema: str, tables) -> bytes:
+    """The file bytes of a SQLite store of ``schema`` holding ``(table, rows)``.
+
+    Each table's rows are dicts with the same keys, inserted in order.
+    """
+    conn = sqlite3.connect(":memory:")
     try:
-        conn.execute("PRAGMA journal_mode=MEMORY")
         conn.executescript(schema)
-        for table, rows in inserts:
-            for row in rows:
-                columns = list(row)
-                sql = (
+        for table, rows in tables:
+            if rows:
+                columns = list(rows[0])
+                conn.executemany(
                     f"INSERT INTO {table} ({', '.join(columns)}) "
-                    f"VALUES ({', '.join('?' for _ in columns)})"
+                    f"VALUES ({', '.join(':' + c for c in columns)})",
+                    rows,
                 )
-                conn.execute(sql, [row[c] for c in columns])
         conn.commit()
+        return conn.serialize()
     finally:
         conn.close()
-
-
-def _write_wa_db(path: Path, contact_rows) -> None:
-    _write_sqlite(
-        path,
-        _WA_SCHEMA,
-        [("android_metadata", [{"locale": "en_US"}]), ("wa_contacts", contact_rows)],
-    )
-
-
-def _write_msgstore(path: Path, message_rows, chat_rows) -> None:
-    _write_sqlite(
-        path,
-        _MSGSTORE_SCHEMA,
-        [("messages", message_rows), ("chat_list", chat_rows)],
-    )
 
 
 def _expected_message(columns: dict) -> MessageRecord:
@@ -1129,7 +1114,12 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
     # contacts database
     live_contacts = [c for c in sim.contacts if not c.deleted]
     contact_rows = [_contact_columns(c) for c in live_contacts]
-    _write_wa_db(root / layout.WA_DB, contact_rows)
+    (root / layout.WA_DB).write_bytes(
+        _sqlite_image(
+            _WA_SCHEMA,
+            [("android_metadata", [{"locale": "en_US"}]), ("wa_contacts", contact_rows)],
+        )
+    )
 
     # chat database (live rows) plus snapshots
     live_messages = [m for m in sim.messages if m.delete_ms is None]
@@ -1138,51 +1128,50 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
         {"_id": pair[0], "key_remote_jid": jid, "message_table_id": pair[1]}
         for jid, pair in sorted(sim.chat_rows.items(), key=lambda kv: kv[1][0])
     ]
-    _write_msgstore(root / layout.MSGSTORE_DB, live_rows, chat_rows)
+    (root / layout.MSGSTORE_DB).write_bytes(
+        _sqlite_image(_MSGSTORE_SCHEMA, [("messages", live_rows), ("chat_list", chat_rows)])
+    )
 
     # The parsed backups hold only rows whose (conversation, key) pair is
     # not live; the analytics oracle reads the full snapshots instead.
     live_pairs = {(row["key_remote_jid"], row["key_id"]) for row in live_rows}
     snapshots, expected_backups = [], []
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, as_of in sorted(sim.snapshots, key=lambda s: s[0]):
-            rows = [
-                m.materialize(as_of)
-                for m in sim.messages
-                if m.insert_ms <= as_of and (m.delete_ms is None or m.delete_ms > as_of)
-            ]
-            # chat_list as it stood at snapshot time: last message inserted
-            # per conversation, for conversations that already existed
-            last_at: dict[str, int] = {}
-            for m in sim.messages:
-                if m.insert_ms <= as_of:
-                    last_at[m.jid_raw] = m.id
-            snapshot_chats = sorted(
-                (
-                    {
-                        "_id": sim.chat_rows[jid][0],
-                        "key_remote_jid": jid,
-                        "message_table_id": last,
-                    }
-                    for jid, last in last_at.items()
+    for name, as_of in sorted(sim.snapshots, key=lambda s: s[0]):
+        rows = [
+            m.materialize(as_of)
+            for m in sim.messages
+            if m.insert_ms <= as_of and (m.delete_ms is None or m.delete_ms > as_of)
+        ]
+        # chat_list as it stood at snapshot time: last message inserted
+        # per conversation, for conversations that already existed
+        last_at: dict[str, int] = {}
+        for m in sim.messages:
+            if m.insert_ms <= as_of:
+                last_at[m.jid_raw] = m.id
+        snapshot_chats = sorted(
+            (
+                {
+                    "_id": sim.chat_rows[jid][0],
+                    "key_remote_jid": jid,
+                    "message_table_id": last,
+                }
+                for jid, last in last_at.items()
+            ),
+            key=lambda row: row["_id"],
+        )
+        image = _sqlite_image(_MSGSTORE_SCHEMA, [("messages", rows), ("chat_list", snapshot_chats)])
+        (root / layout.BACKUPS_DIR / name).write_bytes(encrypt_fixture(image))
+        snapshots.append(rows)
+        expected_backups.append(
+            BackupSet(
+                name=name,
+                messages=tuple(
+                    _expected_message(r)
+                    for r in rows
+                    if (r["key_remote_jid"], r["key_id"]) not in live_pairs
                 ),
-                key=lambda row: row["_id"],
             )
-            tmp_db = Path(tmp) / name.replace(".crypt", ".db")
-            _write_msgstore(tmp_db, rows, snapshot_chats)
-            plain = tmp_db.read_bytes()
-            (root / layout.BACKUPS_DIR / name).write_bytes(encrypt_fixture(plain))
-            snapshots.append(rows)
-            expected_backups.append(
-                BackupSet(
-                    name=name,
-                    messages=tuple(
-                        _expected_message(r)
-                        for r in rows
-                        if (r["key_remote_jid"], r["key_id"]) not in live_pairs
-                    ),
-                )
-            )
+        )
 
     # log file
     ordered_log = sorted(sim.log, key=lambda item: (item[0], item[1]))

@@ -71,50 +71,10 @@ _DEFAULT_RULES = (
 )
 
 
-_REGEX_SPECIAL = frozenset(".^$*+?{}[]()|\\")
-_QUANTIFIERS = frozenset("*+?{")
-
-
-def _literal_prefix(pattern: re.Pattern) -> str:
-    """Text that starts every string ``pattern.match`` accepts; "" if none is known.
-
-    Only a ``^``-anchored pattern without ``|``, IGNORECASE or VERBOSE
-    has one: its literal characters up to the first special one, less a
-    character a quantifier may repeat zero times. A backslash before any
-    character but an ASCII letter or digit makes that character literal;
-    any other escape ends the prefix.
-    """
-    text = pattern.pattern
-    if not text.startswith("^") or "|" in text or pattern.flags & (re.IGNORECASE | re.VERBOSE):
-        return ""
-    prefix = []
-    at = 1
-    while at < len(text):
-        char = text[at]
-        if char == "\\":
-            char = text[at + 1 : at + 2]
-            if not char or (char.isascii() and char.isalnum()):
-                break
-            at += 2
-        elif char in _REGEX_SPECIAL:
-            break
-        else:
-            at += 1
-        if text[at : at + 1] in _QUANTIFIERS:
-            break
-        prefix.append(char)
-    return "".join(prefix)
-
-
 @dataclass(frozen=True)
 class GrammarRule:
     kind: EventKind
     pattern: re.Pattern
-
-    @functools.cached_property
-    def prefix(self) -> str:
-        """What a line body starts with if this rule matches it ("" if unknown)."""
-        return _literal_prefix(self.pattern)
 
 
 @dataclass(frozen=True)
@@ -247,10 +207,9 @@ def _other(line: str, source: str, number: int, occurred_at: int | None = None) 
 def _find_rule(grammar: LogGrammar, body: str) -> tuple[GrammarRule, re.Match] | None:
     """The first rule matching ``body``, with its match; None if no rule does."""
     for rule in grammar.rules:
-        if body.startswith(rule.prefix):
-            bm = rule.pattern.match(body)
-            if bm:
-                return rule, bm
+        bm = rule.pattern.match(body)
+        if bm:
+            return rule, bm
     return None
 
 

@@ -13,6 +13,7 @@ display timezone is strictly a report-rendering concern (see
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import os
 import re
@@ -369,6 +370,30 @@ class MessageRecord:
         if not self.from_me and ts_present(self.received_timestamp):
             return self.received_timestamp
         return self.timestamp
+
+
+def media_digest(media_hash: str) -> bytes:
+    """The SHA-256 digest a media_hash value holds as base64.
+
+    Raises ValueError, whose text says why, when the value is not the
+    base64 of exactly 32 bytes.
+    """
+    try:
+        digest = base64.b64decode(media_hash, validate=True)
+    except ValueError:
+        raise ValueError(f"media_hash is not valid base64: {media_hash!r}") from None
+    if len(digest) != 32:
+        raise ValueError(f"media_hash decodes to {len(digest)} bytes; expected a 32-byte digest")
+    return digest
+
+
+def coordinates_fault(latitude: float | None, longitude: float | None) -> str | None:
+    """Why a geo message's coordinates are unusable; None when they are usable."""
+    if latitude is None or longitude is None:
+        return "geo message lacks latitude/longitude"
+    if not (-90.0 <= latitude <= 90.0 and -180.0 <= longitude <= 180.0):
+        return f"geo coordinates out of range: {latitude}, {longitude}"
+    return None
 
 
 @dataclass(frozen=True)

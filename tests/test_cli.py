@@ -1118,6 +1118,22 @@ def test_timeline_exit_code_counts_analysis_warnings(tmp_path, capsys):
         assert run(["timeline", "--in", str(result.root), "--format", fmt]) == EXIT_WARNINGS
 
 
+def test_only_report_counts_a_broadcast_recipient_count_mismatch(tmp_path, capsys):
+    root = forge.generate_bundle(helpers.broadcast_script(), tmp_path / "evidence").root
+    _update(
+        root / layout.MSGSTORE_DB,
+        "UPDATE messages SET recipient_count = 5 WHERE recipient_count IS NOT NULL",
+    )
+    out = tmp_path / "report.json"
+    assert run(["report", "--in", str(root), "--out", str(out)]) == EXIT_WARNINGS
+    warnings = json.loads(out.read_text(encoding="utf-8"))["warnings"]
+    assert [w["message"] for w in warnings] == [
+        "broadcast stores 3 recipient rows but recipient_count=5 (evidence may be partial)"
+    ]
+    for fmt in ("csv", "json"):
+        assert run(["timeline", "--in", str(root), "--format", fmt]) == EXIT_OK
+
+
 def _full_device(root: Path) -> Path:
     """A clean device holding every artifact: a contact, chats, a group, media, a backup."""
     group_at = helpers.CONV_OUT_2 + 60_000

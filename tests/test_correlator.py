@@ -758,13 +758,13 @@ def test_chronology_is_the_start_of_the_analysis(tmp_path):
         log.write("\n")
     bundle = ingest.load_case_bundle(result.root)
     chronology, analysis = build_chronology(bundle), analyze(bundle)
-    assert chronology.histories and chronology.timelines and chronology.partners.broadcasts
+    assert chronology.histories and chronology.timelines and analysis.partners.broadcasts
     assert [w.message for w in chronology.warnings] == [
         f"{stranger} leaves {gid} without a recorded join"
     ]
     assert chronology.histories == analysis.histories
     assert chronology.timelines == analysis.timelines
-    assert chronology.partners == analysis.partners
+    assert analysis.partners == resolve_partners(bundle)
     assert chronology.warnings.items == analysis.warnings.items
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sqlite3
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,24 @@ def test_determinism_byte_identical(tmp_path):
     forge.generate_bundle(script, tmp_path / "one")
     forge.generate_bundle(script, tmp_path / "two")
     assert _tree_hashes(tmp_path / "one") == _tree_hashes(tmp_path / "two")
+
+
+def test_each_store_is_built_in_memory_and_no_temp_file_is_written(tmp_path, monkeypatch):
+    temp_dir = tmp_path / "temp"
+    temp_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+    connected = []
+    real_connect = sqlite3.connect
+
+    def connect(database, *args, **kwargs):
+        connected.append((database, list(temp_dir.iterdir())))
+        return real_connect(database, *args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", connect)
+    forge.generate_bundle(_mixed_script(), tmp_path / "evidence")
+    # wa.db, msgstore.db and the one backup, each while the temp directory is empty
+    assert connected == [(":memory:", [])] * 3
+    assert list(temp_dir.iterdir()) == []
 
 
 def test_parse_matches_expected_bundle(tmp_path):

@@ -388,95 +388,3 @@ def test_malformed_stamps_give_the_strptime_events_and_warnings(monkeypatch):
     read, rejected = len(_STAMPS) - len(_REJECTED), len(_REJECTED)
     expected = [(EventKind.CONTACT_BLOCKED, False)] * read + [(EventKind.OTHER, True)] * rejected
     assert [(e.kind, e.occurred_at is None) for e in fast_events] == expected
-
-
-# --- rules skipped on their literal prefix ----------------------------------------
-
-_GATE_RULES = {
-    # name: (kind, pattern, flags, the literal prefix derived from it)
-    "ignorecase": (EventKind.MESSAGE_SENT, r"^msgstore/send key=(?P<key>\S+) to=(?P<to>\S+)$",
-                   re.IGNORECASE, ""),
-    "inline-ignorecase": (EventKind.MESSAGE_SENT,
-                          r"(?i)^msgstore/send key=(?P<key>\S+) to=(?P<to>\S+)$", 0, ""),
-    "leading-group": (EventKind.MESSAGE_RECEIVED,
-                      r"^(?:msgstore)/recv key=(?P<key>\S+) from=(?P<from>\S+)$", 0, ""),
-    "alternation": (EventKind.CONTACT_BLOCKED, r"^zzz|contact/block jid=(?P<jid>\S+)$", 0, ""),
-    "escaped-slash": (EventKind.SERVER_ACK, r"^msgstore\/ack\/server key=(?P<key>\S+)$", 0,
-                      "msgstore/ack/server key="),
-    "quantifier": (EventKind.MESSAGE_DELETED, r"^ms*gstore/delete key=(?P<key>\S+)$", 0, "m"),
-    "optional": (EventKind.DEVICE_ACK, r"^msgstore/ack/devices? key=(?P<key>\S+)$", 0,
-                 "msgstore/ack/device"),
-    "unanchored": (EventKind.CONTACT_UNBLOCKED, r"contact/unblock/completed$", 0, ""),
-    "class-escape": (EventKind.CONTACT_QUERY, r"^contact\.query\d jid=(?P<jid>\S+)$", 0,
-                     "contact.query"),
-}
-
-_GATE_BODIES = [
-    body_message_sent("1363253484-1", JID),
-    body_message_sent("1363253484-2", JID).upper(),
-    "Msgstore/Send key=1363253484-3 to=" + JID,
-    body_message_received("1363253484-4", JID),
-    "zzz",
-    "zzzz and more",
-    body_contact_blocked(JID),
-    "xcontact/block jid=" + JID,
-    body_server_ack("1363253484-5"),
-    r"msgstore\/ack\/server key=1363253484-6",
-    "mgstore/delete key=1363253484-7",
-    "msssgstore/delete key=1363253484-8",
-    body_message_deleted("1363253484-9"),
-    body_device_ack("1363253484-10"),
-    "msgstore/ack/devices key=1363253484-11",
-    body_contact_unblocked(),
-    "xcontact/unblock/completed",
-    "contact.query7 jid=" + JID,
-    "contact.queryX jid=" + JID,
-    "m",
-    "",
-    "nothing a rule knows",
-]
-
-
-def _gate_grammar(*names):
-    rules = [
-        GrammarRule(kind, re.compile(pattern, flags))
-        for kind, pattern, flags, _ in (_GATE_RULES[name] for name in names)
-    ]
-    return LogGrammar(
-        line_pattern=re.compile(r"^\[(?P<ts>\d+)\] (?P<body>.*)$"),
-        timestamp_format="epoch_s",
-        rules=(*rules, *DEFAULT_GRAMMAR.rules),
-    )
-
-
-def test_literal_prefixes():
-    for name, (kind, pattern, flags, prefix) in _GATE_RULES.items():
-        assert GrammarRule(kind, re.compile(pattern, flags)).prefix == prefix, name
-    assert GrammarRule(EventKind.OTHER, re.compile("^ab*c")).prefix == "a"
-    assert GrammarRule(EventKind.OTHER, re.compile("^a{2}b")).prefix == ""
-    assert GrammarRule(EventKind.OTHER, re.compile(r"^a\\b")).prefix == "a\\b"
-    assert GrammarRule(EventKind.OTHER, re.compile(r"^a\ b\é")).prefix == "a bé"
-    assert GrammarRule(EventKind.OTHER, re.compile(r"^a\tb")).prefix == "a"
-    assert GrammarRule(EventKind.OTHER, re.compile(r"^a b", re.VERBOSE)).prefix == ""
-    assert all(rule.prefix for rule in DEFAULT_GRAMMAR.rules)
-
-
-@pytest.mark.parametrize("names", [(name,) for name in _GATE_RULES] + [tuple(_GATE_RULES)])
-def test_prefix_gate_classifies_as_the_ungated_loop(monkeypatch, names):
-    grammar = _gate_grammar(*names)
-    lines = [f"[{1363258162 + n}] {body}" for n, body in enumerate(_GATE_BODIES)]
-    for rule in grammar.rules:
-        for body in _GATE_BODIES:
-            if rule.pattern.match(body):
-                assert body.startswith(rule.prefix), (rule.pattern.pattern, body)
-
-    def parse():
-        warn = WarningLog()
-        return parse_log_lines(lines, "whatsapp.log", grammar, warn), warn.items
-
-    gated = parse()
-    monkeypatch.setattr(GrammarRule, "prefix", property(lambda rule: ""))
-    assert parse() == gated
-    # every custom rule matches some line and misses another
-    for rule in grammar.rules[: len(names)]:
-        assert sorted({bool(rule.pattern.match(body)) for body in _GATE_BODIES}) == [False, True]
