@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .errors import MalformedGroupId
 from .model import (
     CaseBundle,
     CONTACT_ADDITION_KINDS,
@@ -30,6 +31,8 @@ from .model import (
     GROUP_MEMBERSHIP_KINDS,
     GroupId,
     JidKind,
+    KEY_BEARING_KINDS,
+    LogEvent,
     MessageRecord,
     WaJid,
     WarningLog,
@@ -439,50 +442,34 @@ def resolve_partners(bundle: CaseBundle, warn: WarningLog | None = None) -> Part
 
     for record in bundle.messages:
         conversation = record.key_remote_jid.raw
+        originator = None
+        authored = False
         if record.is_control and conversation.endswith("@g.us"):
-            member = record.remote_resource_raw or None
-            if member is None:
-                member = _group_creator_raw(conversation)
-            per_message[record.id] = PartnerResolution(
-                record_id=record.id,
-                conversation=conversation,
-                key_raw=record.key_id_raw,
-                kind="group-control",
-                partners=frozenset({conversation}),
-                originator=member,
-            )
+            kind = "group-control"
+            originator = record.remote_resource_raw or _group_creator_raw(conversation)
         elif record.is_broadcast_receipt:
-            per_message[record.id] = PartnerResolution(
-                record_id=record.id,
-                conversation=conversation,
-                key_raw=record.key_id_raw,
-                kind="broadcast-received",
-                partners=frozenset({conversation}),
-                originator=conversation,
-            )
+            kind = "broadcast-received"
+            originator = conversation
         elif record.is_broadcast_sender_row:
             broadcast_rows.setdefault(record.key_id_raw, []).append(record)
+            continue
         elif record.key_remote_jid.kind is JidKind.GROUP or conversation.endswith("@g.us"):
-            authored = record.remote_resource_raw in (None, "") and (
+            kind = "group"
+            originator = record.remote_resource_raw or None
+            authored = originator is None and (
                 record.status_code == MessageRecord.STATUS_ON_SERVER or record.from_me
             )
-            per_message[record.id] = PartnerResolution(
-                record_id=record.id,
-                conversation=conversation,
-                key_raw=record.key_id_raw,
-                kind="group",
-                partners=frozenset({conversation}),
-                originator=record.remote_resource_raw or None,
-                authored_by_owner=authored,
-            )
         else:
-            per_message[record.id] = PartnerResolution(
-                record_id=record.id,
-                conversation=conversation,
-                key_raw=record.key_id_raw,
-                kind="direct",
-                partners=frozenset({conversation}),
-            )
+            kind = "direct"
+        per_message[record.id] = PartnerResolution(
+            record_id=record.id,
+            conversation=conversation,
+            key_raw=record.key_id_raw,
+            kind=kind,
+            partners=frozenset({conversation}),
+            originator=originator,
+            authored_by_owner=authored,
+        )
 
     broadcasts = []
     for key_raw in sorted(broadcast_rows):
@@ -531,7 +518,7 @@ def resolve_partners(bundle: CaseBundle, warn: WarningLog | None = None) -> Part
 def _group_creator_raw(gid_raw: str) -> str | None:
     try:
         return parse_group_id(gid_raw).creator.raw
-    except Exception:
+    except MalformedGroupId:
         return None
 
 
@@ -687,7 +674,7 @@ def group_membership_timeline(
         gid = None
         try:
             gid = parse_group_id(gid_raw)
-        except Exception:
+        except MalformedGroupId:
             warn_to(warn, f"group:{gid_raw}", "group id does not parse; creator unknown")
         timeline = GroupTimeline(
             group_raw=gid_raw, group=gid, group_name=names.get(gid_raw), events=tuple(events)
@@ -720,8 +707,7 @@ def block_statuses(blocks, unblock_times) -> dict[str, tuple[str, int]]:
     """
     timeline: list[tuple[int, int, str | None]] = []
     for jid, at_ms in blocks:
-        raw = jid.raw if isinstance(jid, WaJid) else str(jid)
-        timeline.append((at_ms if at_ms is not None else 0, 0, raw))
+        timeline.append((at_ms if at_ms is not None else 0, 0, jid.raw))
     for at_ms in unblock_times:
         timeline.append((at_ms, 1, None))
     timeline.sort(key=lambda item: (item[0], item[1]))
@@ -879,60 +865,42 @@ def infer_deleted_messages(bundle: CaseBundle, index: LogIndex) -> list[Finding]
     longer matches any row, and backup copies holding rows the live
     database lost. Content is unrecoverable from logs; a backup copy, if
     any, is referenced instead.
+
+    A backup row is lost by its (conversation, key) pair: every
+    ``BackupSet`` is already a delta on that pair, so each of its rows
+    is a candidate, a deleted broadcast fan-out row included. A log
+    line counts by its key, because a deletion line names no
+    conversation.
     """
-    live_keys = {m.key_id_raw for m in bundle.messages}
-
-    deletes: dict[str, tuple[int, list[str]]] = {}
-    sent: dict[str, tuple[int, list[str]]] = {}
-    received: dict[str, tuple[int, list[str]]] = {}
-    partners: dict[str, set[str]] = {}
-    acks: dict[str, dict[str, int]] = {}
+    events_by_key: dict[str, list[LogEvent]] = {}
     for event in bundle.log_events:
-        if event.message_key is None or event.occurred_at is None:
-            continue
-        key = event.message_key.raw
-        ref = event.evidence_ref
-        if event.kind is EventKind.MESSAGE_DELETED:
-            at, refs = deletes.get(key, (event.occurred_at, []))
-            deletes[key] = (max(at, event.occurred_at), refs + [ref])
-        elif event.kind is EventKind.MESSAGE_SENT:
-            at, refs = sent.get(key, (event.occurred_at, []))
-            sent[key] = (min(at, event.occurred_at), refs + [ref])
-            if event.subject_jid:
-                partners.setdefault(key, set()).add(event.subject_jid.raw)
-        elif event.kind is EventKind.MESSAGE_RECEIVED:
-            at, refs = received.get(key, (event.occurred_at, []))
-            received[key] = (min(at, event.occurred_at), refs + [ref])
-            if event.subject_jid:
-                partners.setdefault(key, set()).add(event.subject_jid.raw)
-        elif event.kind is EventKind.SERVER_ACK:
-            acks.setdefault(key, {})["server"] = event.occurred_at
-        elif event.kind is EventKind.DEVICE_ACK:
-            acks.setdefault(key, {})["device"] = event.occurred_at
-
-    backup_hits: dict[str, list[str]] = {}
+        key = event.message_key
+        if key is not None and event.occurred_at is not None and event.kind in KEY_BEARING_KINDS:
+            events_by_key.setdefault(key.raw, []).append(event)
+    backups_by_key: dict[str, set[str]] = {}
     for backup in bundle.backups:
         for record in backup.messages:
-            if record.key_id_raw not in live_keys:
-                hits = backup_hits.setdefault(record.key_id_raw, [])
-                if backup.name not in hits:
-                    hits.append(backup.name)
-
-    candidates = (set(deletes) | set(sent) | set(received) | set(acks)) - live_keys
-    candidates |= set(backup_hits)
+            backups_by_key.setdefault(record.key_id_raw, set()).add(backup.name)
+    live_keys = {m.key_id_raw for m in bundle.messages}
 
     findings = []
-    for key in sorted(candidates):
-        deleted_at, delete_refs = deletes.get(key, (None, []))
-        sent_at, sent_refs = sent.get(key, (None, []))
-        received_at, recv_refs = received.get(key, (None, []))
-        key_acks = acks.get(key, {})
-        if "device" in key_acks:
+    for key in sorted((events_by_key.keys() - live_keys) | backups_by_key.keys()):
+        events = events_by_key.get(key, ())
+        deletes = [e for e in events if e.kind is EventKind.MESSAGE_DELETED]
+        sends = [e for e in events if e.kind is EventKind.MESSAGE_SENT]
+        receipts = [e for e in events if e.kind is EventKind.MESSAGE_RECEIVED]
+        deleted_at = max((e.occurred_at for e in deletes), default=None)
+        sent_at = min((e.occurred_at for e in sends), default=None)
+        received_at = min((e.occurred_at for e in receipts), default=None)
+        last = {e.kind: e.occurred_at for e in events}  # each kind's last time in log order
+        server_ack = last.get(EventKind.SERVER_ACK)
+        device_ack = last.get(EventKind.DEVICE_ACK)
+        if device_ack is not None:
             last_state = StateCode.DELIVERED_TO_DEVICE.value
-            state_ref = f"device ack at {key_acks['device']} ms"
-        elif "server" in key_acks:
+            state_ref = f"device ack at {device_ack} ms"
+        elif server_ack is not None:
             last_state = StateCode.ON_SERVER.value
-            state_ref = f"server ack at {key_acks['server']} ms"
+            state_ref = f"server ack at {server_ack} ms"
         elif sent_at is not None:
             last_state = StateCode.PENDING_LOCAL.value
             state_ref = "sent with no acknowledgement in the logs"
@@ -942,7 +910,7 @@ def infer_deleted_messages(bundle: CaseBundle, index: LogIndex) -> list[Finding]
         else:
             last_state = None
             state_ref = "no exchange events survive"
-        recovered = sorted(backup_hits.get(key, []))
+        recovered = sorted(backups_by_key.get(key, ()))
         note_parts = [
             "message contents are unrecoverable from logs"
             if not recovered
@@ -950,6 +918,7 @@ def infer_deleted_messages(bundle: CaseBundle, index: LogIndex) -> list[Finding]
             state_ref,
             index.coverage_note,
         ]
+        exchanged = sends + receipts
         findings.append(
             Finding(
                 category=FindingCategory.DELETED_MESSAGE,
@@ -958,16 +927,16 @@ def infer_deleted_messages(bundle: CaseBundle, index: LogIndex) -> list[Finding]
                 if deleted_at is not None
                 else f"message {key} is missing from the live store",
                 confidence_note="; ".join(note_parts),
-                evidence=tuple(delete_refs + sent_refs + recv_refs),
+                evidence=tuple(e.evidence_ref for e in deletes + exchanged),
                 payload={
                     "key": key,
                     "deleted_at_ms": deleted_at,
                     "sent_at_ms": sent_at,
                     "received_at_ms": received_at,
-                    "partners": sorted(partners.get(key, set())),
+                    "partners": sorted({e.subject_jid.raw for e in exchanged if e.subject_jid}),
                     "last_state": last_state,
-                    "server_ack_at_ms": key_acks.get("server"),
-                    "device_ack_at_ms": key_acks.get("device"),
+                    "server_ack_at_ms": server_ack,
+                    "device_ack_at_ms": device_ack,
                     "recovered_from_backup": bool(recovered),
                     "backups": recovered,
                 },

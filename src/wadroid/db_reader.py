@@ -32,7 +32,7 @@ from pathlib import Path
 from types import NoneType
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CorruptDatabase, MissingTable, NotSqlite, UnreadableFile
+from .errors import CorruptDatabase, MalformedKey, MissingTable, NotSqlite, UnreadableFile
 from .model import (
     CALENDAR_END_MS,
     ChatListRecord,
@@ -483,7 +483,7 @@ def load_messages(
 def _message_key(key_raw: str, source: str, warn: WarningLog | None) -> MessageKey | None:
     try:
         return parse_message_key(key_raw)
-    except Exception:
+    except MalformedKey:
         warn_to(warn, source, f"malformed key_id kept verbatim: {key_raw!r}")
         return None
 
@@ -493,10 +493,7 @@ def _remote_resource(
 ) -> WaJid | None:
     if not rr_raw:
         return None
-    try:
-        rr_jid = classify_jid(rr_raw, None, source)
-    except Exception:
-        return None
+    rr_jid = classify_jid(rr_raw, None, source)
     if rr_jid.is_parsed:
         return rr_jid
     # Broadcast fan-out rows store the whole destination set in this

@@ -51,7 +51,7 @@ from pathlib import Path
 
 from . import db_reader, layout, log_parser
 from .backup_crypto import encrypt_fixture
-from .errors import InvalidScript
+from .errors import InvalidScript, MalformedKey
 from .model import (
     BROADCAST_JID,
     BackupSet,
@@ -375,7 +375,6 @@ class _Simulator:
         self.used_sessions: set[int] = set()
         self.used_server_names: set[str] = set()
         self.blocked: set[str] = set()
-        self.block_log: list[tuple[str, int]] = []
         self.deleted_keys: dict[str, dict] = {}
         self.addition_times: dict[str, int] = {}
         self._next_contact_id = 1
@@ -498,7 +497,6 @@ class _Simulator:
         if jid in self.blocked:
             self.fail(f"{action.number} is already blocked")
         self.blocked.add(jid)
-        self.block_log.append((jid, action.at_ms))
         self.emit(action.at_ms, log_parser.body_contact_blocked(jid))
 
     def do_unblockall(self, action: UnblockAll) -> None:
@@ -962,7 +960,7 @@ def _expected_message(columns: dict) -> MessageRecord:
     key_raw = columns["key_id"]
     try:
         key = parse_message_key(key_raw)
-    except Exception:
+    except MalformedKey:
         key = None
     rr_raw = columns["remote_resource"]
     rr_jid = None

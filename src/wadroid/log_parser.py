@@ -32,7 +32,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Collection
 
-from .errors import BadGrammar, UnreadableFile
+from .errors import BadGrammar, MalformedGroupId, MalformedKey, UnreadableFile
 from .model import (
     EventKind,
     KEY_BEARING_KINDS,
@@ -256,7 +256,7 @@ def _classify_line(
     if groups.get("key"):
         try:
             key = parse_message_key(groups["key"])
-        except Exception:
+        except MalformedKey:
             warn_to(warn, where, f"malformed message key {groups['key']!r}")
     if rule.kind in KEY_BEARING_KINDS and key is None:
         warn_to(warn, where, f"{rule.kind.value} line lacks a message key; kept as other")
@@ -265,7 +265,7 @@ def _classify_line(
     if groups.get("gid"):
         try:
             gid = parse_group_id(groups["gid"])
-        except Exception:
+        except MalformedGroupId:
             warn_to(warn, where, f"malformed group id {groups['gid']!r}")
     return LogEvent(
         occurred_at=occurred_at,

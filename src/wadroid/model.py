@@ -235,10 +235,14 @@ def parse_message_key(raw: str) -> MessageKey:
     m = _MESSAGE_KEY_RE.match(raw)
     if not m:
         raise MalformedKey(f"unrecognized message key: {raw!r}")
+    try:
+        session_start, sequence = int(m.group("start")), int(m.group("seq"))
+    except ValueError as exc:  # more digits than CPython converts
+        raise MalformedKey(f"message key has too many digits: {raw!r}") from exc
     return MessageKey(
         raw=raw,
-        session_start=int(m.group("start")),
-        sequence=int(m.group("seq")),
+        session_start=session_start,
+        sequence=sequence,
         broadcast_received=m.group("bc") is not None,
     )
 

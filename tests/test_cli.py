@@ -101,6 +101,43 @@ def test_group_id_epoch_too_long_to_convert_is_a_warning(tmp_path):
     assert any("too many digits" in w["message"] for w in warnings)
 
 
+def test_message_key_too_long_to_convert_in_a_log_line_is_a_warning(tmp_path):
+    root = tmp_path / "evidence"
+    (root / layout.LOGS_DIR).mkdir(parents=True)
+    key = "9" * 5000 + "-1"  # more digits than CPython converts to int
+    (root / layout.MAIN_LOG).write_text(
+        f"2013-09-24 05:20:00.000 +0000 msgstore/delete key={key}\n", encoding="utf-8"
+    )
+    out = tmp_path / "report.json"
+    assert run(["report", "--in", str(root), "--out", str(out)]) == EXIT_WARNINGS
+    warnings = json.loads(out.read_text(encoding="utf-8"))["warnings"]
+    assert any("malformed message key" in w["message"] for w in warnings)
+
+
+@pytest.mark.parametrize("command", ["report", "timeline", "diff"])
+def test_message_key_too_long_to_convert_in_a_row_is_a_warning(tmp_path, command):
+    conversation = helpers.conversation_script()
+    backup = forge.SnapshotBackup(at_ms=conversation.actions[-1].at_ms + 60_000)
+    script = forge.ScenarioScript(
+        owner=conversation.owner,
+        actors=conversation.actors,
+        actions=(*conversation.actions, backup),
+    )
+    root = forge.generate_bundle(script, tmp_path / "evidence").root
+    assert run([command, "--in", str(root)]) == EXIT_OK
+    digits = "9" * 5000  # more digits than CPython converts to int
+    set_key = "UPDATE messages SET key_id = ? WHERE _id = (SELECT min(_id) FROM messages)"
+    # A live row and, under another key so that it is not skipped as
+    # live, a backup row: diff decodes only the latter.
+    _update(root / layout.MSGSTORE_DB, set_key, (digits + "-1",))
+    (crypt,) = (root / layout.BACKUPS_DIR).glob("*.crypt")
+    plain = tmp_path / "backup.db"
+    plain.write_bytes(decrypt_backup(crypt))
+    _update(plain, set_key, (digits + "-2",))
+    crypt.write_bytes(encrypt_fixture(plain.read_bytes()))
+    assert run([command, "--in", str(root)]) == EXIT_WARNINGS
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["report"]) == EXIT_USAGE  # --in is required
     assert run(["no-such-command"]) == EXIT_USAGE
@@ -199,6 +236,37 @@ def test_diff_lists_recovered_messages(tmp_path, capsys):
     assert code == EXIT_OK  # diff reads no chat list, so the dangling pointer is not seen
     assert doc["backups"][0]["recovered_count"] == 1
     assert doc["backups"][0]["recovered"][0]["data"] == "gone"
+
+
+def test_a_deleted_broadcast_fanout_row_is_a_deleted_message(tmp_path, capsys):
+    """The sibling rows of a fan-out share its key, yet the lost row is reported."""
+    broadcast = helpers.broadcast_script()
+    (sent,) = broadcast.actions
+    script = forge.ScenarioScript(
+        owner=broadcast.owner,
+        actors=broadcast.actors,
+        actions=(sent, forge.SnapshotBackup(at_ms=sent.at_ms + 60_000)),
+    )
+    root = forge.generate_bundle(script, tmp_path / "evidence").root
+    lost = helpers.jid(helpers.BC_R1)
+    _update(root / layout.MSGSTORE_DB, "DELETE FROM messages WHERE key_remote_jid = ?", (lost,))
+    (backup,) = (root / layout.BACKUPS_DIR).glob("*.crypt")
+
+    assert run(["diff", "--in", str(root)]) == EXIT_OK
+    (listed,) = json.loads(capsys.readouterr().out)["backups"]
+    assert listed["name"] == backup.name
+    (row,) = listed["recovered"]
+    assert row["conversation"] == lost
+
+    out = tmp_path / "report.json"
+    assert run(["report", "--in", str(root), "--out", str(out)]) == EXIT_WARNINGS
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    (finding,) = [
+        f
+        for f in doc["findings"]
+        if f["category"] == "deleted_message" and f["subject"] == row["key"]
+    ]
+    assert finding["payload"]["backups"] == [backup.name]
 
 
 def test_diff_writes_non_ascii_text_verbatim(tmp_path):
