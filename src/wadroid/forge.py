@@ -8,10 +8,31 @@ the settings files. Because the same simulation also derives the
 expected parse result and the expected analytical conclusions, a forged
 bundle is the ground-truth oracle for every correlation test.
 
+Each log line is recorded where it is emitted, together with what the
+parser must read from its body (event kind, jid, message key, group id,
+group subject); the expected log events are built from those records,
+so the DEFAULT grammar is the only reader of the bodies.
+
 Determinism contract: identical (script, seed) pairs produce
 byte-identical bundles, and every generated artifact passes its parser
 with zero warnings (the sole expected warnings are chat-list rows left
 dangling by message deletions, which the generator predicts).
+
+A script the forge cannot write faithfully is refused as
+``InvalidScript`` before any file is written, and so is an output
+directory that exists and is not empty (``StructuralError``).
+``script_from_json`` checks each field's JSON type against the field's
+annotation. The simulation checks the rest:
+
+- every time, in UTC and in the script's local time, falls between
+  1970 and the end of the year 9999; a media duration fits SQLite's
+  signed 64-bit integers; a media file name is one plain path component;
+  a group name holds no line feed and does not end in a carriage return;
+- an outgoing message gets a server ack unless ``pending`` and a device
+  ack when ``delivered``; a group message gets no device ack, so a
+  delivered one stays on the server. An explicit ``server_ack_at_ms`` or
+  ``device_ack_at_ms`` must name an ack the row gets, and the send time,
+  the server ack and the device ack must strictly increase.
 
 Scenario scripts are JSON (see ``script_from_json``), format version 1:
 
@@ -40,20 +61,22 @@ control-message history only for groups it belonged to from creation).
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import random
 import re
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from . import db_reader, layout, log_parser
 from .backup_crypto import encrypt_fixture
-from .errors import InvalidScript, MalformedKey
+from .errors import InvalidScript, MalformedKey, StructuralError
 from .model import (
     BROADCAST_JID,
+    CALENDAR_END_MS,
     BackupSet,
     CaseBundle,
     ChatListRecord,
@@ -66,6 +89,7 @@ from .model import (
     USER_JID_SUFFIX,
     WarningLog,
     classify_jid,
+    coordinates_fault,
     format_tz_offset,
     parse_group_id,
     parse_message_key,
@@ -250,12 +274,12 @@ class _SimContact:
 
 @dataclass
 class _SimMessage:
-    id: int
     jid_raw: str
     key_raw: str
     from_me: bool
-    final_status: int
     insert_ms: int
+    final_status: int = 0
+    id: int = 0  # the row number, set by insert_message
     received_ms: int | None = None
     server_ack_ms: int | None = None
     device_ack_ms: int | None = None
@@ -347,6 +371,15 @@ def _user_jid(number: str) -> str:
     return number + USER_JID_SUFFIX
 
 
+def _is_file_name(name: str) -> bool:
+    """Whether ``name`` is one path component that a file can be created under."""
+    size = len(name.encode("utf-8", "surrogatepass"))
+    return 0 < size <= 255 and name not in (".", "..") and "/" not in name and "\0" not in name
+
+
+# media_size of a group control row, by its membership change
+_CONTROL_CODES = {"created": 1, "joined": 4, "left": 5}
+
 _MEDIA_PRESETS = {
     "image": (1, "image/jpeg", "IMG", ".jpg"),
     "audio": (2, "audio/mp4", "AUD", ".m4a"),
@@ -367,9 +400,11 @@ class _Simulator:
         self.chat_rows: dict[str, list[int]] = {}  # jid -> [chat_id, last_msg_id]
         self.groups: dict[str, _SimGroup] = {}
         self.group_by_gid: dict[str, _SimGroup] = {}
-        self.log: list[tuple[int, int, str]] = []  # (ms, emit_seq, body)
+        # (ms, emission order, body, kind, jid, key, gid, subject): each log
+        # line with the fields the parser must read from its body
+        self.log: list[tuple] = []
         self.snapshots: list[tuple[str, int]] = []  # (file name, as_of_ms)
-        self.media_files: dict[str, bytes] = {}
+        self.media_files: dict[str, tuple[bytes, bytes]] = {}  # path -> (content, SHA-256)
         self.avatar_jids: list[str] = []
         self.sessions: dict[str, list[int]] = {}  # number -> [session_s, next_seq]
         self.used_sessions: set[int] = set()
@@ -377,12 +412,12 @@ class _Simulator:
         self.blocked: set[str] = set()
         self.deleted_keys: dict[str, dict] = {}
         self.addition_times: dict[str, int] = {}
-        self._next_contact_id = 1
-        self._next_msg_id = 1
-        self._next_chat_id = 1
         self._media_counter = 0
-        self._emit_seq = 0
         self._last_ms: int | None = None
+        # Every time is written in UTC and logged in local time, and both
+        # must fall in datetime's calendar. Message keys and group ids hold
+        # the epoch second, so no time precedes 1970.
+        self.time_end = min(CALENDAR_END_MS, CALENDAR_END_MS - script.tz_offset_minutes * 60_000)
         self._index = 0
 
     # -- helpers
@@ -390,9 +425,37 @@ class _Simulator:
     def fail(self, message: str):
         raise InvalidScript(f"action #{self._index}: {message}")
 
-    def emit(self, ms: int, body: str) -> None:
-        self.log.append((ms, self._emit_seq, body))
-        self._emit_seq += 1
+    def check_time(self, ms: int) -> None:
+        if not 0 <= ms < self.time_end:
+            self.fail(f"time {ms} is before 1970 or past the year 9999")
+
+    def emit(
+        self,
+        ms: int,
+        body: str,
+        kind: EventKind = EventKind.OTHER,
+        jid: str | None = None,
+        key: str | None = None,
+        gid: str | None = None,
+        subject: str | None = None,
+    ) -> None:
+        self.check_time(ms)
+        self.log.append((ms, len(self.log), body, kind, jid, key, gid, subject))
+
+    def log_sent(
+        self, at: int, key: str, destinations, server: int | None, device: int | None
+    ) -> None:
+        for jid in destinations:
+            self.emit(at, log_parser.body_message_sent(key, jid), EventKind.MESSAGE_SENT, jid, key)
+        if server is not None:
+            self.emit(server, log_parser.body_server_ack(key), EventKind.SERVER_ACK, key=key)
+        if device is not None:
+            self.emit(device, log_parser.body_device_ack(key), EventKind.DEVICE_ACK, key=key)
+
+    def log_received(self, at: int, key: str, jid: str) -> None:
+        self.emit(
+            at, log_parser.body_message_received(key, jid), EventKind.MESSAGE_RECEIVED, jid, key
+        )
 
     def next_key(self, number: str) -> str:
         state = self.sessions.get(number)
@@ -415,6 +478,7 @@ class _Simulator:
         self.fail(f"delete_message target {target!r} matches no known message")
 
     def insert_message(self, sim: _SimMessage, label: str | None) -> None:
+        sim.id = len(self.messages) + 1
         self.messages.append(sim)
         self.by_key.setdefault(sim.key_raw, []).append(sim)
         if label is not None:
@@ -423,28 +487,44 @@ class _Simulator:
             self.labels[label] = sim.key_raw
         row = self.chat_rows.get(sim.jid_raw)
         if row is None:
-            self.chat_rows[sim.jid_raw] = [self._next_chat_id, sim.id]
-            self._next_chat_id += 1
+            self.chat_rows[sim.jid_raw] = [len(self.chat_rows) + 1, sim.id]
         else:
             row[1] = sim.id
-
-    def new_msg_id(self) -> int:
-        value = self._next_msg_id
-        self._next_msg_id += 1
-        return value
 
     def check_actor(self, number: str) -> None:
         if number not in self.script.actors:
             self.fail(f"unknown actor {number!r}")
 
-    def delivery_times(self, at_ms: int, delivery: str):
-        if delivery not in _DELIVERY_CHOICES:
-            self.fail(f"unknown delivery state {delivery!r}")
-        if delivery == _PENDING:
-            return 0, None, None
-        if delivery == _SERVER:
-            return 4, at_ms + SERVER_ACK_DELTA_MS, None
-        return 5, at_ms + SERVER_ACK_DELTA_MS, at_ms + DEVICE_ACK_DELTA_MS
+    def ack_times(self, action, outgoing: bool, group: bool):
+        """The final status and the server and device ack times of a send.
+
+        Checks the explicit ack times against the rules in the module
+        docstring.
+        """
+        if action.delivery not in _DELIVERY_CHOICES:
+            self.fail(f"unknown delivery state {action.delivery!r}")
+        # The acks the row gets: pending 0, server 1, delivered 2. A group
+        # fan-out yields no device ack per member, so a delivered group
+        # message stays at the on-server state.
+        acks = _DELIVERY_CHOICES.index(action.delivery) if outgoing else 0
+        if group:
+            acks = min(acks, 1)
+        at = action.at_ms
+        server = getattr(action, "server_ack_at_ms", None)
+        device = getattr(action, "device_ack_at_ms", None)
+        if server is not None and acks < 1:
+            self.fail("server_ack_at_ms is set, but this message gets no server ack")
+        if device is not None and acks < 2:
+            self.fail("device_ack_at_ms is set, but this message gets no device ack")
+        if acks >= 1 and server is None:
+            server = at + SERVER_ACK_DELTA_MS
+        if acks == 2 and device is None:
+            device = at + DEVICE_ACK_DELTA_MS
+        if server is not None and server <= at:
+            self.fail("server ack must come after the send time")
+        if device is not None and device <= server:
+            self.fail("device ack must come after the server ack")
+        return (0, 4, 5)[acks], server, device
 
     # -- actions
 
@@ -452,6 +532,7 @@ class _Simulator:
         for index, action in enumerate(self.script.actions, start=1):
             self._index = index
             at = action.at_ms
+            self.check_time(at)
             if self._last_ms is not None and at <= self._last_ms:
                 self.fail(f"time {at} does not increase (previous {self._last_ms})")
             self._last_ms = at
@@ -470,7 +551,7 @@ class _Simulator:
             self.fail(f"contact {number} already present")
         jid = _user_jid(number)
         contact = _SimContact(
-            row_id=self._next_contact_id,
+            row_id=len(self.contacts) + 1,
             number=number,
             jid_raw=jid,
             added_ms=action.at_ms,
@@ -478,16 +559,15 @@ class _Simulator:
             status_line=action.status_line or "available",
             is_whatsapp_user=action.is_whatsapp_user,
         )
-        self._next_contact_id += 1
         self.contacts.append(contact)
         self.contact_by_number[number] = contact
         self.addition_times.setdefault(jid, action.at_ms)
         t = action.at_ms
-        self.emit(t, log_parser.body_contact_missing(jid))
-        self.emit(t + 400, log_parser.body_contact_query(jid, "profile"))
-        self.emit(t + 800, log_parser.body_contact_query(jid, "status"))
-        self.emit(t + 1200, log_parser.body_contact_query(jid, "avatar"))
-        self.emit(t + 2000, log_parser.body_avatar_downloaded(jid))
+        self.emit(t, log_parser.body_contact_missing(jid), EventKind.CONTACT_NOT_IN_DB, jid)
+        for delay, what in ((400, "profile"), (800, "status"), (1200, "avatar")):
+            query = log_parser.body_contact_query(jid, what)
+            self.emit(t + delay, query, EventKind.CONTACT_QUERY, jid)
+        self.emit(t + 2000, log_parser.body_avatar_downloaded(jid), EventKind.AVATAR_DOWNLOADED, jid)
         if jid not in self.avatar_jids:
             self.avatar_jids.append(jid)
 
@@ -497,106 +577,58 @@ class _Simulator:
         if jid in self.blocked:
             self.fail(f"{action.number} is already blocked")
         self.blocked.add(jid)
-        self.emit(action.at_ms, log_parser.body_contact_blocked(jid))
+        self.emit(action.at_ms, log_parser.body_contact_blocked(jid), EventKind.CONTACT_BLOCKED, jid)
 
     def do_unblockall(self, action: UnblockAll) -> None:
         if not self.blocked:
             self.fail("unblock with no blocked contacts")
         self.blocked.clear()
-        self.emit(action.at_ms, log_parser.body_contact_unblocked())
+        self.emit(action.at_ms, log_parser.body_contact_unblocked(), EventKind.CONTACT_UNBLOCKED)
 
-    def _send_common(self, action, build) -> None:
+    def _send_common(self, action, **columns) -> None:
+        """The message row of a direct or group send, and its log lines.
+
+        ``columns`` are the row's content fields.
+        """
         sender, to = action.sender, action.to
         self.check_actor(sender)
-        if to in self.groups:
-            self._send_group(action, build)
-            return
-        self.check_actor(to)
-        if sender == to:
-            self.fail("sender and recipient are the same actor")
-        if self.owner not in (sender, to):
-            self.fail("a direct message must involve the device owner")
         outgoing = sender == self.owner
-        key = self.next_key(sender)
-        partner = to if outgoing else sender
-        partner_jid = _user_jid(partner)
-        sim = _SimMessage(
-            id=self.new_msg_id(),
-            jid_raw=partner_jid,
-            key_raw=key,
-            from_me=outgoing,
-            final_status=0,
-            insert_ms=action.at_ms,
-        )
-        build(sim, action)
-        if outgoing:
-            status, server, device = self.delivery_times(action.at_ms, action.delivery)
-            explicit_server = getattr(action, "server_ack_at_ms", None)
-            explicit_device = getattr(action, "device_ack_at_ms", None)
-            if explicit_server is not None and server is not None:
-                if explicit_server <= action.at_ms:
-                    self.fail("server ack must come after the send time")
-                server = explicit_server
-            if explicit_device is not None and device is not None:
-                if explicit_device <= (server or action.at_ms):
-                    self.fail("device ack must come after the server ack")
-                device = explicit_device
-            sim.final_status = status
-            sim.server_ack_ms = server
-            sim.device_ack_ms = device
-            self.emit(action.at_ms, log_parser.body_message_sent(key, partner_jid))
-            if server is not None:
-                self.emit(server, log_parser.body_server_ack(key))
-            if device is not None:
-                self.emit(device, log_parser.body_device_ack(key))
+        group = self.groups.get(to)
+        if group is None:
+            self.check_actor(to)
+            if sender == to:
+                self.fail("sender and recipient are the same actor")
+            if self.owner not in (sender, to):
+                self.fail("a direct message must involve the device owner")
+            conversation = _user_jid(to if outgoing else sender)
         else:
-            sim.received_ms = action.at_ms
-            self.emit(action.at_ms, log_parser.body_message_received(key, partner_jid))
-        self.insert_message(sim, action.label)
-
-    def _send_group(self, action, build) -> None:
-        group = self.groups[action.to]
-        sender = action.sender
-        sender_jid = _user_jid(sender)
-        if sender_jid not in group.members:
-            self.fail(f"{sender} is not a member of group {action.to!r}")
-        if _user_jid(self.owner) not in group.members:
-            self.fail("the owner is no longer a member of this group")
-        outgoing = sender == self.owner
+            if _user_jid(sender) not in group.members:
+                self.fail(f"{sender} is not a member of group {to!r}")
+            if _user_jid(self.owner) not in group.members:
+                self.fail("the owner is no longer a member of this group")
+            conversation = group.gid_raw
+        status, server, device = self.ack_times(action, outgoing, group is not None)
         key = self.next_key(sender)
         sim = _SimMessage(
-            id=self.new_msg_id(),
-            jid_raw=group.gid_raw,
+            jid_raw=conversation,
             key_raw=key,
             from_me=outgoing,
-            final_status=0,
             insert_ms=action.at_ms,
+            final_status=status,
+            server_ack_ms=server,
+            device_ack_ms=device,
+            received_ms=None if outgoing else action.at_ms,
+            remote_resource=None if outgoing or group is None else _user_jid(sender),
+            **columns,
         )
-        build(sim, action)
         if outgoing:
-            # Group fan-out never yields a per-member device ack; the
-            # sender's own record stays at the on-server state.
-            delivery = _SERVER if action.delivery == _DELIVERED else action.delivery
-            status, server, device = self.delivery_times(action.at_ms, delivery)
-            sim.final_status = status
-            sim.server_ack_ms = server
-            sim.device_ack_ms = device
-            sim.remote_resource = None
-            self.emit(action.at_ms, log_parser.body_message_sent(key, group.gid_raw))
-            if server is not None:
-                self.emit(server, log_parser.body_server_ack(key))
+            self.log_sent(action.at_ms, key, (conversation,), server, device)
         else:
-            sim.received_ms = action.at_ms
-            sim.remote_resource = sender_jid
-            self.emit(action.at_ms, log_parser.body_message_received(key, group.gid_raw))
+            self.log_received(action.at_ms, key, conversation)
         self.insert_message(sim, action.label)
 
     def do_sendtext(self, action: SendText) -> None:
-        def build(sim, act):
-            sim.media_type = 0
-            sim.data = act.text
-
-        self._send_common(action, build)
+        self._send_common(action, data=action.text)
 
     def do_sendmedia(self, action: SendMedia) -> None:
         preset = _MEDIA_PRESETS.get(action.media_kind)
@@ -622,49 +654,44 @@ class _Simulator:
         duration = action.duration
         if duration is None:
             duration = 0 if mtype == 1 else self.rng.randrange(3, 180)
-
-        def build(sim, act):
-            import base64
-
-            sim.media_type = mtype
-            sim.media_mime = mime
-            sim.media_size = len(content)
-            sim.media_hash = base64.b64encode(digest).decode("ascii")
-            sim.media_url = f"https://mms402.whatsapp.net/d/{server_name}"
-            sim.media_name = local_name if outgoing else ""
-            sim.media_duration = duration
-            if mtype in (1, 3):
-                sim.raw_data = self.rng.randbytes(24)
-
-        self._send_common(action, build)
+        elif not -(2**63) <= duration < 2**63:
+            self.fail(f"duration {duration} does not fit SQLite's 64-bit integers")
         if outgoing:
-            self.media_files[f"{layout.MEDIA_SENT_DIR}/{local_name}"] = content
+            directory, file_name = layout.MEDIA_SENT_DIR, local_name
         else:
-            self.media_files[f"{layout.MEDIA_DIR}/{server_name}"] = content
+            directory, file_name = layout.MEDIA_DIR, server_name
+        path = f"{directory}/{file_name}"
+        if not _is_file_name(file_name) or path == layout.MEDIA_SENT_DIR:
+            self.fail(f"media file name {file_name!r} is not a plain file name")
+        self._send_common(
+            action,
+            media_type=mtype,
+            media_mime=mime,
+            media_size=len(content),
+            media_hash=base64.b64encode(digest).decode("ascii"),
+            media_url=f"https://mms402.whatsapp.net/d/{server_name}",
+            media_name=local_name if outgoing else "",
+            media_duration=duration,
+            raw_data=self.rng.randbytes(24) if mtype in (1, 3) else None,
+        )
+        self.media_files[path] = content, digest
 
     def do_sendvcard(self, action: SendVCard) -> None:
         vcard = action.vcard or (
             f"BEGIN:VCARD\nVERSION:3.0\nFN:{action.display_name}\nEND:VCARD"
         )
-
-        def build(sim, act):
-            sim.media_type = 4
-            sim.data = vcard
-            sim.media_name = act.display_name
-
-        self._send_common(action, build)
+        self._send_common(action, media_type=4, data=vcard, media_name=action.display_name)
 
     def do_sendgeo(self, action: SendGeo) -> None:
-        if not (-90.0 <= action.latitude <= 90.0 and -180.0 <= action.longitude <= 180.0):
-            self.fail("geo coordinates out of range")
-
-        def build(sim, act):
-            sim.media_type = 5
-            sim.latitude = act.latitude
-            sim.longitude = act.longitude
-            sim.raw_data = self.rng.randbytes(24)
-
-        self._send_common(action, build)
+        if fault := coordinates_fault(action.latitude, action.longitude):
+            self.fail(fault)
+        self._send_common(
+            action,
+            media_type=5,
+            latitude=action.latitude,
+            longitude=action.longitude,
+            raw_data=self.rng.randbytes(24),
+        )
 
     def do_broadcast(self, action: Broadcast) -> None:
         sender = action.sender
@@ -674,17 +701,16 @@ class _Simulator:
             self.fail("broadcast recipients must be unique and non-empty")
         for number in recipients:
             self.check_actor(number)
+        status, server, device = self.ack_times(action, sender == self.owner, group=False)
         if sender == self.owner:
             if self.owner in recipients:
                 self.fail("the owner cannot be its own broadcast recipient")
             key = self.next_key(sender)
-            status, server, device = self.delivery_times(action.at_ms, action.delivery)
             recipient_jids = [_user_jid(n) for n in recipients]
             destination_set = ",".join(recipient_jids)
             first_label = action.label
             for jid in recipient_jids + [BROADCAST_JID]:
                 sim = _SimMessage(
-                    id=self.new_msg_id(),
                     jid_raw=jid,
                     key_raw=key,
                     from_me=True,
@@ -692,7 +718,6 @@ class _Simulator:
                     insert_ms=action.at_ms,
                     server_ack_ms=server,
                     device_ack_ms=device,
-                    media_type=0,
                     data=action.text,
                     needs_push=2,
                     recipient_count=len(recipients),
@@ -700,41 +725,58 @@ class _Simulator:
                 )
                 self.insert_message(sim, first_label)
                 first_label = None
-            for jid in recipient_jids:
-                self.emit(action.at_ms, log_parser.body_message_sent(key, jid))
-            if server is not None:
-                self.emit(server, log_parser.body_server_ack(key))
-            if device is not None:
-                self.emit(device, log_parser.body_device_ack(key))
+            self.log_sent(action.at_ms, key, recipient_jids, server, device)
         else:
             if self.owner not in recipients:
                 self.fail("an incoming broadcast must include the owner")
             key = "%~" + self.next_key(sender)
             sender_jid = _user_jid(sender)
             sim = _SimMessage(
-                id=self.new_msg_id(),
                 jid_raw=sender_jid,
                 key_raw=key,
                 from_me=False,
-                final_status=0,
                 insert_ms=action.at_ms,
                 received_ms=action.at_ms,
-                media_type=0,
                 data=action.text,
             )
-            self.emit(action.at_ms, log_parser.body_message_received(key, sender_jid))
+            self.log_received(action.at_ms, key, sender_jid)
             self.insert_message(sim, action.label)
+
+    def insert_control_row(self, at_ms: int, group: _SimGroup, kind: str, number: str) -> None:
+        """The control row and timeline event of a group membership change.
+
+        ``kind`` is created, joined or left; the owner creates every group.
+        """
+        member_jid = _user_jid(number)
+        key = self.next_key(number)
+        created = kind == "created"
+        sim = _SimMessage(
+            jid_raw=group.gid_raw,
+            key_raw=key,
+            from_me=created,
+            insert_ms=at_ms,
+            final_status=6,
+            received_ms=None if created else at_ms,
+            data=group.name if created else None,
+            media_size=_CONTROL_CODES[kind],
+            remote_resource=None if created else member_jid,
+        )
+        self.insert_message(sim, None)
+        group.events.append((at_ms, kind, member_jid, key))
 
     def do_creategroup(self, action: CreateGroup) -> None:
         if action.label in self.groups:
             self.fail(f"duplicate group label {action.label!r}")
         if not action.name:
             self.fail("group name must not be empty")
+        # The name ends the group/create log line: a line break would split
+        # it, and the parser drops a carriage return that ends a line.
+        if "\n" in action.name or action.name.endswith("\r"):
+            self.fail("a group name must not hold a line feed or end in a carriage return")
         creator_jid = _user_jid(self.owner)
         gid_raw = f"{self.owner}-{action.at_ms // 1000}@g.us"
         if gid_raw in self.group_by_gid:
             self.fail("a group with this creation second already exists")
-        key = self.next_key(self.owner)
         group = _SimGroup(
             label=action.label,
             gid_raw=gid_raw,
@@ -744,20 +786,9 @@ class _Simulator:
         )
         self.groups[action.label] = group
         self.group_by_gid[gid_raw] = group
-        sim = _SimMessage(
-            id=self.new_msg_id(),
-            jid_raw=gid_raw,
-            key_raw=key,
-            from_me=True,
-            final_status=6,
-            insert_ms=action.at_ms,
-            media_type=0,
-            data=action.name,
-            media_size=1,
-        )
-        self.insert_message(sim, None)
-        group.events.append((action.at_ms, "created", creator_jid, key))
-        self.emit(action.at_ms, log_parser.body_group_created(gid_raw, action.name))
+        self.insert_control_row(action.at_ms, group, "created", self.owner)
+        body = log_parser.body_group_created(gid_raw, action.name)
+        self.emit(action.at_ms, body, EventKind.GROUP_CREATED, gid=gid_raw, subject=action.name)
 
     def do_addtogroup(self, action: AddToGroup) -> None:
         group = self.groups.get(action.group)
@@ -768,23 +799,12 @@ class _Simulator:
         if member_jid in group.members:
             self.fail(f"{action.member} is already a group member")
         group.members.add(member_jid)
-        key = self.next_key(action.member)
-        sim = _SimMessage(
-            id=self.new_msg_id(),
-            jid_raw=group.gid_raw,
-            key_raw=key,
-            from_me=False,
-            final_status=6,
-            insert_ms=action.at_ms,
-            received_ms=action.at_ms,
-            media_type=0,
-            media_size=4,
-            remote_resource=member_jid,
-        )
-        self.insert_message(sim, None)
-        group.events.append((action.at_ms, "joined", member_jid, key))
-        self.emit(action.at_ms, log_parser.body_group_add_requested(group.gid_raw, [member_jid]))
-        self.emit(action.at_ms, log_parser.body_group_member_added(group.gid_raw, member_jid))
+        self.insert_control_row(action.at_ms, group, "joined", action.member)
+        gid = group.gid_raw
+        body = log_parser.body_group_add_requested(gid, [member_jid])
+        self.emit(action.at_ms, body, EventKind.GROUP_ADD_REQUESTED, gid=gid)
+        body = log_parser.body_group_member_added(gid, member_jid)
+        self.emit(action.at_ms, body, EventKind.GROUP_MEMBER_ADDED, member_jid, gid=gid)
 
     def do_leavegroup(self, action: LeaveGroup) -> None:
         group = self.groups.get(action.group)
@@ -796,22 +816,9 @@ class _Simulator:
         if member_jid not in group.members:
             self.fail(f"{action.member} is not a group member")
         group.members.discard(member_jid)
-        key = self.next_key(action.member)
-        sim = _SimMessage(
-            id=self.new_msg_id(),
-            jid_raw=group.gid_raw,
-            key_raw=key,
-            from_me=False,
-            final_status=6,
-            insert_ms=action.at_ms,
-            received_ms=action.at_ms,
-            media_type=0,
-            media_size=5,
-            remote_resource=member_jid,
-        )
-        self.insert_message(sim, None)
-        group.events.append((action.at_ms, "left", member_jid, key))
-        self.emit(action.at_ms, log_parser.body_group_member_left(group.gid_raw, member_jid))
+        self.insert_control_row(action.at_ms, group, "left", action.member)
+        body = log_parser.body_group_member_left(group.gid_raw, member_jid)
+        self.emit(action.at_ms, body, EventKind.GROUP_MEMBER_LEFT, member_jid, gid=group.gid_raw)
 
     def do_deletemessage(self, action: DeleteMessage) -> None:
         key = self.resolve_target(action.target)
@@ -827,7 +834,7 @@ class _Simulator:
         for sim in rows:
             sim.delete_ms = action.at_ms
         self.deleted_keys[key] = {"deleted_ms": action.at_ms, "rows": rows}
-        self.emit(action.at_ms, log_parser.body_message_deleted(key))
+        self.emit(action.at_ms, log_parser.body_message_deleted(key), EventKind.MESSAGE_DELETED, key=key)
 
     def do_deletecontact(self, action: DeleteContact) -> None:
         contact = self.contact_by_number.get(action.number)
@@ -1014,53 +1021,18 @@ def _expected_contact(columns: dict) -> ContactRecord:
     )
 
 
-def _expected_log_event(
-    ms: int, body: str, line: str, number: int, source: str
-) -> LogEvent:
-    kind = EventKind.OTHER
-    subject = None
-    key = None
-    gid = None
-    group_subject = None
-    patterns = [
-        (EventKind.MESSAGE_DELETED, r"^msgstore/delete key=(?P<key>\S+)$"),
-        (EventKind.MESSAGE_SENT, r"^msgstore/send key=(?P<key>\S+) to=(?P<jid>\S+)$"),
-        (EventKind.MESSAGE_RECEIVED, r"^msgstore/recv key=(?P<key>\S+) from=(?P<jid>\S+)$"),
-        (EventKind.SERVER_ACK, r"^msgstore/ack/server key=(?P<key>\S+)$"),
-        (EventKind.DEVICE_ACK, r"^msgstore/ack/device key=(?P<key>\S+)$"),
-        (EventKind.CONTACT_NOT_IN_DB, r"^contact/sync/missing jid=(?P<jid>\S+)$"),
-        (EventKind.CONTACT_QUERY, r"^contact/query/\w+ jid=(?P<jid>\S+)$"),
-        (EventKind.AVATAR_DOWNLOADED, r"^contact/avatar/downloaded jid=(?P<jid>\S+)$"),
-        (EventKind.CONTACT_BLOCKED, r"^contact/block jid=(?P<jid>\S+)$"),
-        (EventKind.CONTACT_UNBLOCKED, r"^contact/unblock/completed$"),
-        (EventKind.GROUP_CREATED, r"^group/create gid=(?P<gid>\S+) subject=(?P<subject>.*)$"),
-        (EventKind.GROUP_ADD_REQUESTED, r"^group/add/request gid=(?P<gid>\S+) jids=\S+$"),
-        (EventKind.GROUP_MEMBER_ADDED, r"^group/add gid=(?P<gid>\S+) jid=(?P<jid>\S+)$"),
-        (EventKind.GROUP_MEMBER_LEFT, r"^group/leave gid=(?P<gid>\S+) jid=(?P<jid>\S+)$"),
-    ]
-    for candidate, pattern in patterns:
-        m = re.match(pattern, body)
-        if not m:
-            continue
-        kind = candidate
-        groups = m.groupdict()
-        if groups.get("jid") and kind is not EventKind.CONTACT_UNBLOCKED:
-            subject = classify_jid(groups["jid"])
-        if groups.get("key"):
-            key = parse_message_key(groups["key"])
-        if groups.get("gid"):
-            gid = parse_group_id(groups["gid"])
-        group_subject = groups.get("subject")
-        break
+def _expected_log_event(record: tuple, line: str, number: int) -> LogEvent:
+    """The event the parser must read from ``line``, the rendering of ``record``."""
+    ms, _, _, kind, jid, key, gid, subject = record
     return LogEvent(
         occurred_at=ms,
         kind=kind,
-        subject_jid=subject,
-        message_key=key,
-        group_id=gid,
-        group_subject=group_subject,
+        subject_jid=classify_jid(jid) if jid else None,
+        message_key=parse_message_key(key) if key else None,
+        group_id=parse_group_id(gid) if gid else None,
+        group_subject=subject,
         raw_line=line,
-        source_file=source,
+        source_file="whatsapp.log",
         line_number=number,
     )
 
@@ -1085,20 +1057,23 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
 
     Returns the expected parse result (a CaseBundle equal to what the
     readers must produce from the files) together with the expected
-    analytical ground truth.
+    analytical ground truth. Nothing is written unless ``out_dir`` is
+    new or an empty directory and the whole script plays without error.
     """
+    root = Path(out_dir)
+    if root.exists() and (not root.is_dir() or any(root.iterdir())):
+        raise StructuralError(f"output {root} exists and is not an empty directory")
     if script.owner not in script.actors:
         raise InvalidScript("the owner must be listed among the actors")
     if len(set(script.actors)) != len(script.actors):
         raise InvalidScript("actor numbers must be unique")
     for number in script.actors:
-        if not number.isdigit():
+        if not (number.isascii() and number.isdigit()):
             raise InvalidScript(f"actor {number!r} is not a plain phone number")
 
     sim = _Simulator(script)
     sim.run()
 
-    root = Path(out_dir)
     for rel in (
         layout.DB_DIR,
         layout.AVATARS_DIR,
@@ -1171,28 +1146,34 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
             )
         )
 
-    # log file
-    ordered_log = sorted(sim.log, key=lambda item: (item[0], item[1]))
+    # log file: (ms, emission order) is unique, so sorting compares no later field
+    ordered_log = sorted(sim.log)
     lines = [
-        log_parser.format_line(ms, body, script.tz_offset_minutes)
-        for ms, _, body in ordered_log
+        log_parser.format_line(record[0], record[2], script.tz_offset_minutes)
+        for record in ordered_log
     ]
     log_path = root / layout.MAIN_LOG
     log_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     expected_events = tuple(
-        _expected_log_event(ms, body, line, number, "whatsapp.log")
-        for number, ((ms, _, body), line) in enumerate(zip(ordered_log, lines), start=1)
+        _expected_log_event(record, line, number)
+        for number, (record, line) in enumerate(zip(ordered_log, lines), start=1)
     )
 
     # avatars, media, settings
+    avatar_inventory = []
     for jid_raw in sim.avatar_jids:
         data = _avatar_bytes(jid_raw)
-        (root / layout.AVATARS_DIR / f"{jid_raw}{layout.AVATAR_SUFFIX}").write_bytes(data)
-        (root / layout.PROFILE_PICTURES_DIR / f"{jid_raw}{layout.AVATAR_SUFFIX}").write_bytes(data)
-    for rel_path, content in sorted(sim.media_files.items()):
-        target = root / rel_path
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(content)
+        for directory in (layout.AVATARS_DIR, layout.PROFILE_PICTURES_DIR):
+            path = f"{directory}/{jid_raw}{layout.AVATAR_SUFFIX}"
+            (root / path).write_bytes(data)
+            avatar_inventory.append(AvatarFile(jid_raw=jid_raw, path=path))
+    avatar_inventory.sort(key=lambda a: (a.jid_raw, a.path))
+    media_inventory = []
+    for path, (content, digest) in sorted(sim.media_files.items()):
+        (root / path).write_bytes(content)
+        media_inventory.append(
+            MediaFile(path=path, size_bytes=len(content), known_sha256=digest.hex())
+        )
     (root / layout.ME_FILE).write_text(script.owner, encoding="ascii")
     (root / layout.ME_AVATAR).write_bytes(_avatar_bytes(_user_jid(script.owner)))
 
@@ -1209,30 +1190,6 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
     )
     predicted = WarningLog()
     db_reader.check_chat_list_consistency(expected_chat_list, expected_messages, predicted)
-    media_inventory = tuple(
-        MediaFile(
-            path=path,
-            size_bytes=len(content),
-            known_sha256=hashlib.sha256(content).hexdigest(),
-        )
-        for path, content in sorted(sim.media_files.items())
-    )
-    avatar_inventory = tuple(
-        sorted(
-            [
-                AvatarFile(jid_raw=jid, path=f"{layout.AVATARS_DIR}/{jid}{layout.AVATAR_SUFFIX}")
-                for jid in sim.avatar_jids
-            ]
-            + [
-                AvatarFile(
-                    jid_raw=jid,
-                    path=f"{layout.PROFILE_PICTURES_DIR}/{jid}{layout.AVATAR_SUFFIX}",
-                )
-                for jid in sim.avatar_jids
-            ],
-            key=lambda a: (a.jid_raw, a.path),
-        )
-    )
     bundle = CaseBundle(
         contacts=expected_contacts,
         messages=expected_messages,
@@ -1240,8 +1197,8 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
         log_events=expected_events,
         registered_number=script.owner,
         own_avatar_present=True,
-        media_inventory=media_inventory,
-        avatar_inventory=avatar_inventory,
+        media_inventory=tuple(media_inventory),
+        avatar_inventory=tuple(avatar_inventory),
         backups=tuple(expected_backups),
         warnings=predicted.items,
     )
@@ -1429,8 +1386,45 @@ _ACTION_NAMES = {
 _ACTIONS_BY_NAME = {name: cls for cls, name in _ACTION_NAMES.items()}
 
 
+# The JSON values that may fill a script field, by the field's annotation,
+# and their name in JSON's terms. JSON has no bytes: only ``content_hex``,
+# once decoded, fills ``content``.
+_JSON_TYPES = {
+    "int": (int, "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "bytes | None": ((bytes, type(None)), "given as content_hex"),
+    "tuple[str, ...]": (list, "a list of strings"),
+}
+
+
+def _check_json_field(where: str, name: str, annotation: str, value) -> None:
+    """Refuse a JSON value that cannot fill a field of ``annotation``.
+
+    A boolean fills only a bool field and a list holds only strings. Text
+    must be encodable as UTF-8, which a lone surrogate escape is not.
+    """
+    types, description = _JSON_TYPES[annotation]
+    items = value if isinstance(value, list) else [value]
+    if (
+        not isinstance(value, types)
+        or isinstance(value, bool) != (annotation == "bool")
+        or (isinstance(value, list) and not all(isinstance(item, str) for item in items))
+    ):
+        raise InvalidScript(f"{where}: {name!r} is not {description}")
+    try:
+        for item in items:
+            if isinstance(item, str):
+                item.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidScript(f"{where}: {name!r} is not UTF-8 text: {exc}") from exc
+
+
 def _parse_at(value, tz_offset_minutes: int) -> int:
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     text = str(value).strip()
     m = re.match(
@@ -1470,8 +1464,8 @@ def script_from_json(source: str | dict) -> ScenarioScript:
         actors = spec["actors"]
     except KeyError as exc:
         raise InvalidScript(f"script lacks required field {exc}") from exc
-    if not isinstance(actors, list):
-        raise InvalidScript("script field 'actors' is not a list")
+    _check_json_field("script", "owner", "str", owner)
+    _check_json_field("script", "actors", "tuple[str, ...]", actors)
     entries = spec.get("actions", [])
     if not isinstance(entries, list):
         raise InvalidScript("script field 'actions' is not a list")
@@ -1490,11 +1484,9 @@ def script_from_json(source: str | dict) -> ScenarioScript:
             at = _parse_at(entry.pop("at"), tz_offset)
         except KeyError as exc:
             raise InvalidScript(f"action #{index} lacks {exc}") from exc
-        cls = _ACTIONS_BY_NAME.get(name)
+        cls = _ACTIONS_BY_NAME.get(name) if isinstance(name, str) else None
         if cls is None:
             raise InvalidScript(f"action #{index}: unknown action {name!r}")
-        if "recipients" in entry:
-            entry["recipients"] = tuple(entry["recipients"])
         if "content_hex" in entry:
             try:
                 entry["content"] = bytes.fromhex(entry.pop("content_hex"))
@@ -1502,6 +1494,12 @@ def script_from_json(source: str | dict) -> ScenarioScript:
                 raise InvalidScript(f"action #{index}: content_hex: {exc}") from exc
         if "kind" in entry and cls is SendMedia:
             entry["media_kind"] = entry.pop("kind")
+        annotations = {f.name: f.type for f in fields(cls)}
+        for key, value in entry.items():
+            if key in annotations:  # an unknown field is refused below
+                _check_json_field(f"action #{index}", key, annotations[key], value)
+        if "recipients" in entry:
+            entry["recipients"] = tuple(entry["recipients"])
         try:
             actions.append(cls(at_ms=at, **entry))
         except TypeError as exc:

@@ -1352,6 +1352,36 @@ def test_forge_cli(tmp_path, capsys):
     assert len(bundle.messages) == 4
 
 
+def test_forge_refuses_a_used_output_directory(tmp_path, capsys):
+    base = 1380000000000
+    sent = forge.SendText(
+        at_ms=base, sender=helpers.OWNER, to=helpers.PARTNER, text="from scenario A"
+    )
+    first = forge.ScenarioScript(
+        owner=helpers.OWNER,
+        actors=(helpers.OWNER, helpers.PARTNER),
+        actions=(sent, forge.SnapshotBackup(at_ms=base + 60_000)),
+    )
+    second = forge.ScenarioScript(
+        owner=helpers.OWNER, actors=(helpers.OWNER, helpers.PARTNER), actions=(sent,)
+    )
+    out_dir = tmp_path / "bundle"
+    out_dir.mkdir()  # an existing empty directory is accepted
+    for name, script in (("a.json", first), ("b.json", second)):
+        (tmp_path / name).write_text(forge.script_to_json(script), "utf-8")
+    assert run(["forge", "--script", str(tmp_path / "a.json"), "--out", str(out_dir)]) == EXIT_OK
+    capsys.readouterr()
+    before = ingest.snapshot_tree(out_dir)
+
+    assert run(["forge", "--script", str(tmp_path / "b.json"), "--out", str(out_dir)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not an empty directory" in captured.err
+    with pytest.raises(StructuralError):
+        forge.generate_bundle(second, out_dir)
+    assert ingest.snapshot_tree(out_dir) == before
+
+
 def test_cli_import_skips_the_forge(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(wadroid.__file__).parents[1])}
     python = functools.partial(subprocess.run, env=env, capture_output=True, timeout=60)

@@ -1,5 +1,6 @@
 """Fixture generator: determinism, parse parity, script validation."""
 
+import dataclasses
 import hashlib
 import json
 import sqlite3
@@ -9,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import helpers
-from wadroid import forge, ingest
+from wadroid import forge, ingest, layout
+from wadroid.backup_crypto import decrypt_bytes
 from wadroid.db_reader import DbKind, open_source
 from wadroid.errors import InvalidScript
+from wadroid.log_parser import DEFAULT_GRAMMAR
 
 
 def _tree_hashes(root: Path) -> dict:
@@ -295,3 +298,206 @@ def test_wrong_backup_key_degrades_with_warning(tmp_path):
     bundle = ingest.load_case_bundle(result.root, DEFAULT_GRAMMAR, key=bytes(24))
     assert bundle.backups == ()
     assert any("backup not decrypted" in w.message for w in bundle.warnings)
+
+
+# --- scripts the forge cannot write faithfully ------------------------------------
+
+_TRIP = {
+    "version": 1,
+    "owner": helpers.OWNER,
+    "actors": [helpers.OWNER, helpers.PARTNER, helpers.BC_R1],
+    "actions": [
+        {"at": 1380000000000, "do": "create_group", "name": "trip", "label": "g"},
+        {"at": 1380000010000, "do": "send_text", "sender": helpers.OWNER,
+         "to": helpers.PARTNER, "text": "hi", "label": "m"},
+        {"at": 1380000020000, "do": "broadcast", "sender": helpers.OWNER,
+         "recipients": [helpers.PARTNER, helpers.BC_R1], "text": "all"},
+        {"at": 1380000030000, "do": "send_media", "sender": helpers.PARTNER,
+         "to": helpers.OWNER, "kind": "audio", "duration": 12},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "action, changes",
+    [
+        (None, {"owner": 393400000001, "actors": [393400000001, 393480000002]}),
+        (2, {"recipients": 5}),
+        (1, {"label": ["a"]}),
+        (1, {"text": 5}),
+        (1, {"text": True}),
+        (3, {"at": 253402300800000}),
+        (3, {"duration": 2**70}),
+        (0, {"name": "trip\nday"}),
+        (0, {"name": "trip\r"}),
+        (1, {"do": ["send_text"]}),
+        (3, {"content": "0a0b"}),
+        (3, {"server_filename": ".."}),
+        (3, {"server_filename": "Sent"}),
+        (3, {"server_filename": "a/b"}),
+    ],
+    ids=[
+        "integer-numbers",
+        "recipients-number",
+        "label-list",
+        "text-number",
+        "text-boolean",
+        "at-past-9999",
+        "duration-past-int64",
+        "group-name-line-feed",
+        "group-name-ends-in-carriage-return",
+        "action-name-list",
+        "content-not-hex",
+        "media-name-parent",
+        "media-name-sent-directory",
+        "media-name-path",
+    ],
+)
+def test_unfaithful_scripts_are_refused_before_writing(tmp_path, action, changes):
+    spec = json.loads(json.dumps(_TRIP))
+    (spec if action is None else spec["actions"][action]).update(changes)
+    out_dir = tmp_path / "evidence"
+    with pytest.raises(InvalidScript):
+        forge.generate_bundle(forge.script_from_json(json.dumps(spec)), out_dir)
+    assert not out_dir.exists()
+
+
+def test_the_unchanged_reference_of_the_refused_scripts_forges(tmp_path):
+    result = forge.generate_bundle(forge.script_from_json(json.dumps(_TRIP)), tmp_path)
+    assert ingest.load_case_bundle(tmp_path) == result.bundle
+
+
+# --- acknowledgement times -------------------------------------------------------
+
+_SENT = 1381932937884
+
+
+def _acked(sender=helpers.OWNER, to=helpers.PARTNER, **fields) -> forge.ScenarioScript:
+    return forge.ScenarioScript(
+        owner=helpers.OWNER,
+        actors=(helpers.OWNER, helpers.PARTNER),
+        actions=(
+            forge.CreateGroup(at_ms=_SENT - 20_000, name="g", label="g"),
+            forge.AddToGroup(at_ms=_SENT - 10_000, group="g", member=helpers.PARTNER),
+            forge.SendText(at_ms=_SENT, sender=sender, to=to, text="x", **fields),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        (_acked(server_ack_at_ms=_SENT + 60_000), "device ack must come after the server ack"),
+        (
+            _acked(server_ack_at_ms=_SENT + 60_000, device_ack_at_ms=_SENT + 30_000),
+            "device ack must come after the server ack",
+        ),
+        (_acked(device_ack_at_ms=_SENT), "device ack must come after the server ack"),
+        (_acked(server_ack_at_ms=_SENT), "server ack must come after the send time"),
+        (
+            _acked(sender=helpers.PARTNER, to=helpers.OWNER, server_ack_at_ms=_SENT + 1),
+            "gets no server ack",
+        ),
+        (
+            _acked(sender=helpers.PARTNER, to=helpers.OWNER, device_ack_at_ms=_SENT + 1),
+            "gets no device ack",
+        ),
+        (_acked(delivery="pending", server_ack_at_ms=_SENT + 1), "gets no server ack"),
+        (_acked(delivery="server", device_ack_at_ms=_SENT + 5_000), "gets no device ack"),
+        (_acked(to="g", device_ack_at_ms=_SENT + 5_000), "gets no device ack"),
+        (
+            _acked(sender=helpers.PARTNER, to="g", server_ack_at_ms=_SENT + 1),
+            "gets no server ack",
+        ),
+    ],
+    ids=[
+        "server-after-default-device",
+        "device-before-server",
+        "device-at-send",
+        "server-at-send",
+        "server-on-incoming",
+        "device-on-incoming",
+        "server-on-pending",
+        "device-on-server-delivery",
+        "device-on-group",
+        "server-on-incoming-group",
+    ],
+)
+def test_explicit_ack_times_are_checked(tmp_path, script, message):
+    with pytest.raises(InvalidScript, match=message):
+        forge.generate_bundle(script, tmp_path / "evidence")
+    assert not (tmp_path / "evidence").exists()
+
+
+@pytest.mark.parametrize("to", [helpers.PARTNER, "g"], ids=["direct", "group"])
+def test_an_explicit_server_ack_is_honoured(tmp_path, to):
+    later = _SENT + 60_000
+    fields = {"device_ack_at_ms": later + 1_000} if to != "g" else {}
+    result = forge.generate_bundle(_acked(to=to, server_ack_at_ms=later, **fields), tmp_path)
+    parsed = ingest.load_case_bundle(tmp_path)
+    assert parsed == result.bundle
+    assert parsed.warnings == ()
+    (record,) = [m for m in parsed.messages if m.data == "x"]
+    assert record.receipt_server_timestamp == later
+
+
+# --- oracle guards ----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def random_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("random0")
+    return forge.generate_bundle(forge.random_script(0), root)
+
+
+@pytest.mark.parametrize("dropped", range(len(DEFAULT_GRAMMAR.rules)))
+def test_every_default_rule_is_needed_to_parse_the_forged_log(random_tree, dropped):
+    rules = DEFAULT_GRAMMAR.rules[:dropped] + DEFAULT_GRAMMAR.rules[dropped + 1 :]
+    grammar = dataclasses.replace(DEFAULT_GRAMMAR, rules=rules)
+    assert ingest.load_case_bundle(random_tree.root, grammar) != random_tree.bundle
+
+
+def _rows(image: bytes) -> bytes:
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.deserialize(image)
+        names = conn.execute("SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name")
+        return repr(
+            [
+                (name, conn.execute(f'SELECT * FROM "{name}" ORDER BY rowid').fetchall())
+                for (name,) in names.fetchall()
+            ]
+        ).encode()
+    finally:
+        conn.close()
+
+
+def _forged_digest(root: Path) -> str:
+    """SHA-256 of every forged file, each database and backup by its rows.
+
+    Rows, not file bytes: a database file's bytes depend on the SQLite version.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        rel = path.relative_to(root).as_posix()
+        data = path.read_bytes()
+        if rel.startswith(layout.BACKUPS_DIR):
+            data = _rows(decrypt_bytes(data))
+        elif rel.startswith(layout.DB_DIR):
+            data = _rows(data)
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def test_random_scripts_forge_the_pinned_trees(tmp_path):
+    pinned = [
+        "400f9862198538ee13e508fa4d34a5f7bb6a9e96bba1ae6c4ef0cc44e381337a",
+        "a410819d0cab778ac5ad922aa14b722768024e2124cec04c7503f811e484be71",
+        "474ff914d8ef821e8f51e3b370992059cae568ef9bc4ca36cb481f142776e5bb",
+        "7753fd11f6930c96f302d61dd113b32a42b944b7cd30a472afc65d951c0a83ca",
+        "cd121ac24da38585a32c4bf611901039c7b160dff9545bb13f574e26d34906e8",
+    ]
+    for seed, expected in enumerate(pinned):
+        forge.generate_bundle(forge.random_script(seed), tmp_path / str(seed))
+        assert _forged_digest(tmp_path / str(seed)) == expected, seed
