@@ -124,6 +124,18 @@ def _same_file(a: str, b: str) -> bool:
         return False
 
 
+def _inside(path: str | Path, root: str) -> bool:
+    try:
+        return Path(path).resolve().is_relative_to(Path(root).resolve())
+    except RuntimeError:  # a symlink loop: nothing can be read or written through it
+        return False
+
+
+def _timeline_csv_path(out: str) -> Path:
+    """Where ``report --format csv`` writes the timeline CSV: next to ``--out``."""
+    return Path(out).with_suffix(".timeline.csv")
+
+
 def _load_grammar(path: str | None) -> LogGrammar:
     return LogGrammar.from_json_file(path) if path else DEFAULT_GRAMMAR
 
@@ -159,8 +171,7 @@ def _cmd_report(args) -> int:
     doc = report_mod.build_report(bundle, analysis, args.tz)
     _emit(report_mod.render_report_json(doc), args.out)
     if args.format == "csv":
-        csv_path = Path(args.out).with_suffix(".timeline.csv")
-        _emit(report_mod.render_timeline_csv(analysis, args.tz), csv_path)
+        _emit(report_mod.render_timeline_csv(analysis, args.tz), _timeline_csv_path(args.out))
     if args.verify_readonly:
         after = ingest.snapshot_tree(args.in_path)
         if before != after:
@@ -231,6 +242,12 @@ def run(argv) -> int:
             parser.error("--format csv needs --out to place the timeline CSV")
         if args.command == "decrypt" and _same_file(args.in_path, args.out):
             parser.error("--out names the backup given as --in; it would be overwritten")
+        if args.command in ("ingest", "report", "diff", "timeline") and args.out:
+            outs = [args.out]
+            if args.command == "report" and args.format == "csv":
+                outs.append(_timeline_csv_path(args.out))
+            if any(_inside(out, args.in_path) for out in outs):
+                parser.error("--out lies inside the evidence directory given as --in")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -6,6 +6,11 @@ chronology, message delivery state, communication partners, group
 membership over time, deleted messages/contacts, media linkage, and
 registered-identity checks.
 
+The results hold rows, not copies of their fields: a history entry is a
+message row and its source (live, or recovered from a backup), and a
+row's delivery state is ``message_state(row)``. The report derives the
+rest from the row; ``report.content_json`` shapes its typed content.
+
 Every inference carries a confidence note and cites the records and log
 lines it was derived from: the log-based procedures are only as good as
 the surviving log window, and findings must surface that caveat rather
@@ -33,10 +38,10 @@ from .model import (
     JidKind,
     KEY_BEARING_KINDS,
     LogEvent,
+    MEDIA_KINDS,
     MessageRecord,
     WaJid,
     WarningLog,
-    coordinates_fault,
     media_digest,
     parse_group_id,
     ts_present,
@@ -118,84 +123,6 @@ def message_state(record: MessageRecord) -> MessageState:
     return MessageState(code=code, status_code=status, received_at=received)
 
 
-# --- message content --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TextContent:
-    text: str
-
-
-@dataclass(frozen=True)
-class MediaContent:
-    kind_name: str  # "image" / "audio" / "video"
-    mime: str | None
-    name: str | None
-    size: int | None
-    duration: int | None
-    hash_b64: str | None
-    server_filename: str | None
-    thumbnail: bytes | None
-
-
-@dataclass(frozen=True)
-class ContactCardContent:
-    vcard: str
-    display_name: str | None
-
-
-@dataclass(frozen=True)
-class GeoContent:
-    latitude: float
-    longitude: float
-    map_thumbnail: bytes | None
-
-
-_MEDIA_KIND_NAMES = {1: "image", 2: "audio", 3: "video"}
-
-
-def server_filename(media_url: str | None) -> str | None:
-    """Trailing path component of the upload URL: the server-side file name."""
-    if not media_url:
-        return None
-    tail = media_url.rstrip("/").rsplit("/", 1)[-1]
-    return tail or None
-
-
-def extract_content(record: MessageRecord, warn: WarningLog | None = None):
-    """Decode the typed content of one message row.
-
-    Inconsistent rows degrade to text content instead of failing: a geo
-    message without usable coordinates silently, because ingest already
-    warned about it under its file's name; an unknown media type with a
-    warning.
-    """
-    mtype = record.media_wa_type
-    if mtype == 0:
-        return TextContent(text=record.data or "")
-    if mtype in _MEDIA_KIND_NAMES:
-        return MediaContent(
-            kind_name=_MEDIA_KIND_NAMES[mtype],
-            mime=record.media_mime_type,
-            name=record.media_name or None,
-            size=record.media_size,
-            # durations only mean something for audio/video
-            duration=record.media_duration if mtype in (2, 3) else None,
-            hash_b64=record.media_hash,
-            server_filename=server_filename(record.media_url),
-            thumbnail=record.raw_data if mtype in (1, 3) else None,
-        )
-    if mtype == 4:
-        return ContactCardContent(vcard=record.data or "", display_name=record.media_name)
-    if mtype == 5:
-        lat, lon = record.latitude, record.longitude
-        if coordinates_fault(lat, lon):
-            return TextContent(text=record.data or "")
-        return GeoContent(latitude=lat, longitude=lon, map_thumbnail=record.raw_data)
-    warn_to(warn, f"messages:_id={record.id}", f"unknown media_wa_type {mtype}; kept as text")
-    return TextContent(text=record.data or "")
-
-
 # --- findings ---------------------------------------------------------------
 
 
@@ -237,10 +164,10 @@ def sort_findings(findings) -> list[Finding]:
 
 @dataclass(frozen=True)
 class LogIndex:
-    """The log facts several correlators share, gathered in one pass.
+    """The log facts the contact and block correlators share.
 
-    ``analyze`` builds one index and hands it to every log-based
-    correlator.
+    ``analyze`` builds one index and hands it to them;
+    ``infer_deleted_messages`` reads only its coverage note.
     """
 
     coverage_note: str
@@ -302,11 +229,9 @@ RECOVERED = "recovered-from-backup"
 
 @dataclass(frozen=True)
 class HistoryEntry:
+    """One row of a conversation, and where it was found."""
+
     record: MessageRecord
-    direction: str  # "incoming" / "outgoing"
-    effective_time: int | None
-    state: MessageState
-    content: object
     source: str  # LIVE or RECOVERED
 
 
@@ -371,20 +296,19 @@ def reconstruct_history(
                 "incoming group message stores different timestamp and "
                 "received_timestamp; ordering uses received_timestamp",
             )
-        entry = HistoryEntry(
-            record=record,
-            direction="outgoing" if record.from_me else "incoming",
-            effective_time=record.effective_time,
-            state=message_state(record),
-            content=extract_content(record, warn),
-            source=source,
-        )
+        if record.media_wa_type not in MEDIA_KINDS:
+            warn_to(
+                warn,
+                f"messages:_id={record.id}",
+                f"unknown media_wa_type {record.media_wa_type}; kept as text",
+            )
+        entry = HistoryEntry(record=record, source=source)
         conversations.setdefault(record.key_remote_jid.raw, []).append(entry)
     for entries in conversations.values():
         entries.sort(
             key=lambda e: (
-                e.effective_time is None,
-                e.effective_time if e.effective_time is not None else 0,
+                e.record.effective_time is None,
+                e.record.effective_time or 0,
                 e.record.id,
                 e.source,
             )
@@ -397,9 +321,6 @@ def reconstruct_history(
 
 @dataclass(frozen=True)
 class PartnerResolution:
-    record_id: int
-    conversation: str
-    key_raw: str
     kind: str  # direct / broadcast-sent / broadcast-received / group / group-control
     partners: frozenset[str]
     originator: str | None = None
@@ -462,9 +383,6 @@ def resolve_partners(bundle: CaseBundle, warn: WarningLog | None = None) -> Part
         else:
             kind = "direct"
         per_message[record.id] = PartnerResolution(
-            record_id=record.id,
-            conversation=conversation,
-            key_raw=record.key_id_raw,
             kind=kind,
             partners=frozenset({conversation}),
             originator=originator,
@@ -505,9 +423,6 @@ def resolve_partners(bundle: CaseBundle, warn: WarningLog | None = None) -> Part
         broadcasts.append(group)
         for row in rows:
             per_message[row.id] = PartnerResolution(
-                record_id=row.id,
-                conversation=row.key_remote_jid.raw,
-                key_raw=key_raw,
                 kind="broadcast-sent",
                 partners=group.destinations,
                 authored_by_owner=True,
@@ -949,6 +864,14 @@ def infer_deleted_messages(bundle: CaseBundle, index: LogIndex) -> list[Finding]
 # --- media correlation ----------------------------------------------------------
 
 
+def server_filename(media_url: str | None) -> str | None:
+    """Trailing path component of the upload URL: the server-side file name."""
+    if not media_url:
+        return None
+    tail = media_url.rstrip("/").rsplit("/", 1)[-1]
+    return tail or None
+
+
 def _hash_to_hex(hash_b64: str | None) -> str | None:
     if not hash_b64:
         return None
@@ -1148,7 +1071,7 @@ def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
 
     findings: list[Finding] = []
     for jid_raw, entries in histories.items():
-        times = [e.effective_time for e in entries if e.effective_time is not None]
+        times = [t for e in entries if (t := e.record.effective_time) is not None]
         findings.append(
             Finding(
                 category=FindingCategory.CONVERSATION,

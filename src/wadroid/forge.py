@@ -663,6 +663,8 @@ class _Simulator:
         path = f"{directory}/{file_name}"
         if not _is_file_name(file_name) or path == layout.MEDIA_SENT_DIR:
             self.fail(f"media file name {file_name!r} is not a plain file name")
+        if path in self.media_files and self.media_files[path][0] != content:
+            self.fail(f"media file {path} is already taken by different content")
         self._send_common(
             action,
             media_type=mtype,

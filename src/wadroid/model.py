@@ -310,6 +310,11 @@ class ContactRecord:
     phonebook: Mapping[str, object] = field(default_factory=dict)
 
 
+# The content kind of each known media_wa_type; a row of any other type is
+# kept as text.
+MEDIA_KINDS = {0: "text", 1: "image", 2: "audio", 3: "video", 4: "contact_card", 5: "geo"}
+
+
 @dataclass(frozen=True)
 class MessageRecord:
     """One decoded row of the chat-store messages table.
@@ -367,6 +372,10 @@ class MessageRecord:
     @property
     def is_broadcast_receipt(self) -> bool:
         return self.key_id_raw.startswith("%~")
+
+    @property
+    def direction(self) -> str:
+        return "outgoing" if self.from_me else "incoming"
 
     @property
     def effective_time(self) -> int | None:

@@ -7,6 +7,10 @@ both as the raw epoch integer and as a rendered string in the requested
 display offset, so the same bundle always serializes to the same bytes
 (modulo the tool version field). The timeline CSV export is a
 convenience view for humans.
+
+The analysis hands over message rows; each row's direction, effective
+time, delivery state (``message_state``) and typed content
+(``content_json``) are derived here, once per output.
 """
 
 from __future__ import annotations
@@ -16,16 +20,15 @@ import io
 from json.encoder import encode_basestring as _encode_str
 
 from . import __version__
-from .correlator import (
-    Analysis,
-    Chronology,
-    GeoContent,
-    ContactCardContent,
-    MediaContent,
-    TextContent,
-    backup_diff,
+from .correlator import Analysis, Chronology, backup_diff, message_state, server_filename
+from .model import (
+    MEDIA_KINDS,
+    BackupSet,
+    CaseBundle,
+    MessageRecord,
+    coordinates_fault,
+    render_epoch_ms,
 )
-from .model import BackupSet, CaseBundle, render_epoch_ms
 
 _INFINITY = float("inf")
 
@@ -36,50 +39,53 @@ def _ts(value_ms: int | None, tz: int) -> dict | None:
     return {"epoch_ms": value_ms, "local": render_epoch_ms(value_ms, tz)}
 
 
-def _content_json(content) -> dict:
-    if isinstance(content, TextContent):
-        return {"type": "text", "text": content.text}
-    if isinstance(content, MediaContent):
+def content_json(record: MessageRecord) -> dict:
+    """The typed content of one message row: text, media, contact card or geo.
+
+    A geo row without usable coordinates and a row of an unknown type are
+    shown as text; ingest and ``reconstruct_history`` warn about them.
+    """
+    kind = MEDIA_KINDS.get(record.media_wa_type, "text")
+    if kind == "geo" and coordinates_fault(record.latitude, record.longitude):
+        kind = "text"
+    if kind == "text":
+        return {"type": kind, "text": record.data or ""}
+    if kind == "contact_card":
+        return {"type": kind, "display_name": record.media_name, "vcard": record.data or ""}
+    if kind == "geo":
         return {
-            "type": content.kind_name,
-            "mime": content.mime,
-            "name": content.name,
-            "size": content.size,
-            "duration_s": content.duration,
-            "sha256_b64": content.hash_b64,
-            "server_filename": content.server_filename,
-            "has_thumbnail": content.thumbnail is not None,
+            "type": kind,
+            "latitude": record.latitude,
+            "longitude": record.longitude,
+            "has_map_thumbnail": record.raw_data is not None,
         }
-    if isinstance(content, ContactCardContent):
-        return {
-            "type": "contact_card",
-            "display_name": content.display_name,
-            "vcard": content.vcard,
-        }
-    if isinstance(content, GeoContent):
-        return {
-            "type": "geo",
-            "latitude": content.latitude,
-            "longitude": content.longitude,
-            "has_map_thumbnail": content.map_thumbnail is not None,
-        }
-    return {"type": "unknown"}
+    return {
+        "type": kind,
+        "mime": record.media_mime_type,
+        "name": record.media_name or None,
+        "size": record.media_size,
+        # durations only mean something for audio and video, thumbnails for images and videos
+        "duration_s": record.media_duration if kind != "image" else None,
+        "sha256_b64": record.media_hash,
+        "server_filename": server_filename(record.media_url),
+        "has_thumbnail": kind != "audio" and record.raw_data is not None,
+    }
 
 
 def _history_entry_json(entry, tz: int) -> dict:
     record = entry.record
-    state = entry.state
+    state = message_state(record)
     return {
         "record_id": record.id,
         "key": record.key_id_raw,
-        "direction": entry.direction,
-        "effective": _ts(entry.effective_time, tz),
+        "direction": record.direction,
+        "effective": _ts(record.effective_time, tz),
         "state": state.label(),
         "sent": _ts(state.sent_at, tz),
         "server_ack": _ts(state.server_ack_at, tz),
         "device_ack": _ts(state.device_ack_at, tz),
         "received": _ts(state.received_at, tz),
-        "content": _content_json(entry.content),
+        "content": content_json(record),
         "source": entry.source,
     }
 
@@ -175,7 +181,7 @@ def diff_document(
                         "record_id": r.id,
                         "conversation": r.key_remote_jid.raw,
                         "key": r.key_id_raw,
-                        "direction": "outgoing" if r.from_me else "incoming",
+                        "direction": r.direction,
                         "timestamp": r.timestamp,
                         "timestamp_local": render_epoch_ms(r.timestamp, tz),
                         "data": r.data,
@@ -335,18 +341,20 @@ def timeline_rows(chronology: Chronology, tz: int = 0) -> list[tuple]:
             )
     for jid_raw, entries in chronology.histories.items():
         for entry in entries:
-            content = _content_json(entry.content)
+            record = entry.record
+            content = content_json(record)
             detail = content["type"]
-            if content["type"] == "text" and content["text"]:
+            if detail == "text" and content["text"]:
                 detail += ":" + content["text"][:40]
+            at_ms = record.effective_time
             rows.append(
                 (
                     "chat",
                     jid_raw,
-                    entry.effective_time if entry.effective_time is not None else "",
-                    render_epoch_ms(entry.effective_time, tz) or "",
-                    f"message-{entry.direction}",
-                    entry.record.key_id_raw,
+                    at_ms if at_ms is not None else "",
+                    render_epoch_ms(at_ms, tz) or "",
+                    f"message-{record.direction}",
+                    record.key_id_raw,
                     detail,
                 )
             )

@@ -7,9 +7,6 @@ from pathlib import Path
 
 from wadroid import forge
 from wadroid.correlator import (
-    ContactCardContent,
-    GeoContent,
-    MediaContent,
     group_membership_timeline,
     infer_deleted_contacts,
     infer_deleted_messages,
@@ -17,25 +14,34 @@ from wadroid.correlator import (
     reconstruct_history,
     resolve_partners,
 )
+from wadroid.report import content_json
 
 # --- normalized views over the analysis (shape shared with forge ground truth)
 
 
-def content_sig(content) -> tuple:
-    if isinstance(content, MediaContent):
-        return ("media", content.mime, content.hash_b64)
-    if isinstance(content, ContactCardContent):
-        return ("vcard", content.display_name or "")
-    if isinstance(content, GeoContent):
-        return ("geo", f"{content.latitude:.6f}", f"{content.longitude:.6f}")
-    return ("text", content.text)
+def content_sig(record) -> tuple:
+    content = content_json(record)
+    kind = content["type"]
+    if kind in ("image", "audio", "video"):
+        return ("media", content["mime"], content["sha256_b64"])
+    if kind == "contact_card":
+        return ("vcard", content["display_name"] or "")
+    if kind == "geo":
+        return ("geo", f"{content['latitude']:.6f}", f"{content['longitude']:.6f}")
+    return ("text", content["text"])
 
 
 def observed_analytics(bundle):
     """Run the correlator and normalize its output to ground-truth shapes."""
     histories = {
         jid: tuple(
-            (e.record.key_id_raw, e.direction, e.effective_time, content_sig(e.content), e.source)
+            (
+                e.record.key_id_raw,
+                e.record.direction,
+                e.record.effective_time,
+                content_sig(e.record),
+                e.source,
+            )
             for e in entries
         )
         for jid, entries in reconstruct_history(bundle).items()

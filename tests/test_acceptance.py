@@ -43,6 +43,7 @@ from wadroid.model import (
     parse_jid,
     parse_message_key,
 )
+from wadroid.report import content_json
 from test_correlator import make_record
 
 
@@ -81,11 +82,13 @@ def test_acceptance_2_reference_scenario_replay(tmp_path):
         forge.generate_bundle(helpers.conversation_script(), tmp_path / "conv").root
     )
     entries = reconstruct_history(bundle)[jid(helpers.PARTNER)]
-    assert [(e.content.text, e.direction, e.effective_time) for e in entries[:2]] == [
+    records = [e.record for e in entries]
+    assert [(content_json(r)["text"], r.direction, r.effective_time) for r in records[:2]] == [
         ("Message 1", "incoming", 1329116349000),  # 2012-02-13 06:59:09Z
         ("Reply 1", "outgoing", 1329116423000),  # 2012-02-13 07:00:23Z
     ]
-    assert [e.content.text for e in entries] == ["Message 1", "Reply 1", "Message 2", "Reply 2"]
+    texts = [content_json(r)["text"] for r in records]
+    assert texts == ["Message 1", "Reply 1", "Message 2", "Reply 2"]
 
     # delivery progression with minute-scale ack delays
     bundle = ingest.load_case_bundle(

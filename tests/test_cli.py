@@ -2,6 +2,7 @@
 
 import builtins
 import collections
+import csv
 import functools
 import gc
 import hashlib
@@ -207,6 +208,37 @@ def test_decrypt_refuses_to_overwrite_its_input(tmp_path, capsys):
         assert run(["decrypt", "--in", str(crypt), "--out", str(out)]) == EXIT_USAGE
         assert "--out" in capsys.readouterr().err
     assert crypt.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest"],
+        ["report"],
+        ["report", "--format", "csv"],
+        ["diff"],
+        ["timeline"],
+        ["timeline", "--format", "csv"],
+    ],
+    ids=["ingest", "report", "report-csv", "diff", "timeline", "timeline-csv"],
+)
+def test_an_output_inside_the_evidence_is_a_usage_error(conversation_dir, tmp_path, capsys, argv):
+    media = conversation_dir / layout.MEDIA_DIR
+    (tmp_path / "media-link").symlink_to(media)
+    # report --format csv also writes the CSV beside --out: here, through a link, into the log
+    (tmp_path / "r.timeline.csv").symlink_to(conversation_dir / layout.MAIN_LOG)
+    outs = [media / "report.json", media / ".." / "r.json", conversation_dir]
+    outs.append(tmp_path / "media-link" / "report.json")
+    if argv == ["report", "--format", "csv"]:
+        outs.append(tmp_path / "r.json")
+    before = ingest.snapshot_tree(conversation_dir)
+    for out in outs:
+        assert run([*argv, "--in", str(conversation_dir), "--out", str(out)]) == EXIT_USAGE, out
+        assert "--out lies inside the evidence directory" in capsys.readouterr().err
+    assert ingest.snapshot_tree(conversation_dir) == before
+    beside = f"{conversation_dir}.json"  # shares a prefix with --in, not a directory
+    assert run([*argv, "--in", str(conversation_dir), "--out", beside]) == EXIT_OK
+    assert ingest.snapshot_tree(conversation_dir) == before
 
 
 DELETED_AT = 1380000000000  # 2013-09-24 05:20:00Z
@@ -763,6 +795,29 @@ def test_geo_row_without_coordinates_warns_once(conversation_dir, tmp_path):
     assert [w for w in doc["warnings"] if "geo" in w["message"]] == [
         {"source": "msgstore.db:messages#1", "message": "geo message lacks latitude/longitude"}
     ]
+
+
+def test_an_unknown_media_type_is_kept_as_text_with_one_warning(
+    conversation_dir, tmp_path, capsys
+):
+    msgstore = conversation_dir / layout.MSGSTORE_DB
+    _update(msgstore, "UPDATE messages SET media_wa_type = 9 WHERE _id = 1")
+    out = tmp_path / "report.json"
+    argv = ["--in", str(conversation_dir)]
+    assert run(["report", *argv, "--out", str(out), "--format", "csv"]) == EXIT_WARNINGS
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["warnings"] == [
+        {"source": "messages:_id=1", "message": "unknown media_wa_type 9; kept as text"}
+    ]
+    messages = doc["conversations"][0]["messages"]
+    (message,) = [m for m in messages if m["record_id"] == 1]
+    assert message["content"] == {"type": "text", "text": "Message 1"}
+    capsys.readouterr()
+    assert run(["timeline", *argv]) == EXIT_WARNINGS
+    assert json.loads(capsys.readouterr().out)["chats"] == doc["conversations"]
+    timeline_csv = out.with_suffix(".timeline.csv").read_text(encoding="utf-8")
+    (row,) = [r for r in csv.reader(timeline_csv.splitlines()) if r[5] == message["key"]]
+    assert row[6] == "text:Message 1"
 
 
 def test_media_hashed_in_chunks(conversation_dir):

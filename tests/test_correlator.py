@@ -14,12 +14,8 @@ from wadroid.correlator import (
     BLOCKED,
     Finding,
     FindingCategory,
-    GeoContent,
-    ContactCardContent,
     GroupEventKind,
-    MediaContent,
     StateCode,
-    TextContent,
     UNBLOCKED,
     UNKNOWN,
     analyze,
@@ -27,7 +23,6 @@ from wadroid.correlator import (
     block_statuses,
     build_chronology,
     correlate_media,
-    extract_content,
     group_membership_timeline,
     identity_check,
     infer_block_status,
@@ -62,6 +57,7 @@ from wadroid.model import (
     classify_jid,
     parse_message_key,
 )
+from wadroid.report import content_json
 
 REMOTE = jid("393480000002")
 
@@ -156,62 +152,150 @@ def test_pending_state_has_no_acks():
     assert state.server_ack_at is None and state.device_ack_at is None
 
 
-# --- content extraction ----------------------------------------------------------
+# --- message content ---------------------------------------------------------------
+
+_HASH = base64.b64encode(bytes(32)).decode()
+_UNKNOWN_TYPE = "unknown media_wa_type 9; kept as text"
 
 
-def test_extract_text():
-    content = extract_content(make_record(media_wa_type=0, data="hi"))
-    assert isinstance(content, TextContent) and content.text == "hi"
-
-
-def test_extract_media_reference_record():
-    content = extract_content(
-        make_record(
-            from_me=True,
-            media_wa_type=1,
-            data=None,
-            media_mime_type="image/jpeg",
-            media_name="IMG-20131021-WA0000.jpg",
-            media_size=40267,
-            media_hash=base64.b64encode(bytes(32)).decode(),
-            media_url="https://mms402.whatsapp.net/d/f1a2b3.jpg",
-            raw_data=b"thumb",
-        )
-    )
-    assert isinstance(content, MediaContent)
-    assert content.mime == "image/jpeg"
-    assert content.name == "IMG-20131021-WA0000.jpg"
-    assert content.size == 40267
-    assert content.server_filename == "f1a2b3.jpg"
-    assert content.duration is None  # images report no duration
-    assert content.thumbnail == b"thumb"
-
-
-def test_extract_vcard():
-    content = extract_content(
-        make_record(media_wa_type=4, data="BEGIN:VCARD\nEND:VCARD", media_name="Bob")
-    )
-    assert isinstance(content, ContactCardContent)
-    assert content.display_name == "Bob"
-    assert content.vcard.startswith("BEGIN:VCARD")
-
-
-def test_extract_geo():
-    content = extract_content(
-        make_record(media_wa_type=5, latitude=45.07, longitude=7.68, raw_data=b"map")
-    )
-    assert isinstance(content, GeoContent)
-    assert content.latitude == pytest.approx(45.07)
-    assert content.map_thumbnail == b"map"
-
-
-def test_geo_without_coordinates_degrades_to_text():
+@pytest.mark.parametrize(
+    "overrides, content, warnings",
+    [
+        (dict(media_wa_type=0, data="hi"), {"type": "text", "text": "hi"}, []),
+        (dict(media_wa_type=0, data=None), {"type": "text", "text": ""}, []),
+        (
+            dict(
+                from_me=True,
+                media_wa_type=1,
+                data=None,
+                media_mime_type="image/jpeg",
+                media_name="IMG-20131021-WA0000.jpg",
+                media_size=40267,
+                media_duration=7,  # images report no duration
+                media_hash=_HASH,
+                media_url="https://mms402.whatsapp.net/d/f1a2b3.jpg",
+                raw_data=b"thumb",
+            ),
+            {
+                "type": "image",
+                "mime": "image/jpeg",
+                "name": "IMG-20131021-WA0000.jpg",
+                "size": 40267,
+                "duration_s": None,
+                "sha256_b64": _HASH,
+                "server_filename": "f1a2b3.jpg",
+                "has_thumbnail": True,
+            },
+            [],
+        ),
+        (
+            dict(
+                media_wa_type=2,
+                media_mime_type="audio/ogg",
+                media_name="",
+                media_size=900,
+                media_duration=12,
+                media_url="https://mms402.whatsapp.net/d/a1.ogg/",
+                raw_data=b"x",  # audio reports no thumbnail
+            ),
+            {
+                "type": "audio",
+                "mime": "audio/ogg",
+                "name": None,
+                "size": 900,
+                "duration_s": 12,
+                "sha256_b64": None,
+                "server_filename": "a1.ogg",
+                "has_thumbnail": False,
+            },
+            [],
+        ),
+        (
+            dict(
+                media_wa_type=3,
+                media_mime_type="video/mp4",
+                media_duration=30,
+                media_size=5,
+                media_hash=_HASH,
+                media_url="https://mms402.whatsapp.net/d/v1.mp4",
+                raw_data=b"t",
+            ),
+            {
+                "type": "video",
+                "mime": "video/mp4",
+                "name": None,
+                "size": 5,
+                "duration_s": 30,
+                "sha256_b64": _HASH,
+                "server_filename": "v1.mp4",
+                "has_thumbnail": True,
+            },
+            [],
+        ),
+        (
+            dict(media_wa_type=3, media_url=""),
+            {
+                "type": "video",
+                "mime": None,
+                "name": None,
+                "size": None,
+                "duration_s": None,
+                "sha256_b64": None,
+                "server_filename": None,
+                "has_thumbnail": False,
+            },
+            [],
+        ),
+        (
+            dict(media_wa_type=4, data="BEGIN:VCARD\nEND:VCARD", media_name="Bob"),
+            {"type": "contact_card", "display_name": "Bob", "vcard": "BEGIN:VCARD\nEND:VCARD"},
+            [],
+        ),
+        (
+            dict(media_wa_type=5, data=None, latitude=45.07, longitude=7.68, raw_data=b"map"),
+            {"type": "geo", "latitude": 45.07, "longitude": 7.68, "has_map_thumbnail": True},
+            [],
+        ),
+        (
+            dict(media_wa_type=5, latitude=-90.0, longitude=180.0),
+            {"type": "geo", "latitude": -90.0, "longitude": 180.0, "has_map_thumbnail": False},
+            [],
+        ),
+        # Ingest warns about a geo row without usable coordinates, under its
+        # file's name; the history does not warn again.
+        (
+            dict(media_wa_type=5, latitude=None, longitude=None, data="x"),
+            {"type": "text", "text": "x"},
+            [],
+        ),
+        (
+            dict(media_wa_type=5, latitude=91.0, longitude=7.68, data="y"),
+            {"type": "text", "text": "y"},
+            [],
+        ),
+        (dict(media_wa_type=9, data="z"), {"type": "text", "text": "z"}, [_UNKNOWN_TYPE]),
+    ],
+    ids=[
+        "text",
+        "text-without-data",
+        "image",
+        "audio",
+        "video",
+        "video-without-thumbnail",
+        "contact-card",
+        "geo",
+        "geo-without-map",
+        "geo-without-coordinates",
+        "geo-out-of-range",
+        "unknown-type",
+    ],
+)
+def test_content_json(overrides, content, warnings):
+    record = make_record(**overrides)
+    assert content_json(record) == content
     warn = WarningLog()
-    content = extract_content(
-        make_record(media_wa_type=5, latitude=None, longitude=None, data="x"), warn
-    )
-    assert isinstance(content, TextContent)
-    assert len(warn) == 0  # ingest warns about the row, under its file's name
+    reconstruct_history(CaseBundle(messages=(record,)), warn=warn)
+    assert [(w.source, w.message) for w in warn] == [("messages:_id=1", m) for m in warnings]
 
 
 # --- chat history -----------------------------------------------------------------
@@ -222,11 +306,13 @@ def test_history_conversation_replay(tmp_path):
     bundle = ingest.load_case_bundle(result.root)
     histories = reconstruct_history(bundle)
     entries = histories[jid(helpers.PARTNER)]
-    assert [e.content.text for e in entries] == ["Message 1", "Reply 1", "Message 2", "Reply 2"]
-    assert [e.direction for e in entries] == ["incoming", "outgoing", "incoming", "outgoing"]
-    assert entries[0].effective_time == helpers.CONV_IN_1  # 06:59:09Z receipt
-    assert entries[1].effective_time == helpers.CONV_OUT_1  # 07:00:23Z send
-    assert entries[0].state.code is StateCode.RECEIVED_INCOMING
+    records = [e.record for e in entries]
+    texts = [content_json(r)["text"] for r in records]
+    assert texts == ["Message 1", "Reply 1", "Message 2", "Reply 2"]
+    assert [r.direction for r in records] == ["incoming", "outgoing", "incoming", "outgoing"]
+    assert records[0].effective_time == helpers.CONV_IN_1  # 06:59:09Z receipt
+    assert records[1].effective_time == helpers.CONV_OUT_1  # 07:00:23Z send
+    assert message_state(records[0]).code is StateCode.RECEIVED_INCOMING
 
 
 def test_history_empty_bundle():
@@ -252,7 +338,7 @@ def test_incoming_group_timestamp_discrepancy_warns():
     )
     warn = WarningLog()
     histories = reconstruct_history(CaseBundle(messages=(record,)), warn=warn)
-    assert histories[gid][0].effective_time == 6000  # receipt time wins
+    assert histories[gid][0].record.effective_time == 6000  # receipt time wins
     assert any("received_timestamp" in w.message for w in warn)
 
 
@@ -697,7 +783,7 @@ def test_backup_recovers_deleted_content(tmp_path):
     histories = reconstruct_history(bundle)
     entries = histories[jid(helpers.PARTNER)]
     assert [e.source for e in entries] == ["recovered-from-backup"]
-    assert entries[0].content.text == "doomed"
+    assert content_json(entries[0].record) == {"type": "text", "text": "doomed"}
 
 
 def test_backups_hold_only_rows_the_live_store_lost(tmp_path):

@@ -367,6 +367,37 @@ def test_the_unchanged_reference_of_the_refused_scripts_forges(tmp_path):
     assert ingest.load_case_bundle(tmp_path) == result.bundle
 
 
+@pytest.mark.parametrize(
+    "sender, to, field",
+    [
+        (helpers.OWNER, helpers.PARTNER, "name"),
+        (helpers.PARTNER, helpers.OWNER, "server_filename"),
+    ],
+    ids=["sent", "received"],
+)
+def test_two_sends_cannot_write_one_media_file(tmp_path, sender, to, field):
+    def two_images(first: bytes, second: bytes) -> forge.ScenarioScript:
+        sends = tuple(
+            forge.SendMedia(
+                at_ms=1380000000000 + i, sender=sender, to=to, content=content, **{field: "x.jpg"}
+            )
+            for i, content in enumerate((first, second))
+        )
+        return forge.ScenarioScript(
+            owner=helpers.OWNER, actors=(helpers.OWNER, helpers.PARTNER), actions=sends
+        )
+
+    with pytest.raises(InvalidScript, match="already taken by different content"):
+        forge.generate_bundle(two_images(b"first", b"second"), tmp_path / "e")
+    assert not (tmp_path / "e").exists()
+
+    # Identical content may share the file.
+    result = forge.generate_bundle(two_images(b"same", b"same"), tmp_path / "same")
+    assert ingest.load_case_bundle(tmp_path / "same") == result.bundle
+    assert len(result.bundle.media_inventory) == 1
+    assert sum(1 for m in result.bundle.messages if m.media_wa_type == 1) == 2
+
+
 # --- acknowledgement times -------------------------------------------------------
 
 _SENT = 1381932937884
