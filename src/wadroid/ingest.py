@@ -14,6 +14,7 @@ lines of the group membership kinds.
 
 from __future__ import annotations
 
+import os
 import re
 import stat
 from contextlib import nullcontext
@@ -226,21 +227,31 @@ def load_chronology(
     )
 
 
+def _skip_unreadable(error: OSError) -> None:
+    if not isinstance(error, PermissionError):
+        raise error
+
+
 def _list_media(root: Path) -> list[tuple[str, int, Path]]:
     """(path relative to ``root``, size, path) of every media file, by relative path.
 
-    Listed, not read: one ``stat`` per file, and no warning.
+    Listed, not read: one ``stat`` per file, and no warning. As under
+    ``Path.rglob``, a link to a directory is not followed, and a
+    directory that cannot be read is skipped.
     """
     listed = []
-    media_dir = root / layout.MEDIA_DIR
-    if media_dir.is_dir():
-        for path in media_dir.rglob("*"):
-            try:
-                info = path.stat()
-            except OSError:  # a dangling or looping link: not a file
-                continue
-            if stat.S_ISREG(info.st_mode):
-                listed.append((_rel(root, path), info.st_size, path))
+    media_dir = os.path.join(root, layout.MEDIA_DIR)
+    if os.path.isdir(media_dir):
+        for dir_path, _, names in os.walk(media_dir, onerror=_skip_unreadable):
+            rel_dir = layout.MEDIA_DIR + dir_path[len(media_dir) :].replace(os.sep, "/")
+            parent = Path(dir_path)
+            for name in names:
+                try:
+                    info = os.stat(os.path.join(dir_path, name))
+                except OSError:  # a dangling or looping link: not a file
+                    continue
+                if stat.S_ISREG(info.st_mode):
+                    listed.append((f"{rel_dir}/{name}", info.st_size, parent / name))
         listed.sort(key=lambda item: item[0])
     return listed
 

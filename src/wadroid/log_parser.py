@@ -28,12 +28,13 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Collection
 
 from .errors import BadGrammar, MalformedGroupId, MalformedKey, UnreadableFile
 from .model import (
+    EPOCH_ORDINAL,
     EventKind,
     KEY_BEARING_KINDS,
     LogEvent,
@@ -41,6 +42,7 @@ from .model import (
     classify_jid,
     parse_group_id,
     parse_message_key,
+    render_local_ms,
     warn_to,
 )
 
@@ -143,38 +145,48 @@ DEFAULT_GRAMMAR = LogGrammar(
 # The DEFAULT format's stamps, read without strptime. Only the exact
 # shape matches: ASCII digits, a 1-6 digit fraction, and a ±HHMM offset
 # whose minutes are below 60 (strptime rejects +0060). A stamp that does
-# not match, or whose fields datetime() or timezone() reject, goes to
+# not match, or whose fields datetime() or timezone() would reject (a
+# date date() rejects, an hour of 24, an offset of 24 hours), goes to
 # strptime, so every error is strptime's own.
 _DEFAULT_STAMP = re.compile(
-    r"([0-9]{4})-([0-9]{2})-([0-9]{2}) ([0-9]{2}):([0-9]{2}):([0-9]{2})"
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2}) ([0-9]{2}):([0-9]{2}):([0-9]{2})"
     r"\.([0-9]{1,6}) ([+-][0-9]{2}[0-5][0-9])"
 )
 
 
+@functools.lru_cache(maxsize=4096)
+def _epoch_day(ymd: str) -> int | None:
+    """Days from 1970-01-01 to the date ``YYYY-MM-DD``; None where date() rejects it."""
+    try:
+        return date(int(ymd[:4]), int(ymd[5:7]), int(ymd[8:])).toordinal() - EPOCH_ORDINAL
+    except ValueError:
+        return None
+
+
 @functools.cache  # bounded: the pattern admits 2 × 100 × 60 offsets
-def _offset(text: str) -> timezone:
-    minutes = int(text[1:3]) * 60 + int(text[3:])
-    return timezone(timedelta(minutes=-minutes if text[0] == "-" else minutes))
+def _offset_minutes(text: str) -> int | None:
+    """``±HHMM`` in minutes east of UTC; None where timezone() rejects it."""
+    hours = int(text[1:3])
+    if hours >= 24:
+        return None
+    minutes = hours * 60 + int(text[3:])
+    return -minutes if text[0] == "-" else minutes
 
 
-def _default_stamp(text: str) -> datetime | None:
+def _default_stamp(text: str) -> int | None:
+    """Epoch ms of a DEFAULT-shape stamp; None for strptime to read or reject."""
     m = _DEFAULT_STAMP.fullmatch(text)
     if m is None:
         return None
-    year, month, day, hour, minute, second, fraction, offset = m.groups()
-    try:
-        return datetime(
-            int(year),
-            int(month),
-            int(day),
-            int(hour),
-            int(minute),
-            int(second),
-            int(fraction.ljust(6, "0")),
-            _offset(offset),
-        )
-    except ValueError:
+    ymd, hour, minute, second, fraction, offset = m.groups()
+    day = _epoch_day(ymd)
+    offset_minutes = _offset_minutes(offset)
+    hour, minute, second = int(hour), int(minute), int(second)
+    if day is None or offset_minutes is None or hour >= 24 or minute >= 60 or second >= 60:
         return None
+    seconds = ((day * 24 + hour) * 60 + minute - offset_minutes) * 60 + second
+    # What datetime.timestamp() gives: microseconds / 10**6, a float.
+    return int(round((seconds * 1_000_000 + int(fraction.ljust(6, "0"))) / 10**6 * 1000))
 
 
 def _parse_timestamp(text: str, fmt: str) -> int:
@@ -182,9 +194,11 @@ def _parse_timestamp(text: str, fmt: str) -> int:
         return int(text)
     if fmt == "epoch_s":
         return int(text) * 1000
-    stamp = _default_stamp(text) if fmt == _DEFAULT_TIMESTAMP_FORMAT else None
-    if stamp is None:
-        stamp = datetime.strptime(text, fmt)
+    if fmt == _DEFAULT_TIMESTAMP_FORMAT:
+        ms = _default_stamp(text)
+        if ms is not None:
+            return ms
+    stamp = datetime.strptime(text, fmt)
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return int(round(stamp.timestamp() * 1000))
@@ -358,17 +372,12 @@ def merge_events(*event_lists) -> list[LogEvent]:
 
 def format_line(occurred_at_ms: int, body: str, tz_offset_minutes: int = 0) -> str:
     """Render one log line in the DEFAULT grammar's line format."""
-    local = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(
-        milliseconds=occurred_at_ms, minutes=tz_offset_minutes
-    )
+    local = render_local_ms(occurred_at_ms + tz_offset_minutes * 60_000)
+    if local is None:
+        raise OverflowError(f"{occurred_at_ms} ms at {tz_offset_minutes} min is off the calendar")
     sign = "-" if tz_offset_minutes < 0 else "+"
     mins = abs(tz_offset_minutes)
-    stamp = (
-        f"{local.year:04d}-{local.month:02d}-{local.day:02d} "
-        f"{local.hour:02d}:{local.minute:02d}:{local.second:02d}"
-        f".{local.microsecond // 1000:03d} {sign}{mins // 60:02d}{mins % 60:02d}"
-    )
-    return f"{stamp} {body}"
+    return f"{local} {sign}{mins // 60:02d}{mins % 60:02d} {body}"
 
 
 def body_message_deleted(key: str) -> str:

@@ -8,7 +8,10 @@ readers.
 
 Timestamps are stored internally as UTC epoch integers; converting to a
 display timezone is strictly a report-rendering concern (see
-``render_epoch_ms`` and the ``--tz`` CLI option).
+``render_epoch_ms`` and the ``--tz`` CLI option). ``render_local_ms`` is
+the one epoch-to-calendar conversion: integer arithmetic within a day,
+and each day's date taken from ``datetime.date`` once, so the text is
+datetime's over its whole calendar (years 1 to 9999).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import os
 import re
 import weakref
 from dataclasses import InitVar, dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import date
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -38,10 +41,15 @@ _USER_JID_RE = re.compile(r"^(?P<phone>[0-9][0-9x]*)@s\.whatsapp\.net$")
 _GROUP_JID_RE = re.compile(r"^(?P<creator>[0-9][0-9x]*)-(?P<epoch>[0-9]+)@g\.us$")
 _MESSAGE_KEY_RE = re.compile(r"^(?P<bc>%~)?(?P<start>[0-9]+)-(?P<seq>[0-9]+)$")
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-
 #: Epoch milliseconds of 10000-01-01 00:00Z, where datetime's calendar ends.
 CALENDAR_END_MS = 253402300800000
+
+_DAY_MS = 86_400_000
+#: ``date.toordinal()`` of 1970-01-01: day 0 of the epoch-day count.
+EPOCH_ORDINAL = 719_163
+# The epoch days of datetime's calendar: 0001-01-01 up to 10000-01-01.
+_FIRST_DAY = 1 - EPOCH_ORDINAL
+_END_DAY = CALENDAR_END_MS // _DAY_MS
 
 # Media files are hashed in chunks of this size, so a multi-GB video
 # never sits in memory whole.
@@ -264,10 +272,34 @@ def parse_tz_offset(text: str) -> int:
     return -minutes if m.group("sign") == "-" else minutes
 
 
+@lru_cache(maxsize=64)  # one entry per display offset in use
 def format_tz_offset(offset_minutes: int) -> str:
     sign = "-" if offset_minutes < 0 else "+"
     mins = abs(offset_minutes)
     return f"{sign}{mins // 60:02d}:{mins % 60:02d}"
+
+
+# A report's times fall on a few local days: each day's date is computed
+# once, and the time of day by integer arithmetic.
+@lru_cache(maxsize=4096)
+def _calendar_date(day: int) -> str:
+    d = date.fromordinal(day + EPOCH_ORDINAL)
+    return f"{d.year:04d}-{d.month:02d}-{d.day:02d}"
+
+
+def render_local_ms(local_ms: int) -> str | None:
+    """``YYYY-MM-DD HH:MM:SS.mmm`` of a wall-clock time.
+
+    ``local_ms`` counts milliseconds from 1970-01-01 00:00 on the same
+    clock. None when the time is off datetime's calendar (years 1-9999).
+    """
+    day, ms = divmod(local_ms, _DAY_MS)
+    if not _FIRST_DAY <= day < _END_DAY:
+        return None
+    second, milli = divmod(ms, 1000)
+    minute, second = divmod(second, 60)
+    hour, minute = divmod(minute, 60)
+    return "%s %02d:%02d:%02d.%03d" % (_calendar_date(day), hour, minute, second, milli)
 
 
 def render_epoch_ms(value_ms: int | None, offset_minutes: int = 0) -> str | None:
@@ -278,15 +310,10 @@ def render_epoch_ms(value_ms: int | None, offset_minutes: int = 0) -> str | None
     """
     if value_ms is None or value_ms < 0:
         return None
-    try:
-        local = _EPOCH + timedelta(milliseconds=value_ms, minutes=offset_minutes)
-    except OverflowError:  # off datetime's calendar
+    local = render_local_ms(value_ms + offset_minutes * 60_000)
+    if local is None:
         return None
-    return (
-        f"{local.year:04d}-{local.month:02d}-{local.day:02d} "
-        f"{local.hour:02d}:{local.minute:02d}:{local.second:02d}"
-        f".{local.microsecond // 1000:03d} {format_tz_offset(offset_minutes)}"
-    )
+    return f"{local} {format_tz_offset(offset_minutes)}"
 
 
 @dataclass(frozen=True)

@@ -260,11 +260,15 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _write_json(value, indent: str, out: list[str]) -> None:
+def _write_json(value, indent: str, out: list[str], keys: dict[str, str]) -> None:
     """Append ``value``'s chunks, nested at ``indent``, to ``out``.
 
     The checks run in the order of CPython's ``json`` encoder, so a
-    subclass (an int enum, a str enum) is written as its base type.
+    subclass (an int enum, a str enum) is written as its base type. The
+    loops write leaves of exact type str, int and None themselves.
+    ``keys`` caches the encoded ``"key": `` chunk of each str key; other
+    keys are encoded each time, as 1, True and 1.0 are one dict key but
+    encode differently.
     """
     if isinstance(value, str):
         out.append(_encode_str(value))
@@ -287,7 +291,15 @@ def _write_json(value, indent: str, out: list[str]) -> None:
         for item in value:
             out.append(lead)
             lead = separator
-            _write_json(item, inner, out)
+            kind = type(item)
+            if kind is str:
+                out.append(_encode_str(item))
+            elif kind is int:
+                out.append(int.__repr__(item))
+            elif item is None:
+                out.append("null")
+            else:
+                _write_json(item, inner, out, keys)
         out.append("\n" + indent + "]")
     elif isinstance(value, dict):
         if not value:
@@ -298,9 +310,21 @@ def _write_json(value, indent: str, out: list[str]) -> None:
         for key, item in sorted(value.items()):
             out.append(lead)
             lead = separator
-            out.append(_encode_str(_json_key(key)))
-            out.append(": ")
-            _write_json(item, inner, out)
+            encoded = keys.get(key)
+            if encoded is None:
+                encoded = _encode_str(_json_key(key)) + ": "
+                if type(key) is str:
+                    keys[key] = encoded
+            out.append(encoded)
+            kind = type(item)
+            if kind is str:
+                out.append(_encode_str(item))
+            elif kind is int:
+                out.append(int.__repr__(item))
+            elif item is None:
+                out.append("null")
+            else:
+                _write_json(item, inner, out, keys)
         out.append("\n" + indent + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -315,7 +339,7 @@ def render_report_json(report: dict) -> str:
     escapes strings with the C ``encode_basestring``.
     """
     out: list[str] = []
-    _write_json(report, "", out)
+    _write_json(report, "", out, {})
     out.append("\n")
     return "".join(out)
 
