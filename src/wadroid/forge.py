@@ -943,6 +943,14 @@ def _contact_columns(contact: _SimContact) -> dict:
     }
 
 
+def _insert(conn: sqlite3.Connection, table: str, columns, rows) -> None:
+    """Insert ``rows``, each a tuple of values in ``columns`` order."""
+    conn.executemany(
+        f"INSERT INTO {table} ({', '.join(columns)}) VALUES ({', '.join('?' * len(columns))})",
+        rows,
+    )
+
+
 def _sqlite_image(schema: str, tables) -> bytes:
     """The file bytes of a SQLite store of ``schema`` holding ``(table, rows)``.
 
@@ -953,16 +961,38 @@ def _sqlite_image(schema: str, tables) -> bytes:
         conn.executescript(schema)
         for table, rows in tables:
             if rows:
-                columns = list(rows[0])
-                conn.executemany(
-                    f"INSERT INTO {table} ({', '.join(columns)}) "
-                    f"VALUES ({', '.join(':' + c for c in columns)})",
-                    rows,
-                )
+                _insert(conn, table, list(rows[0]), [tuple(row.values()) for row in rows])
         conn.commit()
         return conn.serialize()
     finally:
         conn.close()
+
+
+def _sync_table(conn: sqlite3.Connection, table: str, held: dict, rows: list[dict]) -> dict:
+    """Bring ``table`` from ``held`` to ``rows``, whose first column is ``_id``.
+
+    ``held`` maps each id the table holds to its values. Rows that are gone
+    are deleted, rows whose values changed are updated in place, and rows
+    that appeared are inserted. Returns the new map.
+    """
+    target = {row["_id"]: tuple(row.values()) for row in rows}
+    gone = [(row_id,) for row_id in held if row_id not in target]
+    changed = [
+        values[1:] + values[:1]
+        for row_id, values in target.items()
+        if row_id in held and held[row_id] != values
+    ]
+    new = [values for row_id, values in target.items() if row_id not in held]
+    if gone:
+        conn.executemany(f"DELETE FROM {table} WHERE _id = ?", gone)
+    if changed or new:
+        columns = list(rows[0])
+        if changed:
+            assignments = ", ".join(f"{c} = ?" for c in columns[1:])
+            conn.executemany(f"UPDATE {table} SET {assignments} WHERE _id = ?", changed)
+        if new:
+            _insert(conn, table, columns, new)
+    return target
 
 
 def _expected_message(columns: dict) -> MessageRecord:
@@ -1096,57 +1126,71 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
         )
     )
 
-    # chat database (live rows) plus snapshots
-    live_messages = [m for m in sim.messages if m.delete_ms is None]
-    live_rows = [m.materialize(None) for m in live_messages]
+    # The chat database is one store carried through the snapshots in time
+    # order, which is script order, and then brought to the live rows. A
+    # backup is the store's image as it stood at its snapshot, written at once.
+    live_rows = [m.materialize(None) for m in sim.messages if m.delete_ms is None]
     chat_rows = [
         {"_id": pair[0], "key_remote_jid": jid, "message_table_id": pair[1]}
         for jid, pair in sorted(sim.chat_rows.items(), key=lambda kv: kv[1][0])
     ]
-    (root / layout.MSGSTORE_DB).write_bytes(
-        _sqlite_image(_MSGSTORE_SCHEMA, [("messages", live_rows), ("chat_list", chat_rows)])
-    )
+    snapshots_by_name = []
+    store = sqlite3.connect(":memory:")
+    try:
+        store.executescript(_MSGSTORE_SCHEMA)
+        held_messages: dict[int, tuple] = {}  # _id -> the values the store holds
+        held_chats: dict[int, tuple] = {}
+        for name, as_of in sim.snapshots:
+            rows = [
+                m.materialize(as_of)
+                for m in sim.messages
+                if m.insert_ms <= as_of and (m.delete_ms is None or m.delete_ms > as_of)
+            ]
+            # chat_list as it stood at snapshot time: last message inserted
+            # per conversation, for conversations that already existed
+            last_at: dict[str, int] = {}
+            for m in sim.messages:
+                if m.insert_ms <= as_of:
+                    last_at[m.jid_raw] = m.id
+            snapshot_chats = sorted(
+                (
+                    {
+                        "_id": sim.chat_rows[jid][0],
+                        "key_remote_jid": jid,
+                        "message_table_id": last,
+                    }
+                    for jid, last in last_at.items()
+                ),
+                key=lambda row: row["_id"],
+            )
+            with store:
+                held_messages = _sync_table(store, "messages", held_messages, rows)
+                held_chats = _sync_table(store, "chat_list", held_chats, snapshot_chats)
+            (root / layout.BACKUPS_DIR / name).write_bytes(encrypt_fixture(store.serialize()))
+            snapshots_by_name.append((name, rows))
+        with store:
+            _sync_table(store, "messages", held_messages, live_rows)
+            _sync_table(store, "chat_list", held_chats, chat_rows)
+        (root / layout.MSGSTORE_DB).write_bytes(store.serialize())
+    finally:
+        store.close()
 
     # The parsed backups hold only rows whose (conversation, key) pair is
     # not live; the analytics oracle reads the full snapshots instead.
+    snapshots_by_name.sort(key=lambda s: s[0])
+    snapshots = [rows for _, rows in snapshots_by_name]
     live_pairs = {(row["key_remote_jid"], row["key_id"]) for row in live_rows}
-    snapshots, expected_backups = [], []
-    for name, as_of in sorted(sim.snapshots, key=lambda s: s[0]):
-        rows = [
-            m.materialize(as_of)
-            for m in sim.messages
-            if m.insert_ms <= as_of and (m.delete_ms is None or m.delete_ms > as_of)
-        ]
-        # chat_list as it stood at snapshot time: last message inserted
-        # per conversation, for conversations that already existed
-        last_at: dict[str, int] = {}
-        for m in sim.messages:
-            if m.insert_ms <= as_of:
-                last_at[m.jid_raw] = m.id
-        snapshot_chats = sorted(
-            (
-                {
-                    "_id": sim.chat_rows[jid][0],
-                    "key_remote_jid": jid,
-                    "message_table_id": last,
-                }
-                for jid, last in last_at.items()
+    expected_backups = [
+        BackupSet(
+            name=name,
+            messages=tuple(
+                _expected_message(r)
+                for r in rows
+                if (r["key_remote_jid"], r["key_id"]) not in live_pairs
             ),
-            key=lambda row: row["_id"],
         )
-        image = _sqlite_image(_MSGSTORE_SCHEMA, [("messages", rows), ("chat_list", snapshot_chats)])
-        (root / layout.BACKUPS_DIR / name).write_bytes(encrypt_fixture(image))
-        snapshots.append(rows)
-        expected_backups.append(
-            BackupSet(
-                name=name,
-                messages=tuple(
-                    _expected_message(r)
-                    for r in rows
-                    if (r["key_remote_jid"], r["key_id"]) not in live_pairs
-                ),
-            )
-        )
+        for name, rows in snapshots_by_name
+    ]
 
     # log file: (ms, emission order) is unique, so sorting compares no later field
     ordered_log = sorted(sim.log)

@@ -75,8 +75,9 @@ def test_each_store_is_built_in_memory_and_no_temp_file_is_written(tmp_path, mon
 
     monkeypatch.setattr(sqlite3, "connect", connect)
     forge.generate_bundle(_mixed_script(), tmp_path / "evidence")
-    # wa.db, msgstore.db and the one backup, each while the temp directory is empty
-    assert connected == [(":memory:", [])] * 3
+    # wa.db, and the one chat store that serves the backup and msgstore.db,
+    # each while the temp directory is empty
+    assert connected == [(":memory:", [])] * 2
     assert list(temp_dir.iterdir()) == []
 
 
@@ -532,3 +533,97 @@ def test_random_scripts_forge_the_pinned_trees(tmp_path):
     for seed, expected in enumerate(pinned):
         forge.generate_bundle(forge.random_script(seed), tmp_path / str(seed))
         assert _forged_digest(tmp_path / str(seed)) == expected, seed
+
+
+def _chat_store_images(root: Path) -> dict[str, bytes]:
+    """msgstore.db and every decrypted backup of a forged tree, by file name."""
+    images = {"msgstore.db": (root / layout.MSGSTORE_DB).read_bytes()}
+    for path in sorted((root / layout.BACKUPS_DIR).glob("*.crypt")):
+        images[path.name] = decrypt_bytes(path.read_bytes())
+    return images
+
+
+def _query(image: bytes, sql: str) -> list:
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.deserialize(image)
+        return conn.execute(sql).fetchall()
+    finally:
+        conn.close()
+
+
+def test_each_message_row_is_inserted_once(tmp_path, monkeypatch):
+    base = 1380000000000
+    owner, friend = helpers.OWNER, helpers.PARTNER
+    script = forge.ScenarioScript(
+        owner=owner,
+        actors=(owner, friend),
+        actions=(
+            forge.SendText(at_ms=base, sender=friend, to=owner, text="first", label="a"),
+            forge.SendText(at_ms=base + 10_000, sender=owner, to=friend, text="acked"),
+            # pending at the first backup, on the server at the second,
+            # delivered at the third
+            forge.SnapshotBackup(at_ms=base + 10_500),
+            forge.SnapshotBackup(at_ms=base + 12_000),
+            forge.SendText(at_ms=base + 12_500, sender=owner, to=friend, text="later"),
+            forge.SnapshotBackup(at_ms=base + 20_000),
+            forge.DeleteMessage(at_ms=base + 30_000, target="a"),
+            forge.SnapshotBackup(at_ms=base + 40_000),
+        ),
+    )
+    statements = []
+    real_connect = sqlite3.connect
+
+    def connect(database, *args, **kwargs):
+        conn = real_connect(database, *args, **kwargs)
+        conn.set_trace_callback(statements.append)  # once per executemany row
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", connect)
+    forge.generate_bundle(script, tmp_path)
+    monkeypatch.undo()
+
+    images = _chat_store_images(tmp_path)
+    statuses = {
+        name: _query(image, "SELECT status FROM messages WHERE data = 'acked'")
+        for name, image in images.items()
+    }
+    assert len(images) == 5
+    assert len({tuple(s) for s in statuses.values()}) == 3
+    written = {
+        row_id for image in images.values() for (row_id,) in _query(image, "SELECT _id FROM messages")
+    }
+    inserts = [s for s in statements if s.startswith("INSERT INTO messages")]
+    assert len(inserts) == len(written) == 3
+
+
+def test_every_chat_store_image_is_well_formed(tmp_path):
+    for seed in range(5):
+        forge.generate_bundle(forge.random_script(seed), tmp_path / str(seed))
+        for name, image in _chat_store_images(tmp_path / str(seed)).items():
+            assert _query(image, "PRAGMA integrity_check") == [("ok",)], (seed, name)
+
+
+def test_the_sequence_keeps_the_largest_id_the_store_has_held(tmp_path):
+    day = 86_400_000
+    base = 1380000000000 // day * day
+    owner, friend = helpers.OWNER, helpers.PARTNER
+    script = forge.ScenarioScript(
+        owner=owner,
+        actors=(owner, friend),
+        actions=(
+            forge.SendText(at_ms=base, sender=friend, to=owner, text="kept"),
+            forge.SendText(at_ms=base + 1000, sender=friend, to=owner, text="gone", label="g"),
+            forge.SnapshotBackup(at_ms=base + 2000),
+            forge.DeleteMessage(at_ms=base + 3000, target="g"),
+            forge.SnapshotBackup(at_ms=base + day),
+        ),
+    )
+    forge.generate_bundle(script, tmp_path)
+    first, second = sorted((tmp_path / layout.BACKUPS_DIR).glob("*.crypt"))
+    sequence = "SELECT seq FROM sqlite_sequence WHERE name = 'messages'"
+    images = _chat_store_images(tmp_path)
+    assert _query(images[first.name], "SELECT max(_id) FROM messages") == [(2,)]
+    for name in (second.name, "msgstore.db"):
+        assert _query(images[name], "SELECT max(_id) FROM messages") == [(1,)]
+        assert _query(images[name], sequence) == [(2,)], name
