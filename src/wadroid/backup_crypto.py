@@ -47,7 +47,8 @@ def decrypt_bytes(data: bytes, key: bytes | None = None) -> bytes:
         )
     key = DEFAULT_BACKUP_KEY if key is None else key
     decryptor = _cipher(key).decryptor()
-    plain = decryptor.update(data) + decryptor.finalize()
+    plain = decryptor.update(data)
+    decryptor.finalize()  # for its check only: whole blocks leave b""
     if not plain.startswith(SQLITE_MAGIC):
         raise MagicMismatch(
             "decrypted data lacks the SQLite magic header; this tool assumes a "
@@ -78,4 +79,6 @@ def encrypt_fixture(plaintext: bytes, key: bytes | None = None) -> bytes:
         )
     key = DEFAULT_BACKUP_KEY if key is None else key
     encryptor = _cipher(key).encryptor()
-    return encryptor.update(plaintext) + encryptor.finalize()
+    ciphertext = encryptor.update(plaintext)
+    encryptor.finalize()
+    return ciphertext

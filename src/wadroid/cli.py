@@ -163,10 +163,9 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_report(args) -> int:
     before = ingest.snapshot_tree(args.in_path) if args.verify_readonly else None
-    # Only the report reads media digests; a helper hashes them meanwhile.
-    bundle = ingest.load_case_bundle(
-        args.in_path, _load_grammar(args.grammar), args.key, prehash_media=True
-    )
+    # Only the report reads media digests: each file is hashed once, where
+    # ``correlate_media`` first asks.
+    bundle = ingest.load_case_bundle(args.in_path, _load_grammar(args.grammar), args.key)
     analysis = analyze(bundle, args.sim)
     doc = report_mod.build_report(bundle, analysis, args.tz)
     _emit(report_mod.render_report_json(doc), args.out)

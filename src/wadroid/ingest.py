@@ -34,7 +34,6 @@ from .model import (
     GROUP_MEMBERSHIP_KINDS,
     LogEvent,
     MediaFile,
-    MediaHashes,
     ParseWarning,
     WarningLog,
     warn_to,
@@ -232,7 +231,7 @@ def _skip_unreadable(error: OSError) -> None:
         raise error
 
 
-def _list_media(root: Path) -> list[tuple[str, int, Path]]:
+def _list_media(root: Path) -> list[tuple[str, int, str]]:
     """(path relative to ``root``, size, path) of every media file, by relative path.
 
     Listed, not read: one ``stat`` per file, and no warning. As under
@@ -244,14 +243,14 @@ def _list_media(root: Path) -> list[tuple[str, int, Path]]:
     if os.path.isdir(media_dir):
         for dir_path, _, names in os.walk(media_dir, onerror=_skip_unreadable):
             rel_dir = layout.MEDIA_DIR + dir_path[len(media_dir) :].replace(os.sep, "/")
-            parent = Path(dir_path)
             for name in names:
+                path = os.path.join(dir_path, name)
                 try:
-                    info = os.stat(os.path.join(dir_path, name))
+                    info = os.stat(path)
                 except OSError:  # a dangling or looping link: not a file
                     continue
                 if stat.S_ISREG(info.st_mode):
-                    listed.append((f"{rel_dir}/{name}", info.st_size, parent / name))
+                    listed.append((f"{rel_dir}/{name}", info.st_size, path))
         listed.sort(key=lambda item: item[0])
     return listed
 
@@ -260,38 +259,13 @@ def load_case_bundle(
     root: str | Path,
     grammar: LogGrammar = DEFAULT_GRAMMAR,
     key: bytes | None = None,
-    *,
-    prehash_media: bool = False,
 ) -> CaseBundle:
     """Parse every artifact under ``root`` into an immutable CaseBundle.
 
     Media files are listed, not read: ``MediaFile.sha256`` hashes a file
-    when first asked. With ``prehash_media``, for a caller that will ask
-    for every digest, a forked helper (``MediaHashes``) hashes them while
-    the rest of the evidence is read, where that pays off.
+    when first asked.
     """
     evidence = _find_evidence(root)
-    listed = _list_media(evidence.root)
-    hashes = None
-    if prehash_media:
-        # Forked before this command opens any database.
-        sources = [path for _, _, path in listed]
-        hashes = MediaHashes.start(sources, sum(size for _, size, _ in listed))
-    try:
-        return _read_bundle(evidence, grammar, key, listed, hashes)
-    except BaseException:
-        if hashes is not None:
-            hashes.close()
-        raise
-
-
-def _read_bundle(
-    evidence: _Evidence,
-    grammar: LogGrammar,
-    key: bytes | None,
-    listed: list[tuple[str, int, Path]],
-    hashes: MediaHashes | None,
-) -> CaseBundle:
     root = evidence.root
     warn = WarningLog()
 
@@ -330,7 +304,7 @@ def _read_bundle(
     else:
         warn_to(warn, layout.ME_FILE, "settings file with the registered number missing")
 
-    media = [MediaFile(rel, size, source=path, hashes=hashes) for rel, size, path in listed]
+    media = [MediaFile(rel, size, source=path) for rel, size, path in _list_media(root)]
 
     avatars = []
     for directory in (root / layout.AVATARS_DIR, root / layout.PROFILE_PICTURES_DIR):

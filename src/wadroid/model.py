@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import os
 import re
-import weakref
 from dataclasses import InitVar, dataclass, field
 from datetime import date
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Mapping, NoReturn, Sequence
+from typing import Mapping
 
 from .errors import MalformedGroupId, MalformedJid, MalformedKey
 
@@ -54,12 +52,6 @@ _END_DAY = CALENDAR_END_MS // _DAY_MS
 # Media files are hashed in chunks of this size, so a multi-GB video
 # never sits in memory whole.
 MEDIA_HASH_CHUNK = 1 << 20
-
-# Forking the hashing helper and reaping it costs the command about 4 ms
-# (measured on 2 vCPUs with the package imported), in which SHA-256 gets
-# through about 4 MB at ~0.9 GB/s. Media of less than twice that in all
-# is hashed by the command itself, where it is asked for.
-MEDIA_HELPER_MIN_BYTES = 8 * MEDIA_HASH_CHUNK
 
 
 @dataclass(frozen=True)
@@ -516,7 +508,7 @@ class LogEvent:
         return f"{self.source_file}:{self.line_number}"
 
 
-def file_sha256(path: Path) -> str:
+def file_sha256(path: str | Path) -> str:
     """Hex SHA-256 of a file, read in ``MEDIA_HASH_CHUNK`` chunks."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -525,138 +517,21 @@ def file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class MediaHashes:
-    """SHA-256 digests of a list of files, hashed by a forked helper process.
-
-    The helper hashes the files in order with ``file_sha256`` while the
-    command goes on, and writes one line per file to a pipe: the hex
-    digest, or an empty line where it met an ``OSError``. The first
-    ``digest`` call reads the pipe to EOF and reaps the helper; a file
-    without a digest is then hashed by the caller. ``close`` kills and
-    reaps a helper not collected yet, and runs when the handle is
-    released if no one called it.
-    """
-
-    def __init__(self, sources: Sequence[Path], pid: int, read_fd: int):
-        self._sources = list(sources)
-        self._digests: dict[Path, str] | None = None
-        self._pid, self._read_fd = pid, read_fd
-        self._stop = weakref.finalize(self, _stop_helper, pid, read_fd)
-
-    @classmethod
-    def start(cls, sources: Sequence[Path], total_bytes: int) -> MediaHashes | None:
-        """A helper hashing ``sources``, or None where it would not pay off.
-
-        It pays off where a process can be forked, a second CPU can run
-        it, and the files hold at least ``MEDIA_HELPER_MIN_BYTES``.
-        """
-        if (
-            not hasattr(os, "fork")
-            or _available_cpus() < 2
-            or total_bytes < MEDIA_HELPER_MIN_BYTES
-        ):
-            return None
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare: the files are hashed where asked for
-            os.close(read_fd)
-            os.close(write_fd)
-            return None
-        if pid == 0:
-            _hash_in_helper(sources, read_fd, write_fd)
-        os.close(write_fd)
-        return cls(sources, pid, read_fd)
-
-    def digest(self, source: Path) -> str | None:
-        """The helper's digest of ``source``, or None if it gave none."""
-        if self._digests is None:
-            self._digests = self._collect()
-        return self._digests.get(source)
-
-    def close(self) -> None:
-        self._stop()
-
-    def _collect(self) -> dict[Path, str]:
-        if self._stop.detach() is None:  # closed before it was collected
-            return {}
-        with open(self._read_fd, "rb") as pipe:
-            data = pipe.read()
-        _reap(self._pid)
-        lines = data.split(b"\n")[:-1]  # a cut-off last line is no digest
-        if len(lines) > len(self._sources):
-            return {}
-        return {source: line.decode("ascii") for source, line in zip(self._sources, lines) if line}
-
-
-def _hash_in_helper(sources: Sequence[Path], read_fd: int, write_fd: int) -> NoReturn:
-    """The helper's whole life; it leaves through ``os._exit``.
-
-    It runs no atexit handler, flushes no inherited stdio buffer and
-    removes no temporary directory of the command. The lines are written
-    at the end, in one go, so a pipe full of early digests never stops
-    the hashing while the command is busy elsewhere.
-    """
-    status = 1
-    try:
-        os.close(read_fd)
-        lines = []
-        for source in sources:
-            try:
-                lines.append(file_sha256(source))
-            except OSError:
-                lines.append("")
-        data = memoryview("".join(line + "\n" for line in lines).encode("ascii"))
-        while data:
-            data = data[os.write(write_fd, data) :]
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _reap(pid: int) -> None:
-    try:
-        os.waitpid(pid, 0)
-    except ChildProcessError:  # already reaped elsewhere
-        pass
-
-
-def _stop_helper(pid: int, read_fd: int) -> None:
-    # Imported here: no other code of the CLI uses it, and importing it
-    # costs every command about 1 ms.
-    import signal
-
-    os.close(read_fd)
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
-    _reap(pid)
-
-
 @dataclass(frozen=True)
 class MediaFile:
     """One file found under the media directories.
 
     The content hash is computed on demand: ``sha256`` reads ``source``
-    once, on first access, and caches the digest, so a command that never
-    asks for it never opens the file. Where ``hashes`` is a helper
-    hashing the file ahead of time, its digest is taken instead of
-    reading the file. A digest already known, such as the forge's hash of
-    the bytes it wrote, is passed as ``known_sha256`` and no file is read.
-    Equality compares the digests too.
+    once, on first access (for ``report``, where ``correlate_media`` first
+    asks), and caches the digest, so a command that never asks for it
+    never opens the file. A digest already known, such as the forge's
+    hash of the bytes it wrote, is passed as ``known_sha256`` and no file
+    is read. Equality compares the digests too.
     """
 
     path: str  # POSIX path relative to the evidence root
     size_bytes: int
-    source: Path | None = field(default=None, repr=False, compare=False)
-    hashes: MediaHashes | None = field(default=None, repr=False, compare=False)
+    source: str | Path | None = field(default=None, repr=False, compare=False)
     known_sha256: InitVar[str | None] = None
 
     def __post_init__(self, known_sha256: str | None) -> None:
@@ -666,8 +541,6 @@ class MediaFile:
 
     @cached_property
     def sha256(self) -> str:
-        if self.hashes is not None and (digest := self.hashes.digest(self.source)):
-            return digest
         return file_sha256(self.source)
 
     def __eq__(self, other):

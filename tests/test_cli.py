@@ -4,7 +4,6 @@ import builtins
 import collections
 import csv
 import functools
-import gc
 import hashlib
 import io
 import json
@@ -15,7 +14,6 @@ import sqlite3
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import pytest
@@ -26,7 +24,7 @@ from wadroid import db_reader, forge, ingest, layout, log_parser, model
 from wadroid import report as report_mod
 from wadroid.backup_crypto import SQLITE_MAGIC, decrypt_backup, encrypt_fixture
 from wadroid.cli import EXIT_ERROR, EXIT_OK, EXIT_USAGE, EXIT_WARNINGS, run
-from wadroid.errors import CorruptDatabase, StructuralError
+from wadroid.errors import StructuralError
 
 
 @pytest.fixture()
@@ -832,7 +830,7 @@ def test_media_hashed_in_chunks(conversation_dir):
     assert media.sha256 == hashlib.sha256(content).hexdigest()
 
 
-def _media_device(root: Path, image_bytes: int | None) -> Path:
+def _media_device(root: Path, image_bytes: int) -> Path:
     """A device that sent two images and received two, of ``image_bytes`` each."""
     peers = (helpers.OWNER, helpers.PARTNER)
     rng = random.Random(7)
@@ -842,7 +840,7 @@ def _media_device(root: Path, image_bytes: int | None) -> Path:
             sender=peers[i % 2],
             to=peers[1 - i % 2],
             media_kind="image",
-            content=None if image_bytes is None else rng.randbytes(image_bytes),
+            content=rng.randbytes(image_bytes),
         )
         for i in range(4)
     )
@@ -852,40 +850,14 @@ def _media_device(root: Path, image_bytes: int | None) -> Path:
 
 @pytest.fixture()
 def media_root(tmp_path):
-    """Media just large enough in all for ``report`` to hash it in a helper."""
-    return _media_device(tmp_path / "evidence", model.MEDIA_HELPER_MIN_BYTES // 4 + 1)
-
-
-@pytest.fixture()
-def small_media_root(tmp_path):
-    """Four images of a few hundred bytes: ``report`` hashes them itself."""
-    return _media_device(tmp_path / "evidence", None)
+    """Four images of 2 MiB + 1 bytes: more than 8 MiB of media to hash in all."""
+    return _media_device(tmp_path / "evidence", (2 << 20) + 1)
 
 
 def _media_paths(root: Path) -> list[str]:
     return sorted(
         p.relative_to(root).as_posix() for p in (root / layout.MEDIA_DIR).rglob("*") if p.is_file()
     )
-
-
-def _as_on_two_cpus(monkeypatch) -> None:
-    """The helper's CPU test passes whatever the host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-def _record_forks(monkeypatch) -> list[int]:
-    """The pids of the processes forked from now on, in order."""
-    forked = []
-    real_fork = os.fork
-
-    def recording_fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return forked
 
 
 def _trap_forks(monkeypatch) -> None:
@@ -895,17 +867,8 @@ def _trap_forks(monkeypatch) -> None:
     monkeypatch.setattr(os, "fork", trapped)
 
 
-def _assert_reaped(pids) -> None:
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 def _count_media_hashing(monkeypatch, root: Path) -> collections.Counter:
-    """Count how often this process hashes each file, by path relative to ``root``.
-
-    A forked helper counts in its own memory, so its hashing is not seen here.
-    """
+    """Count how often each file is hashed, by path relative to ``root``."""
     hashed = collections.Counter()
     file_sha256 = model.file_sha256
 
@@ -932,147 +895,43 @@ def _make_unreadable(monkeypatch, *paths: Path) -> None:
     monkeypatch.setattr(io, "open", guarded_open)
 
 
-_NOT_REPORT = pytest.mark.parametrize(
+@pytest.mark.parametrize(
     "argv",
     [["diff"], ["timeline", "--format", "json"], ["timeline", "--format", "csv"], ["ingest"]],
     ids=["diff", "timeline-json", "timeline-csv", "ingest"],
 )
-
-
-@_NOT_REPORT
 def test_only_report_reads_media(media_root, monkeypatch, capsys, argv):
-    """Where ``report`` would fork its helper, no other command forks or hashes."""
-    _as_on_two_cpus(monkeypatch)
+    """No other command forks, opens a media file or hashes one."""
     _trap_forks(monkeypatch)
-    _assert_reads_no_media(media_root, monkeypatch, capsys, argv)
-
-
-@_NOT_REPORT
-def test_only_report_reads_media_without_fork(media_root, monkeypatch, capsys, argv):
-    monkeypatch.delattr(os, "fork")
-    _assert_reads_no_media(media_root, monkeypatch, capsys, argv)
-
-
-def _assert_reads_no_media(root: Path, monkeypatch, capsys, argv) -> None:
-    hashed = _count_media_hashing(monkeypatch, root)
-    _make_unreadable(monkeypatch, root / layout.MEDIA_DIR)
-    assert run([argv[0], "--in", str(root), *argv[1:]]) == EXIT_OK
+    hashed = _count_media_hashing(monkeypatch, media_root)
+    _make_unreadable(monkeypatch, media_root / layout.MEDIA_DIR)
+    assert run([argv[0], "--in", str(media_root), *argv[1:]]) == EXIT_OK
     assert capsys.readouterr().out
     assert not hashed
 
 
-def test_report_below_the_size_threshold_does_not_fork(small_media_root, monkeypatch, tmp_path):
-    _as_on_two_cpus(monkeypatch)
+def test_report_hashes_each_media_file_once(media_root, monkeypatch, tmp_path):
+    """In the command itself, with no process forked, and every file is linked."""
     _trap_forks(monkeypatch)
-    hashed = _count_media_hashing(monkeypatch, small_media_root)
-    out = tmp_path / "report.json"
-    assert run(["report", "--in", str(small_media_root), "--out", str(out)]) == EXIT_OK
-    assert dict(hashed) == {path: 1 for path in _media_paths(small_media_root)}
-
-
-def test_report_on_one_cpu_does_not_fork(media_root, monkeypatch, tmp_path):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    _trap_forks(monkeypatch)
+    hashed = _count_media_hashing(monkeypatch, media_root)
     out = tmp_path / "report.json"
     assert run(["report", "--in", str(media_root), "--out", str(out)]) == EXIT_OK
-
-
-def test_report_hashes_each_media_file_once(media_root, monkeypatch, tmp_path):
-    """In the helper, so never in the command itself."""
-    _as_on_two_cpus(monkeypatch)
-    forked = _record_forks(monkeypatch)
-    hashed = _run_report_counting_hashes(media_root, monkeypatch, tmp_path)
-    assert len(forked) == 1
-    _assert_reaped(forked)
-    assert not hashed
-
-
-def test_report_hashes_each_media_file_once_without_fork(media_root, monkeypatch, tmp_path):
-    monkeypatch.delattr(os, "fork")
-    hashed = _run_report_counting_hashes(media_root, monkeypatch, tmp_path)
-    assert dict(hashed) == {path: 1 for path in _media_paths(media_root)}
-
-
-def _run_report_counting_hashes(root: Path, monkeypatch, tmp_path) -> collections.Counter:
-    """Run ``report``, check that it links every file, and return the hashing counts."""
-    hashed = _count_media_hashing(monkeypatch, root)
-    out = tmp_path / "report.json"
-    assert run(["report", "--in", str(root), "--out", str(out)]) == EXIT_OK
-    media = _media_paths(root)
+    media = _media_paths(media_root)
     assert len(media) == 4
+    assert dict(hashed) == {path: 1 for path in media}
     findings = json.loads(out.read_text(encoding="utf-8"))["findings"]
     local = {f["payload"]["path"] for f in findings if f["payload"].get("match") == "local-file"}
     assert local == set(media)
-    return hashed
 
 
-def _report_with_and_without_helper(monkeypatch, root: Path, out_dir: Path, capsys):
-    """(exit code, report bytes or None, stderr) of ``report``, with the helper, then without."""
-    outcomes = []
-    _as_on_two_cpus(monkeypatch)
-    forked = _record_forks(monkeypatch)
-    for name in ("helper", "in-process"):
-        if name == "in-process":
-            monkeypatch.delattr(os, "fork")
-        out = out_dir / f"{name}.json"
-        code = run(["report", "--in", str(root), "--out", str(out)])
-        outcomes.append((code, out.read_bytes() if out.exists() else None, capsys.readouterr().err))
-        if name == "helper":
-            assert len(forked) == 1
-            _assert_reaped(forked)
-    return outcomes
-
-
-def test_report_bytes_do_not_depend_on_the_helper(media_root, monkeypatch, tmp_path, capsys):
-    helper, in_process = _report_with_and_without_helper(monkeypatch, media_root, tmp_path, capsys)
-    assert helper == in_process
-    code, data, _ = helper
-    assert code == EXIT_OK and data
-
-
-def test_unreadable_media_is_an_io_error_with_and_without_helper(
-    media_root, monkeypatch, tmp_path, capsys
-):
+def test_unreadable_media_is_an_io_error(media_root, monkeypatch, tmp_path, capsys):
     victim = _media_paths(media_root)[1]
     _make_unreadable(monkeypatch, media_root / victim)
-    helper, in_process = _report_with_and_without_helper(monkeypatch, media_root, tmp_path, capsys)
-    for code, _, err in (helper, in_process):
-        assert code == EXIT_ERROR
-        assert err.startswith("i/o error: ") and victim in err
-    assert helper == in_process
-
-
-@pytest.mark.parametrize(
-    "fault, rehashed",
-    [("crash", [0, 1, 2, 3]), ("extra-line", [0, 1, 2, 3]), ("os-error", [1])],
-)
-def test_files_the_helper_gave_no_digest_are_hashed_here(
-    media_root, monkeypatch, tmp_path, capsys, fault, rehashed
-):
-    """A helper that dies, writes one line too many, or fails on one file."""
-    media = _media_paths(media_root)
-    command = os.getpid()
-    counted = _count_media_hashing(monkeypatch, media_root)
-    hash_here = model.file_sha256
-
-    def faulty(path):
-        if os.getpid() != command and Path(path).relative_to(media_root).as_posix() == media[1]:
-            if fault == "crash":
-                os._exit(3)
-            if fault == "extra-line":
-                return hashlib.sha256(b"").hexdigest() + "\n"
-            raise PermissionError(13, "Permission denied", str(path))
-        return hash_here(path)
-
-    monkeypatch.setattr(model, "file_sha256", faulty)
-    helper, in_process = _report_with_and_without_helper(monkeypatch, media_root, tmp_path, capsys)
-    assert helper == in_process
-    assert helper[0] == EXIT_OK
-    # The in-process run hashed every file once; the helper run, those it lacked.
-    expected = collections.Counter(media)
-    expected.update(media[i] for i in rehashed)
-    assert counted == expected
+    out = tmp_path / "report.json"
+    assert run(["report", "--in", str(media_root), "--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and victim in err
+    assert not out.exists()
 
 
 def test_report_on_unreadable_media_is_an_io_error(media_root, monkeypatch, tmp_path, capsys):
@@ -1080,89 +939,6 @@ def test_report_on_unreadable_media_is_an_io_error(media_root, monkeypatch, tmp_
     out = tmp_path / "report.json"
     assert run(["report", "--in", str(media_root), "--out", str(out)]) == EXIT_ERROR
     assert "i/o error" in capsys.readouterr().err
-
-
-def test_helper_reaped_when_report_fails_after_the_fork(media_root, monkeypatch, capsys):
-    msgstore = media_root / layout.MSGSTORE_DB
-    msgstore.write_bytes(helpers.corrupt_page_2(msgstore.read_bytes()))
-    _as_on_two_cpus(monkeypatch)
-    forked = _record_forks(monkeypatch)
-    assert run(["report", "--in", str(media_root)]) == EXIT_ERROR
-    assert capsys.readouterr().err.startswith("error: ")
-    assert len(forked) == 1
-    _assert_reaped(forked)
-
-
-def test_helper_reaped_when_report_fails_and_its_traceback_is_kept(
-    media_root, monkeypatch, capsys
-):
-    """The failure sits in a reference cycle that only the cyclic GC could free."""
-
-    def failing_load(*args, **kwargs):
-        try:
-            raise CorruptDatabase("msgstore.db is damaged")
-        except CorruptDatabase as exc:
-            kept = exc  # this frame -> exc -> its traceback -> this frame
-        raise kept
-
-    monkeypatch.setattr(db_reader, "load_messages", failing_load)
-    _as_on_two_cpus(monkeypatch)
-    forked = _record_forks(monkeypatch)
-    gc.disable()
-    try:
-        assert run(["report", "--in", str(media_root)]) == EXIT_ERROR
-        assert len(forked) == 1
-        _assert_reaped(forked)
-    finally:
-        gc.enable()
-    assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_helper_killed_when_no_record_carries_a_hash(media_root, monkeypatch, tmp_path):
-    conn = sqlite3.connect(media_root / layout.MSGSTORE_DB)
-    with conn:
-        conn.execute("UPDATE messages SET media_hash = NULL")
-    conn.close()
-    _as_on_two_cpus(monkeypatch)
-    forked = _record_forks(monkeypatch)
-    hashed = _count_media_hashing(monkeypatch, media_root)
-    counted = model.file_sha256
-
-    def slow(path):  # only the helper hashes here: no record asks for a digest
-        time.sleep(10)
-        return counted(path)
-
-    monkeypatch.setattr(model, "file_sha256", slow)
-    out = tmp_path / "report.json"
-    start = time.monotonic()
-    assert run(["report", "--in", str(media_root), "--out", str(out)]) == EXIT_OK
-    assert time.monotonic() - start < 5  # not waited for: killed
-    assert len(forked) == 1
-    _assert_reaped(forked)
-    assert not hashed
-
-
-def test_helper_forks_before_any_database_is_opened(media_root, monkeypatch, tmp_path):
-    calls = []
-    _as_on_two_cpus(monkeypatch)
-    real_fork, real_connect = os.fork, sqlite3.connect
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            calls.append("fork")
-        return pid
-
-    def connect(*args, **kwargs):
-        calls.append("connect")
-        return real_connect(*args, **kwargs)
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(sqlite3, "connect", connect)
-    out = tmp_path / "report.json"
-    assert run(["report", "--in", str(media_root), "--out", str(out)]) == EXIT_OK
-    assert calls[0] == "fork" and calls.count("fork") == 1
-    assert "connect" in calls
 
 
 _SPLIT_LINES = {"line_pattern": r"^(?P<ts>\S+) (?P<body>.*)$", "timestamp_format": "epoch_s"}

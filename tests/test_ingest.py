@@ -35,17 +35,18 @@ def evidence(tmp_path) -> Path:
 
 def test_media_listing(evidence):
     media = evidence / M
+    # Each path is the string that was given to ``stat``.
     assert ingest._list_media(evidence) == [
         # Sorted as POSIX relative paths: "Sent-old/" before "Sent/".
-        (f"{M}/.hidden/a.jpg", 1, media / ".hidden" / "a.jpg"),
-        (f"{M}/.nomedia", 0, media / ".nomedia"),
-        (f"{M}/Sent-old/a.jpg", 4, media / "Sent-old" / "a.jpg"),
-        (f"{M}/Sent/a.jpg", 2, media / "Sent" / "a.jpg"),
-        (f"{M}/b.jpg", 3, media / "b.jpg"),
+        (f"{M}/.hidden/a.jpg", 1, str(media / ".hidden" / "a.jpg")),
+        (f"{M}/.nomedia", 0, str(media / ".nomedia")),
+        (f"{M}/Sent-old/a.jpg", 4, str(media / "Sent-old" / "a.jpg")),
+        (f"{M}/Sent/a.jpg", 2, str(media / "Sent" / "a.jpg")),
+        (f"{M}/b.jpg", 3, str(media / "b.jpg")),
         # A link to a file is listed under its own name, with its target's size;
         # a link to a directory is not followed, and a dangling or looping link
         # is no file.
-        (f"{M}/file-link.jpg", 3, media / "file-link.jpg"),
+        (f"{M}/file-link.jpg", 3, str(media / "file-link.jpg")),
     ]
 
 
