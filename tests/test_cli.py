@@ -913,10 +913,20 @@ def test_only_report_reads_media(media_root, monkeypatch, capsys, argv):
 def test_report_hashes_each_media_file_once(media_root, monkeypatch, tmp_path):
     """In the command itself, with no process forked, and every file is linked."""
     _trap_forks(monkeypatch)
-    hashed = _count_media_hashing(monkeypatch, media_root)
+    _assert_report_hashes_each_media_file_once(media_root, monkeypatch, tmp_path)
+
+
+def test_report_hashes_each_media_file_once_without_fork(media_root, monkeypatch, tmp_path):
+    """A platform without ``os.fork`` runs ``report`` the same way."""
+    monkeypatch.delattr(os, "fork")
+    _assert_report_hashes_each_media_file_once(media_root, monkeypatch, tmp_path)
+
+
+def _assert_report_hashes_each_media_file_once(root: Path, monkeypatch, tmp_path) -> None:
+    hashed = _count_media_hashing(monkeypatch, root)
     out = tmp_path / "report.json"
-    assert run(["report", "--in", str(media_root), "--out", str(out)]) == EXIT_OK
-    media = _media_paths(media_root)
+    assert run(["report", "--in", str(root), "--out", str(out)]) == EXIT_OK
+    media = _media_paths(root)
     assert len(media) == 4
     assert dict(hashed) == {path: 1 for path in media}
     findings = json.loads(out.read_text(encoding="utf-8"))["findings"]
