@@ -12,6 +12,7 @@ self-detecting through that check.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -26,6 +27,9 @@ DEFAULT_BACKUP_KEY = bytes.fromhex(
 
 BLOCK_SIZE = 16
 
+# a backup file is read this much at a time
+_READ_CHUNK = 1 << 20
+
 
 def _cipher(key: bytes) -> Cipher:
     if len(key) not in (16, 24, 32):
@@ -33,22 +37,14 @@ def _cipher(key: bytes) -> Cipher:
     return Cipher(algorithms.AES(key), modes.ECB())
 
 
-def decrypt_bytes(data: bytes, key: bytes | None = None) -> bytes:
-    """Decrypt backup ciphertext and validate the result.
-
-    Raises BadBlockLength for empty or non-block-multiple input and
-    MagicMismatch when the plaintext does not start with the SQLite
-    magic (wrong key/mode or corrupted data; no alternatives are
-    guessed).
-    """
-    if len(data) == 0 or len(data) % BLOCK_SIZE != 0:
+def _check_ciphertext_length(size: int) -> None:
+    if size == 0 or size % BLOCK_SIZE != 0:
         raise BadBlockLength(
-            f"ciphertext length {len(data)} is not a positive multiple of {BLOCK_SIZE}"
+            f"ciphertext length {size} is not a positive multiple of {BLOCK_SIZE}"
         )
-    key = DEFAULT_BACKUP_KEY if key is None else key
-    decryptor = _cipher(key).decryptor()
-    plain = decryptor.update(data)
-    decryptor.finalize()  # for its check only: whole blocks leave b""
+
+
+def _validated(plain: bytearray) -> bytearray:
     if not plain.startswith(SQLITE_MAGIC):
         raise MagicMismatch(
             "decrypted data lacks the SQLite magic header; this tool assumes a "
@@ -58,16 +54,63 @@ def decrypt_bytes(data: bytes, key: bytes | None = None) -> bytes:
     return plain
 
 
-def decrypt_backup(path: str | Path, key: bytes | None = None) -> bytes:
-    """Decrypt one backup file to plaintext SQLite bytes."""
+def _run_cipher(context, data: bytes) -> bytearray:
+    """``data`` through ``context``, written into one buffer of its size.
+
+    ``update_into`` needs room for one block less a byte beyond the
+    output; whole blocks in leave none of it used.
+    """
+    out = bytearray(len(data) + BLOCK_SIZE - 1)
+    written = context.update_into(data, out)
+    context.finalize()  # for its check only: whole blocks leave nothing
+    del out[written:]
+    return out
+
+
+def decrypt_bytes(data: bytes, key: bytes | None = None) -> bytearray:
+    """Decrypt backup ciphertext and validate the result.
+
+    Raises BadBlockLength for empty or non-block-multiple input and
+    MagicMismatch when the plaintext does not start with the SQLite
+    magic (wrong key/mode or corrupted data; no alternatives are
+    guessed).
+    """
+    _check_ciphertext_length(len(data))
+    key = DEFAULT_BACKUP_KEY if key is None else key
+    return _validated(_run_cipher(_cipher(key).decryptor(), data))
+
+
+def decrypt_backup(path: str | Path, key: bytes | None = None) -> bytearray:
+    """Decrypt one backup file to plaintext SQLite bytes.
+
+    The file is read in chunks and decrypted into one buffer of its size,
+    so the ciphertext is never held whole beside the plaintext.
+    """
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb", buffering=0) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            _check_ciphertext_length(size)
+            decryptor = _cipher(DEFAULT_BACKUP_KEY if key is None else key).decryptor()
+            plain = bytearray(size + BLOCK_SIZE - 1)
+            chunk = bytearray(min(size, _READ_CHUNK))
+            read = written = 0
+            with memoryview(plain) as out, memoryview(chunk) as view:
+                while read < size:
+                    count = fh.readinto(view[: size - read])
+                    if not count:
+                        break
+                    read += count
+                    written += decryptor.update_into(view[:count], out[written:])
     except OSError as exc:
         raise UnreadableFile(f"cannot read backup {path}: {exc}") from exc
-    return decrypt_bytes(data, key)
+    if read != size:
+        raise UnreadableFile(f"cannot read backup {path}: it shrank while it was read")
+    decryptor.finalize()  # for its check only: whole blocks leave nothing
+    del plain[written:]
+    return _validated(plain)
 
 
-def encrypt_fixture(plaintext: bytes, key: bytes | None = None) -> bytes:
+def encrypt_fixture(plaintext: bytes, key: bytes | None = None) -> bytearray:
     """Encrypt plaintext the way a device would store a backup.
 
     Test-fixture inverse of decrypt_bytes; never used on real evidence.
@@ -78,7 +121,4 @@ def encrypt_fixture(plaintext: bytes, key: bytes | None = None) -> bytes:
             f"plaintext length {len(plaintext)} is not a multiple of {BLOCK_SIZE}"
         )
     key = DEFAULT_BACKUP_KEY if key is None else key
-    encryptor = _cipher(key).encryptor()
-    ciphertext = encryptor.update(plaintext)
-    encryptor.finalize()
-    return ciphertext
+    return _run_cipher(_cipher(key).encryptor(), plaintext)

@@ -968,31 +968,22 @@ def _sqlite_image(schema: str, tables) -> bytes:
         conn.close()
 
 
-def _sync_table(conn: sqlite3.Connection, table: str, held: dict, rows: list[dict]) -> dict:
-    """Bring ``table`` from ``held`` to ``rows``, whose first column is ``_id``.
+def _write_rows(conn: sqlite3.Connection, table: str, gone, changed, new) -> None:
+    """Delete the ids ``gone``, then update ``changed`` in place, then insert ``new``.
 
-    ``held`` maps each id the table holds to its values. Rows that are gone
-    are deleted, rows whose values changed are updated in place, and rows
-    that appeared are inserted. Returns the new map.
+    ``changed`` and ``new`` hold rows as dicts whose first key is ``_id``;
+    every list is in id order.
     """
-    target = {row["_id"]: tuple(row.values()) for row in rows}
-    gone = [(row_id,) for row_id in held if row_id not in target]
-    changed = [
-        values[1:] + values[:1]
-        for row_id, values in target.items()
-        if row_id in held and held[row_id] != values
-    ]
-    new = [values for row_id, values in target.items() if row_id not in held]
     if gone:
-        conn.executemany(f"DELETE FROM {table} WHERE _id = ?", gone)
-    if changed or new:
-        columns = list(rows[0])
-        if changed:
-            assignments = ", ".join(f"{c} = ?" for c in columns[1:])
-            conn.executemany(f"UPDATE {table} SET {assignments} WHERE _id = ?", changed)
-        if new:
-            _insert(conn, table, columns, new)
-    return target
+        conn.executemany(f"DELETE FROM {table} WHERE _id = ?", [(row_id,) for row_id in gone])
+    if changed:
+        assignments = ", ".join(f"{c} = ?" for c in list(changed[0])[1:])
+        values = [tuple(row.values()) for row in changed]
+        conn.executemany(
+            f"UPDATE {table} SET {assignments} WHERE _id = ?", [v[1:] + v[:1] for v in values]
+        )
+    if new:
+        _insert(conn, table, list(new[0]), [tuple(row.values()) for row in new])
 
 
 def _expected_message(columns: dict) -> MessageRecord:
@@ -1126,71 +1117,90 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
         )
     )
 
-    # The chat database is one store carried through the snapshots in time
-    # order, which is script order, and then brought to the live rows. A
-    # backup is the store's image as it stood at its snapshot, written at once.
-    live_rows = [m.materialize(None) for m in sim.messages if m.delete_ms is None]
-    chat_rows = [
-        {"_id": pair[0], "key_remote_jid": jid, "message_table_id": pair[1]}
-        for jid, pair in sorted(sim.chat_rows.items(), key=lambda kv: kv[1][0])
-    ]
-    snapshots_by_name = []
+    # The chat database is one store advanced through the snapshots in time
+    # order, which is script order, and then past every event to the live
+    # rows. A row's columns change only at its insert, ack and delete times,
+    # so each step writes just the rows with an event since the step before,
+    # taken up to and including its time. A backup is the store's image as it
+    # stood at its snapshot, written at once.
+    events = sorted(
+        (ms, m.id)
+        for m in sim.messages
+        for ms in (m.insert_ms, m.server_ack_ms, m.device_ack_ms, m.delete_ms)
+        if ms is not None
+    )
+    held: dict[int, dict] = {}  # _id -> the row the store holds
+    listed: set[str] = set()  # the conversations chat_list holds
+    # A (conversation, key) pair names one row, so the held rows whose pair
+    # is not live are those deleted later: the only rows that the parsed
+    # backups and the analytics oracle read. A record is built when its row
+    # changes, not once per backup.
+    doomed: dict[int, MessageRecord] = {}  # _id -> the held row's record
+    expected_backups = []
+    taken = 0
     store = sqlite3.connect(":memory:")
     try:
         store.executescript(_MSGSTORE_SCHEMA)
-        held_messages: dict[int, tuple] = {}  # _id -> the values the store holds
-        held_chats: dict[int, tuple] = {}
-        for name, as_of in sim.snapshots:
-            rows = [
-                m.materialize(as_of)
-                for m in sim.messages
-                if m.insert_ms <= as_of and (m.delete_ms is None or m.delete_ms > as_of)
-            ]
-            # chat_list as it stood at snapshot time: last message inserted
-            # per conversation, for conversations that already existed
-            last_at: dict[str, int] = {}
-            for m in sim.messages:
-                if m.insert_ms <= as_of:
-                    last_at[m.jid_raw] = m.id
-            snapshot_chats = sorted(
+        # The last step, to the live rows, takes every event: each time falls
+        # before the end of the calendar.
+        for name, as_of in [*sim.snapshots, (None, CALENDAR_END_MS)]:
+            touched = set()
+            while taken < len(events) and events[taken][0] <= as_of:
+                touched.add(events[taken][1])
+                taken += 1
+            gone, changed, new = [], [], []
+            inserted: dict[str, int] = {}  # conversation -> largest id inserted
+            for row_id in sorted(touched):
+                m = sim.messages[row_id - 1]
+                alive = m.delete_ms is None or m.delete_ms > as_of
+                if row_id not in held:  # inserted since the step before
+                    inserted[m.jid_raw] = row_id
+                    if alive:
+                        held[row_id] = row = m.materialize(as_of)
+                        new.append(row)
+                        if m.delete_ms is not None:
+                            doomed[row_id] = _expected_message(row)
+                elif not alive:
+                    gone.append(row_id)
+                    del held[row_id]
+                    doomed.pop(row_id, None)
+                else:
+                    row = m.materialize(as_of)
+                    if row != held[row_id]:
+                        held[row_id] = row
+                        changed.append(row)
+                        if row_id in doomed:
+                            doomed[row_id] = _expected_message(row)
+            chats = sorted(
                 (
-                    {
-                        "_id": sim.chat_rows[jid][0],
-                        "key_remote_jid": jid,
-                        "message_table_id": last,
-                    }
-                    for jid, last in last_at.items()
+                    {"_id": sim.chat_rows[jid][0], "key_remote_jid": jid, "message_table_id": last}
+                    for jid, last in inserted.items()
                 ),
                 key=lambda row: row["_id"],
             )
             with store:
-                held_messages = _sync_table(store, "messages", held_messages, rows)
-                held_chats = _sync_table(store, "chat_list", held_chats, snapshot_chats)
-            (root / layout.BACKUPS_DIR / name).write_bytes(encrypt_fixture(store.serialize()))
-            snapshots_by_name.append((name, rows))
-        with store:
-            _sync_table(store, "messages", held_messages, live_rows)
-            _sync_table(store, "chat_list", held_chats, chat_rows)
+                _write_rows(store, "messages", gone, changed, new)
+                _write_rows(
+                    store,
+                    "chat_list",
+                    (),
+                    [row for row in chats if row["key_remote_jid"] in listed],
+                    [row for row in chats if row["key_remote_jid"] not in listed],
+                )
+            listed.update(inserted)
+            if name is not None:
+                (root / layout.BACKUPS_DIR / name).write_bytes(encrypt_fixture(store.serialize()))
+                records = tuple(doomed[row_id] for row_id in sorted(doomed))
+                expected_backups.append(BackupSet(name=name, messages=records))
         (root / layout.MSGSTORE_DB).write_bytes(store.serialize())
     finally:
         store.close()
-
-    # The parsed backups hold only rows whose (conversation, key) pair is
-    # not live; the analytics oracle reads the full snapshots instead.
-    snapshots_by_name.sort(key=lambda s: s[0])
-    snapshots = [rows for _, rows in snapshots_by_name]
-    live_pairs = {(row["key_remote_jid"], row["key_id"]) for row in live_rows}
-    expected_backups = [
-        BackupSet(
-            name=name,
-            messages=tuple(
-                _expected_message(r)
-                for r in rows
-                if (r["key_remote_jid"], r["key_id"]) not in live_pairs
-            ),
-        )
-        for name, rows in snapshots_by_name
+    live_rows = [held[row_id] for row_id in sorted(held)]
+    chat_rows = [
+        {"_id": pair[0], "key_remote_jid": jid, "message_table_id": pair[1]}
+        for jid, pair in sorted(sim.chat_rows.items(), key=lambda kv: kv[1][0])
     ]
+    expected_backups.sort(key=lambda backup: backup.name)
 
     # log file: (ms, emission order) is unique, so sorting compares no later field
     ordered_log = sorted(sim.log)
@@ -1248,19 +1258,23 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
         backups=tuple(expected_backups),
         warnings=predicted.items,
     )
-    expected = _expected_analytics(sim, script, snapshots)
+    expected = _expected_analytics(sim, live_rows, expected_backups)
     return ForgeResult(root=root, bundle=bundle, expected=expected)
 
 
 def _expected_analytics(
-    sim: _Simulator, script: ScenarioScript, snapshots: list[list[dict]]
+    sim: _Simulator, live_rows: list[dict], backups: list[BackupSet]
 ) -> ExpectedAnalytics:
-    """Ground truth from the simulation and the full rows of every snapshot."""
-    backup_keys = {row["key_id"] for rows in snapshots for row in rows}
+    """Ground truth from the simulation, its live rows and the parsed backups.
+
+    A parsed backup holds the rows it keeps that are not live, the only
+    rows a deleted key is recovered from.
+    """
+    retained = [record for backup in backups for record in backup.messages]
+    backup_keys = {record.key_id_raw for record in retained}
     live_keys = {m.key_raw for m in sim.messages if m.delete_ms is None}
 
     # histories: live rows plus rows only a backup retains
-    recovered_pairs = set()
     entries: dict[str, list] = {}
 
     def add_entry(columns: dict, source: str) -> None:
@@ -1282,19 +1296,10 @@ def _expected_analytics(
             (effective, columns["_id"], line)
         )
 
-    for m in sim.messages:
-        if m.delete_ms is None:
-            add_entry(m.materialize(None), "live")
-    for rows in snapshots:
-        for row in rows:
-            pair = (row["key_remote_jid"], row["key_id"])
-            if pair in recovered_pairs:
-                continue
-            sims = [s for s in sim.by_key.get(row["key_id"], []) if s.jid_raw == pair[0]]
-            if not sims or sims[0].delete_ms is None:
-                continue
-            recovered_pairs.add(pair)
-            add_entry(sims[0].materialize(None), "recovered-from-backup")
+    for row in live_rows:
+        add_entry(row, "live")
+    for row_id in sorted({record.id for record in retained}):
+        add_entry(sim.messages[row_id - 1].materialize(None), "recovered-from-backup")
     histories = {
         jid: tuple(line for _, _, line in sorted(rows, key=lambda r: (r[0], r[1])))
         for jid, rows in sorted(entries.items())

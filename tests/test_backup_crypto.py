@@ -1,9 +1,14 @@
 """Backup encryption layer: golden vectors, inverses, failure modes."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wadroid
 from wadroid.backup_crypto import (
     DEFAULT_BACKUP_KEY,
     SQLITE_MAGIC,
@@ -91,3 +96,53 @@ def test_key_length_validation():
     with pytest.raises(ValueError):
         encrypt_fixture(bytes(16), key=b"short")
     assert len(DEFAULT_BACKUP_KEY) == 24
+
+
+@pytest.mark.parametrize(
+    "content, error",
+    [(b"", BadBlockLength), (b"x" * 17, BadBlockLength), (bytes(32), MagicMismatch)],
+    ids=["empty", "partial-block", "not-sqlite"],
+)
+def test_decrypt_backup_file_errors(tmp_path, content, error):
+    path = tmp_path / "bad.crypt"
+    path.write_bytes(content)
+    with pytest.raises(error):
+        decrypt_backup(path)
+
+
+def test_decrypt_backup_directory_is_unreadable(tmp_path):
+    with pytest.raises(UnreadableFile):
+        decrypt_backup(tmp_path)
+
+
+def test_decrypt_backup_across_read_chunks(tmp_path):
+    plaintext = SQLITE_MAGIC + random.Random(3).randbytes((2 << 20) + 32)
+    path = tmp_path / "chunks.crypt"
+    path.write_bytes(encrypt_fixture(plaintext))
+    assert decrypt_backup(path) == plaintext
+
+
+def test_decrypt_backup_holds_about_one_copy_of_the_file(tmp_path):
+    size = 16 << 20
+    path = tmp_path / "large.crypt"
+    path.write_bytes(encrypt_fixture(SQLITE_MAGIC + bytes(size - len(SQLITE_MAGIC))))
+    measure = (
+        "import resource, sys\n"
+        "from wadroid.backup_crypto import decrypt_backup\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "plain = decrypt_backup(sys.argv[1])\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(len(plain), after - before)\n"
+    )
+    # A process starts with the ru_maxrss of the one that started it, so the
+    # measuring process is started from a small one rather than from pytest.
+    launch = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+    env = {**os.environ, "PYTHONPATH": str(Path(wadroid.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", launch, sys.executable, "-c", measure, str(path)],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    length, growth = map(int, done.stdout.split())
+    growth *= 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in kB on Linux
+    assert length == size
+    assert growth <= 1.5 * size

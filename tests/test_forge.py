@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import sqlite3
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -627,3 +630,110 @@ def test_the_sequence_keeps_the_largest_id_the_store_has_held(tmp_path):
     for name in (second.name, "msgstore.db"):
         assert _query(images[name], "SELECT max(_id) FROM messages") == [(1,)]
         assert _query(images[name], sequence) == [(2,)], name
+
+
+# --- the chat store advanced by row events ----------------------------------------
+
+
+def _boundary_script() -> forge.ScenarioScript:
+    """Row events on and around snapshot times, each kind of change once."""
+    base = 1380000000000
+    owner, friend, other = helpers.OWNER, helpers.PARTNER, helpers.USER_E
+    return forge.ScenarioScript(
+        owner=owner,
+        actors=(owner, friend, other),
+        seed=5,
+        actions=(
+            forge.AddContact(at_ms=base - 60_000, number=friend),
+            forge.AddContact(at_ms=base - 50_000, number=other),
+            # the server ack falls exactly at the first snapshot, the device
+            # ack after the snapshot that follows it
+            forge.SendText(
+                at_ms=base,
+                sender=owner,
+                to=friend,
+                text="acked",
+                server_ack_at_ms=base + 10_000,
+                device_ack_at_ms=base + 30_000,
+            ),
+            forge.SendText(at_ms=base + 5_000, sender=friend, to=owner, text="hello"),
+            forge.SnapshotBackup(at_ms=base + 10_000),
+            # inserted and deleted between two snapshots
+            forge.SendText(at_ms=base + 12_000, sender=friend, to=owner, text="brief", label="b"),
+            forge.DeleteMessage(at_ms=base + 14_000, target="b"),
+            # fan-out rows on the server at the second snapshot, deleted
+            # before the fourth
+            forge.Broadcast(
+                at_ms=base + 16_000, sender=owner, recipients=(friend, other), text="fan", label="bc"
+            ),
+            forge.SnapshotBackup(at_ms=base + 18_000),
+            forge.SnapshotBackup(at_ms=base + 18_500),  # nothing happens between these two
+            forge.DeleteMessage(at_ms=base + 21_000, target="bc"),
+            forge.SendText(
+                at_ms=base + 25_000, sender=owner, to=other, text="last", delivery="server", label="e"
+            ),
+            forge.SnapshotBackup(at_ms=base + 26_000),
+            # the conversation's last message
+            forge.DeleteMessage(at_ms=base + 27_000, target="e"),
+            forge.SnapshotBackup(at_ms=base + 40_000),
+            # inserted and deleted after the last snapshot
+            forge.SendText(at_ms=base + 45_000, sender=friend, to=owner, text="tail", label="t"),
+            forge.DeleteMessage(at_ms=base + 46_000, target="t"),
+        ),
+    )
+
+
+def test_rows_changed_on_snapshot_boundaries_forge_the_pinned_tree(tmp_path):
+    result = forge.generate_bundle(_boundary_script(), tmp_path)
+    assert len(result.bundle.backups) == 5
+    assert _forged_digest(tmp_path) == "b1d8d5e742198f9a79826cf626c271374e560c96a051caa205d6ddb85fddb7ee"
+    parsed = ingest.load_case_bundle(tmp_path)
+    assert parsed == result.bundle
+
+
+def _quiet_tail_script(snapshots: int) -> forge.ScenarioScript:
+    """Fifty messages, then ``snapshots`` backups with no row change between them."""
+    base = 1380000000000
+    owner, friend = helpers.OWNER, helpers.PARTNER
+    sends = tuple(
+        forge.SendText(
+            at_ms=base + i * 10_000,
+            sender=(owner, friend)[i % 2],
+            to=(friend, owner)[i % 2],
+            text=f"m{i}",
+        )
+        for i in range(50)
+    )
+    backups = tuple(
+        forge.SnapshotBackup(at_ms=base + 1_000_000 + i * 60_000) for i in range(snapshots)
+    )
+    return forge.ScenarioScript(owner=owner, actors=(owner, friend), actions=sends + backups)
+
+
+def test_a_snapshot_with_no_row_change_materializes_no_row(tmp_path, monkeypatch):
+    calls = []
+    materialize = forge._SimMessage.materialize
+
+    def counted(self, as_of_ms=None):
+        calls.append(self.id)
+        return materialize(self, as_of_ms)
+
+    monkeypatch.setattr(forge._SimMessage, "materialize", counted)
+    counts = []
+    for snapshots in (20, 40):
+        calls.clear()
+        forge.generate_bundle(_quiet_tail_script(snapshots), tmp_path / str(snapshots))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_the_forged_tree_does_not_depend_on_the_hash_seed(tmp_path):
+    src = str(Path(forge.__file__).parents[1])
+    forge_one = "import sys; from wadroid import forge; forge.generate_bundle(forge.random_script(0), sys.argv[1])"
+    digests = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        out = tmp_path / seed
+        subprocess.run([sys.executable, "-c", forge_one, str(out)], env=env, check=True, timeout=120)
+        digests.append(_forged_digest(out))
+    assert digests[0] == digests[1]
