@@ -37,9 +37,7 @@ from .model import (
     CALENDAR_END_MS,
     ChatListRecord,
     ContactRecord,
-    MessageKey,
     MessageRecord,
-    WaJid,
     WarningLog,
     classify_jid,
     coordinates_fault,
@@ -239,12 +237,16 @@ def _mismatch(value, name: str, expected: str, source: str, warn: WarningLog | N
 
 
 def _as_int(value, name: str, source: str, warn: WarningLog | None) -> int | None:
-    """An INTEGER column's value: an integral real or base-10 text converts."""
+    """An INTEGER column's value: an integral real or base-10 text converts.
+
+    Text must be ASCII and hold no ``_``: SQLite's INTEGER affinity keeps
+    ``1_000`` and other scripts' digits as TEXT, though ``int`` reads them.
+    """
     if isinstance(value, int):
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and value.isascii() and "_" not in value:
         try:
             return int(value, 10)
         except ValueError:
@@ -480,27 +482,22 @@ def load_messages(
     return [_message(row, where, warn) for where, row in decoded]
 
 
-def _message_key(key_raw: str, source: str, warn: WarningLog | None) -> MessageKey | None:
+def _message_key(key_raw: str, source: str, warn: WarningLog | None) -> None:
+    """Warn when key_id is not a message key; the record keeps it verbatim."""
     try:
-        return parse_message_key(key_raw)
+        parse_message_key(key_raw)
     except MalformedKey:
         warn_to(warn, source, f"malformed key_id kept verbatim: {key_raw!r}")
-        return None
 
 
 def _remote_resource(
     rr_raw: str | None, needs_push: int, source: str, warn: WarningLog | None
-) -> WaJid | None:
-    if not rr_raw:
-        return None
-    rr_jid = classify_jid(rr_raw, None, source)
-    if rr_jid.is_parsed:
-        return rr_jid
+) -> None:
+    """Warn when remote_resource is not a single jid; the record keeps it verbatim."""
     # Broadcast fan-out rows store the whole destination set in this
     # column; that is expected, not malformed.
-    if needs_push != 2:
+    if rr_raw and not classify_jid(rr_raw).is_parsed and needs_push != 2:
         warn_to(warn, source, f"remote_resource is not a single jid: {rr_raw!r}")
-    return None
 
 
 def _message(row: Sequence, source: str, warn: WarningLog | None) -> MessageRecord:
@@ -534,15 +531,14 @@ def _message(row: Sequence, source: str, warn: WarningLog | None) -> MessageReco
         thumb_image,
     ) = row
     key_raw = key_raw or ""
-    key = _message_key(key_raw, source, warn)
+    _message_key(key_raw, source, warn)
     needs_push = needs_push or 0
-    rr_jid = _remote_resource(rr_raw, needs_push, source, warn)
+    _remote_resource(rr_raw, needs_push, source, warn)
     _decode_media_hash(media_hash, source, warn)
     record = MessageRecord(
         id=id_ or 0,
         key_remote_jid=classify_jid(jid_raw, warn, source),
         key_id_raw=key_raw,
-        key_id=key,
         from_me=bool(from_me),
         status_code=status or 0,
         timestamp=timestamp,
@@ -553,7 +549,6 @@ def _message(row: Sequence, source: str, warn: WarningLog | None) -> MessageReco
         needs_push=needs_push,
         recipient_count=recipient_count,
         remote_resource_raw=rr_raw,
-        remote_resource=rr_jid,
         media_wa_type=media_wa_type or 0,
         data=data,
         raw_data=raw_data,

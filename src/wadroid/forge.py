@@ -67,13 +67,14 @@ import json
 import random
 import re
 import sqlite3
+from contextlib import closing
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from pathlib import Path
 
 from . import db_reader, layout, log_parser
 from .backup_crypto import encrypt_fixture
-from .errors import InvalidScript, MalformedKey, StructuralError
+from .errors import InvalidScript, StructuralError
 from .model import (
     BROADCAST_JID,
     CALENDAR_END_MS,
@@ -94,6 +95,7 @@ from .model import (
     parse_group_id,
     parse_message_key,
     parse_tz_offset,
+    render_local_ms,
 )
 
 SCRIPT_FORMAT_VERSION = 1
@@ -359,10 +361,8 @@ class _SimMessage:
 
 @dataclass
 class _SimGroup:
-    label: str
     gid_raw: str
     name: str
-    creator: str
     members: set = field(default_factory=set)
     events: list = field(default_factory=list)  # (ms, kind, member_raw, key_raw)
 
@@ -405,13 +405,10 @@ class _Simulator:
         self.log: list[tuple] = []
         self.snapshots: list[tuple[str, int]] = []  # (file name, as_of_ms)
         self.media_files: dict[str, tuple[bytes, bytes]] = {}  # path -> (content, SHA-256)
-        self.avatar_jids: list[str] = []
         self.sessions: dict[str, list[int]] = {}  # number -> [session_s, next_seq]
         self.used_sessions: set[int] = set()
         self.used_server_names: set[str] = set()
         self.blocked: set[str] = set()
-        self.deleted_keys: dict[str, dict] = {}
-        self.addition_times: dict[str, int] = {}
         self._media_counter = 0
         self._last_ms: int | None = None
         # Every time is written in UTC and logged in local time, and both
@@ -561,15 +558,12 @@ class _Simulator:
         )
         self.contacts.append(contact)
         self.contact_by_number[number] = contact
-        self.addition_times.setdefault(jid, action.at_ms)
         t = action.at_ms
         self.emit(t, log_parser.body_contact_missing(jid), EventKind.CONTACT_NOT_IN_DB, jid)
         for delay, what in ((400, "profile"), (800, "status"), (1200, "avatar")):
             query = log_parser.body_contact_query(jid, what)
             self.emit(t + delay, query, EventKind.CONTACT_QUERY, jid)
         self.emit(t + 2000, log_parser.body_avatar_downloaded(jid), EventKind.AVATAR_DOWNLOADED, jid)
-        if jid not in self.avatar_jids:
-            self.avatar_jids.append(jid)
 
     def do_blockcontact(self, action: BlockContact) -> None:
         self.check_actor(action.number)
@@ -646,10 +640,8 @@ class _Simulator:
                 server_name = f"{self.rng.getrandbits(48):012x}{ext}"
         self.used_server_names.add(server_name)
         outgoing = action.sender == self.owner
-        day = (datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(milliseconds=action.at_ms))
-        local_name = action.name or (
-            f"{prefix}-{day.year:04d}{day.month:02d}{day.day:02d}-WA{self._media_counter:04d}{ext}"
-        )
+        day = render_local_ms(action.at_ms)[:10].replace("-", "")
+        local_name = action.name or f"{prefix}-{day}-WA{self._media_counter:04d}{ext}"
         self._media_counter += 1
         duration = action.duration
         if duration is None:
@@ -775,17 +767,10 @@ class _Simulator:
         # it, and the parser drops a carriage return that ends a line.
         if "\n" in action.name or action.name.endswith("\r"):
             self.fail("a group name must not hold a line feed or end in a carriage return")
-        creator_jid = _user_jid(self.owner)
         gid_raw = f"{self.owner}-{action.at_ms // 1000}@g.us"
         if gid_raw in self.group_by_gid:
             self.fail("a group with this creation second already exists")
-        group = _SimGroup(
-            label=action.label,
-            gid_raw=gid_raw,
-            name=action.name,
-            creator=creator_jid,
-            members={creator_jid},
-        )
+        group = _SimGroup(gid_raw=gid_raw, name=action.name, members={_user_jid(self.owner)})
         self.groups[action.label] = group
         self.group_by_gid[gid_raw] = group
         self.insert_control_row(action.at_ms, group, "created", self.owner)
@@ -835,7 +820,6 @@ class _Simulator:
             )
         for sim in rows:
             sim.delete_ms = action.at_ms
-        self.deleted_keys[key] = {"deleted_ms": action.at_ms, "rows": rows}
         self.emit(action.at_ms, log_parser.body_message_deleted(key), EventKind.MESSAGE_DELETED, key=key)
 
     def do_deletecontact(self, action: DeleteContact) -> None:
@@ -847,10 +831,7 @@ class _Simulator:
         self.emit(action.at_ms, "contact/delete completed")
 
     def do_snapshotbackup(self, action: SnapshotBackup) -> None:
-        stamp = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(
-            milliseconds=action.at_ms
-        )
-        base = f"msgstore-{stamp.year:04d}-{stamp.month:02d}-{stamp.day:02d}"
+        base = f"msgstore-{render_local_ms(action.at_ms)[:10]}"
         name = f"{base}.crypt"
         counter = 2
         taken = {n for n, _ in self.snapshots}
@@ -943,36 +924,11 @@ def _contact_columns(contact: _SimContact) -> dict:
     }
 
 
-def _insert(conn: sqlite3.Connection, table: str, columns, rows) -> None:
-    """Insert ``rows``, each a tuple of values in ``columns`` order."""
-    conn.executemany(
-        f"INSERT INTO {table} ({', '.join(columns)}) VALUES ({', '.join('?' * len(columns))})",
-        rows,
-    )
-
-
-def _sqlite_image(schema: str, tables) -> bytes:
-    """The file bytes of a SQLite store of ``schema`` holding ``(table, rows)``.
-
-    Each table's rows are dicts with the same keys, inserted in order.
-    """
-    conn = sqlite3.connect(":memory:")
-    try:
-        conn.executescript(schema)
-        for table, rows in tables:
-            if rows:
-                _insert(conn, table, list(rows[0]), [tuple(row.values()) for row in rows])
-        conn.commit()
-        return conn.serialize()
-    finally:
-        conn.close()
-
-
 def _write_rows(conn: sqlite3.Connection, table: str, gone, changed, new) -> None:
     """Delete the ids ``gone``, then update ``changed`` in place, then insert ``new``.
 
-    ``changed`` and ``new`` hold rows as dicts whose first key is ``_id``;
-    every list is in id order.
+    ``changed`` and ``new`` hold rows as dicts with the same keys, the
+    first of the ``changed`` rows' being ``_id``; every list is in id order.
     """
     if gone:
         conn.executemany(f"DELETE FROM {table} WHERE _id = ?", [(row_id,) for row_id in gone])
@@ -983,26 +939,18 @@ def _write_rows(conn: sqlite3.Connection, table: str, gone, changed, new) -> Non
             f"UPDATE {table} SET {assignments} WHERE _id = ?", [v[1:] + v[:1] for v in values]
         )
     if new:
-        _insert(conn, table, list(new[0]), [tuple(row.values()) for row in new])
+        columns = list(new[0])
+        conn.executemany(
+            f"INSERT INTO {table} ({', '.join(columns)}) VALUES ({', '.join('?' * len(columns))})",
+            [tuple(row.values()) for row in new],
+        )
 
 
 def _expected_message(columns: dict) -> MessageRecord:
-    key_raw = columns["key_id"]
-    try:
-        key = parse_message_key(key_raw)
-    except MalformedKey:
-        key = None
-    rr_raw = columns["remote_resource"]
-    rr_jid = None
-    if rr_raw:
-        candidate = classify_jid(rr_raw)
-        if candidate.is_parsed:
-            rr_jid = candidate
     return MessageRecord(
         id=columns["_id"],
         key_remote_jid=classify_jid(columns["key_remote_jid"]),
-        key_id_raw=key_raw,
-        key_id=key,
+        key_id_raw=columns["key_id"],
         from_me=bool(columns["key_from_me"]),
         status_code=columns["status"],
         timestamp=columns["timestamp"],
@@ -1012,8 +960,7 @@ def _expected_message(columns: dict) -> MessageRecord:
         send_timestamp=columns["send_timestamp"],
         needs_push=columns["needs_push"],
         recipient_count=columns["recipient_count"],
-        remote_resource_raw=rr_raw,
-        remote_resource=rr_jid,
+        remote_resource_raw=columns["remote_resource"],
         media_wa_type=columns["media_wa_type"],
         data=columns["data"],
         raw_data=columns["raw_data"],
@@ -1110,12 +1057,12 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
     # contacts database
     live_contacts = [c for c in sim.contacts if not c.deleted]
     contact_rows = [_contact_columns(c) for c in live_contacts]
-    (root / layout.WA_DB).write_bytes(
-        _sqlite_image(
-            _WA_SCHEMA,
-            [("android_metadata", [{"locale": "en_US"}]), ("wa_contacts", contact_rows)],
-        )
-    )
+    with closing(sqlite3.connect(":memory:")) as contacts:
+        contacts.executescript(_WA_SCHEMA)
+        with contacts:
+            _write_rows(contacts, "android_metadata", (), (), [{"locale": "en_US"}])
+            _write_rows(contacts, "wa_contacts", (), (), contact_rows)
+        (root / layout.WA_DB).write_bytes(contacts.serialize())
 
     # The chat database is one store advanced through the snapshots in time
     # order, which is script order, and then past every event to the live
@@ -1138,8 +1085,7 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
     doomed: dict[int, MessageRecord] = {}  # _id -> the held row's record
     expected_backups = []
     taken = 0
-    store = sqlite3.connect(":memory:")
-    try:
+    with closing(sqlite3.connect(":memory:")) as store:
         store.executescript(_MSGSTORE_SCHEMA)
         # The last step, to the live rows, takes every event: each time falls
         # before the end of the calendar.
@@ -1193,8 +1139,6 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
                 records = tuple(doomed[row_id] for row_id in sorted(doomed))
                 expected_backups.append(BackupSet(name=name, messages=records))
         (root / layout.MSGSTORE_DB).write_bytes(store.serialize())
-    finally:
-        store.close()
     live_rows = [held[row_id] for row_id in sorted(held)]
     chat_rows = [
         {"_id": pair[0], "key_remote_jid": jid, "message_table_id": pair[1]}
@@ -1217,7 +1161,7 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
 
     # avatars, media, settings
     avatar_inventory = []
-    for jid_raw in sim.avatar_jids:
+    for jid_raw in dict.fromkeys(c.jid_raw for c in sim.contacts):
         data = _avatar_bytes(jid_raw)
         for directory in (layout.AVATARS_DIR, layout.PROFILE_PICTURES_DIR):
             path = f"{directory}/{jid_raw}{layout.AVATAR_SUFFIX}"
@@ -1272,7 +1216,6 @@ def _expected_analytics(
     """
     retained = [record for backup in backups for record in backup.messages]
     backup_keys = {record.key_id_raw for record in retained}
-    live_keys = {m.key_raw for m in sim.messages if m.delete_ms is None}
 
     # histories: live rows plus rows only a backup retains
     entries: dict[str, list] = {}
@@ -1312,7 +1255,8 @@ def _expected_analytics(
         if m.delete_ms is not None:
             continue
         if m.final_status == 6:
-            member = m.remote_resource or sim.group_by_gid[m.jid_raw].creator
+            # the owner creates every group
+            member = m.remote_resource or _user_jid(sim.owner)
             partners[m.id] = ("group-control", frozenset({m.jid_raw}), member, False)
         elif m.key_raw.startswith("%~"):
             partners[m.id] = ("broadcast-received", frozenset({m.jid_raw}), m.jid_raw, False)
@@ -1357,13 +1301,12 @@ def _expected_analytics(
             events.append((at_ms, kind, member, source))
         timelines[gid_raw] = (group.name, tuple(events))
 
-    # deleted messages
+    # deleted messages: a key's rows are inserted together and deleted together
     deleted = set()
-    for key, info in sim.deleted_keys.items():
-        if key in live_keys:
-            continue
-        rows = info["rows"]
+    for key, rows in sim.by_key.items():
         sample = rows[0]
+        if sample.delete_ms is None:
+            continue
         partner_set: set[str] = set()
         sent_ms = received_ms = None
         state = None
@@ -1389,7 +1332,7 @@ def _expected_analytics(
         deleted.add(
             (
                 key,
-                info["deleted_ms"],
+                sample.delete_ms,
                 sent_ms,
                 received_ms,
                 frozenset(partner_set),
@@ -1398,8 +1341,11 @@ def _expected_analytics(
             )
         )
 
+    addition_times: dict[str, int] = {}  # jid_raw -> its first add_contact time
+    for c in sim.contacts:
+        addition_times.setdefault(c.jid_raw, c.added_ms)
     deleted_contacts = frozenset(
-        (c.jid_raw, sim.addition_times[c.jid_raw])
+        (c.jid_raw, addition_times[c.jid_raw])
         for c in sim.contacts
         if c.deleted and not any(
             o.number == c.number and not o.deleted for o in sim.contacts
@@ -1412,7 +1358,7 @@ def _expected_analytics(
         group_timelines=timelines,
         deleted_messages=frozenset(deleted),
         deleted_contacts=deleted_contacts,
-        addition_times=dict(sim.addition_times),
+        addition_times=addition_times,
     )
 
 
@@ -1490,12 +1436,10 @@ def _parse_at(value, tz_offset_minutes: int) -> int:
     zone = m.group(8) or m.group(9)
     try:
         offset = parse_tz_offset(zone) if zone else tz_offset_minutes
-        stamp = datetime(
-            year, month, day, hour, minute, second, millis * 1000, tzinfo=timezone.utc
-        )
+        stamp = datetime(year, month, day, hour, minute, second, millis * 1000)
     except ValueError as exc:
         raise InvalidScript(f"unparsable action time {value!r}: {exc}") from exc
-    return int(stamp.timestamp() * 1000) - offset * 60_000
+    return (stamp - datetime(1970, 1, 1)) // timedelta(milliseconds=1) - offset * 60_000
 
 
 def script_from_json(source: str | dict) -> ScenarioScript:

@@ -35,9 +35,11 @@ BROADCAST_JID = "broadcast"
 # Phone numbers may carry 'x' characters: evidence shared publicly (and
 # some anonymized exports) masks tail digits, and the parser must keep
 # accepting those identifiers instead of rejecting the record.
-_USER_JID_RE = re.compile(r"^(?P<phone>[0-9][0-9x]*)@s\.whatsapp\.net$")
-_GROUP_JID_RE = re.compile(r"^(?P<creator>[0-9][0-9x]*)-(?P<epoch>[0-9]+)@g\.us$")
-_MESSAGE_KEY_RE = re.compile(r"^(?P<bc>%~)?(?P<start>[0-9]+)-(?P<seq>[0-9]+)$")
+# Each pattern must match a whole identifier (``fullmatch``): ``$`` would
+# also match before a final line feed.
+_USER_JID_RE = re.compile(r"(?P<phone>[0-9][0-9x]*)@s\.whatsapp\.net")
+_GROUP_JID_RE = re.compile(r"(?P<creator>[0-9][0-9x]*)-(?P<epoch>[0-9]+)@g\.us")
+_MESSAGE_KEY_RE = re.compile(r"(?P<bc>%~)?(?P<start>[0-9]+)-(?P<seq>[0-9]+)")
 
 #: Epoch milliseconds of 10000-01-01 00:00Z, where datetime's calendar ends.
 CALENDAR_END_MS = 253402300800000
@@ -172,7 +174,7 @@ def parse_jid(raw: str) -> WaJid:
         raise MalformedJid("empty jid")
     if raw == BROADCAST_JID:
         return WaJid(raw=raw, phone_number="", kind=JidKind.BROADCAST)
-    m = _USER_JID_RE.match(raw)
+    m = _USER_JID_RE.fullmatch(raw)
     if m:
         return WaJid(raw=raw, phone_number=m.group("phone"), kind=JidKind.USER)
     if raw.endswith(GROUP_JID_SUFFIX):
@@ -209,7 +211,7 @@ def _known_jid(raw: str) -> WaJid:
 
 def parse_group_id(raw: str) -> GroupId:
     """Parse ``<creator>-<epoch>@g.us``; raises MalformedGroupId otherwise."""
-    m = _GROUP_JID_RE.match(raw)
+    m = _GROUP_JID_RE.fullmatch(raw)
     if not m:
         raise MalformedGroupId(f"group id missing creator/epoch structure: {raw!r}")
     try:
@@ -232,7 +234,7 @@ def parse_message_key(raw: str) -> MessageKey:
     """
     if not raw:
         raise MalformedKey("empty message key")
-    m = _MESSAGE_KEY_RE.match(raw)
+    m = _MESSAGE_KEY_RE.fullmatch(raw)
     if not m:
         raise MalformedKey(f"unrecognized message key: {raw!r}")
     try:
@@ -256,7 +258,7 @@ def parse_tz_offset(text: str) -> int:
     """Parse a ``+HH:MM`` / ``-HH:MM`` / ``Z`` offset into minutes."""
     if text in ("Z", "z", ""):
         return 0
-    m = re.match(r"^(?P<sign>[+-])(?P<h>\d{2}):?(?P<m>\d{2})$", text)
+    m = re.fullmatch(r"(?P<sign>[+-])(?P<h>\d{2}):?(?P<m>\d{2})", text)
     # strptime's %z bounds: hours below 24, minutes below 60.
     if not m or int(m.group("h")) >= 24 or int(m.group("m")) >= 60:
         raise ValueError(f"bad timezone offset {text!r}; expected +HH:MM")
@@ -350,7 +352,6 @@ class MessageRecord:
     id: int
     key_remote_jid: WaJid
     key_id_raw: str
-    key_id: MessageKey | None
     from_me: bool
     status_code: int
     timestamp: int | None
@@ -361,7 +362,6 @@ class MessageRecord:
     needs_push: int
     recipient_count: int | None
     remote_resource_raw: str | None
-    remote_resource: WaJid | None
     media_wa_type: int
     data: str | None
     raw_data: bytes | None

@@ -55,7 +55,6 @@ from wadroid.model import (
     MessageRecord,
     WarningLog,
     classify_jid,
-    parse_message_key,
 )
 from wadroid.report import content_json
 
@@ -67,7 +66,6 @@ def make_record(**overrides) -> MessageRecord:
         id=1,
         key_remote_jid=classify_jid(REMOTE),
         key_id_raw="1363253484-1",
-        key_id=parse_message_key("1363253484-1"),
         from_me=False,
         status_code=0,
         timestamp=1000,
@@ -78,7 +76,6 @@ def make_record(**overrides) -> MessageRecord:
         needs_push=0,
         recipient_count=None,
         remote_resource_raw=None,
-        remote_resource=None,
         media_wa_type=0,
         data="hi",
         raw_data=None,
@@ -400,7 +397,6 @@ def test_group_message_remote_originator():
         from_me=False,
         status_code=0,
         remote_resource_raw=jid("393350000004"),
-        remote_resource=classify_jid(jid("393350000004")),
     )
     resolution = resolve_partners(CaseBundle(messages=(record,))).per_message[1]
     assert resolution.originator == jid("393350000004")
@@ -414,9 +410,7 @@ def test_direct_partner():
 
 
 def test_broadcast_receipt_detected():
-    record = make_record(
-        key_id_raw="%~123-1", key_id=parse_message_key("%~123-1"), from_me=False
-    )
+    record = make_record(key_id_raw="%~123-1", from_me=False)
     resolution = resolve_partners(CaseBundle(messages=(record,))).per_message[1]
     assert resolution.kind == "broadcast-received"
     assert resolution.partners == frozenset({REMOTE})

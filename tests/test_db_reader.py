@@ -26,6 +26,7 @@ from wadroid.model import (
     MessageRecord,
     WarningLog,
     classify_jid,
+    parse_message_key,
     warn_to,
 )
 
@@ -187,7 +188,7 @@ def test_incoming_text_message(tmp_path):
     assert record.from_me is False
     assert record.data == "Message 1"
     assert record.received_timestamp == 1329116349000
-    assert record.key_id.session_start == 1329112000
+    assert parse_message_key(record.key_id_raw).session_start == 1329112000
     assert len(warn) == 0
 
 
@@ -297,6 +298,29 @@ def test_column_type_mismatch_keeps_row(tmp_path):
     assert len(records) == 1
     assert records[0].timestamp is None
     assert any("expected integer" in w.message for w in warn)
+
+
+def test_a_key_with_a_trailing_line_feed_is_kept_verbatim_and_warned(tmp_path):
+    row = {"key_remote_jid": jid("393480000002"), "key_id": "1-1\n", "timestamp": 1}
+    warn = WarningLog()
+    records = load_messages(_store_source(tmp_path, [row]), warn)
+    assert records[0].key_id_raw == "1-1\n"
+    assert [w.message for w in warn] == ["malformed key_id kept verbatim: '1-1\\n'"]
+
+
+@pytest.mark.parametrize("text, value", [("1_000", None), ("١٢", None), (" 7 ", 7), ("+5", 5)])
+def test_integer_text_converts_only_where_sqlite_stores_an_integer(tmp_path, text, value):
+    conn = sqlite3.connect(":memory:")
+    conn.execute("CREATE TABLE t (v INTEGER)")
+    conn.execute("INSERT INTO t VALUES (?)", (text,))
+    stored = conn.execute("SELECT typeof(v) FROM t").fetchone()[0]
+    conn.close()
+    assert stored == ("text" if value is None else "integer")
+    source = _untyped_store(tmp_path / "msgstore.db", [dict(_PLAIN_ROW, timestamp=text)])
+    records, warnings = _load(source)
+    assert records[0].timestamp == value
+    mismatch = "column 'timestamp': expected integer, got str; field treated as absent"
+    assert [w.message for w in warnings] == ([] if value is not None else [mismatch])
 
 
 def test_skipped_pairs_are_matched_on_decoded_text(tmp_path):
@@ -558,17 +582,16 @@ class _ReferenceRow:
 
 def _reference_message(row):
     key_raw = row.text("key_id") or ""
-    key = db_reader._message_key(key_raw, row.source, row.warn)
+    db_reader._message_key(key_raw, row.source, row.warn)
     rr_raw = row.text("remote_resource")
     needs_push = row.int_("needs_push", 0) or 0
-    rr_jid = db_reader._remote_resource(rr_raw, needs_push, row.source, row.warn)
+    db_reader._remote_resource(rr_raw, needs_push, row.source, row.warn)
     media_hash = row.text("media_hash")
     db_reader._decode_media_hash(media_hash, row.source, row.warn)
     record = MessageRecord(
         id=row.int_("_id", 0) or 0,
         key_remote_jid=classify_jid(row.text("key_remote_jid"), row.warn, row.source),
         key_id_raw=key_raw,
-        key_id=key,
         from_me=row.bool_("key_from_me"),
         status_code=row.int_("status", 0) or 0,
         timestamp=row.int_("timestamp"),
@@ -579,7 +602,6 @@ def _reference_message(row):
         needs_push=needs_push,
         recipient_count=row.int_("recipient_count"),
         remote_resource_raw=rr_raw,
-        remote_resource=rr_jid,
         media_wa_type=row.int_("media_wa_type", 0) or 0,
         data=row.text("data"),
         raw_data=row.blob("raw_data"),

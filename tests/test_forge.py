@@ -230,6 +230,16 @@ def test_script_json_time_offsets(at, at_ms):
     assert forge.script_from_json(json.dumps(spec)).actions[0].at_ms == at_ms
 
 
+def test_script_json_times_keep_every_millisecond():
+    # 2038's epoch seconds times 1000 in floating point lose a millisecond
+    # from some stamps, such as .002.
+    actions = [{"at": f"2038-01-19 06:59:00.{ms:03d} +00:00", "do": "unblock_all"}
+               for ms in range(1000)]
+    spec = {"version": 1, "owner": "1", "actors": ["1"], "actions": actions}
+    script = forge.script_from_json(json.dumps(spec))
+    assert [a.at_ms for a in script.actions] == [2147497140000 + ms for ms in range(1000)]
+
+
 def test_script_json_rejects_unknown_action():
     spec = {
         "version": 1,

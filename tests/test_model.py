@@ -116,6 +116,31 @@ def test_parses_are_kept_but_malformed_input_warns_every_time():
     assert [w.source for w in warn] == [f"wa.db:wa_contacts#{n}" for n in range(3)]
 
 
+@pytest.mark.parametrize(
+    "parse, raw, error",
+    [
+        (parse_jid, "393480000002@s.whatsapp.net", MalformedJid),
+        (parse_jid, "broadcast", MalformedJid),
+        (parse_group_id, "393200000006-1384187045@g.us", MalformedGroupId),
+        (parse_message_key, "1363253484-7", MalformedKey),
+        (parse_message_key, "%~1363253484-7", MalformedKey),
+        (parse_tz_offset, "+01:00", ValueError),
+    ],
+)
+def test_a_trailing_line_feed_is_not_part_of_an_identifier(parse, raw, error):
+    parse(raw)
+    with pytest.raises(error):
+        parse(raw + "\n")
+
+
+def test_classify_jid_warns_about_a_trailing_line_feed():
+    warn = WarningLog()
+    jid = classify_jid("393480000002@s.whatsapp.net\n", warn, "wa.db:wa_contacts#1")
+    assert jid.kind is JidKind.OTHER
+    assert jid.raw == "393480000002@s.whatsapp.net\n"
+    assert len(warn) == 1
+
+
 def test_render_epoch_offsets():
     assert render_epoch_ms(1381932937884, 0) == "2013-10-16 14:15:37.884 +00:00"
     assert render_epoch_ms(1381932937884, 120) == "2013-10-16 16:15:37.884 +02:00"
