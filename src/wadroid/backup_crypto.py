@@ -54,37 +54,15 @@ def _validated(plain: bytearray) -> bytearray:
     return plain
 
 
-def _run_cipher(context, data: bytes) -> bytearray:
-    """``data`` through ``context``, written into one buffer of its size.
-
-    ``update_into`` needs room for one block less a byte beyond the
-    output; whole blocks in leave none of it used.
-    """
-    out = bytearray(len(data) + BLOCK_SIZE - 1)
-    written = context.update_into(data, out)
-    context.finalize()  # for its check only: whole blocks leave nothing
-    del out[written:]
-    return out
-
-
-def decrypt_bytes(data: bytes, key: bytes | None = None) -> bytearray:
-    """Decrypt backup ciphertext and validate the result.
-
-    Raises BadBlockLength for empty or non-block-multiple input and
-    MagicMismatch when the plaintext does not start with the SQLite
-    magic (wrong key/mode or corrupted data; no alternatives are
-    guessed).
-    """
-    _check_ciphertext_length(len(data))
-    key = DEFAULT_BACKUP_KEY if key is None else key
-    return _validated(_run_cipher(_cipher(key).decryptor(), data))
-
-
 def decrypt_backup(path: str | Path, key: bytes | None = None) -> bytearray:
     """Decrypt one backup file to plaintext SQLite bytes.
 
     The file is read in chunks and decrypted into one buffer of its size,
-    so the ciphertext is never held whole beside the plaintext.
+    so the ciphertext is never held whole beside the plaintext. Raises
+    BadBlockLength for an empty or non-block-multiple file and
+    MagicMismatch when the plaintext does not start with the SQLite
+    magic (wrong key/mode or corrupted data; no alternatives are
+    guessed).
     """
     try:
         with open(path, "rb", buffering=0) as fh:
@@ -113,12 +91,18 @@ def decrypt_backup(path: str | Path, key: bytes | None = None) -> bytearray:
 def encrypt_fixture(plaintext: bytes, key: bytes | None = None) -> bytearray:
     """Encrypt plaintext the way a device would store a backup.
 
-    Test-fixture inverse of decrypt_bytes; never used on real evidence.
+    Test-fixture inverse of decrypt_backup; never used on real evidence.
     Accepts empty input (zero blocks in, zero blocks out).
     """
     if len(plaintext) % BLOCK_SIZE != 0:
         raise BadBlockLength(
             f"plaintext length {len(plaintext)} is not a multiple of {BLOCK_SIZE}"
         )
-    key = DEFAULT_BACKUP_KEY if key is None else key
-    return _run_cipher(_cipher(key).encryptor(), plaintext)
+    encryptor = _cipher(DEFAULT_BACKUP_KEY if key is None else key).encryptor()
+    # update_into needs room for one block less a byte beyond the output;
+    # whole blocks in leave none of it used.
+    out = bytearray(len(plaintext) + BLOCK_SIZE - 1)
+    written = encryptor.update_into(plaintext, out)
+    encryptor.finalize()  # for its check only: whole blocks leave nothing
+    del out[written:]
+    return out

@@ -12,11 +12,11 @@ row's delivery state is ``message_state(row)``. The report derives the
 rest from the row; ``report.content_json`` shapes its typed content.
 
 Every inference carries a confidence note and cites the records and log
-lines it was derived from: the log-based procedures are only as good as
-the surviving log window, and findings must surface that caveat rather
-than hide it. Device timestamps come from the local clock, so absolute
-times from different devices are never treated as comparable ground
-truth.
+lines it was derived from. The log-based procedures are only as good as
+the surviving log window; the report states that caveat once, next to
+the window itself, rather than in every finding. Device timestamps come
+from the local clock, so absolute times from different devices are never
+treated as comparable ground truth.
 
 All functions are pure over an immutable CaseBundle; independent
 analyses may run concurrently and findings merge deterministically by
@@ -166,11 +166,9 @@ def sort_findings(findings) -> list[Finding]:
 class LogIndex:
     """The log facts the contact and block correlators share.
 
-    ``analyze`` builds one index and hands it to them;
-    ``infer_deleted_messages`` reads only its coverage note.
+    ``analyze`` builds one index and hands it to them.
     """
 
-    coverage_note: str
     additions: tuple[tuple[WaJid, int], ...]  # earliest addition time per contact, by jid
     addition_refs: dict[str, list[str]]
     block_refs: dict[str, list[str]]
@@ -182,11 +180,6 @@ class LogIndex:
 
 
 def log_index(bundle: CaseBundle) -> LogIndex:
-    first, last = bundle.log_coverage()
-    if first is None:
-        note = "no dated log events available"
-    else:
-        note = f"log coverage window {first}..{last} ms; conclusions hold only within it"
     earliest: dict[str, tuple[WaJid, int]] = {}
     addition_refs: dict[str, list[str]] = {}
     block_refs: dict[str, list[str]] = {}
@@ -211,7 +204,6 @@ def log_index(bundle: CaseBundle) -> LogIndex:
             if event.occurred_at is not None:
                 unblock_times.append(event.occurred_at)
     return LogIndex(
-        coverage_note=note,
         additions=tuple(earliest[raw] for raw in sorted(earliest)),
         addition_refs=addition_refs,
         block_refs=block_refs,
@@ -664,7 +656,7 @@ def infer_block_status(index: LogIndex) -> list[Finding]:
                 category=FindingCategory.BLOCK_STATUS,
                 subject=raw,
                 summary=f"{raw}: {status}",
-                confidence_note=f"{notes[status]}; {index.coverage_note}",
+                confidence_note=notes[status],
                 evidence=evidence,
                 payload={"jid": raw, "status": status, "at_ms": at_ms},
                 at_ms=at_ms,
@@ -688,7 +680,8 @@ def contact_added_findings(index: LogIndex) -> list[Finding]:
             category=FindingCategory.CONTACT_ADDED,
             subject=jid.raw,
             summary=f"{jid.raw} added to contacts at {at_ms} ms",
-            confidence_note=index.coverage_note,
+            confidence_note="the addition time is that of the contact's earliest dated "
+            "discovery, profile-query or avatar-download log line",
             evidence=tuple(index.addition_refs.get(jid.raw, ())),
             payload={"jid": jid.raw, "added_at_ms": at_ms},
             at_ms=at_ms,
@@ -702,19 +695,9 @@ def infer_deleted_contacts(bundle: CaseBundle, index: LogIndex) -> list[Finding]
 
     The deletion time itself is unrecoverable: contact deletions log no
     identifier. Orphaned avatar files corroborate a deletion, because
-    deleting a contact row does not delete the downloaded avatar.
+    deleting a contact row does not delete the downloaded avatar; they
+    need no log, so a device without logs still yields them.
     """
-    if not bundle.log_events:
-        return [
-            Finding(
-                category=FindingCategory.DELETED_CONTACT,
-                subject="",
-                summary="no deleted-contact inference possible",
-                confidence_note="no log files available; the log/database set "
-                "difference cannot be computed",
-                payload={"no_log_coverage": True},
-            )
-        ]
     current = {c.jid.raw for c in bundle.contacts}
     additions = {jid.raw: at_ms for jid, at_ms in index.additions}
     orphan_avatars: dict[str, list[str]] = {}
@@ -727,7 +710,7 @@ def infer_deleted_contacts(bundle: CaseBundle, index: LogIndex) -> list[Finding]
         paths = orphan_avatars.pop(raw, [])
         note = (
             "added per log evidence but missing from the contacts table; "
-            f"deletion time is unrecoverable; {index.coverage_note}"
+            "deletion time is unrecoverable"
         )
         if paths:
             note += "; an orphaned avatar file corroborates the deletion"
@@ -772,7 +755,7 @@ def infer_deleted_contacts(bundle: CaseBundle, index: LogIndex) -> list[Finding]
 # --- deleted messages ---------------------------------------------------------
 
 
-def infer_deleted_messages(bundle: CaseBundle, index: LogIndex) -> list[Finding]:
+def infer_deleted_messages(bundle: CaseBundle) -> list[Finding]:
     """Messages that once existed but are gone from the live store.
 
     Three independent sources are combined: explicit deletion log events
@@ -831,7 +814,6 @@ def infer_deleted_messages(bundle: CaseBundle, index: LogIndex) -> list[Finding]
             if not recovered
             else f"a backup copy retains the full record ({', '.join(recovered)})",
             state_ref,
-            index.coverage_note,
         ]
         exchanged = sends + receipts
         findings.append(
@@ -1111,7 +1093,7 @@ def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
     findings.extend(contact_added_findings(index))
     findings.extend(infer_block_status(index))
     findings.extend(infer_deleted_contacts(bundle, index))
-    findings.extend(infer_deleted_messages(bundle, index))
+    findings.extend(infer_deleted_messages(bundle))
     findings.extend(
         correlate_media(
             [m for m in bundle.messages if m.from_me],

@@ -39,6 +39,7 @@ from .model import (
     ContactRecord,
     MessageRecord,
     WarningLog,
+    ascii_int,
     classify_jid,
     coordinates_fault,
     media_digest,
@@ -246,9 +247,9 @@ def _as_int(value, name: str, source: str, warn: WarningLog | None) -> int | Non
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, str) and value.isascii() and "_" not in value:
+    if isinstance(value, str):
         try:
-            return int(value, 10)
+            return ascii_int(value)
         except ValueError:
             pass
     return _mismatch(value, name, "integer", source, warn)

@@ -89,6 +89,7 @@ from .model import (
     MessageRecord,
     USER_JID_SUFFIX,
     WarningLog,
+    ascii_int,
     classify_jid,
     coordinates_fault,
     format_tz_offset,
@@ -1425,8 +1426,8 @@ def _parse_at(value, tz_offset_minutes: int) -> int:
         return value
     text = str(value).strip()
     m = re.match(
-        r"^(\d{4})-(\d{2})-(\d{2})[ T](\d{2}):(\d{2}):(\d{2})(?:\.(\d{1,3}))?"
-        r"(?: ?([+-]\d{2}:?\d{2})|(Z))?$",
+        r"^([0-9]{4})-([0-9]{2})-([0-9]{2})[ T]([0-9]{2}):([0-9]{2}):([0-9]{2})"
+        r"(?:\.([0-9]{1,3}))?(?: ?([+-][0-9]{2}:?[0-9]{2})|(Z))?$",
         text,
     )
     if not m:
@@ -1466,7 +1467,7 @@ def script_from_json(source: str | dict) -> ScenarioScript:
         raise InvalidScript("script field 'actions' is not a list")
     try:
         tz_offset = parse_tz_offset(spec.get("tz", "+00:00"))
-        seed = int(spec.get("seed", 0))
+        seed = ascii_int(spec.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise InvalidScript(f"script field 'tz' or 'seed': {exc}") from exc
     actions = []

@@ -39,6 +39,7 @@ from .model import (
     KEY_BEARING_KINDS,
     LogEvent,
     WarningLog,
+    ascii_int,
     classify_jid,
     parse_group_id,
     parse_message_key,
@@ -49,7 +50,8 @@ from .model import (
 GRAMMAR_FORMAT_VERSION = 1
 
 _DEFAULT_LINE_PATTERN = (
-    r"^(?P<ts>\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}\.\d{3} [+-]\d{4}) (?P<body>.*)$"
+    r"^(?P<ts>[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3} [+-][0-9]{4})"
+    r" (?P<body>.*)$"
 )
 _DEFAULT_TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S.%f %z"
 
@@ -123,17 +125,6 @@ class LogGrammar:
             raise BadGrammar(f"grammar file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(spec)
 
-    def to_dict(self) -> dict:
-        return {
-            "version": GRAMMAR_FORMAT_VERSION,
-            "line_pattern": self.line_pattern.pattern,
-            "timestamp_format": self.timestamp_format,
-            "rules": [
-                {"kind": rule.kind.value, "pattern": rule.pattern.pattern}
-                for rule in self.rules
-            ],
-        }
-
 
 DEFAULT_GRAMMAR = LogGrammar(
     line_pattern=re.compile(_DEFAULT_LINE_PATTERN),
@@ -191,13 +182,15 @@ def _default_stamp(text: str) -> int | None:
 
 def _parse_timestamp(text: str, fmt: str) -> int:
     if fmt == "epoch_ms":
-        return int(text)
+        return ascii_int(text)
     if fmt == "epoch_s":
-        return int(text) * 1000
+        return ascii_int(text) * 1000
     if fmt == _DEFAULT_TIMESTAMP_FORMAT:
         ms = _default_stamp(text)
         if ms is not None:
             return ms
+    if not text.isascii():  # strptime, like int, reads other scripts' digits
+        raise ValueError(f"non-ASCII timestamp {text!r}")
     stamp = datetime.strptime(text, fmt)
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)

@@ -254,11 +254,22 @@ def ts_present(value: int | None) -> bool:
     return value is not None and value > 0
 
 
+def ascii_int(value) -> int:
+    """``int(value)``, except that text must be ASCII and hold no ``_``.
+
+    ``int`` also reads other scripts' digits and ``1_000``; as in SQLite's
+    INTEGER affinity, neither is a number here.
+    """
+    if isinstance(value, str) and (not value.isascii() or "_" in value):
+        raise ValueError(f"invalid literal for int() with base 10: {value!r}")
+    return int(value)
+
+
 def parse_tz_offset(text: str) -> int:
     """Parse a ``+HH:MM`` / ``-HH:MM`` / ``Z`` offset into minutes."""
     if text in ("Z", "z", ""):
         return 0
-    m = re.fullmatch(r"(?P<sign>[+-])(?P<h>\d{2}):?(?P<m>\d{2})", text)
+    m = re.fullmatch(r"(?P<sign>[+-])(?P<h>[0-9]{2}):?(?P<m>[0-9]{2})", text)
     # strptime's %z bounds: hours below 24, minutes below 60.
     if not m or int(m.group("h")) >= 24 or int(m.group("m")) >= 60:
         raise ValueError(f"bad timezone offset {text!r}; expected +HH:MM")

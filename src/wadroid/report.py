@@ -231,6 +231,8 @@ def build_report(bundle: CaseBundle, analysis: Analysis, tz: int = 0) -> dict:
         "warnings": _warnings_json((*bundle.warnings, *analysis.warnings)),
         "clock_caveat": "all timestamps come from the local device clock and are "
         "not comparable across devices as ground truth",
+        "log_caveat": "log-based findings hold only within bundle_summary.log_coverage, "
+        "the window from the first to the last dated log event",
     }
 
 

@@ -6,6 +6,7 @@ import sqlite3
 from pathlib import Path
 
 from wadroid import forge
+from wadroid.backup_crypto import decrypt_backup
 from wadroid.correlator import (
     group_membership_timeline,
     infer_deleted_contacts,
@@ -15,6 +16,12 @@ from wadroid.correlator import (
     resolve_partners,
 )
 from wadroid.report import content_json
+
+def decrypt_file(path: Path, data: bytes, key: bytes | None = None) -> bytearray:
+    """``data`` written to ``path``, then read back through ``decrypt_backup``."""
+    path.write_bytes(data)
+    return decrypt_backup(path, key)
+
 
 # --- normalized views over the analysis (shape shared with forge ground truth)
 
@@ -73,7 +80,7 @@ def observed_analytics(bundle):
             f.payload["last_state"],
             f.payload["recovered_from_backup"],
         )
-        for f in infer_deleted_messages(bundle, index)
+        for f in infer_deleted_messages(bundle)
     )
     deleted_contacts = frozenset(
         (f.payload["jid"], f.payload["added_at_ms"])

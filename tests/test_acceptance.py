@@ -22,7 +22,6 @@ from wadroid import forge, ingest
 from wadroid.backup_crypto import (
     SQLITE_MAGIC,
     decrypt_backup,
-    decrypt_bytes,
     encrypt_fixture,
 )
 from wadroid.cli import EXIT_OK, run
@@ -203,9 +202,10 @@ def test_acceptance_4_block_status_exhaustive():
 def test_acceptance_5_crypto_roundtrip(tmp_path):
     """1,000 random round-trips; forged backup loads cleanly; wrong key fails."""
     rng = random.Random(19)
+    roundtrip = tmp_path / "roundtrip.crypt"
     for _ in range(1000):
         plaintext = SQLITE_MAGIC + rng.randbytes(16 * rng.randrange(0, 8))
-        assert decrypt_bytes(encrypt_fixture(plaintext)) == plaintext
+        assert helpers.decrypt_file(roundtrip, encrypt_fixture(plaintext)) == plaintext
 
     base = 1380000000000
     script = forge.ScenarioScript(
@@ -225,11 +225,10 @@ def test_acceptance_5_crypto_roundtrip(tmp_path):
     assert len(records) == 1
     assert len(warn) == 0
 
-    ciphertext = crypt.read_bytes()
     for _ in range(25):
         wrong = rng.randbytes(24)
         with pytest.raises(MagicMismatch):
-            decrypt_bytes(ciphertext, wrong)
+            decrypt_backup(crypt, wrong)
     _ok(5, "crypto round-trip and wrong-key detection")
 
 

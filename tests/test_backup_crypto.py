@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import wadroid
+from helpers import decrypt_file
 from wadroid.backup_crypto import (
     DEFAULT_BACKUP_KEY,
     SQLITE_MAGIC,
     decrypt_backup,
-    decrypt_bytes,
     encrypt_fixture,
 )
 from wadroid.errors import BadBlockLength, MagicMismatch, UnreadableFile
@@ -46,38 +46,41 @@ def test_encrypt_rejects_partial_block():
         encrypt_fixture(b"x" * 15)
 
 
-def test_roundtrip_random_inputs():
+def test_roundtrip_random_inputs(tmp_path):
     rng = random.Random(42)
+    path = tmp_path / "roundtrip.crypt"
     for _ in range(200):
         plaintext = SQLITE_MAGIC + rng.randbytes(16 * rng.randrange(0, 16))
-        assert decrypt_bytes(encrypt_fixture(plaintext)) == plaintext
+        assert decrypt_file(path, encrypt_fixture(plaintext)) == plaintext
 
 
-def test_decrypt_rejects_bad_length():
+def test_decrypt_rejects_bad_length(tmp_path):
+    path = tmp_path / "bad.crypt"
     with pytest.raises(BadBlockLength):
-        decrypt_bytes(b"x" * 17)
+        decrypt_file(path, b"x" * 17)
     with pytest.raises(BadBlockLength):
-        decrypt_bytes(b"")
+        decrypt_file(path, b"")
 
 
-def test_decrypt_random_data_fails_magic():
+def test_decrypt_random_data_fails_magic(tmp_path):
     rng = random.Random(7)
+    path = tmp_path / "random.crypt"
     for _ in range(50):
         with pytest.raises(MagicMismatch):
-            decrypt_bytes(rng.randbytes(32))
+            decrypt_file(path, rng.randbytes(32))
 
 
-def test_decrypt_wrong_key_fails_magic():
+def test_decrypt_wrong_key_fails_magic(tmp_path):
     ciphertext = encrypt_fixture(SQLITE_MAGIC + bytes(16))
     wrong = bytes(24)
     with pytest.raises(MagicMismatch):
-        decrypt_bytes(ciphertext, wrong)
+        decrypt_file(tmp_path / "wrong-key.crypt", ciphertext, wrong)
 
 
-def test_decrypt_never_returns_unvalidated_plaintext():
+def test_decrypt_never_returns_unvalidated_plaintext(tmp_path):
     # valid length, garbage content: must raise, not return bytes
     with pytest.raises(MagicMismatch):
-        decrypt_bytes(bytes(16))
+        decrypt_file(tmp_path / "garbage.crypt", bytes(16))
 
 
 def test_decrypt_backup_file(tmp_path):

@@ -154,12 +154,16 @@ def test_report_csv_without_out_is_a_usage_error(conversation_dir, monkeypatch, 
     assert "--format csv needs --out" in captured.err
 
 
-@pytest.mark.parametrize("offset", ["+00:75", "+24:00"])
+# Only ASCII digits are numbers, though int() reads other scripts' digits.
+@pytest.mark.parametrize(
+    "offset", ["+00:75", "+24:00", "+\u0661\u0662:\u0663\u0660", "+12:\u0663\u0660"]
+)
 def test_out_of_range_tz_is_a_usage_error(conversation_dir, capsys, offset):
-    assert run(["diff", "--in", str(conversation_dir), "--tz", offset]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "bad timezone offset" in captured.err
+    for command in ("diff", "report"):
+        assert run([command, "--in", str(conversation_dir), "--tz", offset]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad timezone offset" in captured.err
 
 
 def test_ingest_summary(conversation_dir, capsys):
@@ -1336,8 +1340,17 @@ def test_report_group_scenario_with_tz(tmp_path):
 def test_report_with_explicit_grammar_file(conversation_dir, tmp_path):
     from wadroid.log_parser import DEFAULT_GRAMMAR
 
+    spec = {
+        "version": 1,
+        "line_pattern": DEFAULT_GRAMMAR.line_pattern.pattern,
+        "timestamp_format": DEFAULT_GRAMMAR.timestamp_format,
+        "rules": [
+            {"kind": rule.kind.value, "pattern": rule.pattern.pattern}
+            for rule in DEFAULT_GRAMMAR.rules
+        ],
+    }
     grammar_path = tmp_path / "grammar.json"
-    grammar_path.write_text(json.dumps(DEFAULT_GRAMMAR.to_dict()), encoding="utf-8")
+    grammar_path.write_text(json.dumps(spec), encoding="utf-8")
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["report", "--in", str(conversation_dir), "--out", str(out1)]) == EXIT_OK
     assert (

@@ -4,6 +4,7 @@ deletions, media linkage, identity."""
 import base64
 import dataclasses
 import hashlib
+import shutil
 
 import pytest
 
@@ -56,7 +57,7 @@ from wadroid.model import (
     WarningLog,
     classify_jid,
 )
-from wadroid.report import content_json
+from wadroid.report import build_report, content_json
 
 REMOTE = jid("393480000002")
 
@@ -686,10 +687,29 @@ def test_orphan_avatar_without_log_trace():
 
 
 def test_no_log_coverage_finding():
-    bundle = CaseBundle()
-    findings = infer_deleted_contacts(bundle, log_index(bundle))
-    assert len(findings) == 1
-    assert findings[0].payload.get("no_log_coverage") is True
+    # Without logs no placeholder finding stands in; orphaned avatars need no log.
+    assert infer_deleted_contacts(CaseBundle(), log_index(CaseBundle())) == []
+    target = jid("393310000009")
+    bundle = CaseBundle(avatar_inventory=(AvatarFile(jid_raw=target, path=f"x/{target}.j"),))
+    (finding,) = infer_deleted_contacts(bundle, log_index(bundle))
+    assert finding.subject == target
+    assert finding.payload["orphan_avatars"] == [f"x/{target}.j"]
+
+
+def test_devices_without_logs_keep_orphan_avatar_findings(tmp_path):
+    qualifying = []
+    for seed in range(30):
+        result = forge.generate_bundle(forge.random_script(seed), tmp_path / str(seed))
+        shutil.rmtree(result.root / layout.LOGS_DIR)
+        findings = analyze(ingest.load_case_bundle(result.root)).findings
+        avatars = {a.jid_raw for a in result.bundle.avatar_inventory}
+        orphaned = {raw for raw, _ in result.expected.deleted_contacts if raw in avatars}
+        deleted = {f.subject for f in findings if f.category is FindingCategory.DELETED_CONTACT}
+        assert orphaned <= deleted, seed
+        assert "" not in {f.subject for f in findings}, seed
+        if orphaned:
+            qualifying.append(seed)
+    assert qualifying == [4, 6, 7, 15, 16, 23, 26]
 
 
 # --- deleted messages ------------------------------------------------------------------
@@ -705,7 +725,7 @@ def test_deleted_message_reference_case():
         format_line(1363258162000, body_message_deleted(key)),
     ]
     bundle = _log_bundle(lines)
-    findings = infer_deleted_messages(bundle, log_index(bundle))
+    findings = infer_deleted_messages(bundle)
     assert len(findings) == 1
     payload = findings[0].payload
     assert payload["key"] == key
@@ -719,7 +739,7 @@ def test_deleted_message_reference_case():
 def test_no_deletions_no_findings(tmp_path):
     result = forge.generate_bundle(helpers.conversation_script(), tmp_path)
     bundle = ingest.load_case_bundle(result.root)
-    assert infer_deleted_messages(bundle, log_index(bundle)) == []
+    assert infer_deleted_messages(bundle) == []
 
 
 def test_delete_three_of_ten(tmp_path):
@@ -750,7 +770,7 @@ def test_delete_three_of_ten(tmp_path):
     )
     result = forge.generate_bundle(script, tmp_path)
     bundle = ingest.load_case_bundle(result.root)
-    findings = infer_deleted_messages(bundle, log_index(bundle))
+    findings = infer_deleted_messages(bundle)
     assert len(findings) == 3
     observed = helpers.observed_analytics(bundle)["deleted_messages"]
     assert observed == result.expected.deleted_messages
@@ -771,7 +791,7 @@ def test_backup_recovers_deleted_content(tmp_path):
     )
     result = forge.generate_bundle(script, tmp_path)
     bundle = ingest.load_case_bundle(result.root)
-    findings = infer_deleted_messages(bundle, log_index(bundle))
+    findings = infer_deleted_messages(bundle)
     assert len(findings) == 1
     assert findings[0].payload["recovered_from_backup"] is True
     histories = reconstruct_history(bundle)
@@ -805,7 +825,7 @@ def test_backups_hold_only_rows_the_live_store_lost(tmp_path):
     assert len(bundle.backups) == 2
     for backup in bundle.backups:
         assert [m.data for m in backup.messages] == ["doomed"]
-    findings = infer_deleted_messages(bundle, log_index(bundle))
+    findings = infer_deleted_messages(bundle)
     assert len(findings) == 1
     assert findings[0].payload["backups"] == sorted(b.name for b in bundle.backups)
 
@@ -870,17 +890,21 @@ def test_analyze_scans_log_coverage_once(monkeypatch):
         return log_coverage(self)
 
     monkeypatch.setattr(CaseBundle, "log_coverage", counted)
-    findings = analyze(bundle).findings
+    analysis = analyze(bundle)
     counts = {}
-    for finding in findings:
+    for finding in analysis.findings:
         counts[finding.category] = counts.get(finding.category, 0) + 1
     assert counts[FindingCategory.CONTACT_ADDED] == 2
     assert counts[FindingCategory.DELETED_CONTACT] == 2
     assert counts[FindingCategory.BLOCK_STATUS] == 2
     assert counts[FindingCategory.DELETED_MESSAGE] == 2
-    assert len(scans) == 1
-    deleted = [f for f in findings if f.category is FindingCategory.DELETED_MESSAGE]
-    assert all("log coverage window 1000..11500 ms" in f.confidence_note for f in deleted)
+    assert len(scans) == 0  # the findings do not restate the window...
+    doc = build_report(bundle, analysis)
+    assert len(scans) == 1  # ...the report states it once
+    coverage = doc["bundle_summary"]["log_coverage"]
+    assert (coverage["first"]["epoch_ms"], coverage["last"]["epoch_ms"]) == (1000, 11500)
+    assert "bundle_summary.log_coverage" in doc["log_caveat"]
+    assert not any("coverage" in f.confidence_note for f in analysis.findings)
 
 
 # --- backup diff -------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 import helpers
 from wadroid import forge, ingest, layout
-from wadroid.backup_crypto import decrypt_bytes
+from wadroid.backup_crypto import decrypt_backup
 from wadroid.db_reader import DbKind, open_source
 from wadroid.errors import InvalidScript
 from wadroid.log_parser import DEFAULT_GRAMMAR
@@ -238,6 +238,29 @@ def test_script_json_times_keep_every_millisecond():
     spec = {"version": 1, "owner": "1", "actors": ["1"], "actions": actions}
     script = forge.script_from_json(json.dumps(spec))
     assert [a.at_ms for a in script.actions] == [2147497140000 + ms for ms in range(1000)]
+
+
+@pytest.mark.parametrize(
+    "at",
+    [
+        "\u0662\u0660\u0661\u0663-01-01 00:00:00",
+        "2013-01-01 00:00:00.\u0665",
+        "2013-01-01 00:00:00 +\u0661\u0662:\u0663\u0660",
+        "2013-01-01 \uff10\uff10:00:00",
+    ],
+)
+def test_script_json_times_take_only_ascii_digits(at):
+    spec = {"version": 1, "owner": "1", "actors": ["1"], "actions": [{"at": at, "do": "unblock_all"}]}
+    with pytest.raises(InvalidScript, match="unparsable action time"):
+        forge.script_from_json(json.dumps(spec))
+
+
+@pytest.mark.parametrize("seed", ["\u0663", "1_0"])
+def test_script_json_seed_takes_only_ascii_digits(seed):
+    spec = {"version": 1, "owner": "1", "actors": ["1"], "seed": seed}
+    with pytest.raises(InvalidScript, match="'seed'"):
+        forge.script_from_json(json.dumps(spec))
+    assert forge.script_from_json(json.dumps({**spec, "seed": "3"})).seed == 3
 
 
 def test_script_json_rejects_unknown_action():
@@ -525,11 +548,12 @@ def _forged_digest(root: Path) -> str:
     digest = hashlib.sha256()
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         rel = path.relative_to(root).as_posix()
-        data = path.read_bytes()
         if rel.startswith(layout.BACKUPS_DIR):
-            data = _rows(decrypt_bytes(data))
+            data = _rows(decrypt_backup(path))
         elif rel.startswith(layout.DB_DIR):
-            data = _rows(data)
+            data = _rows(path.read_bytes())
+        else:
+            data = path.read_bytes()
         digest.update(f"{rel}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
@@ -552,7 +576,7 @@ def _chat_store_images(root: Path) -> dict[str, bytes]:
     """msgstore.db and every decrypted backup of a forged tree, by file name."""
     images = {"msgstore.db": (root / layout.MSGSTORE_DB).read_bytes()}
     for path in sorted((root / layout.BACKUPS_DIR).glob("*.crypt")):
-        images[path.name] = decrypt_bytes(path.read_bytes())
+        images[path.name] = decrypt_backup(path)
     return images
 
 

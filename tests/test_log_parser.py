@@ -284,6 +284,31 @@ def test_bad_grammar_rejected(tmp_path):
         )
 
 
+@pytest.mark.parametrize(
+    "line_pattern, timestamp_format, stamp, warning",
+    [
+        (DEFAULT_GRAMMAR.line_pattern.pattern, DEFAULT_GRAMMAR.timestamp_format,
+         "\u0662\u0660\u0661\u0663-06-01 10:00:00.000 +0000",
+         "line does not match the grammar line pattern"),
+        (r"^(?P<ts>.+?) \| (?P<body>.*)$", "%Y-%m-%d %H:%M:%S",
+         "\u0662\u0660\u0661\u0663-06-01 10:00:00", "unparsable timestamp"),
+        (r"^(?P<ts>\S+) (?P<body>.*)$", "epoch_s", "\u0661\u0663\u0667\u0660", "unparsable timestamp"),
+        (r"^(?P<ts>\S+) (?P<body>.*)$", "epoch_ms", "1_370_080_800_000", "unparsable timestamp"),
+        (r"^(?P<ts>\S+) (?P<body>.*)$", "epoch_s", "\uff11\uff13", "unparsable timestamp"),
+    ],
+)
+def test_only_ascii_digits_date_a_line(line_pattern, timestamp_format, stamp, warning):
+    grammar = dataclasses.replace(
+        DEFAULT_GRAMMAR, line_pattern=re.compile(line_pattern), timestamp_format=timestamp_format
+    )
+    separator = " | " if "|" in line_pattern else " "
+    warn = WarningLog()
+    (event,) = parse_log_lines([stamp + separator + body_contact_blocked(JID)], "x.log", grammar, warn)
+    assert (event.kind, event.occurred_at) == (EventKind.OTHER, None)
+    (message,) = [w.message for w in warn]
+    assert message.startswith(warning)
+
+
 # --- the default format's fast path against strptime ------------------------
 
 _FORMAT = DEFAULT_GRAMMAR.timestamp_format
@@ -311,10 +336,11 @@ _STRPTIME_READ = [
     "2013-10-16 14:15:37.884 Z",
     "2013-1-16 14:15:37.884 +0000",
     "2013-10-16  14:15:37.884 +0000",
-    "\u0662\u0660\u0661\u0663-10-16 14:15:37.884 +0000",
 ]
-# ... and rejects these.
+# ... and rejects these, but for the non-ASCII ones: strptime reads other
+# scripts' digits, but the parser refuses any stamp that is not ASCII.
 _REJECTED = [
+    "\u0662\u0660\u0661\u0663-10-16 14:15:37.884 +0000",
     "2013-10-16 14:15:37.884 +\u0660\u0661\u0660\u0660",
     "2013-10-16 14:15:37.884 +0060",
     "2013-10-16 14:15:37.884 +2400",
@@ -354,7 +380,7 @@ def test_default_stamp_fast_path_covers_exactly_the_default_shape():
 @pytest.mark.parametrize("text", _STAMPS)
 def test_default_timestamp_parse_equals_strptime(text):
     fast = _outcome(lambda t: log_parser._parse_timestamp(t, _FORMAT), text)
-    assert fast == _outcome(_strptime_ms, text)
+    assert fast == (_outcome(_strptime_ms, text) if text.isascii() else ValueError)
     assert (fast is ValueError) == (text in _REJECTED)
 
 

@@ -174,7 +174,11 @@ def test_tz_offset_in_range(text, minutes):
     assert parse_tz_offset(text) == minutes
 
 
-@pytest.mark.parametrize("text", ["+24:00", "+00:60", "+00:75"])
+# Only ASCII digits are numbers, though int() reads other scripts' digits.
+@pytest.mark.parametrize(
+    "text",
+    ["+24:00", "+00:60", "+00:75", "+\u0661\u0662:\u0663\u0660", "-\u0966\u0967:00", "+\uff11\uff12:00"],
+)
 def test_tz_offset_out_of_range(text):
     with pytest.raises(ValueError, match="bad timezone offset"):
         parse_tz_offset(text)
