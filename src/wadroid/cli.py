@@ -19,7 +19,6 @@ also count the warnings of the analysis steps they run.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -62,6 +61,13 @@ def _tz(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _sim(text: str) -> str:
+    """A SIM number: a digit in it must be an ASCII digit; separators may stay."""
+    if any(ch.isdigit() and not "0" <= ch <= "9" for ch in text):
+        raise argparse.ArgumentTypeError(f"{text!r} holds a digit outside 0-9")
+    return text
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="wadroid", description=__doc__)
     parser.add_argument("--version", action="version", version=f"wadroid {__version__}")
@@ -81,7 +87,9 @@ def build_parser() -> _Parser:
     evidence_options(p_report)
     p_report.add_argument("--out", help="report file (default: stdout)")
     p_report.add_argument("--tz", type=_tz, default=0, help="display offset, e.g. +01:00")
-    p_report.add_argument("--sim", help="phone number of the SIM found in the device")
+    p_report.add_argument(
+        "--sim", type=_sim, help="phone number of the SIM found in the device (digits 0-9)"
+    )
     p_report.add_argument(
         "--format",
         choices=("json", "csv"),
@@ -213,6 +221,8 @@ def _cmd_timeline(args) -> int:
 
 def _cmd_forge(args) -> int:
     # Imported here: the forge is large and no other command uses it.
+    import dataclasses
+
     from . import forge
 
     script = forge.script_from_json(Path(args.script).read_text(encoding="utf-8"))

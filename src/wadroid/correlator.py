@@ -25,8 +25,8 @@ analyses may run concurrently and findings merge deterministically by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import MalformedGroupId
 from .model import (
@@ -60,8 +60,7 @@ class StateCode(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class MessageState:
+class MessageState(NamedTuple):
     """Delivery state of one message with its state-change timestamps.
 
     Outgoing messages progress pending-local -> on-server -> delivered;
@@ -137,8 +136,7 @@ class FindingCategory(str, Enum):
     CONTACT_ADDED = "contact_added"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One analytical conclusion with its supporting evidence.
 
     ``evidence`` cites the record ids / log line numbers the conclusion
@@ -150,8 +148,8 @@ class Finding:
     subject: str
     summary: str
     confidence_note: str
+    payload: dict
     evidence: tuple[str, ...] = ()
-    payload: dict = field(default_factory=dict)
     at_ms: int | None = None
 
 
@@ -162,8 +160,7 @@ def sort_findings(findings) -> list[Finding]:
     )
 
 
-@dataclass(frozen=True)
-class LogIndex:
+class LogIndex(NamedTuple):
     """The log facts the contact and block correlators share.
 
     ``analyze`` builds one index and hands it to them.
@@ -219,8 +216,7 @@ LIVE = "live"
 RECOVERED = "recovered-from-backup"
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
+class HistoryEntry(NamedTuple):
     """One row of a conversation, and where it was found."""
 
     record: MessageRecord
@@ -311,16 +307,14 @@ def reconstruct_history(
 # --- communication partners -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartnerResolution:
+class PartnerResolution(NamedTuple):
     kind: str  # direct / broadcast-sent / broadcast-received / group / group-control
     partners: frozenset[str]
     originator: str | None = None
     authored_by_owner: bool = False
 
 
-@dataclass(frozen=True)
-class BroadcastGroup:
+class BroadcastGroup(NamedTuple):
     key_raw: str
     destinations: frozenset[str]
     recipient_count: int | None
@@ -329,8 +323,7 @@ class BroadcastGroup:
     count_mismatch: bool
 
 
-@dataclass(frozen=True)
-class PartnerAnalysis:
+class PartnerAnalysis(NamedTuple):
     per_message: dict
     broadcasts: tuple[BroadcastGroup, ...]
 
@@ -443,8 +436,7 @@ _LOG_OPS = dict(zip(GROUP_MEMBERSHIP_KINDS, GroupEventKind, strict=True))
 _EVENT_ORDER = {GroupEventKind.CREATED: 0, GroupEventKind.JOINED: 1, GroupEventKind.LEFT: 2}
 
 
-@dataclass(frozen=True)
-class GroupEvent:
+class GroupEvent(NamedTuple):
     at_ms: int | None
     kind: GroupEventKind
     member_raw: str | None
@@ -452,8 +444,7 @@ class GroupEvent:
     evidence: str
 
 
-@dataclass(frozen=True)
-class GroupTimeline:
+class GroupTimeline(NamedTuple):
     """Ordered membership events of one group chat."""
 
     group_raw: str
@@ -968,7 +959,8 @@ def correlate_media(sender_records, recipient_records, media_inventory) -> list[
 
 
 def _digits(number: str | None) -> str:
-    return "".join(ch for ch in (number or "") if ch.isdigit())
+    """The ASCII digits of ``number``: no other script's digit is a number here."""
+    return "".join(ch for ch in (number or "") if "0" <= ch <= "9")
 
 
 def identity_check(bundle: CaseBundle, sim_number: str | None = None) -> Finding:
@@ -1014,8 +1006,7 @@ def identity_check(bundle: CaseBundle, sim_number: str | None = None) -> Finding
 # --- orchestration ----------------------------------------------------------------
 
 
-@dataclass
-class Chronology:
+class Chronology(NamedTuple):
     """Per-conversation histories and group timelines of a bundle."""
 
     histories: dict
@@ -1023,10 +1014,12 @@ class Chronology:
     warnings: WarningLog
 
 
-@dataclass
-class Analysis(Chronology):
-    """A chronology with the partners and the findings of every correlator."""
+class Analysis(NamedTuple):
+    """A chronology's fields, with the partners and the findings of every correlator."""
 
+    histories: dict
+    timelines: list[GroupTimeline]
+    warnings: WarningLog
     partners: PartnerAnalysis
     findings: list[Finding]
 
@@ -1103,4 +1096,10 @@ def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
     )
     findings.append(identity_check(bundle, sim_number))
     findings = sort_findings(findings)
-    return Analysis(**vars(chronology), partners=partners, findings=findings)
+    return Analysis(
+        histories=histories,
+        timelines=timelines,
+        warnings=chronology.warnings,
+        partners=partners,
+        findings=findings,
+    )

@@ -25,8 +25,7 @@ correlator's log-based inference covers deletions instead.
 from __future__ import annotations
 
 import sqlite3
-from contextlib import AbstractContextManager, contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
 from types import NoneType
@@ -77,13 +76,16 @@ _REQUIRED_TABLES = {
 }
 
 
-@dataclass(frozen=True)
-class DbSource(AbstractContextManager):
+class DbSource:
     """A verified evidence database, open until its ``with`` block ends."""
 
-    path: str  # the file, or the name of an in-memory image
-    db_kind: DbKind
-    connection: sqlite3.Connection
+    def __init__(self, path: str, db_kind: DbKind, connection: sqlite3.Connection) -> None:
+        self.path = path  # the file, or the name of an in-memory image
+        self.db_kind = db_kind
+        self.connection = connection
+
+    def __enter__(self) -> DbSource:
+        return self
 
     def __exit__(self, *exc_info) -> None:
         self.connection.close()

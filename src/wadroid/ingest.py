@@ -18,9 +18,8 @@ import os
 import re
 import stat
 from contextlib import nullcontext
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection
+from typing import Collection, NamedTuple
 
 from . import db_reader, layout
 from .backup_crypto import decrypt_backup
@@ -50,8 +49,7 @@ def _rel(root: Path, path: Path) -> str:
     return path.relative_to(root).as_posix()
 
 
-@dataclass(frozen=True)
-class _Evidence:
+class _Evidence(NamedTuple):
     """An evidence root known to hold at least one recognizable artifact."""
 
     root: Path
@@ -157,8 +155,7 @@ def _load_backups(
     return backups
 
 
-@dataclass(frozen=True)
-class BackupDeltas:
+class BackupDeltas(NamedTuple):
     """What ``diff`` reads of an evidence root.
 
     ``backups`` are the deltas against ``live_pairs``, the (conversation

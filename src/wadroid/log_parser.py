@@ -27,10 +27,9 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Collection
+from typing import Collection, NamedTuple
 
 from .errors import BadGrammar, MalformedGroupId, MalformedKey, UnreadableFile
 from .model import (
@@ -75,14 +74,12 @@ _DEFAULT_RULES = (
 )
 
 
-@dataclass(frozen=True)
-class GrammarRule:
+class GrammarRule(NamedTuple):
     kind: EventKind
     pattern: re.Pattern
 
 
-@dataclass(frozen=True)
-class LogGrammar:
+class LogGrammar(NamedTuple):
     """Line-splitting pattern plus an ordered first-match-wins rule list."""
 
     line_pattern: re.Pattern

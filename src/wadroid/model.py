@@ -19,12 +19,11 @@ from __future__ import annotations
 import base64
 import hashlib
 import re
-from dataclasses import InitVar, dataclass, field
 from datetime import date
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import MalformedGroupId, MalformedJid, MalformedKey
 
@@ -56,8 +55,7 @@ _END_DAY = CALENDAR_END_MS // _DAY_MS
 MEDIA_HASH_CHUNK = 1 << 20
 
 
-@dataclass(frozen=True)
-class ParseWarning:
+class ParseWarning(NamedTuple):
     """One non-fatal problem found while decoding evidence.
 
     ``source`` pinpoints the offending artifact, e.g. ``wa.db:wa_contacts#3``
@@ -110,8 +108,7 @@ class JidKind(str, Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class WaJid:
+class WaJid(NamedTuple):
     """A WhatsApp identifier.
 
     Users are ``<phone>@s.whatsapp.net``, groups are
@@ -137,8 +134,7 @@ class WaJid:
         return self.kind is not JidKind.OTHER
 
 
-@dataclass(frozen=True)
-class GroupId:
+class GroupId(NamedTuple):
     """A parsed group identifier: creator plus creation time (epoch seconds)."""
 
     raw: str
@@ -149,8 +145,7 @@ class GroupId:
         return f"{self.creator.phone_number}-{self.creation_time}{GROUP_JID_SUFFIX}"
 
 
-@dataclass(frozen=True)
-class MessageKey:
+class MessageKey(NamedTuple):
     """A message identifier assigned by the sending device.
 
     The value concatenates the epoch second of the sender's last
@@ -321,8 +316,7 @@ def render_epoch_ms(value_ms: int | None, offset_minutes: int = 0) -> str | None
     return f"{local} {format_tz_offset(offset_minutes)}"
 
 
-@dataclass(frozen=True)
-class ContactRecord:
+class ContactRecord(NamedTuple):
     """One decoded row of the contacts table.
 
     WhatsApp-sourced fields are decoded; the phonebook-sourced fields are
@@ -339,7 +333,7 @@ class ContactRecord:
     photo_id_timestamp: int | None
     wa_name: str | None
     status_line: str | None
-    phonebook: Mapping[str, object] = field(default_factory=dict)
+    phonebook: Mapping[str, object]
 
 
 # The content kind of each known media_wa_type; a row of any other type is
@@ -347,8 +341,7 @@ class ContactRecord:
 MEDIA_KINDS = {0: "text", 1: "image", 2: "audio", 3: "video", 4: "contact_card", 5: "geo"}
 
 
-@dataclass(frozen=True)
-class MessageRecord:
+class MessageRecord(NamedTuple):
     """One decoded row of the chat-store messages table.
 
     Timestamp semantics follow the on-device schema: ``timestamp`` is the
@@ -439,8 +432,7 @@ def coordinates_fault(latitude: float | None, longitude: float | None) -> str | 
     return None
 
 
-@dataclass(frozen=True)
-class ChatListRecord:
+class ChatListRecord(NamedTuple):
     """One conversation entry; points at the last message of the thread."""
 
     id: int
@@ -495,8 +487,7 @@ CONTACT_ADDITION_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class LogEvent:
+class LogEvent(NamedTuple):
     """One classified line of an application log file.
 
     Unblock events are anonymous and cumulative on-device, so
@@ -528,7 +519,6 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
 class MediaFile:
     """One file found under the media directories.
 
@@ -537,22 +527,39 @@ class MediaFile:
     asks), and caches the digest, so a command that never asks for it
     never opens the file. A digest already known, such as the forge's
     hash of the bytes it wrote, is passed as ``known_sha256`` and no file
-    is read. Equality compares the digests too.
+    is read. Equality compares path, size and digest; the hash reads path
+    and size only. A media file refuses assignment, and its repr leaves
+    ``source`` out.
     """
 
     path: str  # POSIX path relative to the evidence root
     size_bytes: int
-    source: str | Path | None = field(default=None, repr=False, compare=False)
-    known_sha256: InitVar[str | None] = None
+    source: str | Path | None
 
-    def __post_init__(self, known_sha256: str | None) -> None:
+    def __init__(
+        self,
+        path: str,
+        size_bytes: int,
+        source: str | Path | None = None,
+        known_sha256: str | None = None,
+    ) -> None:
+        fields = vars(self)
+        fields.update(path=path, size_bytes=size_bytes, source=source)
         if known_sha256 is not None:
-            # Fills the cache of ``sha256``, which has no setter to refuse it.
-            object.__setattr__(self, "sha256", known_sha256)
+            fields["sha256"] = known_sha256  # the cache of ``sha256``
 
     @cached_property
     def sha256(self) -> str:
         return file_sha256(self.source)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"MediaFile(path={self.path!r}, size_bytes={self.size_bytes!r})"
 
     def __eq__(self, other):
         if not isinstance(other, MediaFile):
@@ -563,15 +570,16 @@ class MediaFile:
             and self.sha256 == other.sha256
         )
 
+    def __hash__(self) -> int:
+        return hash((self.path, self.size_bytes))
 
-@dataclass(frozen=True)
-class AvatarFile:
+
+class AvatarFile(NamedTuple):
     jid_raw: str
     path: str
 
 
-@dataclass(frozen=True)
-class BackupSet:
+class BackupSet(NamedTuple):
     """Messages recovered from one decrypted chat-database backup.
 
     Only the rows the live store lost are kept: a backup row whose
@@ -584,8 +592,7 @@ class BackupSet:
     messages: tuple[MessageRecord, ...]
 
 
-@dataclass(frozen=True)
-class CaseBundle:
+class CaseBundle(NamedTuple):
     """The parsed evidence set of one device."""
 
     contacts: tuple[ContactRecord, ...] = ()

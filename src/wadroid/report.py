@@ -266,7 +266,9 @@ def _write_json(value, indent: str, out: list[str], keys: dict[str, str]) -> Non
     """Append ``value``'s chunks, nested at ``indent``, to ``out``.
 
     The checks run in the order of CPython's ``json`` encoder, so a
-    subclass (an int enum, a str enum) is written as its base type. The
+    subclass (an int enum, a str enum) is written as its base type. An
+    array is an exact list or tuple: a record, a tuple subclass, is not
+    JSON serializable, so a record that strays into a document fails. The
     loops write leaves of exact type str, int and None themselves.
     ``keys`` caches the encoded ``"key": `` chunk of each str key; other
     keys are encoded each time, as 1, True and 1.0 are one dict key but
@@ -284,7 +286,7 @@ def _write_json(value, indent: str, out: list[str], keys: dict[str, str]) -> Non
         out.append(int.__repr__(value))
     elif isinstance(value, float):
         out.append(_json_float(value))
-    elif isinstance(value, (list, tuple)):
+    elif type(value) in (list, tuple):
         if not value:
             out.append("[]")
             return

@@ -16,7 +16,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 import helpers
 import wadroid
@@ -164,6 +166,59 @@ def test_out_of_range_tz_is_a_usage_error(conversation_dir, capsys, offset):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "bad timezone offset" in captured.err
+
+
+# 393401234567 in Arabic-Indic digits, and with a superscript two
+@pytest.mark.parametrize(
+    "sim",
+    [
+        "+\u0663\u0669\u0663\u0664\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667",
+        "39\u00b23401234567",
+    ],
+)
+def test_a_sim_digit_outside_ascii_is_a_usage_error(conversation_dir, tmp_path, capsys, sim):
+    out = tmp_path / "report.json"
+    argv = ["report", "--in", str(conversation_dir), "--out", str(out), "--sim", sim]
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "holds a digit outside 0-9" in captured.err
+    assert not out.exists()
+
+
+def test_a_sim_number_may_keep_its_separators(conversation_dir, tmp_path):
+    out = tmp_path / "report.json"
+    sim = "+39 340-000.0001"  # the owner, 393400000001
+    argv = ["report", "--in", str(conversation_dir), "--out", str(out), "--sim", sim]
+    assert run(argv) == EXIT_OK
+    findings = json.loads(out.read_text(encoding="utf-8"))["findings"]
+    (identity,) = [f for f in findings if f["category"] == "identity_check"]
+    assert identity["payload"]["match"] is True
+
+
+# Every character that str.isdigit() takes, other than 0-9.
+_OTHER_DIGITS = [
+    c for c in map(chr, range(sys.maxunicode + 1)) if c.isdigit() and not "0" <= c <= "9"
+]
+
+
+@st.composite
+def _texts_with_another_scripts_digit(draw) -> str:
+    near = st.text(alphabet="0123456789+-: Zz_")  # the shapes the parsers accept
+    head = draw(st.one_of(near, st.text()))
+    tail = draw(st.one_of(near, st.text()))
+    return head + draw(st.sampled_from(_OTHER_DIGITS)) + tail
+
+
+@hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@hypothesis.given(text=_texts_with_another_scripts_digit())
+def test_only_ascii_digits_are_numbers(text):
+    with pytest.raises(ValueError):
+        model.ascii_int(text)
+    with pytest.raises(ValueError):
+        model.parse_tz_offset(text)
+    # refused while the arguments are parsed, before the tree is looked at
+    assert run(["report", "--in", "no-such-tree", f"--sim={text}"]) == EXIT_USAGE
 
 
 def test_ingest_summary(conversation_dir, capsys):
@@ -592,6 +647,44 @@ def test_stdout_gets_the_out_file_bytes_whatever_the_locale(tmp_path, argv):
     assert to_stdout.stdout == out.read_bytes()
     if argv != ["ingest"]:
         assert text.encode("utf-8") in to_stdout.stdout
+
+
+# Run as ``python -c PROBE ARGV...``: the command's exit code, then which of
+# three start-up costs it imported (what the interpreter had loaded before
+# is not counted).
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+from wadroid.cli import run
+code = run(sys.argv[1:])
+print(code, *sorted({"dataclasses", "inspect", "cryptography"} & (set(sys.modules) - before)))
+"""
+
+
+def _imported(argv: list[str]) -> tuple[int, list[str]]:
+    env = {**os.environ, "PYTHONPATH": str(Path(wadroid.__file__).parents[1])}
+    command = [sys.executable, "-c", _IMPORT_PROBE, *argv]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    code, *imported = result.stdout.split()
+    return int(code), imported
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["report"], ["timeline", "--format", "csv"], ["diff"], ["ingest"]],
+    ids=["report", "timeline-csv", "diff", "ingest"],
+)
+def test_no_command_imports_dataclasses_or_inspect(tmp_path, argv):
+    root = _deleted_after_backup(tmp_path, "text").root
+    code, imported = _imported([*argv, "--in", str(root), "--out", str(tmp_path / "out")])
+    assert code in (EXIT_OK, EXIT_WARNINGS)
+    assert not {"dataclasses", "inspect"} & set(imported)
+
+
+def test_report_without_backups_does_not_import_cryptography(conversation_dir, tmp_path):
+    argv = ["report", "--in", str(conversation_dir), "--out", str(tmp_path / "report.json")]
+    assert _imported(argv) == (EXIT_OK, [])
 
 
 def _three_backups(tmp_path):

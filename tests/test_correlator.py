@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 from helpers import jid
-from wadroid import forge, ingest, layout, model
+from wadroid import correlator, forge, ingest, layout, model
 from wadroid.correlator import (
     BLOCKED,
     Finding,
@@ -593,7 +593,7 @@ def test_undated_block_events():
         format_line(2000, body_contact_unblocked()),
     ]
     blocked, unblocked = (
-        dataclasses.replace(e, occurred_at=None) for e in parse_log_lines(lines, "whatsapp.log")
+        e._replace(occurred_at=None) for e in parse_log_lines(lines, "whatsapp.log")
     )
     bundle = CaseBundle(log_events=(blocked, unblocked))
     index = log_index(bundle)
@@ -1166,6 +1166,13 @@ def test_identity_mismatch_flags_impersonation():
     finding = identity_check(bundle, "393409999999")
     assert finding.payload["match"] is False
     assert "impersonation" in finding.confidence_note
+
+
+def test_identity_compares_ascii_digits_only():
+    # Another script's digit, or a superscript, is not a digit of the number.
+    assert correlator._digits("+\u0663\u0669 39\u00b2-340.1234567") == "393401234567"
+    bundle = CaseBundle(registered_number="393401234567")
+    assert identity_check(bundle, "+39 340 123-4567").payload["match"] is True
 
 
 def test_identity_unavailable():

@@ -1,6 +1,5 @@
 """Fixture generator: determinism, parse parity, script validation."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -521,7 +520,7 @@ def random_tree(tmp_path_factory):
 @pytest.mark.parametrize("dropped", range(len(DEFAULT_GRAMMAR.rules)))
 def test_every_default_rule_is_needed_to_parse_the_forged_log(random_tree, dropped):
     rules = DEFAULT_GRAMMAR.rules[:dropped] + DEFAULT_GRAMMAR.rules[dropped + 1 :]
-    grammar = dataclasses.replace(DEFAULT_GRAMMAR, rules=rules)
+    grammar = DEFAULT_GRAMMAR._replace(rules=rules)
     assert ingest.load_case_bundle(random_tree.root, grammar) != random_tree.bundle
 
 

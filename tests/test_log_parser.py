@@ -147,8 +147,7 @@ _MIXED_LOG = [
 ]
 
 # An unwanted rule that takes every group/add line before the DEFAULT one.
-_SHADOWING_GRAMMAR = dataclasses.replace(
-    DEFAULT_GRAMMAR,
+_SHADOWING_GRAMMAR = DEFAULT_GRAMMAR._replace(
     rules=(
         GrammarRule(
             EventKind.CONTACT_QUERY, re.compile(r"^group/add gid=(?P<gid>\S+) jid=(?P<jid>\S+)$")
@@ -298,8 +297,8 @@ def test_bad_grammar_rejected(tmp_path):
     ],
 )
 def test_only_ascii_digits_date_a_line(line_pattern, timestamp_format, stamp, warning):
-    grammar = dataclasses.replace(
-        DEFAULT_GRAMMAR, line_pattern=re.compile(line_pattern), timestamp_format=timestamp_format
+    grammar = DEFAULT_GRAMMAR._replace(
+        line_pattern=re.compile(line_pattern), timestamp_format=timestamp_format
     )
     separator = " | " if "|" in line_pattern else " "
     warn = WarningLog()
@@ -398,9 +397,7 @@ def test_default_timestamp_parse_equals_strptime_on_a_forged_log(tmp_path):
 
 def test_malformed_stamps_give_the_strptime_events_and_warnings(monkeypatch):
     # A line pattern that hands any stamp to the default timestamp format.
-    grammar = dataclasses.replace(
-        DEFAULT_GRAMMAR, line_pattern=re.compile(r"^(?P<ts>.+?) \| (?P<body>.*)$")
-    )
+    grammar = DEFAULT_GRAMMAR._replace(line_pattern=re.compile(r"^(?P<ts>.+?) \| (?P<body>.*)$"))
     lines = [f"{stamp} | {body_contact_blocked(JID)}" for stamp in _STAMPS]
 
     def parse():

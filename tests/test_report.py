@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from wadroid.model import parse_jid
 from wadroid.report import render_report_json
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
@@ -69,4 +70,18 @@ def test_writer_rejects_what_json_dumps_rejects(doc):
     with pytest.raises(TypeError):
         _dumps(doc)
     with pytest.raises(TypeError):
+        render_report_json(doc)
+
+
+_RECORD = parse_jid("393480000002@s.whatsapp.net")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [_RECORD, {"jid": _RECORD}, {"payload": {"jids": [_RECORD]}}, [(_RECORD,)]],
+    ids=["top", "dict-value", "in-a-list", "in-a-tuple"],
+)
+def test_a_record_never_reaches_a_document(doc):
+    """A record is a tuple, but no array: ``json.dumps`` would write it as one."""
+    with pytest.raises(TypeError, match="WaJid is not JSON serializable"):
         render_report_json(doc)
