@@ -90,7 +90,7 @@ def decrypt_backup(path: str | Path, key: bytes | None = None) -> bytearray:
     return _validated(plain)
 
 
-def encrypt_fixture(plaintext: bytes, key: bytes | None = None) -> bytearray:
+def encrypt_fixture(plaintext: bytes) -> bytearray:
     """Encrypt plaintext the way a device would store a backup.
 
     Test-fixture inverse of decrypt_backup; never used on real evidence.
@@ -100,7 +100,7 @@ def encrypt_fixture(plaintext: bytes, key: bytes | None = None) -> bytearray:
         raise BadBlockLength(
             f"plaintext length {len(plaintext)} is not a multiple of {BLOCK_SIZE}"
         )
-    encryptor = _cipher(DEFAULT_BACKUP_KEY if key is None else key).encryptor()
+    encryptor = _cipher(DEFAULT_BACKUP_KEY).encryptor()
     # update_into needs room for one block less a byte beyond the output;
     # whole blocks in leave none of it used.
     out = bytearray(len(plaintext) + BLOCK_SIZE - 1)

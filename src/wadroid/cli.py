@@ -62,9 +62,10 @@ def _tz(text: str) -> int:
 
 
 def _sim(text: str) -> str:
-    """A SIM number: a digit in it must be an ASCII digit; separators may stay."""
-    if any(ch.isdigit() and not "0" <= ch <= "9" for ch in text):
-        raise argparse.ArgumentTypeError(f"{text!r} holds a digit outside 0-9")
+    """A SIM number: it holds digits, all of them ASCII; separators may stay."""
+    digits = [ch for ch in text if ch.isdigit()]
+    if not digits or not all("0" <= ch <= "9" for ch in digits):
+        raise argparse.ArgumentTypeError(f"{text!r} needs digits 0-9 and no other digit")
     return text
 
 
@@ -178,7 +179,8 @@ def _cmd_report(args) -> int:
     doc = report_mod.build_report(bundle, analysis, args.tz)
     _emit(report_mod.render_report_json(doc), args.out)
     if args.format == "csv":
-        _emit(report_mod.render_timeline_csv(analysis, args.tz), _timeline_csv_path(args.out))
+        csv_text = report_mod.render_timeline_csv(analysis.chronology, args.tz)
+        _emit(csv_text, _timeline_csv_path(args.out))
     if args.verify_readonly:
         after = ingest.snapshot_tree(args.in_path)
         if before != after:

@@ -40,8 +40,8 @@ from .model import (
     LogEvent,
     MEDIA_KINDS,
     MessageRecord,
+    ParseWarning,
     WaJid,
-    WarningLog,
     media_digest,
     parse_group_id,
     ts_present,
@@ -126,11 +126,9 @@ def message_state(record: MessageRecord) -> MessageState:
 
 
 class FindingCategory(str, Enum):
-    CONVERSATION = "conversation"
     DELETED_CONTACT = "deleted_contact"
     DELETED_MESSAGE = "deleted_message"
     BLOCK_STATUS = "block_status"
-    GROUP_MEMBERSHIP = "group_membership"
     MEDIA_CORRELATION = "media_correlation"
     IDENTITY_CHECK = "identity_check"
     CONTACT_ADDED = "contact_added"
@@ -256,7 +254,7 @@ def backup_diff(live_pairs, backup_messages) -> list[MessageRecord]:
 
 
 def reconstruct_history(
-    bundle: CaseBundle, warn: WarningLog | None = None
+    bundle: CaseBundle, warn: list[ParseWarning] | None = None
 ) -> dict[str, list[HistoryEntry]]:
     """Group messages per conversation and order them chronologically.
 
@@ -334,7 +332,9 @@ def _split_jid_set(raw: str | None) -> list[str]:
     return [part for part in (p.strip() for p in raw.split(",")) if part]
 
 
-def resolve_partners(bundle: CaseBundle, warn: WarningLog | None = None) -> PartnerAnalysis:
+def resolve_partners(
+    bundle: CaseBundle, warn: list[ParseWarning] | None = None
+) -> PartnerAnalysis:
     """Determine, per message, the set of users it was exchanged with.
 
     Broadcast fan-outs are grouped by their shared key: destinations come
@@ -495,7 +495,7 @@ class GroupTimeline(NamedTuple):
 
 
 def group_membership_timeline(
-    bundle: CaseBundle, warn: WarningLog | None = None
+    bundle: CaseBundle, warn: list[ParseWarning] | None = None
 ) -> list[GroupTimeline]:
     """Rebuild each group's membership history from control records.
 
@@ -988,6 +988,20 @@ def identity_check(bundle: CaseBundle, sim_number: str | None = None) -> Finding
             evidence=("me",),
             payload={"registered_number": registered, "sim_number": None, "match": None},
         )
+    digitless = [
+        name
+        for name, number in (("registered number", registered), ("SIM number", sim_number))
+        if not _digits(number)
+    ]
+    if digitless:
+        return Finding(
+            category=FindingCategory.IDENTITY_CHECK,
+            subject=registered,
+            summary=f"registered number {registered} and SIM {sim_number} not compared",
+            confidence_note="no digit 0-9 in the " + " nor in the ".join(digitless),
+            evidence=("me",),
+            payload={"registered_number": registered, "sim_number": sim_number, "match": None},
+        )
     match = _digits(registered) == _digits(sim_number)
     return Finding(
         category=FindingCategory.IDENTITY_CHECK,
@@ -1011,22 +1025,24 @@ class Chronology(NamedTuple):
 
     histories: dict
     timelines: list[GroupTimeline]
-    warnings: WarningLog
+    warnings: list[ParseWarning]
 
 
 class Analysis(NamedTuple):
-    """A chronology's fields, with the partners and the findings of every correlator."""
+    """A bundle's chronology, its partners and the findings of every correlator.
 
-    histories: dict
-    timelines: list[GroupTimeline]
-    warnings: WarningLog
+    Each finding is an inference that no one artifact holds; the
+    per-conversation and per-group summaries are read from the chronology.
+    """
+
+    chronology: Chronology
     partners: PartnerAnalysis
     findings: list[Finding]
 
 
 def build_chronology(bundle: CaseBundle) -> Chronology:
     """Reconstruct the conversation histories and the group membership timelines."""
-    warn = WarningLog()
+    warn: list[ParseWarning] = []
     return Chronology(
         histories=reconstruct_history(bundle, warn=warn),
         timelines=group_membership_timeline(bundle, warn),
@@ -1038,68 +1054,21 @@ def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
     """Build the chronology and the partners, then run every correlator.
 
     The chronology and the partners are the only steps that warn about
-    the evidence; they share one log.
+    the evidence; they share one list.
     """
     chronology = build_chronology(bundle)
     partners = resolve_partners(bundle, chronology.warnings)
-    histories, timelines = chronology.histories, chronology.timelines
-
-    findings: list[Finding] = []
-    for jid_raw, entries in histories.items():
-        times = [t for e in entries if (t := e.record.effective_time) is not None]
-        findings.append(
-            Finding(
-                category=FindingCategory.CONVERSATION,
-                subject=jid_raw,
-                summary=f"{len(entries)} messages exchanged with {jid_raw}",
-                confidence_note="device-local clock; times from other devices are "
-                "not comparable as ground truth",
-                evidence=tuple(f"messages:_id={e.record.id}" for e in entries[:20]),
-                payload={
-                    "jid": jid_raw,
-                    "message_count": len(entries),
-                    "first_ms": min(times) if times else None,
-                    "last_ms": max(times) if times else None,
-                    "recovered_count": sum(1 for e in entries if e.source == RECOVERED),
-                },
-                at_ms=min(times) if times else None,
-            )
-        )
-    for timeline in timelines:
-        findings.append(
-            Finding(
-                category=FindingCategory.GROUP_MEMBERSHIP,
-                subject=timeline.group_raw,
-                summary=f"group {timeline.group_raw}: {len(timeline.events)} membership events",
-                confidence_note="log-sourced events are flagged per event",
-                evidence=tuple(e.evidence for e in timeline.events),
-                payload={
-                    "group": timeline.group_raw,
-                    "name": timeline.group_name,
-                    "event_count": len(timeline.events),
-                    "members_at_end": timeline.final_members(),
-                },
-                at_ms=timeline.created_at_ms(),
-            )
-        )
     index = log_index(bundle)
-    findings.extend(contact_added_findings(index))
-    findings.extend(infer_block_status(index))
-    findings.extend(infer_deleted_contacts(bundle, index))
-    findings.extend(infer_deleted_messages(bundle))
-    findings.extend(
-        correlate_media(
+    findings = [
+        *contact_added_findings(index),
+        *infer_block_status(index),
+        *infer_deleted_contacts(bundle, index),
+        *infer_deleted_messages(bundle),
+        *correlate_media(
             [m for m in bundle.messages if m.from_me],
             [m for m in bundle.messages if not m.from_me],
             bundle.media_inventory,
-        )
-    )
-    findings.append(identity_check(bundle, sim_number))
-    findings = sort_findings(findings)
-    return Analysis(
-        histories=histories,
-        timelines=timelines,
-        warnings=chronology.warnings,
-        partners=partners,
-        findings=findings,
-    )
+        ),
+        identity_check(bundle, sim_number),
+    ]
+    return Analysis(chronology=chronology, partners=partners, findings=sort_findings(findings))

@@ -37,7 +37,7 @@ from .model import (
     ChatListRecord,
     ContactRecord,
     MessageRecord,
-    WarningLog,
+    ParseWarning,
     ascii_int,
     classify_jid,
     coordinates_fault,
@@ -230,7 +230,9 @@ class _Table(NamedTuple):
         return [by_rowid[rowid] for rowid in kept]
 
 
-def _mismatch(value, name: str, expected: str, source: str, warn: WarningLog | None) -> None:
+def _mismatch(
+    value, name: str, expected: str, source: str, warn: list[ParseWarning] | None
+) -> None:
     warn_to(
         warn,
         source,
@@ -239,7 +241,7 @@ def _mismatch(value, name: str, expected: str, source: str, warn: WarningLog | N
     )
 
 
-def _as_int(value, name: str, source: str, warn: WarningLog | None) -> int | None:
+def _as_int(value, name: str, source: str, warn: list[ParseWarning] | None) -> int | None:
     """An INTEGER column's value: an integral real or base-10 text converts.
 
     Text must be ASCII and hold no ``_``: SQLite's INTEGER affinity keeps
@@ -257,14 +259,14 @@ def _as_int(value, name: str, source: str, warn: WarningLog | None) -> int | Non
     return _mismatch(value, name, "integer", source, warn)
 
 
-def _as_real(value, name: str, source: str, warn: WarningLog | None) -> float | None:
+def _as_real(value, name: str, source: str, warn: list[ParseWarning] | None) -> float | None:
     """A REAL column's value: an integer converts."""
     if isinstance(value, (int, float)):
         return float(value)
     return _mismatch(value, name, "real", source, warn)
 
 
-def _as_text(value, name: str, source: str, warn: WarningLog | None) -> str | None:
+def _as_text(value, name: str, source: str, warn: list[ParseWarning] | None) -> str | None:
     """A TEXT column's value: a blob holding UTF-8 converts."""
     if isinstance(value, str):
         return value
@@ -276,7 +278,7 @@ def _as_text(value, name: str, source: str, warn: WarningLog | None) -> str | No
     return _mismatch(value, name, "text", source, warn)
 
 
-def _as_blob(value, name: str, source: str, warn: WarningLog | None) -> bytes | None:
+def _as_blob(value, name: str, source: str, warn: list[ParseWarning] | None) -> bytes | None:
     """A BLOB column's value: text converts to its UTF-8 bytes."""
     if isinstance(value, bytes):
         return value
@@ -290,7 +292,10 @@ _CONVERTERS = {int: _as_int, float: _as_real, str: _as_text, bytes: _as_blob}
 
 
 def _decoded(
-    rows: Iterable[Sequence], columns: dict[str, type], prefix: str, warn: WarningLog | None
+    rows: Iterable[Sequence],
+    columns: dict[str, type],
+    prefix: str,
+    warn: list[ParseWarning] | None,
 ) -> Iterator[tuple[str, Sequence]]:
     """Each row, with its ``columns`` values converted, after the source naming it.
 
@@ -337,7 +342,7 @@ _CONTACT_COLUMNS = {
 }
 
 
-def load_contacts(source: DbSource, warn: WarningLog | None = None) -> list[ContactRecord]:
+def load_contacts(source: DbSource, warn: list[ParseWarning] | None = None) -> list[ContactRecord]:
     """Materialize every contacts-table row, in ascending _id order."""
     if source.db_kind is not DbKind.CONTACTS:
         raise ValueError("load_contacts requires a CONTACTS source")
@@ -385,7 +390,7 @@ def load_contacts(source: DbSource, warn: WarningLog | None = None) -> list[Cont
     return records
 
 
-def _decode_media_hash(value: str | None, source: str, warn: WarningLog | None) -> None:
+def _decode_media_hash(value: str | None, source: str, warn: list[ParseWarning] | None) -> None:
     """Warn when media_hash is not base64 for exactly 32 bytes (kept verbatim)."""
     if value is None:
         return
@@ -461,7 +466,7 @@ _MESSAGE_COLUMNS = {
 
 def load_messages(
     source: DbSource,
-    warn: WarningLog | None = None,
+    warn: list[ParseWarning] | None = None,
     skip_pairs: frozenset[tuple[str, str]] = frozenset(),
 ) -> list[MessageRecord]:
     """Materialize the messages-table rows, in ascending _id order.
@@ -485,7 +490,7 @@ def load_messages(
     return [_message(row, where, warn) for where, row in decoded]
 
 
-def _message_key(key_raw: str, source: str, warn: WarningLog | None) -> None:
+def _message_key(key_raw: str, source: str, warn: list[ParseWarning] | None) -> None:
     """Warn when key_id is not a message key; the record keeps it verbatim."""
     try:
         parse_message_key(key_raw)
@@ -494,7 +499,7 @@ def _message_key(key_raw: str, source: str, warn: WarningLog | None) -> None:
 
 
 def _remote_resource(
-    rr_raw: str | None, needs_push: int, source: str, warn: WarningLog | None
+    rr_raw: str | None, needs_push: int, source: str, warn: list[ParseWarning] | None
 ) -> None:
     """Warn when remote_resource is not a single jid; the record keeps it verbatim."""
     # Broadcast fan-out rows store the whole destination set in this
@@ -503,7 +508,7 @@ def _remote_resource(
         warn_to(warn, source, f"remote_resource is not a single jid: {rr_raw!r}")
 
 
-def _message(row: Sequence, source: str, warn: WarningLog | None) -> MessageRecord:
+def _message(row: Sequence, source: str, warn: list[ParseWarning] | None) -> MessageRecord:
     """The record of a ``_decoded`` messages row, checked for its invariants."""
     (
         _,
@@ -569,7 +574,9 @@ def _message(row: Sequence, source: str, warn: WarningLog | None) -> MessageReco
     return record
 
 
-def _check_message_invariants(rec: MessageRecord, source: str, warn: WarningLog | None) -> None:
+def _check_message_invariants(
+    rec: MessageRecord, source: str, warn: list[ParseWarning] | None
+) -> None:
     """Record-level sanity checks; violations warn, never reorder or drop."""
     ts = [
         ("timestamp", rec.timestamp),
@@ -599,7 +606,9 @@ def _check_message_invariants(rec: MessageRecord, source: str, warn: WarningLog 
 _CHAT_LIST_COLUMNS = {"_id": int, "key_remote_jid": str, "message_table_id": int}
 
 
-def load_chat_list(source: DbSource, warn: WarningLog | None = None) -> list[ChatListRecord]:
+def load_chat_list(
+    source: DbSource, warn: list[ParseWarning] | None = None
+) -> list[ChatListRecord]:
     """Materialize every chat-list row, in ascending _id order."""
     if source.db_kind is not DbKind.CHAT_STORE:
         raise ValueError("load_chat_list requires a CHAT_STORE source")
@@ -619,7 +628,7 @@ def load_chat_list(source: DbSource, warn: WarningLog | None = None) -> list[Cha
     ]
 
 
-def check_chat_list_consistency(chat_list, messages, warn: WarningLog | None) -> None:
+def check_chat_list_consistency(chat_list, messages, warn: list[ParseWarning] | None) -> None:
     """Warn for chat-list rows whose last-message pointer is dangling.
 
     A dangling pointer is normal after the referenced message was

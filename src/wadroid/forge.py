@@ -88,7 +88,6 @@ from .model import (
     AvatarFile,
     MessageRecord,
     USER_JID_SUFFIX,
-    WarningLog,
     ascii_int,
     classify_jid,
     coordinates_fault,
@@ -1189,7 +1188,7 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
         )
         for row in chat_rows
     )
-    predicted = WarningLog()
+    predicted = []
     db_reader.check_chat_list_consistency(expected_chat_list, expected_messages, predicted)
     bundle = CaseBundle(
         contacts=expected_contacts,
@@ -1201,7 +1200,7 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
         media_inventory=tuple(media_inventory),
         avatar_inventory=tuple(avatar_inventory),
         backups=tuple(expected_backups),
-        warnings=predicted.items,
+        warnings=tuple(predicted),
     )
     expected = _expected_analytics(sim, live_rows, expected_backups)
     return ForgeResult(root=root, bundle=bundle, expected=expected)

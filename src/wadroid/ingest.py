@@ -34,7 +34,6 @@ from .model import (
     LogEvent,
     MediaFile,
     ParseWarning,
-    WarningLog,
     warn_to,
 )
 
@@ -80,7 +79,7 @@ def _find_evidence(root: str | Path) -> _Evidence:
 
 
 def _live_source(
-    root: Path, rel_path: str, kind: db_reader.DbKind, warn: WarningLog
+    root: Path, rel_path: str, kind: db_reader.DbKind, warn: list[ParseWarning]
 ) -> db_reader.DbSource:
     """The live database at ``rel_path``, opened in SQLite's immutable mode.
 
@@ -109,7 +108,7 @@ def _live_source(
     return db_reader.open_source(root / rel_path, kind)
 
 
-def _chat_store(root: Path, warn: WarningLog) -> db_reader.DbSource | nullcontext[None]:
+def _chat_store(root: Path, warn: list[ParseWarning]) -> db_reader.DbSource | nullcontext[None]:
     """The live chat database to read in a ``with``; if it is missing, a warning and None."""
     if (root / layout.MSGSTORE_DB).is_file():
         return _live_source(root, layout.MSGSTORE_DB, db_reader.DbKind.CHAT_STORE, warn)
@@ -125,7 +124,7 @@ def _load_backups(
     evidence: _Evidence,
     key: bytes | None,
     live_pairs: frozenset[tuple[str, str]],
-    warn: WarningLog,
+    warn: list[ParseWarning],
 ) -> list[BackupSet]:
     """Every readable backup, kept as a delta against ``live_pairs``.
 
@@ -175,17 +174,17 @@ def load_backup_deltas(root: str | Path, key: bytes | None = None) -> BackupDelt
     read; contacts, chat list, logs, settings and media are not opened.
     """
     evidence = _find_evidence(root)
-    warn = WarningLog()
+    warn: list[ParseWarning] = []
     with _chat_store(evidence.root, warn) as source:
         live_pairs = db_reader.load_message_pairs(source) if source is not None else frozenset()
     backups = _load_backups(evidence, key, live_pairs, warn)
-    return BackupDeltas(live_pairs, tuple(backups), warn.items)
+    return BackupDeltas(live_pairs, tuple(backups), tuple(warn))
 
 
 def _read_logs(
     evidence: _Evidence,
     grammar: LogGrammar,
-    warn: WarningLog,
+    warn: list[ParseWarning],
     kinds: Collection[EventKind] | None = None,
 ) -> list[LogEvent]:
     """The events of every log file, merged; ``kinds`` as in ``parse_log_file``."""
@@ -208,7 +207,7 @@ def load_chronology(
     opened, and log lines of other kinds are not parsed past their body.
     """
     evidence = _find_evidence(root)
-    warn = WarningLog()
+    warn: list[ParseWarning] = []
     messages = []
     with _chat_store(evidence.root, warn) as source:
         if source is not None:
@@ -219,7 +218,7 @@ def load_chronology(
         messages=tuple(messages),
         log_events=tuple(events),
         backups=tuple(backups),
-        warnings=warn.items,
+        warnings=tuple(warn),
     )
 
 
@@ -264,7 +263,7 @@ def load_case_bundle(
     """
     evidence = _find_evidence(root)
     root = evidence.root
-    warn = WarningLog()
+    warn: list[ParseWarning] = []
 
     contacts = []
     if (root / layout.WA_DB).is_file():
@@ -326,7 +325,7 @@ def load_case_bundle(
         media_inventory=tuple(media),
         avatar_inventory=tuple(avatars),
         backups=tuple(backups),
-        warnings=warn.items,
+        warnings=tuple(warn),
     )
 
 

@@ -37,7 +37,7 @@ from .model import (
     EventKind,
     KEY_BEARING_KINDS,
     LogEvent,
-    WarningLog,
+    ParseWarning,
     ascii_int,
     classify_jid,
     parse_group_id,
@@ -222,7 +222,7 @@ def _classify_line(
     source: str,
     number: int,
     grammar: LogGrammar,
-    warn: WarningLog | None,
+    warn: list[ParseWarning] | None,
     kinds: Collection[EventKind] | None,
 ) -> LogEvent | None:
     """The line's event.
@@ -288,7 +288,7 @@ def parse_log_lines(
     lines,
     source_name: str,
     grammar: LogGrammar = DEFAULT_GRAMMAR,
-    warn: WarningLog | None = None,
+    warn: list[ParseWarning] | None = None,
     kinds: Collection[EventKind] | None = None,
 ) -> list[LogEvent]:
     """Classify an iterable of lines, one event per line.
@@ -314,7 +314,7 @@ def parse_log_lines(
 def parse_log_file(
     path: str | Path,
     grammar: LogGrammar = DEFAULT_GRAMMAR,
-    warn: WarningLog | None = None,
+    warn: list[ParseWarning] | None = None,
     kinds: Collection[EventKind] | None = None,
 ) -> list[LogEvent]:
     """Parse one log file into events, preserving file order and line numbers.

@@ -66,37 +66,14 @@ class ParseWarning(NamedTuple):
     message: str
 
 
-class WarningLog:
-    """Accumulates parse/consistency warnings.
+def warn_to(warn: list[ParseWarning] | None, source: str, message: str) -> None:
+    """Append a warning to ``warn`` if a list was given; no-op otherwise.
 
     Forensic parsing never aborts on malformed values; problems are
-    recorded here and surfaced in reports instead.
+    collected in such a list and surfaced in reports instead.
     """
-
-    def __init__(self) -> None:
-        self._items: list[ParseWarning] = []
-
-    def add(self, source: str, message: str) -> None:
-        self._items.append(ParseWarning(source, message))
-
-    @property
-    def items(self) -> tuple[ParseWarning, ...]:
-        return tuple(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __repr__(self) -> str:
-        return f"WarningLog({len(self._items)} warnings)"
-
-
-def warn_to(warn: WarningLog | None, source: str, message: str) -> None:
-    """Record a warning if a sink was provided; no-op otherwise."""
     if warn is not None:
-        warn.add(source, message)
+        warn.append(ParseWarning(source, message))
 
 
 class JidKind(str, Enum):
@@ -178,7 +155,9 @@ def parse_jid(raw: str) -> WaJid:
     raise MalformedJid(f"unrecognized jid: {raw!r}")
 
 
-def classify_jid(raw: str | None, warn: WarningLog | None = None, source: str = "") -> WaJid:
+def classify_jid(
+    raw: str | None, warn: list[ParseWarning] | None = None, source: str = ""
+) -> WaJid:
     """Lenient jid decoding for record loaders.
 
     Returns a kind=OTHER placeholder (raw preserved) instead of raising,

@@ -209,7 +209,7 @@ def forge_summary(result) -> dict:
 
 def build_report(bundle: CaseBundle, analysis: Analysis, tz: int = 0) -> dict:
     """Assemble the canonical report document from a bundle and its analysis."""
-    chronologies = timeline_document(analysis, tz)
+    chronologies = timeline_document(analysis.chronology, tz)
     return {
         "tool_version": __version__,
         "display_offset_minutes": tz,
@@ -228,7 +228,7 @@ def build_report(bundle: CaseBundle, analysis: Analysis, tz: int = 0) -> dict:
             for b in analysis.partners.broadcasts
         ],
         "findings": [_finding_json(f, tz) for f in analysis.findings],
-        "warnings": _warnings_json((*bundle.warnings, *analysis.warnings)),
+        "warnings": _warnings_json((*bundle.warnings, *analysis.chronology.warnings)),
         "clock_caveat": "all timestamps come from the local device clock and are "
         "not comparable across devices as ground truth",
         "log_caveat": "log-based findings hold only within bundle_summary.log_coverage, "

@@ -37,7 +37,6 @@ from wadroid.correlator import (
 from wadroid.db_reader import DbKind, load_messages, open_source
 from wadroid.errors import MagicMismatch
 from wadroid.model import (
-    WarningLog,
     parse_group_id,
     parse_jid,
     parse_message_key,
@@ -220,7 +219,7 @@ def test_acceptance_5_crypto_roundtrip(tmp_path):
     crypt = next((result.root / "mnt/sdcard/WhatsApp/Databases").glob("*.crypt"))
     plain_path = tmp_path / "restored.db"
     plain_path.write_bytes(decrypt_backup(crypt))
-    warn = WarningLog()
+    warn = []
     records = load_messages(open_source(plain_path, DbKind.CHAT_STORE), warn)
     assert len(records) == 1
     assert len(warn) == 0

@@ -95,9 +95,11 @@ def test_decrypt_backup_missing_file(tmp_path):
         decrypt_backup(tmp_path / "nope.crypt")
 
 
-def test_key_length_validation():
+def test_key_length_validation(tmp_path):
+    path = tmp_path / "msgstore.db.crypt"
+    path.write_bytes(encrypt_fixture(SQLITE_MAGIC))
     with pytest.raises(ValueError):
-        encrypt_fixture(bytes(16), key=b"short")
+        decrypt_backup(path, key=b"short")
     assert len(DEFAULT_BACKUP_KEY) == 24
 
 

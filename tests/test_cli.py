@@ -168,12 +168,14 @@ def test_out_of_range_tz_is_a_usage_error(conversation_dir, capsys, offset):
         assert "bad timezone offset" in captured.err
 
 
-# 393401234567 in Arabic-Indic digits, and with a superscript two
+# 393401234567 in Arabic-Indic digits, and with a superscript two; no digit at all
 @pytest.mark.parametrize(
     "sim",
     [
         "+\u0663\u0669\u0663\u0664\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667",
         "39\u00b23401234567",
+        "abc",
+        "+",
     ],
 )
 def test_a_sim_digit_outside_ascii_is_a_usage_error(conversation_dir, tmp_path, capsys, sim):
@@ -182,7 +184,7 @@ def test_a_sim_digit_outside_ascii_is_a_usage_error(conversation_dir, tmp_path, 
     assert run(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "holds a digit outside 0-9" in captured.err
+    assert "needs digits 0-9 and no other digit" in captured.err
     assert not out.exists()
 
 

@@ -54,7 +54,6 @@ from wadroid.model import (
     CaseBundle,
     MediaFile,
     MessageRecord,
-    WarningLog,
     classify_jid,
 )
 from wadroid.report import build_report, content_json
@@ -291,7 +290,7 @@ _UNKNOWN_TYPE = "unknown media_wa_type 9; kept as text"
 def test_content_json(overrides, content, warnings):
     record = make_record(**overrides)
     assert content_json(record) == content
-    warn = WarningLog()
+    warn = []
     reconstruct_history(CaseBundle(messages=(record,)), warn=warn)
     assert [(w.source, w.message) for w in warn] == [("messages:_id=1", m) for m in warnings]
 
@@ -334,7 +333,7 @@ def test_incoming_group_timestamp_discrepancy_warns():
         received_timestamp=6000,
         remote_resource_raw=jid("393350000004"),
     )
-    warn = WarningLog()
+    warn = []
     histories = reconstruct_history(CaseBundle(messages=(record,)), warn=warn)
     assert histories[gid][0].record.effective_time == 6000  # receipt time wins
     assert any("received_timestamp" in w.message for w in warn)
@@ -373,7 +372,7 @@ def test_broadcast_count_mismatch_warns():
             remote_resource_raw=f"{REMOTE},{jid('393350000004')}",
         )
     ]
-    warn = WarningLog()
+    warn = []
     analysis = resolve_partners(CaseBundle(messages=tuple(rows)), warn)
     assert analysis.broadcasts[0].count_mismatch
     assert len(warn) == 1
@@ -515,7 +514,7 @@ def test_orphan_leave_warns():
         remote_resource_raw=jid("393350000004"),
         data=None,
     )
-    warn = WarningLog()
+    warn = []
     timelines = group_membership_timeline(CaseBundle(messages=(record,)), warn)
     assert len(timelines[0].events) == 1  # kept
     assert any("without a recorded join" in w.message for w in warn)
@@ -862,10 +861,8 @@ def test_chronology_is_the_start_of_the_analysis(tmp_path):
     assert [w.message for w in chronology.warnings] == [
         f"{stranger} leaves {gid} without a recorded join"
     ]
-    assert chronology.histories == analysis.histories
-    assert chronology.timelines == analysis.timelines
+    assert analysis.chronology == chronology
     assert analysis.partners == resolve_partners(bundle)
-    assert chronology.warnings.items == analysis.warnings.items
 
 
 def test_analyze_scans_log_coverage_once(monkeypatch):
@@ -905,6 +902,27 @@ def test_analyze_scans_log_coverage_once(monkeypatch):
     assert (coverage["first"]["epoch_ms"], coverage["last"]["epoch_ms"]) == (1000, 11500)
     assert "bundle_summary.log_coverage" in doc["log_caveat"]
     assert not any("coverage" in f.confidence_note for f in analysis.findings)
+
+
+_INFERENCES = {
+    "contact_added",
+    "block_status",
+    "deleted_contact",
+    "deleted_message",
+    "media_correlation",
+    "identity_check",
+}
+
+
+def test_report_findings_are_inferences(tmp_path):
+    # Per-conversation and per-group summaries are the report's conversations
+    # and group_timelines; no finding restates them.
+    for seed in (3, 8, 21):
+        result = forge.generate_bundle(forge.random_script(seed, 200), tmp_path / str(seed))
+        bundle = ingest.load_case_bundle(result.root)
+        doc = build_report(bundle, analyze(bundle))
+        assert doc["conversations"] and doc["group_timelines"]
+        assert {f["category"] for f in doc["findings"]} <= _INFERENCES
 
 
 # --- backup diff -------------------------------------------------------------------------
@@ -1173,6 +1191,20 @@ def test_identity_compares_ascii_digits_only():
     assert correlator._digits("+\u0663\u0669 39\u00b2-340.1234567") == "393401234567"
     bundle = CaseBundle(registered_number="393401234567")
     assert identity_check(bundle, "+39 340 123-4567").payload["match"] is True
+
+
+@pytest.mark.parametrize(
+    "registered, sim, digitless",
+    [
+        ("393401234567", "abc", "the SIM number"),
+        ("unknown", "393401234567", "the registered number"),
+        ("unknown", "n/a", "the registered number nor in the SIM number"),
+    ],
+)
+def test_identity_abstains_on_a_number_without_digits(registered, sim, digitless):
+    finding = identity_check(CaseBundle(registered_number=registered), sim)
+    assert finding.payload["match"] is None
+    assert finding.confidence_note == f"no digit 0-9 in {digitless}"
 
 
 def test_identity_unavailable():

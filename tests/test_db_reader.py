@@ -24,7 +24,6 @@ from wadroid.model import (
     ContactRecord,
     JidKind,
     MessageRecord,
-    WarningLog,
     classify_jid,
     parse_message_key,
     warn_to,
@@ -59,7 +58,7 @@ def _store_source(tmp_path, messages=(), chats=()):
 
 
 def test_load_single_contact(tmp_path):
-    warn = WarningLog()
+    warn = []
     records = load_contacts(_contacts_source(tmp_path, [CONTACT_ROW]), warn)
     assert len(records) == 1
     record = records[0]
@@ -105,14 +104,14 @@ def test_phonebook_holds_the_columns_the_table_has(tmp_path):
 
 def test_contact_avatar_time_inversion_warns(tmp_path):
     row = dict(CONTACT_ROW, thumb_ts=2000000000, photo_id_timestamp=1000000000000)
-    warn = WarningLog()
+    warn = []
     load_contacts(_contacts_source(tmp_path, [row]), warn)
     assert any("thumb_ts" in w.message for w in warn)
 
 
 def test_malformed_contact_jid_kept(tmp_path):
     row = dict(CONTACT_ROW, jid="garbage")
-    warn = WarningLog()
+    warn = []
     records = load_contacts(_contacts_source(tmp_path, [row]), warn)
     assert records[0].jid.kind is JidKind.OTHER
     assert records[0].jid.raw == "garbage"
@@ -154,7 +153,7 @@ def test_msgstore_missing_messages_table(tmp_path):
 def test_an_image_reads_as_its_file_under_the_name_given(tmp_path):
     row = {"key_remote_jid": jid("393480000002"), "key_id": "1-1", "data": "hi", "latitude": 1}
     path = msgstore_db(tmp_path / "msgstore.db", [{**row, "media_wa_type": 5}])
-    from_file, from_image = WarningLog(), WarningLog()
+    from_file, from_image = [], []
     with open_source(path, DbKind.CHAT_STORE) as source:
         expected = load_messages(source, from_file)
     name = "msgstore-1.db.crypt"
@@ -181,7 +180,7 @@ def test_incoming_text_message(tmp_path):
         "timestamp": 1329116349000,
         "received_timestamp": 1329116349000,
     }
-    warn = WarningLog()
+    warn = []
     records = load_messages(_store_source(tmp_path, [row]), warn)
     assert len(records) == 1
     record = records[0]
@@ -215,7 +214,7 @@ def test_geo_message_without_coordinates_warns(tmp_path):
         "timestamp": 1,
         "received_timestamp": 1,
     }
-    warn = WarningLog()
+    warn = []
     load_messages(_store_source(tmp_path, [row]), warn)
     assert any("latitude" in w.message for w in warn)
 
@@ -229,7 +228,7 @@ def test_invalid_media_hash_warns(tmp_path):
         "timestamp": 1,
         "received_timestamp": 1,
     }
-    warn = WarningLog()
+    warn = []
     load_messages(_store_source(tmp_path, [row]), warn)
     assert any("media_hash" in w.message for w in warn)
 
@@ -244,7 +243,7 @@ def test_ack_order_violation_warns(tmp_path):
         "receipt_server_timestamp": 1500,
         "receipt_device_timestamp": 1200,
     }
-    warn = WarningLog()
+    warn = []
     records = load_messages(_store_source(tmp_path, [row]), warn)
     assert len(records) == 1  # kept, never reordered
     assert any("not monotone" in w.message for w in warn)
@@ -293,7 +292,7 @@ def test_column_type_mismatch_keeps_row(tmp_path):
         "timestamp": "not-a-number",
         "received_timestamp": 1,
     }
-    warn = WarningLog()
+    warn = []
     records = load_messages(_store_source(tmp_path, [row]), warn)
     assert len(records) == 1
     assert records[0].timestamp is None
@@ -302,7 +301,7 @@ def test_column_type_mismatch_keeps_row(tmp_path):
 
 def test_a_key_with_a_trailing_line_feed_is_kept_verbatim_and_warned(tmp_path):
     row = {"key_remote_jid": jid("393480000002"), "key_id": "1-1\n", "timestamp": 1}
-    warn = WarningLog()
+    warn = []
     records = load_messages(_store_source(tmp_path, [row]), warn)
     assert records[0].key_id_raw == "1-1\n"
     assert [w.message for w in warn] == ["malformed key_id kept verbatim: '1-1\\n'"]
@@ -334,10 +333,10 @@ def test_skipped_pairs_are_matched_on_decoded_text(tmp_path):
     ]
     source = _store_source(tmp_path, rows)
     assert [r.key_id_raw for r in load_messages(source)] == [live[1], "1329112000-2", ""]
-    warn = WarningLog()
+    warn = []
     records = load_messages(source, warn, skip_pairs=frozenset({live}))
     assert [r.data for r in records] == ["lost", "bad key"]
-    assert warn.items and all(w.source == "msgstore.db:messages#3" for w in warn)
+    assert warn and all(w.source == "msgstore.db:messages#3" for w in warn)
 
 
 _AWKWARD_KEYS = [
@@ -402,7 +401,7 @@ def test_chat_list_single_conversation(tmp_path):
     message_records = load_messages(source)
     assert len(chat_records) == 1
     assert chat_records[0].message_table_id == message_records[-1].id
-    warn = WarningLog()
+    warn = []
     check_chat_list_consistency(chat_records, message_records, warn)
     assert len(warn) == 0
 
@@ -417,10 +416,10 @@ def test_dangling_chat_pointer_warns(tmp_path):
     source = _store_source(tmp_path, messages, chats)
     chat_records = load_chat_list(source)
     message_records = load_messages(source)
-    warn = WarningLog()
+    warn = []
     check_chat_list_consistency(chat_records, message_records, warn)
     assert len(warn) == 1
-    assert "99" in warn.items[0].message
+    assert "99" in warn[0].message
 
 
 def test_loading_never_writes(tmp_path):
@@ -495,8 +494,8 @@ def _untyped_store(path, rows, id_column="_id INTEGER PRIMARY KEY"):
 
 
 def _load(source, **kwargs):
-    warn = WarningLog()
-    return load_messages(source, warn, **kwargs), warn.items
+    warn = []
+    return load_messages(source, warn, **kwargs), warn
 
 
 class _ReferenceRow:
@@ -706,7 +705,7 @@ _TABLES = {
 
 def _reference_load(path, table, decode):
     """Every row of ``table`` decoded by the reference getters, and their warnings."""
-    warn = WarningLog()
+    warn = []
     conn = sqlite3.connect(path)
     try:
         cursor = conn.execute(f"SELECT _id, * FROM {table} ORDER BY _id, rowid")
@@ -717,7 +716,7 @@ def _reference_load(path, table, decode):
         conn.close()
     records = [decode(_ReferenceRow(row, index, f"{path.name}:{table}#{row[0]}", warn))
                for row in rows]
-    return records, warn.items
+    return records, warn
 
 
 def _mismatches_first(warnings, columns):
@@ -764,13 +763,13 @@ def test_plain_rows_decode_as_the_getters_do(tmp_path, monkeypatch, table, colum
 
     converters = {storage: counting(c) for storage, c in db_reader._CONVERTERS.items()}
     monkeypatch.setattr(db_reader, "_CONVERTERS", converters)
-    warn = WarningLog()
+    warn = []
     records = load(open_source(path, kind), warn)
     expected, expected_warnings = _reference_load(path, table, reference)
     assert len(records) == 3
     assert records == expected
     assert repr(records) == repr(expected)  # ``==`` alone takes True for 1 and 7.0 for 7
-    assert list(warn.items) == _mismatches_first(expected_warnings, columns)
+    assert warn == _mismatches_first(expected_warnings, columns)
     # the rows needing no conversion go through no converter
     assert not {f"{path.name}:{table}#1", f"{path.name}:{table}#3"} & set(converted)
 
@@ -808,7 +807,7 @@ def test_key_first_filter_keeps_order_and_ignores_duplicate_ids(tmp_path):
     everything, _ = _load(source)
     assert records == [r for r in everything if (r.key_remote_jid.raw, r.key_id_raw) not in skip]
     assert [(r.id, r.data) for r in records] == [(1, "b"), (1, "e"), (2, "d"), (3, "c")]
-    assert warnings == ()
+    assert warnings == []
 
 
 def test_key_first_filter_fetches_only_the_kept_rows(tmp_path):
@@ -843,7 +842,7 @@ def test_column_names_match_case_insensitively(tmp_path):
         "chat_list": [{"_id": 1, "key_remote_jid": partner, "message_table_id": 4}],
     })
     source = open_source(path, DbKind.CHAT_STORE)
-    warn = WarningLog()
+    warn = []
     (message,) = load_messages(source, warn)
     assert (message.id, message.key_remote_jid.raw, message.key_id_raw, message.data) == (
         4, partner, "1-1", "hi"
@@ -860,4 +859,4 @@ def test_column_names_match_case_insensitively(tmp_path):
     (contact,) = load_contacts(open_source(contacts, DbKind.CONTACTS), warn)
     assert (contact.jid.raw, contact.is_whatsapp_user) == (partner, True)
     assert contact.phonebook == {"display_name": "Partner"}
-    assert warn.items == ()
+    assert warn == []

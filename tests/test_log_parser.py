@@ -32,7 +32,7 @@ from wadroid.log_parser import (
     parse_log_file,
     parse_log_lines,
 )
-from wadroid.model import GROUP_MEMBERSHIP_KINDS, EventKind, WarningLog
+from wadroid.model import GROUP_MEMBERSHIP_KINDS, EventKind
 
 JID = "39331xxxxxxx@s.whatsapp.net"
 GID = "3933xxxxxxx-1363078943@g.us"
@@ -102,7 +102,7 @@ def test_blank_line_is_other():
 
 
 def test_unparsable_timestamp_warns():
-    warn = WarningLog()
+    warn = []
     event = _one("9999-99-99 99:99:99.999 +0000 contact/block jid=" + JID, warn)
     assert event.kind is EventKind.OTHER
     assert event.occurred_at is None
@@ -167,15 +167,15 @@ def test_kinds_gives_the_full_parse_events_of_those_kinds(
 ):
     log = tmp_path / "whatsapp.log"
     log.write_text("\n".join(_MIXED_LOG) + "\n", encoding="utf-8")
-    full_warn, warn = WarningLog(), WarningLog()
+    full_warn, warn = [], []
     full = parse_log_file(log, grammar, full_warn)
     events = parse_log_file(log, grammar, warn, kinds=GROUP_MEMBERSHIP_KINDS)
     assert events == [e for e in full if e.kind in GROUP_MEMBERSHIP_KINDS]
     assert [e.line_number for e in events] == event_lines
     # Only lines failing the line pattern, or whose rule is of a wanted kind, warn.
     sources = {f"whatsapp.log:{n}" for n in warning_lines}
-    assert warn.items == tuple(w for w in full_warn.items if w.source in sources)
-    assert {w.source for w in warn.items} == sources
+    assert warn == [w for w in full_warn if w.source in sources]
+    assert {w.source for w in warn} == sources
     with pytest.raises(ValueError):
         parse_log_lines(_MIXED_LOG, "whatsapp.log", grammar, kinds={EventKind.OTHER})
 
@@ -235,7 +235,7 @@ def test_lines_end_only_at_newline(tmp_path, newline):
     path = tmp_path / "whatsapp.log"
     text = "".join(format_line(1000 * i, body) + newline for i, body in enumerate(bodies))
     path.write_bytes(text.encode("utf-8"))
-    warn = WarningLog()
+    warn = []
     events = parse_log_file(path, DEFAULT_GRAMMAR, warn)
     assert [e.kind for e in events] == [
         EventKind.CONTACT_NOT_IN_DB,
@@ -301,7 +301,7 @@ def test_only_ascii_digits_date_a_line(line_pattern, timestamp_format, stamp, wa
         line_pattern=re.compile(line_pattern), timestamp_format=timestamp_format
     )
     separator = " | " if "|" in line_pattern else " "
-    warn = WarningLog()
+    warn = []
     (event,) = parse_log_lines([stamp + separator + body_contact_blocked(JID)], "x.log", grammar, warn)
     assert (event.kind, event.occurred_at) == (EventKind.OTHER, None)
     (message,) = [w.message for w in warn]
@@ -401,8 +401,8 @@ def test_malformed_stamps_give_the_strptime_events_and_warnings(monkeypatch):
     lines = [f"{stamp} | {body_contact_blocked(JID)}" for stamp in _STAMPS]
 
     def parse():
-        warn = WarningLog()
-        return parse_log_lines(lines, "whatsapp.log", grammar, warn), warn.items
+        warn = []
+        return parse_log_lines(lines, "whatsapp.log", grammar, warn), warn
 
     fast_events, fast_warnings = parse()
     monkeypatch.setattr(log_parser, "_default_stamp", lambda text: None)

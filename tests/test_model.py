@@ -8,7 +8,6 @@ from wadroid.errors import MalformedGroupId, MalformedJid, MalformedKey
 from wadroid.model import (
     CALENDAR_END_MS,
     JidKind,
-    WarningLog,
     classify_jid,
     format_tz_offset,
     parse_group_id,
@@ -44,7 +43,7 @@ def test_malformed_jids(raw):
 
 
 def test_classify_jid_keeps_malformed_records():
-    warn = WarningLog()
+    warn = []
     jid = classify_jid("not-a-jid", warn, "wa.db:wa_contacts#1")
     assert jid.kind is JidKind.OTHER
     assert jid.raw == "not-a-jid"
@@ -72,7 +71,7 @@ def test_group_id_epoch_too_long_to_convert_is_kept_and_warned():
     raw = "1-" + "9" * 5000 + "@g.us"  # more digits than CPython converts to int
     with pytest.raises(MalformedGroupId):
         parse_group_id(raw)
-    warn = WarningLog()
+    warn = []
     jid = classify_jid(raw, warn, "whatsapp.log:1")
     assert (jid.raw, jid.kind) == (raw, JidKind.OTHER)
     assert [w.source for w in warn] == ["whatsapp.log:1"]
@@ -110,7 +109,7 @@ def test_parses_are_kept_but_malformed_input_warns_every_time():
     assert parse_message_key("1363253484-7") is parse_message_key("1363253484-7")
     user = "393480000077@s.whatsapp.net"
     assert classify_jid(user) is classify_jid(user)
-    warn = WarningLog()
+    warn = []
     for n in range(3):
         classify_jid("not-a-jid", warn, f"wa.db:wa_contacts#{n}")
     assert [w.source for w in warn] == [f"wa.db:wa_contacts#{n}" for n in range(3)]
@@ -134,7 +133,7 @@ def test_a_trailing_line_feed_is_not_part_of_an_identifier(parse, raw, error):
 
 
 def test_classify_jid_warns_about_a_trailing_line_feed():
-    warn = WarningLog()
+    warn = []
     jid = classify_jid("393480000002@s.whatsapp.net\n", warn, "wa.db:wa_contacts#1")
     assert jid.kind is JidKind.OTHER
     assert jid.raw == "393480000002@s.whatsapp.net\n"
