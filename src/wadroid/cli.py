@@ -7,13 +7,9 @@ run, 1 report produced but with warnings, 2 structural or tool errors
 (a damaged live database, or an unexpected internal error), 64 usage
 errors.
 
-Each command loads only what its output uses, and its exit code counts
-the warnings about that. ``diff`` reads the backups and the live
-store's (conversation, key) pairs (``ingest.load_backup_deltas``), so it
-counts only warnings about backups and the chat database.
-``timeline`` reads the live messages, the backups and the group lines
-of the logs (``ingest.load_chronology``). ``timeline`` and ``report``
-also count the warnings of the analysis steps they run.
+Each command reads only what its output uses, through one
+``ingest.Evidence``, and its exit code counts the warnings of what it
+read and of the analysis steps it ran.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from . import __version__, backup_crypto, ingest, report as report_mod
 from .correlator import analyze, build_chronology
 from .errors import WadroidError
 from .log_parser import DEFAULT_GRAMMAR, LogGrammar
-from .model import parse_tz_offset
+from .model import CaseBundle, parse_tz_offset
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -204,21 +200,24 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    deltas = ingest.load_backup_deltas(args.in_path, args.key)
-    doc = report_mod.diff_document(deltas.backups, deltas.live_pairs, args.tz)
+    with ingest.Evidence(args.in_path, key=args.key) as evidence:
+        doc = report_mod.diff_document(evidence.backups, evidence.live_pairs, args.tz)
     _emit(report_mod.render_report_json(doc), args.out)
-    return EXIT_WARNINGS if deltas.warnings else EXIT_OK
+    return EXIT_WARNINGS if evidence.warnings else EXIT_OK
 
 
 def _cmd_timeline(args) -> int:
-    bundle = ingest.load_chronology(args.in_path, _load_grammar(args.grammar), args.key)
+    with ingest.Evidence(args.in_path, _load_grammar(args.grammar), args.key) as evidence:
+        bundle = CaseBundle(
+            messages=evidence.messages, backups=evidence.backups, log_events=evidence.group_events
+        )
     chronology = build_chronology(bundle)
     if args.format == "csv":
         _emit(report_mod.render_timeline_csv(chronology, args.tz), args.out)
     else:
         doc = report_mod.timeline_document(chronology, args.tz)
         _emit(report_mod.render_report_json(doc), args.out)
-    return EXIT_WARNINGS if bundle.warnings or chronology.warnings else EXIT_OK
+    return EXIT_WARNINGS if evidence.warnings or chronology.warnings else EXIT_OK
 
 
 def _cmd_forge(args) -> int:

@@ -1,15 +1,13 @@
-"""Assembles a CaseBundle from an evidence directory.
+"""Reads the artifacts of an evidence directory.
 
 The directory is expected to follow the on-device layout (see
-``layout``), rooted anywhere. Missing artifacts degrade the bundle to a
-partial one with warnings; only a directory containing no recognizable
-artifact at all is a structural error. Evidence files are opened
-strictly read-only; encrypted backups are decrypted in memory and never
-written anywhere. Two loaders read less than ``load_case_bundle``, with
-the same steps it uses for what they read: ``load_backup_deltas`` reads
-only the backups and the live store's (conversation, key) pairs, and
-``load_chronology`` only the live messages, the backups and the log
-lines of the group membership kinds.
+``layout``), rooted anywhere. ``Evidence`` reads each artifact when it
+is first asked for, and collects the warnings of every read in one
+list; ``load_case_bundle`` reads all of them into a CaseBundle. Missing
+artifacts degrade the result to a partial one with warnings; only a
+directory containing no recognizable artifact at all is a structural
+error. Evidence files are opened strictly read-only; encrypted backups
+are decrypted in memory and never written anywhere.
 """
 
 from __future__ import annotations
@@ -17,22 +15,27 @@ from __future__ import annotations
 import os
 import re
 import stat
-from contextlib import nullcontext
+from contextlib import ExitStack
+from functools import cached_property
 from pathlib import Path
-from typing import Collection, NamedTuple
+from typing import Collection
 
 from . import db_reader, layout
 from .backup_crypto import decrypt_backup
-from .errors import StructuralError, WadroidError
+from .db_reader import DbKind
+from .errors import StructuralError, UnreadableFile, WadroidError
 from .log_parser import DEFAULT_GRAMMAR, LogGrammar, merge_events, parse_log_file
 from .model import (
     AvatarFile,
     BackupSet,
     CaseBundle,
+    ChatListRecord,
+    ContactRecord,
     EventKind,
     GROUP_MEMBERSHIP_KINDS,
     LogEvent,
     MediaFile,
+    MessageRecord,
     ParseWarning,
     warn_to,
 )
@@ -48,38 +51,8 @@ def _rel(root: Path, path: Path) -> str:
     return path.relative_to(root).as_posix()
 
 
-class _Evidence(NamedTuple):
-    """An evidence root known to hold at least one recognizable artifact."""
-
-    root: Path
-    log_files: list[Path]
-    crypt_files: list[Path]
-
-
-def _find_evidence(root: str | Path) -> _Evidence:
-    """Where the artifacts under ``root`` are; StructuralError if there are none."""
-    root = Path(root)
-    if not root.is_dir():
-        raise StructuralError(f"evidence root {root} is not a directory")
-    logs_dir = root / layout.LOGS_DIR
-    backups_dir = root / layout.BACKUPS_DIR
-    log_files = sorted(logs_dir.glob("whatsapp*.log")) if logs_dir.is_dir() else []
-    crypt_files = sorted(backups_dir.glob("*.crypt")) if backups_dir.is_dir() else []
-    if (
-        not (root / layout.WA_DB).is_file()
-        and not (root / layout.MSGSTORE_DB).is_file()
-        and not log_files
-        and not crypt_files
-    ):
-        raise StructuralError(
-            f"{root} holds no recognizable evidence (no contacts/chat database, "
-            "logs, or backups in the expected layout)"
-        )
-    return _Evidence(root, log_files, crypt_files)
-
-
 def _live_source(
-    root: Path, rel_path: str, kind: db_reader.DbKind, warn: list[ParseWarning]
+    root: Path, rel_path: str, kind: DbKind, warn: list[ParseWarning]
 ) -> db_reader.DbSource:
     """The live database at ``rel_path``, opened in SQLite's immutable mode.
 
@@ -106,120 +79,6 @@ def _live_source(
                 "may be read as committed",
             )
     return db_reader.open_source(root / rel_path, kind)
-
-
-def _chat_store(root: Path, warn: list[ParseWarning]) -> db_reader.DbSource | nullcontext[None]:
-    """The live chat database to read in a ``with``; if it is missing, a warning and None."""
-    if (root / layout.MSGSTORE_DB).is_file():
-        return _live_source(root, layout.MSGSTORE_DB, db_reader.DbKind.CHAT_STORE, warn)
-    warn_to(warn, layout.MSGSTORE_DB, "chat database missing; message analysis degraded")
-    return nullcontext()
-
-
-def _live_pairs(messages) -> frozenset[tuple[str, str]]:
-    return frozenset((m.key_remote_jid.raw, m.key_id_raw) for m in messages)
-
-
-def _load_backups(
-    evidence: _Evidence,
-    key: bytes | None,
-    live_pairs: frozenset[tuple[str, str]],
-    warn: list[ParseWarning],
-) -> list[BackupSet]:
-    """Every readable backup, kept as a delta against ``live_pairs``.
-
-    A row whose (conversation, key) pair is live adds nothing the live
-    copy does not hold, so it is not decoded.
-    """
-    backups = []
-    for crypt in evidence.crypt_files:
-        rel_path = _rel(evidence.root, crypt)
-        try:
-            plain = decrypt_backup(crypt, key)
-        except WadroidError as exc:
-            warn_to(warn, rel_path, f"backup not decrypted: {exc}")
-            continue
-        try:
-            # Named after its crypt file, so row warnings name the backup.
-            source = db_reader.open_source(crypt.name, db_reader.DbKind.CHAT_STORE, image=plain)
-            del plain  # SQLite reads its own copy
-            with source:
-                # Only the messages matter for recovery; a backup's own
-                # chat_list pointers legitimately dangle mid-history.
-                backup_messages = db_reader.load_messages(source, warn, skip_pairs=live_pairs)
-        except WadroidError as exc:
-            warn_to(warn, rel_path, f"decrypted backup unreadable: {exc}")
-            continue
-        backups.append(BackupSet(name=crypt.name, messages=tuple(backup_messages)))
-    return backups
-
-
-class BackupDeltas(NamedTuple):
-    """What ``diff`` reads of an evidence root.
-
-    ``backups`` are the deltas against ``live_pairs``, the (conversation
-    jid, key) pairs of the live chat database; ``warnings`` are those
-    raised while reading them.
-    """
-
-    live_pairs: frozenset[tuple[str, str]]
-    backups: tuple[BackupSet, ...]
-    warnings: tuple[ParseWarning, ...]
-
-
-def load_backup_deltas(root: str | Path, key: bytes | None = None) -> BackupDeltas:
-    """The backups under ``root`` and the live pairs, and nothing else.
-
-    Of the live chat database only the key columns of ``messages`` are
-    read; contacts, chat list, logs, settings and media are not opened.
-    """
-    evidence = _find_evidence(root)
-    warn: list[ParseWarning] = []
-    with _chat_store(evidence.root, warn) as source:
-        live_pairs = db_reader.load_message_pairs(source) if source is not None else frozenset()
-    backups = _load_backups(evidence, key, live_pairs, warn)
-    return BackupDeltas(live_pairs, tuple(backups), tuple(warn))
-
-
-def _read_logs(
-    evidence: _Evidence,
-    grammar: LogGrammar,
-    warn: list[ParseWarning],
-    kinds: Collection[EventKind] | None = None,
-) -> list[LogEvent]:
-    """The events of every log file, merged; ``kinds`` as in ``parse_log_file``."""
-    if not evidence.log_files:
-        warn_to(warn, layout.LOGS_DIR, "no log files found; log-based inference disabled")
-        return []
-    return merge_events(
-        *(parse_log_file(path, grammar, warn, kinds) for path in evidence.log_files)
-    )
-
-
-def load_chronology(
-    root: str | Path, grammar: LogGrammar = DEFAULT_GRAMMAR, key: bytes | None = None
-) -> CaseBundle:
-    """The part of ``root`` that ``correlator.build_chronology`` reads, as a CaseBundle.
-
-    It holds the live messages, the backups (deltas against them) and the
-    log events of the group membership kinds, with the warnings of those
-    reads. The contacts database, chat list, settings and media are not
-    opened, and log lines of other kinds are not parsed past their body.
-    """
-    evidence = _find_evidence(root)
-    warn: list[ParseWarning] = []
-    messages = []
-    with _chat_store(evidence.root, warn) as source:
-        if source is not None:
-            messages = db_reader.load_messages(source, warn)
-    backups = _load_backups(evidence, key, _live_pairs(messages), warn)
-    events = _read_logs(evidence, grammar, warn, GROUP_MEMBERSHIP_KINDS)
-    return CaseBundle(
-        messages=tuple(messages),
-        log_events=tuple(events),
-        backups=tuple(backups),
-        warnings=tuple(warn),
-    )
 
 
 def _skip_unreadable(error: OSError) -> None:
@@ -251,40 +110,162 @@ def _list_media(root: Path) -> list[tuple[str, int, str]]:
     return listed
 
 
-def load_case_bundle(
-    root: str | Path,
-    grammar: LogGrammar = DEFAULT_GRAMMAR,
-    key: bytes | None = None,
-) -> CaseBundle:
-    """Parse every artifact under ``root`` into an immutable CaseBundle.
+class Evidence:
+    """The artifacts under one evidence root, each read once, when first asked for.
 
-    Media files are listed, not read: ``MediaFile.sha256`` hashes a file
-    when first asked.
+    Opening it reads nothing; StructuralError if ``root`` holds no
+    recognizable artifact. The warnings of each read are appended to
+    ``warnings`` when it happens. Use it in a ``with`` block: the live chat
+    database is opened once and closed when the block ends. ``live_pairs``
+    and ``group_events`` are taken from ``messages`` and ``log_events``
+    when those were read first; in the other order, the group log lines
+    are parsed, and warned about, twice.
     """
-    evidence = _find_evidence(root)
-    root = evidence.root
-    warn: list[ParseWarning] = []
 
-    contacts = []
-    if (root / layout.WA_DB).is_file():
-        with _live_source(root, layout.WA_DB, db_reader.DbKind.CONTACTS, warn) as source:
-            contacts = db_reader.load_contacts(source, warn)
-    else:
-        warn_to(warn, layout.WA_DB, "contacts database missing; contact analysis degraded")
+    def __init__(
+        self, root: str | Path, grammar: LogGrammar = DEFAULT_GRAMMAR, key: bytes | None = None
+    ) -> None:
+        root = Path(root)
+        if not root.is_dir():
+            raise StructuralError(f"evidence root {root} is not a directory")
+        logs_dir = root / layout.LOGS_DIR
+        backups_dir = root / layout.BACKUPS_DIR
+        self._log_files = sorted(logs_dir.glob("whatsapp*.log")) if logs_dir.is_dir() else []
+        self._crypt_files = sorted(backups_dir.glob("*.crypt")) if backups_dir.is_dir() else []
+        if (
+            not (root / layout.WA_DB).is_file()
+            and not (root / layout.MSGSTORE_DB).is_file()
+            and not self._log_files
+            and not self._crypt_files
+        ):
+            raise StructuralError(
+                f"{root} holds no recognizable evidence (no contacts/chat database, "
+                "logs, or backups in the expected layout)"
+            )
+        self.root = root
+        self.grammar = grammar
+        self.key = key
+        self.warnings: list[ParseWarning] = []
+        self._open = ExitStack()
 
-    messages, chats = [], []
-    with _chat_store(root, warn) as source:
-        if source is not None:
-            messages = db_reader.load_messages(source, warn)
-            chats = db_reader.load_chat_list(source, warn)
-            db_reader.check_chat_list_consistency(chats, messages, warn)
+    def __enter__(self) -> Evidence:
+        return self
 
-    backups = _load_backups(evidence, key, _live_pairs(messages), warn)
-    events = _read_logs(evidence, grammar, warn)
+    def __exit__(self, *exc_info) -> None:
+        self._open.close()
 
-    me_file = root / layout.ME_FILE
-    registered = None
-    if me_file.is_file():
+    @cached_property
+    def contacts(self) -> tuple[ContactRecord, ...]:
+        warn = self.warnings
+        if not (self.root / layout.WA_DB).is_file():
+            warn_to(warn, layout.WA_DB, "contacts database missing; contact analysis degraded")
+            return ()
+        with _live_source(self.root, layout.WA_DB, DbKind.CONTACTS, warn) as source:
+            return tuple(db_reader.load_contacts(source, warn))
+
+    @cached_property
+    def _live_store(self) -> db_reader.DbSource | None:
+        """The live chat database, open until the ``with`` block ends; None if missing."""
+        warn = self.warnings
+        if not (self.root / layout.MSGSTORE_DB).is_file():
+            warn_to(warn, layout.MSGSTORE_DB, "chat database missing; message analysis degraded")
+            return None
+        source = _live_source(self.root, layout.MSGSTORE_DB, DbKind.CHAT_STORE, warn)
+        return self._open.enter_context(source)
+
+    @cached_property
+    def messages(self) -> tuple[MessageRecord, ...]:
+        source = self._live_store
+        return () if source is None else tuple(db_reader.load_messages(source, self.warnings))
+
+    @cached_property
+    def chat_list(self) -> tuple[ChatListRecord, ...]:
+        """The live chat list, checked against ``messages``."""
+        messages = self.messages
+        source = self._live_store
+        if source is None:
+            return ()
+        chats = db_reader.load_chat_list(source, self.warnings)
+        db_reader.check_chat_list_consistency(chats, messages, self.warnings)
+        return tuple(chats)
+
+    @cached_property
+    def live_pairs(self) -> frozenset[tuple[str, str]]:
+        """The (conversation jid, key) pair of every live message.
+
+        Without ``messages`` read, only the key columns are read.
+        """
+        if "messages" in self.__dict__:
+            return frozenset((m.key_remote_jid.raw, m.key_id_raw) for m in self.messages)
+        source = self._live_store
+        return frozenset() if source is None else db_reader.load_message_pairs(source)
+
+    @cached_property
+    def backups(self) -> tuple[BackupSet, ...]:
+        """Every readable backup, kept as a delta against ``live_pairs``.
+
+        A row whose (conversation, key) pair is live adds nothing the live
+        copy does not hold, so it is not decoded.
+        """
+        live_pairs, warn = self.live_pairs, self.warnings
+        backups = []
+        for crypt in self._crypt_files:
+            rel_path = _rel(self.root, crypt)
+            try:
+                plain = decrypt_backup(crypt, self.key)
+            except WadroidError as exc:
+                warn_to(warn, rel_path, f"backup not decrypted: {exc}")
+                continue
+            try:
+                # Named after its crypt file, so row warnings name the backup.
+                source = db_reader.open_source(crypt.name, DbKind.CHAT_STORE, image=plain)
+                del plain  # SQLite reads its own copy
+                with source:
+                    # Only the messages matter for recovery; a backup's own
+                    # chat_list pointers legitimately dangle mid-history.
+                    messages = db_reader.load_messages(source, warn, skip_pairs=live_pairs)
+            except WadroidError as exc:
+                warn_to(warn, rel_path, f"decrypted backup unreadable: {exc}")
+                continue
+            backups.append(BackupSet(name=crypt.name, messages=tuple(messages)))
+        return tuple(backups)
+
+    def _parse_logs(self, kinds: Collection[EventKind] | None) -> tuple[LogEvent, ...]:
+        """The events of every readable log file, merged; ``kinds`` as in ``parse_log_file``."""
+        parsed = []
+        for path in self._log_files:
+            try:
+                parsed.append(parse_log_file(path, self.grammar, self.warnings, kinds))
+            except UnreadableFile as exc:
+                warn_to(self.warnings, _rel(self.root, path), f"log file not read: {exc}")
+        return tuple(merge_events(*parsed))
+
+    @cached_property
+    def log_events(self) -> tuple[LogEvent, ...]:
+        if not self._log_files:
+            warn = self.warnings
+            warn_to(warn, layout.LOGS_DIR, "no log files found; log-based inference disabled")
+            return ()
+        return self._parse_logs(None)
+
+    @cached_property
+    def group_events(self) -> tuple[LogEvent, ...]:
+        """The log events of the group membership kinds.
+
+        Taken from ``log_events`` if those were read, or if there is no log
+        file (so that its absence is warned about once). Otherwise a line of
+        another kind is dropped before its timestamp and fields are parsed.
+        """
+        if "log_events" in self.__dict__ or not self._log_files:
+            return tuple(e for e in self.log_events if e.kind in GROUP_MEMBERSHIP_KINDS)
+        return self._parse_logs(GROUP_MEMBERSHIP_KINDS)
+
+    @cached_property
+    def registered_number(self) -> str | None:
+        warn, me_file = self.warnings, self.root / layout.ME_FILE
+        if not me_file.is_file():
+            warn_to(warn, layout.ME_FILE, "settings file with the registered number missing")
+            return None
         raw = me_file.read_bytes()
         registered = raw.decode("utf-8", errors="replace").strip() or None
         try:
@@ -297,36 +278,44 @@ def load_case_bundle(
                 layout.ME_FILE,
                 f"registered number file is not clean UTF-8 text: {registered!r}",
             )
-    else:
-        warn_to(warn, layout.ME_FILE, "settings file with the registered number missing")
+        return registered
 
-    media = [MediaFile(rel, size, source=path) for rel, size, path in _list_media(root)]
+    @cached_property
+    def media_inventory(self) -> tuple[MediaFile, ...]:
+        """Every media file, listed, not read: ``MediaFile.sha256`` hashes one when first asked."""
+        listed = _list_media(self.root)
+        return tuple(MediaFile(rel, size, source=path) for rel, size, path in listed)
 
-    avatars = []
-    for directory in (root / layout.AVATARS_DIR, root / layout.PROFILE_PICTURES_DIR):
-        if not directory.is_dir():
-            continue
-        for path in sorted(directory.glob(f"*{layout.AVATAR_SUFFIX}")):
-            avatars.append(
-                AvatarFile(
-                    jid_raw=path.name[: -len(layout.AVATAR_SUFFIX)],
-                    path=_rel(root, path),
-                )
-            )
-    avatars.sort(key=lambda a: (a.jid_raw, a.path))
+    @cached_property
+    def avatar_inventory(self) -> tuple[AvatarFile, ...]:
+        avatars = [
+            AvatarFile(jid_raw=path.name[: -len(layout.AVATAR_SUFFIX)], path=_rel(self.root, path))
+            for directory in (layout.AVATARS_DIR, layout.PROFILE_PICTURES_DIR)
+            if (self.root / directory).is_dir()
+            for path in (self.root / directory).glob(f"*{layout.AVATAR_SUFFIX}")
+        ]
+        return tuple(sorted(avatars, key=lambda a: (a.jid_raw, a.path)))
 
-    return CaseBundle(
-        contacts=tuple(contacts),
-        messages=tuple(messages),
-        chat_list=tuple(chats),
-        log_events=tuple(events),
-        registered_number=registered,
-        own_avatar_present=(root / layout.ME_AVATAR).is_file(),
-        media_inventory=tuple(media),
-        avatar_inventory=tuple(avatars),
-        backups=tuple(backups),
-        warnings=tuple(warn),
-    )
+
+def load_case_bundle(
+    root: str | Path,
+    grammar: LogGrammar = DEFAULT_GRAMMAR,
+    key: bytes | None = None,
+) -> CaseBundle:
+    """Read every artifact under ``root`` into an immutable CaseBundle."""
+    with Evidence(root, grammar, key) as evidence:
+        return CaseBundle(
+            contacts=evidence.contacts,
+            messages=evidence.messages,
+            chat_list=evidence.chat_list,
+            backups=evidence.backups,
+            log_events=evidence.log_events,
+            registered_number=evidence.registered_number,
+            own_avatar_present=(evidence.root / layout.ME_AVATAR).is_file(),
+            media_inventory=evidence.media_inventory,
+            avatar_inventory=evidence.avatar_inventory,
+            warnings=tuple(evidence.warnings),
+        )
 
 
 def snapshot_tree(root: str | Path) -> dict[str, tuple[int, int]]:

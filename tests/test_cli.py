@@ -371,10 +371,10 @@ def test_diff_writes_non_ascii_text_verbatim(tmp_path):
 
 def test_diff_document_renders_times_in_the_display_offset(tmp_path):
     result = _deleted_after_backup(tmp_path, "gone")
-    deltas = ingest.load_backup_deltas(result.root)
-    doc = report_mod.diff_document(deltas.backups, deltas.live_pairs, 60)
+    with ingest.Evidence(result.root) as evidence:
+        doc = report_mod.diff_document(evidence.backups, evidence.live_pairs, 60)
     (backup,) = doc["backups"]
-    assert backup["name"] == deltas.backups[0].name
+    assert backup["name"] == evidence.backups[0].name
     assert backup["recovered_count"] == 1
     (row,) = backup["recovered"]
     assert row["direction"] == "outgoing"
@@ -765,6 +765,29 @@ def test_each_database_is_connected_once_and_no_file_is_written(
     assert list(temp_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("damaged", [False, True], ids=["clean", "damaged-msgstore"])
+@pytest.mark.parametrize("command", ["ingest", "report", "timeline", "diff"])
+def test_every_connection_is_closed_when_the_command_ends(tmp_path, monkeypatch, command, damaged):
+    root = _three_backups(tmp_path).root
+    if damaged:
+        msgstore = root / layout.MSGSTORE_DB
+        msgstore.write_bytes(helpers.corrupt_page_2(msgstore.read_bytes()))
+    connections = []
+    real_connect = sqlite3.connect
+
+    def connect(*args, **kwargs):
+        connections.append(real_connect(*args, **kwargs))
+        return connections[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", connect)
+    code = run([command, "--in", str(root), "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR if damaged else code in (EXIT_OK, EXIT_WARNINGS)
+    assert connections
+    for connection in connections:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            connection.execute("SELECT 1")
+
+
 def test_a_backup_in_wal_mode_is_read(tmp_path):
     root = _three_backups(tmp_path).root
     expected, out = tmp_path / "expected.json", tmp_path / "out.json"
@@ -856,9 +879,10 @@ def test_without_rowid_tables_are_read_in_primary_key_order(tmp_path):
     assert warning.source == "msgstore.db:messages#2"
     (recovered,) = bundle.backups
     assert [m.data for m in recovered.messages] == ["lost first", "lost"]
-    deltas = ingest.load_backup_deltas(root)
-    assert deltas.live_pairs == {(m.key_remote_jid.raw, m.key_id_raw) for m in bundle.messages}
-    assert deltas.backups == bundle.backups
+    with ingest.Evidence(root) as evidence:
+        live_pairs = evidence.live_pairs
+        assert evidence.backups == bundle.backups
+    assert live_pairs == {(m.key_remote_jid.raw, m.key_id_raw) for m in bundle.messages}
     for argv in (
         ["ingest", "--in", str(root)],
         ["report", "--in", str(root), "--out", str(tmp_path / "report.json")],
@@ -1229,6 +1253,26 @@ _EXIT_CONTRACT = {
         lambda root, tmp_path: _truncate_backup(root),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS),
     ),
+    "log-unreadable": (
+        lambda root, tmp_path: (root / layout.LOGS_DIR / "whatsapp-old.log").mkdir(),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK),
+    ),
+    "no-wa.db": (
+        lambda root, tmp_path: (root / layout.WA_DB).unlink(),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
+    ),
+    "no-msgstore.db": (
+        lambda root, tmp_path: (root / layout.MSGSTORE_DB).unlink(),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS),
+    ),
+    "no-logs": (
+        lambda root, tmp_path: shutil.rmtree(root / layout.LOGS_DIR),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK),
+    ),
+    "no-me": (
+        lambda root, tmp_path: (root / layout.ME_FILE).unlink(),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
+    ),
 }
 
 
@@ -1242,6 +1286,115 @@ def test_exit_code_counts_the_warnings_about_what_the_command_reads(tmp_path, da
     harm(root, tmp_path)
     expected = dict(zip(["ingest", "report", "timeline", "diff"], codes))[command]
     assert run(argv) == expected
+
+
+@pytest.mark.parametrize("cause", ["directory", "permission"])
+def test_an_unreadable_log_file_is_a_warning(tmp_path, monkeypatch, capsys, cause):
+    """The other log files are still parsed, and a command that reads no log does not warn."""
+    root = _full_device(tmp_path / "evidence")
+    clean = {}
+    for command in ("report", "timeline"):
+        assert run([command, "--in", str(root)]) == EXIT_OK
+        clean[command] = json.loads(capsys.readouterr().out)
+    unreadable = root / layout.LOGS_DIR / "whatsapp-old.log"
+    if cause == "directory":
+        unreadable.mkdir()
+    else:
+        shutil.copy(root / layout.MAIN_LOG, unreadable)
+        _make_unreadable(monkeypatch, unreadable)
+    assert run(["report", "--in", str(root)]) == EXIT_WARNINGS
+    report = json.loads(capsys.readouterr().out)
+    (warning,) = report["warnings"]
+    assert warning["source"] == f"{layout.LOGS_DIR}/whatsapp-old.log"
+    assert warning["message"].startswith("log file not read: ")
+    assert report["bundle_summary"] == clean["report"]["bundle_summary"]
+    assert run(["timeline", "--in", str(root)]) == EXIT_WARNINGS
+    assert json.loads(capsys.readouterr().out) == clean["timeline"]
+    assert run(["diff", "--in", str(root)]) == EXIT_OK
+
+
+def _record_calls(monkeypatch, module, name: str) -> collections.Counter:
+    """Count the calls of ``module.name`` by their first argument."""
+    calls = collections.Counter()
+    real = getattr(module, name)
+
+    def recorded(first, *args, **kwargs):
+        calls[str(first)] += 1
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+_READS = [
+    (db_reader, "open_source"),
+    (ingest, "parse_log_file"),
+    (ingest, "decrypt_backup"),
+    (ingest, "_list_media"),
+]
+
+
+def test_evidence_reads_nothing_when_opened(tmp_path, monkeypatch):
+    root = _full_device(tmp_path / "evidence")
+    calls = [_record_calls(monkeypatch, module, name) for module, name in _READS]
+    with ingest.Evidence(root) as evidence:
+        assert evidence.warnings == []
+    assert not any(calls)
+
+
+def test_report_reads_each_artifact_once(tmp_path, monkeypatch):
+    root = _full_device(tmp_path / "evidence")
+    shutil.copy(root / layout.MAIN_LOG, root / layout.LOGS_DIR / "whatsapp-2013-01-01.1.log")
+    opened, parsed, decrypted, listed = (
+        _record_calls(monkeypatch, module, name) for module, name in _READS
+    )
+    pairs = _record_calls(monkeypatch, db_reader, "load_message_pairs")
+    assert run(["report", "--in", str(root), "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    assert not pairs  # the live pairs are those of the messages read
+    logs = sorted((root / layout.LOGS_DIR).glob("*.log"))
+    crypts = sorted((root / layout.BACKUPS_DIR).glob("*.crypt"))
+    assert len(logs) == 2 and crypts
+    assert parsed == {str(path): 1 for path in logs}
+    assert decrypted == {str(path): 1 for path in crypts}
+    assert listed == {str(root): 1}
+    assert opened == {
+        str(root / layout.WA_DB): 1,
+        str(root / layout.MSGSTORE_DB): 1,
+        **{path.name: 1 for path in crypts},
+    }
+
+
+def test_group_events_are_taken_from_the_log_events_read(tmp_path, monkeypatch):
+    root = _full_device(tmp_path / "evidence")
+    with ingest.Evidence(root) as narrow:
+        expected = narrow.group_events
+    assert expected
+    parsed = _record_calls(monkeypatch, ingest, "parse_log_file")
+    with ingest.Evidence(root) as evidence:
+        events = evidence.log_events
+        assert sum(parsed.values()) == 1
+        assert evidence.group_events == expected
+        assert sum(parsed.values()) == 1
+    assert set(expected) < set(events)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        ("log_events",),
+        ("group_events",),
+        ("log_events", "group_events"),
+        ("group_events", "log_events"),
+    ],
+    ids=["log", "group", "log-then-group", "group-then-log"],
+)
+def test_missing_logs_are_warned_about_once(tmp_path, order):
+    root = _full_device(tmp_path / "evidence")
+    shutil.rmtree(root / layout.LOGS_DIR)
+    with ingest.Evidence(root) as evidence:
+        for name in order:
+            assert getattr(evidence, name) == ()
+    assert [w.source for w in evidence.warnings] == [layout.LOGS_DIR]
 
 
 def test_timeline_reads_only_the_chat_store_the_backups_and_the_logs(tmp_path, monkeypatch):
