@@ -88,12 +88,6 @@ def build_parser() -> _Parser:
         "--sim", type=_sim, help="phone number of the SIM found in the device (digits 0-9)"
     )
     p_report.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="csv additionally writes the timeline CSV next to --out",
-    )
-    p_report.add_argument(
         "--verify-readonly",
         action="store_true",
         help="assert that no evidence file changed during the run",
@@ -118,7 +112,6 @@ def build_parser() -> _Parser:
     p_forge = sub.add_parser("forge", help="generate a synthetic evidence bundle")
     p_forge.add_argument("--script", required=True, help="scenario script (JSON)")
     p_forge.add_argument("--out", required=True, help="output directory")
-    p_forge.add_argument("--seed", type=int, help="override the script's seed")
     return parser
 
 
@@ -134,11 +127,6 @@ def _inside(path: str | Path, root: str) -> bool:
         return Path(path).resolve().is_relative_to(Path(root).resolve())
     except RuntimeError:  # a symlink loop: nothing can be read or written through it
         return False
-
-
-def _timeline_csv_path(out: str) -> Path:
-    """Where ``report --format csv`` writes the timeline CSV: next to ``--out``."""
-    return Path(out).with_suffix(".timeline.csv")
 
 
 def _load_grammar(path: str | None) -> LogGrammar:
@@ -174,9 +162,6 @@ def _cmd_report(args) -> int:
     analysis = analyze(bundle, args.sim)
     doc = report_mod.build_report(bundle, analysis, args.tz)
     _emit(report_mod.render_report_json(doc), args.out)
-    if args.format == "csv":
-        csv_text = report_mod.render_timeline_csv(analysis.chronology, args.tz)
-        _emit(csv_text, _timeline_csv_path(args.out))
     if args.verify_readonly:
         after = ingest.snapshot_tree(args.in_path)
         if before != after:
@@ -222,13 +207,9 @@ def _cmd_timeline(args) -> int:
 
 def _cmd_forge(args) -> int:
     # Imported here: the forge is large and no other command uses it.
-    import dataclasses
-
     from . import forge
 
     script = forge.script_from_json(Path(args.script).read_text(encoding="utf-8"))
-    if args.seed is not None:
-        script = dataclasses.replace(script, seed=args.seed)
     result = forge.generate_bundle(script, args.out)
     _emit(report_mod.render_report_json(report_mod.forge_summary(result)), None)
     return EXIT_OK
@@ -248,15 +229,10 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "report" and args.format == "csv" and not args.out:
-            parser.error("--format csv needs --out to place the timeline CSV")
         if args.command == "decrypt" and _same_file(args.in_path, args.out):
             parser.error("--out names the backup given as --in; it would be overwritten")
         if args.command in ("ingest", "report", "diff", "timeline") and args.out:
-            outs = [args.out]
-            if args.command == "report" and args.format == "csv":
-                outs.append(_timeline_csv_path(args.out))
-            if any(_inside(out, args.in_path) for out in outs):
+            if _inside(args.out, args.in_path):
                 parser.error("--out lies inside the evidence directory given as --in")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

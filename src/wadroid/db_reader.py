@@ -6,8 +6,11 @@ schema has drifted across versions, so extra columns are ignored and
 missing optional columns decode to absent values. A source is one
 connection: to a file, through SQLite's read-only immutable mode, so the
 reader never writes to an evidence file, or to a decrypted backup's
-image in memory. SQLite's own errors on a damaged database are raised as
-CorruptDatabase, so callers handle them like any other tool error.
+image in memory. Opening a source requires no table; a loader raises
+MissingTable when the table it reads is absent, so a database is checked
+only for the tables that are read from it. SQLite's own errors on a
+damaged database are raised as CorruptDatabase, so callers handle them
+like any other tool error.
 
 Each table a record is decoded from has a column table, {name: the
 storage class its values need no conversion in}. A value that is NULL or
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import sqlite3
 from contextlib import contextmanager
-from enum import Enum
 from pathlib import Path
 from types import NoneType
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -65,23 +67,12 @@ PHONEBOOK_COLUMNS = (
 )
 
 
-class DbKind(Enum):
-    CONTACTS = "contacts"
-    CHAT_STORE = "chat_store"
-
-
-_REQUIRED_TABLES = {
-    DbKind.CONTACTS: (CONTACTS_TABLE,),
-    DbKind.CHAT_STORE: (MESSAGES_TABLE, CHAT_LIST_TABLE),
-}
-
-
 class DbSource:
-    """A verified evidence database, open until its ``with`` block ends."""
+    """An evidence database, open until its ``with`` block ends."""
 
-    def __init__(self, path: str, db_kind: DbKind, connection: sqlite3.Connection) -> None:
+    def __init__(self, path: str, tables: frozenset[str], connection: sqlite3.Connection) -> None:
         self.path = path  # the file, or the name of an in-memory image
-        self.db_kind = db_kind
+        self.tables = tables  # lower-cased, as SQLite matches them
         self.connection = connection
 
     def __enter__(self) -> DbSource:
@@ -99,11 +90,14 @@ def _head(path: Path) -> bytes:
         raise UnreadableFile(f"cannot read {path}: {exc}") from exc
 
 
-def open_source(path: str | Path, db_kind: DbKind, *, image: bytes | None = None) -> DbSource:
-    """Validate magic and required tables, returning an open DbSource.
+def open_source(path: str | Path, *, image: bytes | None = None) -> DbSource:
+    """The SQLite database at ``path``, open, with the names of its tables.
 
-    Given its bytes as ``image``, the database is read from a copy of them
-    in memory, and ``path`` only names it.
+    A file without the SQLite magic is NotSqlite; one whose schema cannot
+    be read is CorruptDatabase. No table is required here: each loader
+    checks for the table it reads. Given its bytes as ``image``, the
+    database is read from a copy of them in memory, and ``path`` only
+    names it.
     """
     path = Path(path)
     if image is None and not path.is_file():
@@ -122,23 +116,25 @@ def open_source(path: str | Path, db_kind: DbKind, *, image: bytes | None = None
     try:
         if image is not None:
             conn.deserialize(image)
-        names = {
+        tables = frozenset(
             name.lower()
             for (name,) in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")
-        }
+        )
     except sqlite3.DatabaseError as exc:
         conn.close()
         raise CorruptDatabase(f"{path} is damaged or unreadable: {exc}") from exc
-    missing = [t for t in _REQUIRED_TABLES[db_kind] if t not in names]
-    if missing:
-        conn.close()
-        raise MissingTable(f"{path} lacks required table(s): {', '.join(missing)}")
-    return DbSource(path=str(path), db_kind=db_kind, connection=conn)
+    return DbSource(path=str(path), tables=tables, connection=conn)
 
 
 @contextmanager
 def _reading(source: DbSource, table: str):
-    """The source's connection; SQLite's errors reading ``table`` become CorruptDatabase."""
+    """The source's connection, to read ``table``.
+
+    MissingTable if the source has no such table; SQLite's errors reading
+    it become CorruptDatabase.
+    """
+    if table not in source.tables:
+        raise MissingTable(f"{source.path} lacks required table(s): {table}")
     try:
         yield source.connection
     except sqlite3.DatabaseError as exc:
@@ -344,8 +340,6 @@ _CONTACT_COLUMNS = {
 
 def load_contacts(source: DbSource, warn: list[ParseWarning] | None = None) -> list[ContactRecord]:
     """Materialize every contacts-table row, in ascending _id order."""
-    if source.db_kind is not DbKind.CONTACTS:
-        raise ValueError("load_contacts requires a CONTACTS source")
     with _reading(source, CONTACTS_TABLE) as conn:
         shape = _Table.probe(conn, CONTACTS_TABLE)
         phonebook_columns = [c for c in PHONEBOOK_COLUMNS if c in shape.columns]
@@ -421,8 +415,6 @@ def load_message_pairs(source: DbSource) -> frozenset[tuple[str, str]]:
     (``key_remote_jid.raw``, ``key_id_raw``), without warnings; no other
     column is read. A missing key column reads as absent in every row.
     """
-    if source.db_kind is not DbKind.CHAT_STORE:
-        raise ValueError("load_message_pairs requires a CHAT_STORE source")
     with _reading(source, MESSAGES_TABLE) as conn:
         shape = _Table.probe(conn, MESSAGES_TABLE)
         # NOT INDEXED: read the table's own pages, as ``load_messages`` does,
@@ -476,8 +468,6 @@ def load_messages(
     warning. Blob columns are carried as opaque bytes; ``thumb_image`` is
     retained but never examined.
     """
-    if source.db_kind is not DbKind.CHAT_STORE:
-        raise ValueError("load_messages requires a CHAT_STORE source")
     with _reading(source, MESSAGES_TABLE) as conn:
         shape = _Table.probe(conn, MESSAGES_TABLE)
         select = shape.select(_MESSAGE_COLUMNS)
@@ -610,8 +600,6 @@ def load_chat_list(
     source: DbSource, warn: list[ParseWarning] | None = None
 ) -> list[ChatListRecord]:
     """Materialize every chat-list row, in ascending _id order."""
-    if source.db_kind is not DbKind.CHAT_STORE:
-        raise ValueError("load_chat_list requires a CHAT_STORE source")
     with _reading(source, CHAT_LIST_TABLE) as conn:
         shape = _Table.probe(conn, CHAT_LIST_TABLE)
         raw_rows = shape.rows(conn, shape.select(_CHAT_LIST_COLUMNS))

@@ -22,7 +22,6 @@ from typing import Collection
 
 from . import db_reader, layout
 from .backup_crypto import decrypt_backup
-from .db_reader import DbKind
 from .errors import StructuralError, UnreadableFile, WadroidError
 from .log_parser import DEFAULT_GRAMMAR, LogGrammar, merge_events, parse_log_file
 from .model import (
@@ -51,9 +50,7 @@ def _rel(root: Path, path: Path) -> str:
     return path.relative_to(root).as_posix()
 
 
-def _live_source(
-    root: Path, rel_path: str, kind: DbKind, warn: list[ParseWarning]
-) -> db_reader.DbSource:
+def _live_source(root: Path, rel_path: str, warn: list[ParseWarning]) -> db_reader.DbSource:
     """The live database at ``rel_path``, opened in SQLite's immutable mode.
 
     That mode reads no write-ahead log and rolls back no hot journal, so
@@ -78,7 +75,7 @@ def _live_source(
                 "hot rollback journal ignored: changes of an unfinished transaction "
                 "may be read as committed",
             )
-    return db_reader.open_source(root / rel_path, kind)
+    return db_reader.open_source(root / rel_path)
 
 
 def _skip_unreadable(error: OSError) -> None:
@@ -119,7 +116,7 @@ class Evidence:
     database is opened once and closed when the block ends. ``live_pairs``
     and ``group_events`` are taken from ``messages`` and ``log_events``
     when those were read first; in the other order, the group log lines
-    are parsed, and warned about, twice.
+    are parsed twice, and warned about once.
     """
 
     def __init__(
@@ -160,7 +157,7 @@ class Evidence:
         if not (self.root / layout.WA_DB).is_file():
             warn_to(warn, layout.WA_DB, "contacts database missing; contact analysis degraded")
             return ()
-        with _live_source(self.root, layout.WA_DB, DbKind.CONTACTS, warn) as source:
+        with _live_source(self.root, layout.WA_DB, warn) as source:
             return tuple(db_reader.load_contacts(source, warn))
 
     @cached_property
@@ -170,7 +167,7 @@ class Evidence:
         if not (self.root / layout.MSGSTORE_DB).is_file():
             warn_to(warn, layout.MSGSTORE_DB, "chat database missing; message analysis degraded")
             return None
-        source = _live_source(self.root, layout.MSGSTORE_DB, DbKind.CHAT_STORE, warn)
+        source = _live_source(self.root, layout.MSGSTORE_DB, warn)
         return self._open.enter_context(source)
 
     @cached_property
@@ -218,7 +215,7 @@ class Evidence:
                 continue
             try:
                 # Named after its crypt file, so row warnings name the backup.
-                source = db_reader.open_source(crypt.name, DbKind.CHAT_STORE, image=plain)
+                source = db_reader.open_source(crypt.name, image=plain)
                 del plain  # SQLite reads its own copy
                 with source:
                     # Only the messages matter for recovery; a backup's own
@@ -230,14 +227,16 @@ class Evidence:
             backups.append(BackupSet(name=crypt.name, messages=tuple(messages)))
         return tuple(backups)
 
-    def _parse_logs(self, kinds: Collection[EventKind] | None) -> tuple[LogEvent, ...]:
+    def _parse_logs(
+        self, kinds: Collection[EventKind] | None, warn: list[ParseWarning]
+    ) -> tuple[LogEvent, ...]:
         """The events of every readable log file, merged; ``kinds`` as in ``parse_log_file``."""
         parsed = []
         for path in self._log_files:
             try:
-                parsed.append(parse_log_file(path, self.grammar, self.warnings, kinds))
+                parsed.append(parse_log_file(path, self.grammar, warn, kinds))
             except UnreadableFile as exc:
-                warn_to(self.warnings, _rel(self.root, path), f"log file not read: {exc}")
+                warn_to(warn, _rel(self.root, path), f"log file not read: {exc}")
         return tuple(merge_events(*parsed))
 
     @cached_property
@@ -246,7 +245,15 @@ class Evidence:
             warn = self.warnings
             warn_to(warn, layout.LOGS_DIR, "no log files found; log-based inference disabled")
             return ()
-        return self._parse_logs(None)
+        if "group_events" not in self.__dict__:
+            return self._parse_logs(None, self.warnings)
+        # The group parse gave every warning of the lines failing the line
+        # pattern, of the group lines and of the unreadable files: only the
+        # warnings of the other lines are added.
+        warn: list[ParseWarning] = []
+        events = self._parse_logs(None, warn)
+        self.warnings.extend(w for w in warn if w.source not in self._group_warned)
+        return events
 
     @cached_property
     def group_events(self) -> tuple[LogEvent, ...]:
@@ -258,7 +265,11 @@ class Evidence:
         """
         if "log_events" in self.__dict__ or not self._log_files:
             return tuple(e for e in self.log_events if e.kind in GROUP_MEMBERSHIP_KINDS)
-        return self._parse_logs(GROUP_MEMBERSHIP_KINDS)
+        warn: list[ParseWarning] = []
+        events = self._parse_logs(GROUP_MEMBERSHIP_KINDS, warn)
+        self.warnings.extend(warn)
+        self._group_warned = {w.source for w in warn}
+        return events
 
     @cached_property
     def registered_number(self) -> str | None:
@@ -293,6 +304,7 @@ class Evidence:
             for directory in (layout.AVATARS_DIR, layout.PROFILE_PICTURES_DIR)
             if (self.root / directory).is_dir()
             for path in (self.root / directory).glob(f"*{layout.AVATAR_SUFFIX}")
+            if path.is_file()  # a link is followed, as for media
         ]
         return tuple(sorted(avatars, key=lambda a: (a.jid_raw, a.path)))
 

@@ -34,7 +34,7 @@ from wadroid.correlator import (
     reconstruct_history,
     resolve_partners,
 )
-from wadroid.db_reader import DbKind, load_messages, open_source
+from wadroid.db_reader import load_messages, open_source
 from wadroid.errors import MagicMismatch
 from wadroid.model import (
     parse_group_id,
@@ -220,7 +220,7 @@ def test_acceptance_5_crypto_roundtrip(tmp_path):
     plain_path = tmp_path / "restored.db"
     plain_path.write_bytes(decrypt_backup(crypt))
     warn = []
-    records = load_messages(open_source(plain_path, DbKind.CHAT_STORE), warn)
+    records = load_messages(open_source(plain_path), warn)
     assert len(records) == 1
     assert len(warn) == 0
 

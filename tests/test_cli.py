@@ -145,17 +145,6 @@ def test_usage_error_exit_code(capsys):
     assert run([]) == EXIT_USAGE
 
 
-def test_report_csv_without_out_is_a_usage_error(conversation_dir, monkeypatch, capsys):
-    def loaded(*args, **kwargs):
-        raise AssertionError("evidence loaded before the usage check")
-
-    monkeypatch.setattr(ingest, "load_case_bundle", loaded)
-    assert run(["report", "--in", str(conversation_dir), "--format", "csv"]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--format csv needs --out" in captured.err
-
-
 # Only ASCII digits are numbers, though int() reads other scripts' digits.
 @pytest.mark.parametrize(
     "offset", ["+00:75", "+24:00", "+\u0661\u0662:\u0663\u0660", "+12:\u0663\u0660"]
@@ -274,22 +263,17 @@ def test_decrypt_refuses_to_overwrite_its_input(tmp_path, capsys):
     [
         ["ingest"],
         ["report"],
-        ["report", "--format", "csv"],
         ["diff"],
         ["timeline"],
         ["timeline", "--format", "csv"],
     ],
-    ids=["ingest", "report", "report-csv", "diff", "timeline", "timeline-csv"],
+    ids=["ingest", "report", "diff", "timeline", "timeline-csv"],
 )
 def test_an_output_inside_the_evidence_is_a_usage_error(conversation_dir, tmp_path, capsys, argv):
     media = conversation_dir / layout.MEDIA_DIR
     (tmp_path / "media-link").symlink_to(media)
-    # report --format csv also writes the CSV beside --out: here, through a link, into the log
-    (tmp_path / "r.timeline.csv").symlink_to(conversation_dir / layout.MAIN_LOG)
     outs = [media / "report.json", media / ".." / "r.json", conversation_dir]
     outs.append(tmp_path / "media-link" / "report.json")
-    if argv == ["report", "--format", "csv"]:
-        outs.append(tmp_path / "r.json")
     before = ingest.snapshot_tree(conversation_dir)
     for out in outs:
         assert run([*argv, "--in", str(conversation_dir), "--out", str(out)]) == EXIT_USAGE, out
@@ -500,6 +484,50 @@ def test_diff_warns_on_a_damaged_backup(tmp_path, capsys, damage):
     assert run(["diff", "--in", str(result.root)]) == EXIT_WARNINGS
     doc = json.loads(capsys.readouterr().out)
     assert [b["name"] for b in doc["backups"]] == [crypts[0].name, crypts[2].name]
+
+
+def _drop_backup_table(crypt: Path, tmp_path: Path, table: str) -> None:
+    plain = tmp_path / f"{crypt.name}.db"
+    plain.write_bytes(decrypt_backup(crypt))
+    _update(plain, f"DROP TABLE {table}")
+    crypt.write_bytes(encrypt_fixture(plain.read_bytes()))
+
+
+def test_a_backup_without_a_chat_list_keeps_its_lost_rows(tmp_path, capsys):
+    """No command reads a backup's chat list, so a backup lacking one is read like the rest."""
+    result = _three_backups(tmp_path)
+    assert run(["diff", "--in", str(result.root)]) == EXIT_OK
+    intact = capsys.readouterr().out
+    assert run(["report", "--in", str(result.root)]) == EXIT_WARNINGS
+    intact_report = capsys.readouterr().out
+    crypts = sorted((result.root / layout.BACKUPS_DIR).glob("*.crypt"))
+    _drop_backup_table(crypts[1], tmp_path, "chat_list")
+    assert run(["diff", "--in", str(result.root)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == intact
+    recovered = {b["name"]: b["recovered_count"] for b in json.loads(out)["backups"]}
+    assert sorted(recovered) == [c.name for c in crypts] and recovered[crypts[1].name] > 0
+    assert run(["report", "--in", str(result.root)]) == EXIT_WARNINGS
+    assert capsys.readouterr().out == intact_report
+
+
+def test_a_backup_without_messages_is_skipped_with_a_warning(tmp_path, capsys):
+    result = _three_backups(tmp_path)
+    crypts = sorted((result.root / layout.BACKUPS_DIR).glob("*.crypt"))
+    bad = crypts[1]
+    _drop_backup_table(bad, tmp_path, "messages")
+    assert run(["diff", "--in", str(result.root)]) == EXIT_WARNINGS
+    doc = json.loads(capsys.readouterr().out)
+    assert [b["name"] for b in doc["backups"]] == [crypts[0].name, crypts[2].name]
+    assert run(["report", "--in", str(result.root)]) == EXIT_WARNINGS
+    unreadable = [
+        w
+        for w in json.loads(capsys.readouterr().out)["warnings"]
+        if w["source"] == f"{layout.BACKUPS_DIR}/{bad.name}"
+    ]
+    assert [w["message"] for w in unreadable] == [
+        f"decrypted backup unreadable: {bad.name} lacks required table(s): messages"
+    ]
 
 
 def test_diff_without_a_chat_database_lists_every_backup_row(tmp_path, capsys):
@@ -925,7 +953,7 @@ def test_an_unknown_media_type_is_kept_as_text_with_one_warning(
     _update(msgstore, "UPDATE messages SET media_wa_type = 9 WHERE _id = 1")
     out = tmp_path / "report.json"
     argv = ["--in", str(conversation_dir)]
-    assert run(["report", *argv, "--out", str(out), "--format", "csv"]) == EXIT_WARNINGS
+    assert run(["report", *argv, "--out", str(out)]) == EXIT_WARNINGS
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["warnings"] == [
         {"source": "messages:_id=1", "message": "unknown media_wa_type 9; kept as text"}
@@ -936,7 +964,8 @@ def test_an_unknown_media_type_is_kept_as_text_with_one_warning(
     capsys.readouterr()
     assert run(["timeline", *argv]) == EXIT_WARNINGS
     assert json.loads(capsys.readouterr().out)["chats"] == doc["conversations"]
-    timeline_csv = out.with_suffix(".timeline.csv").read_text(encoding="utf-8")
+    assert run(["timeline", *argv, "--format", "csv"]) == EXIT_WARNINGS
+    timeline_csv = capsys.readouterr().out
     (row,) = [r for r in csv.reader(timeline_csv.splitlines()) if r[5] == message["key"]]
     assert row[6] == "text:Message 1"
 
@@ -1261,6 +1290,10 @@ _EXIT_CONTRACT = {
         lambda root, tmp_path: (root / layout.WA_DB).unlink(),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
     ),
+    "no-chat_list": (
+        lambda root, tmp_path: _update(root / layout.MSGSTORE_DB, "DROP TABLE chat_list"),
+        (EXIT_ERROR, EXIT_ERROR, EXIT_OK, EXIT_OK),
+    ),
     "no-msgstore.db": (
         lambda root, tmp_path: (root / layout.MSGSTORE_DB).unlink(),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS),
@@ -1376,6 +1409,34 @@ def test_group_events_are_taken_from_the_log_events_read(tmp_path, monkeypatch):
         assert evidence.group_events == expected
         assert sum(parsed.values()) == 1
     assert set(expected) < set(events)
+
+
+@pytest.mark.parametrize(
+    "order", [("log_events", "group_events"), ("group_events", "log_events")], ids=["log", "group"]
+)
+def test_each_log_line_is_warned_about_once(tmp_path, order):
+    root = _full_device(tmp_path / "evidence")
+    _append_log_line(
+        root,
+        "2013-02-30 10:00:00.000 +0000 "
+        + log_parser.body_group_member_left(_A_GROUP, helpers.jid(helpers.PARTNER)),
+    )
+    _append_log_line(root, "not a log line")
+    _append_log_line(
+        root, log_parser.format_line(helpers.CONV_OUT_2, log_parser.body_message_deleted("bad"))
+    )
+    (root / layout.LOGS_DIR / "whatsapp-old.log").mkdir()
+    with ingest.Evidence(root) as evidence:
+        assert evidence.log_events
+        expected = evidence.warnings
+    assert len(expected) == 5 == len(set(expected))
+    with ingest.Evidence(root) as evidence:
+        for name in order:
+            assert getattr(evidence, name)
+    if order[0] == "log_events":
+        assert evidence.warnings == expected
+    else:
+        assert sorted(evidence.warnings) == sorted(expected)
 
 
 @pytest.mark.parametrize(
@@ -1557,15 +1618,22 @@ def test_clean_me_file_does_not_warn(conversation_dir, capsys):
     assert summary["registered_number"] == "393400000001"
 
 
-def test_report_csv_export(conversation_dir, tmp_path):
-    out = tmp_path / "report.json"
-    code = run(
-        ["report", "--in", str(conversation_dir), "--out", str(out), "--format", "csv"]
-    )
-    assert code == EXIT_OK
-    csv_path = out.with_suffix(".timeline.csv")
-    assert csv_path.exists()
-    assert "message-incoming" in csv_path.read_text(encoding="utf-8")
+def test_only_a_file_is_an_avatar(conversation_dir, tmp_path, capsys):
+    """A directory or a dangling link named like an avatar is none; a link to a file is one."""
+    assert run(["report", "--in", str(conversation_dir)]) == EXIT_OK
+    clean = capsys.readouterr().out
+    avatars = conversation_dir / layout.AVATARS_DIR
+    avatars.mkdir(parents=True, exist_ok=True)
+    named = [avatars / f"{helpers.jid(n)}{layout.AVATAR_SUFFIX}" for n in ("490", "491", "492")]
+    named[0].mkdir()
+    named[1].symlink_to(tmp_path / "absent")
+    assert run(["report", "--in", str(conversation_dir)]) == EXIT_OK
+    assert capsys.readouterr().out == clean
+    picture = tmp_path / "picture"
+    picture.write_bytes(b"\xff\xd8")
+    named[2].symlink_to(picture)
+    with ingest.Evidence(conversation_dir) as evidence:
+        assert [a.jid_raw for a in evidence.avatar_inventory] == [helpers.jid("492")]
 
 
 def test_structural_error_for_missing_dir(tmp_path):

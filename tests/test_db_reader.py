@@ -10,7 +10,6 @@ import pytest
 from helpers import MESSAGE_DEFAULTS, build_db, contacts_db, corrupt_page_2, jid, msgstore_db
 from wadroid import db_reader
 from wadroid.db_reader import (
-    DbKind,
     check_chat_list_consistency,
     load_chat_list,
     load_contacts,
@@ -50,11 +49,11 @@ CONTACT_ROW = {
 
 
 def _contacts_source(tmp_path, rows):
-    return open_source(contacts_db(tmp_path / "wa.db", rows), DbKind.CONTACTS)
+    return open_source(contacts_db(tmp_path / "wa.db", rows))
 
 
 def _store_source(tmp_path, messages=(), chats=()):
-    return open_source(msgstore_db(tmp_path / "msgstore.db", messages, chats), DbKind.CHAT_STORE)
+    return open_source(msgstore_db(tmp_path / "msgstore.db", messages, chats))
 
 
 def test_load_single_contact(tmp_path):
@@ -95,7 +94,7 @@ def test_phonebook_holds_the_columns_the_table_has(tmp_path):
         """
     )
     conn.close()
-    records = load_contacts(open_source(path, DbKind.CONTACTS))
+    records = load_contacts(open_source(path))
     assert [list(r.phonebook.items()) for r in records] == [
         [("number", "+1"), ("sort_name", "Zed")],
         [("number", "+2"), ("sort_name", None)],
@@ -122,12 +121,12 @@ def test_not_sqlite(tmp_path):
     path = tmp_path / "wa.db"
     path.write_bytes(b"definitely not a database")
     with pytest.raises(NotSqlite):
-        open_source(path, DbKind.CONTACTS)
+        open_source(path)
 
 
 def test_missing_file(tmp_path):
     with pytest.raises(UnreadableFile):
-        open_source(tmp_path / "absent.db", DbKind.CONTACTS)
+        open_source(tmp_path / "absent.db")
 
 
 def test_missing_table(tmp_path):
@@ -136,8 +135,9 @@ def test_missing_table(tmp_path):
     conn.execute("CREATE TABLE other (x)")
     conn.commit()
     conn.close()
-    with pytest.raises(MissingTable):
-        open_source(path, DbKind.CONTACTS)
+    with open_source(path) as source:
+        with pytest.raises(MissingTable, match=re.escape("lacks required table(s): wa_contacts")):
+            load_contacts(source)
 
 
 def test_msgstore_missing_messages_table(tmp_path):
@@ -146,28 +146,30 @@ def test_msgstore_missing_messages_table(tmp_path):
     conn.execute("CREATE TABLE chat_list (_id INTEGER PRIMARY KEY)")
     conn.commit()
     conn.close()
-    with pytest.raises(MissingTable):
-        open_source(path, DbKind.CHAT_STORE)
+    with open_source(path) as source:
+        with pytest.raises(MissingTable, match=re.escape("lacks required table(s): messages")):
+            load_messages(source)
 
 
 def test_an_image_reads_as_its_file_under_the_name_given(tmp_path):
     row = {"key_remote_jid": jid("393480000002"), "key_id": "1-1", "data": "hi", "latitude": 1}
     path = msgstore_db(tmp_path / "msgstore.db", [{**row, "media_wa_type": 5}])
     from_file, from_image = [], []
-    with open_source(path, DbKind.CHAT_STORE) as source:
+    with open_source(path) as source:
         expected = load_messages(source, from_file)
     name = "msgstore-1.db.crypt"
-    with open_source(name, DbKind.CHAT_STORE, image=path.read_bytes()) as source:
+    with open_source(name, image=path.read_bytes()) as source:
         assert source.path == name
         assert load_messages(source, from_image) == expected
     assert [w.message for w in from_image] == [w.message for w in from_file]
     assert [w.source for w in from_image] == [f"{name}:messages#1"]
     with pytest.raises(NotSqlite, match=re.escape(name)):
-        open_source(name, DbKind.CHAT_STORE, image=b"not a database")
-    with pytest.raises(MissingTable, match=re.escape(name)):
-        open_source(name, DbKind.CONTACTS, image=path.read_bytes())
+        open_source(name, image=b"not a database")
+    with open_source(name, image=path.read_bytes()) as source:
+        with pytest.raises(MissingTable, match=re.escape(name)):
+            load_contacts(source)
     with pytest.raises(CorruptDatabase, match=re.escape(f"{name}: table messages is damaged")):
-        with open_source(name, DbKind.CHAT_STORE, image=corrupt_page_2(path.read_bytes())) as s:
+        with open_source(name, image=corrupt_page_2(path.read_bytes())) as s:
             load_messages(s)
 
 
@@ -279,7 +281,7 @@ def test_extra_and_missing_columns_tolerated(tmp_path):
     )
     conn.commit()
     conn.close()
-    records = load_messages(open_source(path, DbKind.CHAT_STORE))
+    records = load_messages(open_source(path))
     assert records[0].data is None
     assert records[0].media_wa_type == 0
     assert records[0].timestamp == 123
@@ -357,7 +359,7 @@ def test_message_pairs_are_the_decoded_records_pairs(tmp_path, dropped):
         conn.execute(f"ALTER TABLE messages DROP COLUMN {dropped}")
         conn.commit()
         conn.close()
-    source = open_source(path, DbKind.CHAT_STORE)
+    source = open_source(path)
     pairs = load_message_pairs(source)
     assert pairs == {(m.key_remote_jid.raw, m.key_id_raw) for m in load_messages(source)}
     if not dropped:
@@ -376,7 +378,7 @@ def test_corrupt_messages_table_fails_the_pair_read(tmp_path):
     conn = sqlite3.connect(path)
     conn.execute("CREATE INDEX messages_key ON messages (key_remote_jid, key_id)")  # intact
     conn.close()
-    source = open_source(path, DbKind.CHAT_STORE)
+    source = open_source(path)
     path.write_bytes(corrupt_page_2(path.read_bytes()))  # the messages table's root
     with pytest.raises(CorruptDatabase):
         load_message_pairs(source)
@@ -384,7 +386,7 @@ def test_corrupt_messages_table_fails_the_pair_read(tmp_path):
 
 def test_corrupt_database_is_a_tool_error(tmp_path):
     path = msgstore_db(tmp_path / "msgstore.db", [{"key_remote_jid": jid("1"), "key_id": "1-1"}])
-    source = open_source(path, DbKind.CHAT_STORE)
+    source = open_source(path)
     path.write_bytes(corrupt_page_2(path.read_bytes()))  # the messages table's root
     with pytest.raises(CorruptDatabase):
         load_messages(source)
@@ -428,7 +430,7 @@ def test_loading_never_writes(tmp_path):
         [dict(MESSAGE_DEFAULTS, key_remote_jid=jid("1"), key_id="1-1", timestamp=1)],
     )
     before = (path.stat().st_mtime_ns, path.read_bytes())
-    source = open_source(path, DbKind.CHAT_STORE)
+    source = open_source(path)
     load_messages(source)
     load_chat_list(source)
     after = (path.stat().st_mtime_ns, path.read_bytes())
@@ -490,7 +492,7 @@ def _untyped_store(path, rows, id_column="_id INTEGER PRIMARY KEY"):
         CREATE TABLE chat_list (_id INTEGER PRIMARY KEY, key_remote_jid TEXT,
                                 message_table_id INTEGER);
     """
-    return open_source(build_db(path, schema, {"messages": rows}), DbKind.CHAT_STORE)
+    return open_source(build_db(path, schema, {"messages": rows}))
 
 
 def _load(source, **kwargs):
@@ -751,7 +753,6 @@ def test_plain_rows_decode_as_the_getters_do(tmp_path, monkeypatch, table, colum
     # No type affinity: each value keeps the storage class it was inserted with.
     schema = "".join(f"CREATE TABLE {t} ({', '.join(c)});" for t, (c, *_) in _TABLES.items())
     path = build_db(tmp_path / "evidence.db", schema, {table: rows})
-    kind = DbKind.CONTACTS if table == "wa_contacts" else DbKind.CHAT_STORE
     converted = []
 
     def counting(convert):
@@ -764,7 +765,7 @@ def test_plain_rows_decode_as_the_getters_do(tmp_path, monkeypatch, table, colum
     converters = {storage: counting(c) for storage, c in db_reader._CONVERTERS.items()}
     monkeypatch.setattr(db_reader, "_CONVERTERS", converters)
     warn = []
-    records = load(open_source(path, kind), warn)
+    records = load(open_source(path), warn)
     expected, expected_warnings = _reference_load(path, table, reference)
     assert len(records) == 3
     assert records == expected
@@ -841,7 +842,7 @@ def test_column_names_match_case_insensitively(tmp_path):
                       "timestamp": 5}],
         "chat_list": [{"_id": 1, "key_remote_jid": partner, "message_table_id": 4}],
     })
-    source = open_source(path, DbKind.CHAT_STORE)
+    source = open_source(path)
     warn = []
     (message,) = load_messages(source, warn)
     assert (message.id, message.key_remote_jid.raw, message.key_id_raw, message.data) == (
@@ -856,7 +857,7 @@ def test_column_names_match_case_insensitively(tmp_path):
     build_db(contacts, "CREATE TABLE WA_Contacts (_ID INTEGER PRIMARY KEY, JID TEXT, "
              "Display_Name TEXT, IS_WHATSAPP_USER INTEGER)",
              {"wa_contacts": [{"jid": partner, "display_name": "Partner", "is_whatsapp_user": 1}]})
-    (contact,) = load_contacts(open_source(contacts, DbKind.CONTACTS), warn)
+    (contact,) = load_contacts(open_source(contacts), warn)
     assert (contact.jid.raw, contact.is_whatsapp_user) == (partner, True)
     assert contact.phonebook == {"display_name": "Partner"}
     assert warn == []

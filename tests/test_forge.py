@@ -14,7 +14,7 @@ import pytest
 import helpers
 from wadroid import forge, ingest, layout
 from wadroid.backup_crypto import decrypt_backup
-from wadroid.db_reader import DbKind, open_source
+from wadroid.db_reader import open_source
 from wadroid.errors import InvalidScript
 from wadroid.log_parser import DEFAULT_GRAMMAR
 
@@ -103,8 +103,8 @@ def test_empty_script_structurally_valid(tmp_path):
     assert len(parsed.warnings) == 0
     # tables exist even when empty
     databases = result.root / "data/data/com.whatsapp/databases"
-    open_source(databases / "wa.db", DbKind.CONTACTS)
-    open_source(databases / "msgstore.db", DbKind.CHAT_STORE)
+    open_source(databases / "wa.db")
+    open_source(databases / "msgstore.db")
     assert "sqlite_sequence" in _table_names(databases / "wa.db")
     assert {"messages", "chat_list"} <= _table_names(databases / "msgstore.db")
 
