@@ -16,7 +16,7 @@ import os
 from pathlib import Path
 
 from .db_reader import SQLITE_MAGIC
-from .errors import BadBlockLength, MagicMismatch, UnreadableFile
+from .errors import BadBlockLength, MagicMismatch, UnreadableFile, os_reason
 
 #: The fixed 24-byte backup key shared by all devices of this app build.
 DEFAULT_BACKUP_KEY = bytes.fromhex(
@@ -82,9 +82,9 @@ def decrypt_backup(path: str | Path, key: bytes | None = None) -> bytearray:
                     read += count
                     written += decryptor.update_into(view[:count], out[written:])
     except OSError as exc:
-        raise UnreadableFile(f"cannot read backup {path}: {exc}") from exc
+        raise UnreadableFile(f"cannot read backup: {os_reason(exc)}") from exc
     if read != size:
-        raise UnreadableFile(f"cannot read backup {path}: it shrank while it was read")
+        raise UnreadableFile("cannot read backup: it shrank while it was read")
     decryptor.finalize()  # for its check only: whole blocks leave nothing
     del plain[written:]
     return _validated(plain)

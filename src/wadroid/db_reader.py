@@ -21,6 +21,11 @@ absent. A row's warnings come in this order: its mismatch warnings, in
 column-table order, then the warnings about the decoded record (key,
 remote resource, media hash, jid, then the record's invariants).
 
+Each table is read by one SELECT, whatever its shape (``_Table.rows``);
+of a backup, it leaves out the rows whose (conversation, key) pair is
+live, reading only their key columns. Rows numbered by position use a
+window function, which needs SQLite 3.25 or later.
+
 Recovery of deleted rows from freelist/WAL pages is out of scope; the
 correlator's log-based inference covers deletions instead.
 """
@@ -164,66 +169,42 @@ class _Table(NamedTuple):
         """A select list of ``columns``, each one the table lacks read as NULL."""
         return ", ".join(c if c in self.columns else f"NULL AS {c}" for c in columns)
 
-    def rows(self, conn: sqlite3.Connection, select: str) -> list[tuple]:
+    def rows(
+        self, conn: sqlite3.Connection, select: str, skip_pairs: frozenset = frozenset()
+    ) -> list[tuple]:
         """Every row's ``select`` columns, after the number naming the row in warnings.
 
         Rows come in ascending _id order (equal ids in rowid order) and are
         named by their _id. A table without ``_id`` is read in rowid order
         and names its rows by rowid; one without rowids either is read in
-        primary-key order and names its rows by their 1-based position.
+        primary-key order and names its rows by their 1-based position in
+        the whole table. One statement reads them; it leaves out each row
+        whose (conversation, key) pair is in ``skip_pairs``, reading only
+        that row's key columns.
         """
-        if self.has_rowid:
-            label, order = self._label_and_order()
-        elif "_id" in self.columns:
-            label, order = "_id", "_id"
-        else:
-            cursor = conn.execute(f"SELECT {select} FROM {self.name}")
-            return [(position, *row) for position, row in enumerate(cursor, start=1)]
-        return conn.execute(f"SELECT {label}, {select} FROM {self.name} ORDER BY {order}").fetchall()
-
-    def _label_and_order(self) -> tuple[str, str]:
-        """The column naming a row, and the ORDER BY list, of a table with rowids."""
+        # NOT INDEXED: read the table's own pages, even where an index
+        # holds the columns read.
+        table = f"{self.name} NOT INDEXED"
         if "_id" in self.columns:
-            return "_id", "_id, rowid"
-        return "rowid", "rowid"
+            label, order = "_id", "_id, rowid" if self.has_rowid else "_id"
+        elif self.has_rowid:
+            label = order = "rowid"
+        else:  # numbered in a subquery, before the filter leaves rows out
+            label = order = "_position"
+            table = f"(SELECT row_number() OVER () AS _position, * FROM {table})"
+        where = ""
+        if skip_pairs:
+            # ``skip_pairs`` holds pairs of str, so a raw pair is in it only
+            # when both values are TEXT, and then it is its own decoding:
+            # most skipped rows are found without ``_pair``.
+            def kept(jid, key) -> bool:
+                return (jid, key) not in skip_pairs and _pair(jid, key) not in skip_pairs
 
-    def rows_not_in(
-        self, conn: sqlite3.Connection, select: str, skip_pairs: frozenset[tuple[str, str]]
-    ) -> list[tuple]:
-        """``rows(conn, select)`` without those whose (conversation, key) pair is skipped.
-
-        Only the rowid and the key columns of a skipped row are read: the
-        pairs are filtered first, then the full rows of the others are
-        fetched by rowid, at most ``_MAX_PARAMETERS`` to a statement. A
-        table without rowids is read whole and filtered.
-        """
-        pairs = self.select(_PAIR_COLUMNS)
-        if not self.has_rowid:
-            rows = self.rows(conn, f"{select}, {pairs}")
-            return [row[:-2] for row in rows if _pair(*row[-2:]) not in skip_pairs]
-        label, order = self._label_and_order()
-        # NOT INDEXED: read the table's own pages, as ``rows`` does, even
-        # where an index holds the key columns.
-        keys = conn.execute(f"SELECT rowid, {pairs} FROM {self.name} NOT INDEXED ORDER BY {order}")
-        # ``skip_pairs`` holds pairs of str, so a raw pair is in it only when
-        # both values are TEXT, and then it is its own decoding: most skipped
-        # rows are found without ``_pair``.
-        kept = [
-            rowid
-            for rowid, jid, key in keys
-            if (jid, key) not in skip_pairs and _pair(jid, key) not in skip_pairs
-        ]
-        by_rowid = {}
-        for start in range(0, len(kept), _MAX_PARAMETERS):
-            chunk = kept[start : start + _MAX_PARAMETERS]
-            cursor = conn.execute(
-                f"SELECT rowid, {label}, {select} FROM {self.name} "
-                f"WHERE rowid IN ({', '.join('?' * len(chunk))})",
-                chunk,
-            )
-            for row in cursor:
-                by_rowid[row[0]] = row[1:]
-        return [by_rowid[rowid] for rowid in kept]
+            conn.create_function("wadroid_kept", 2, kept, deterministic=True)
+            pair = ", ".join(c if c in self.columns else "NULL" for c in _PAIR_COLUMNS)
+            where = f" WHERE wadroid_kept({pair})"
+        query = f"SELECT {label}, {select} FROM {table}{where} ORDER BY {order}"
+        return conn.execute(query).fetchall()
 
 
 def _mismatch(
@@ -396,10 +377,6 @@ def _decode_media_hash(value: str | None, source: str, warn: list[ParseWarning] 
 
 _PAIR_COLUMNS = ("key_remote_jid", "key_id")
 
-#: At most this many bound parameters go in one statement (SQLite's
-#: default limit before 3.32).
-_MAX_PARAMETERS = 999
-
 
 def _pair(jid, key) -> tuple[str, str]:
     """(key_remote_jid.raw, key_id_raw) of the record decoded from these key columns."""
@@ -463,18 +440,14 @@ def load_messages(
 ) -> list[MessageRecord]:
     """Materialize the messages-table rows, in ascending _id order.
 
-    Rows whose (conversation jid, key) pair is in ``skip_pairs`` are
-    dropped before they are fetched, so they give neither a record nor a
-    warning. Blob columns are carried as opaque bytes; ``thumb_image`` is
-    retained but never examined.
+    The statement reading the rows leaves out those whose (conversation
+    jid, key) pair is in ``skip_pairs``: they give neither a record nor a
+    warning, and the others keep their labels. Blob columns are carried
+    as opaque bytes; ``thumb_image`` is retained but never examined.
     """
     with _reading(source, MESSAGES_TABLE) as conn:
         shape = _Table.probe(conn, MESSAGES_TABLE)
-        select = shape.select(_MESSAGE_COLUMNS)
-        if skip_pairs:
-            raw_rows = shape.rows_not_in(conn, select, skip_pairs)
-        else:
-            raw_rows = shape.rows(conn, select)
+        raw_rows = shape.rows(conn, shape.select(_MESSAGE_COLUMNS), skip_pairs)
     prefix = f"{Path(source.path).name}:{MESSAGES_TABLE}#"
     decoded = _decoded(raw_rows, _MESSAGE_COLUMNS, prefix, warn)
     return [_message(row, where, warn) for where, row in decoded]

@@ -9,6 +9,11 @@ class WadroidError(Exception):
     """Base class for all toolkit errors."""
 
 
+def os_reason(exc: OSError) -> str:
+    """What ``exc`` says went wrong, without the file name it carries."""
+    return f"[Errno {exc.errno}] {exc.strerror}" if exc.strerror else str(exc)
+
+
 class MalformedJid(WadroidError):
     """A WhatsApp identifier string matches no known jid pattern."""
 

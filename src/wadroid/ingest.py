@@ -22,7 +22,7 @@ from typing import Collection
 
 from . import db_reader, layout
 from .backup_crypto import decrypt_backup
-from .errors import StructuralError, UnreadableFile, WadroidError
+from .errors import StructuralError, UnreadableFile, WadroidError, os_reason
 from .log_parser import DEFAULT_GRAMMAR, LogGrammar, merge_events, parse_log_file
 from .model import (
     AvatarFile,
@@ -54,7 +54,8 @@ def _live_source(root: Path, rel_path: str, warn: list[ParseWarning]) -> db_read
     """The live database at ``rel_path``, opened in SQLite's immutable mode.
 
     That mode reads no write-ahead log and rolls back no hot journal, so
-    a non-empty log or a hot journal beside the database is warned about.
+    a non-empty log or a hot journal beside the database is warned about,
+    as is a journal that cannot be read.
     """
     wal = root / f"{rel_path}-wal"
     if wal.is_file() and wal.stat().st_size > 0:
@@ -65,9 +66,18 @@ def _live_source(root: Path, rel_path: str, warn: list[ParseWarning]) -> db_read
         )
     journal = root / f"{rel_path}-journal"
     if journal.is_file():
-        with journal.open("rb") as handle:
-            # An empty journal, or one whose header a commit zeroed, is not hot.
-            hot = handle.read(len(_JOURNAL_MAGIC)) == _JOURNAL_MAGIC
+        try:
+            with journal.open("rb") as handle:
+                # An empty journal, or one whose header a commit zeroed, is not hot.
+                hot = handle.read(len(_JOURNAL_MAGIC)) == _JOURNAL_MAGIC
+        except OSError as exc:
+            hot = False
+            warn_to(
+                warn,
+                f"{rel_path}-journal",
+                f"rollback journal not read: {os_reason(exc)}; if it is hot, changes of "
+                "an unfinished transaction may be read as committed",
+            )
         if hot:
             warn_to(
                 warn,

@@ -31,7 +31,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Collection, NamedTuple
 
-from .errors import BadGrammar, MalformedGroupId, MalformedKey, UnreadableFile
+from .errors import BadGrammar, MalformedGroupId, MalformedKey, UnreadableFile, os_reason
 from .model import (
     EPOCH_ORDINAL,
     EventKind,
@@ -325,7 +325,7 @@ def parse_log_file(
     try:
         text = path.read_bytes().decode("utf-8", errors="replace")
     except OSError as exc:
-        raise UnreadableFile(f"cannot read log file {path}: {exc}") from exc
+        raise UnreadableFile(f"cannot read log file: {os_reason(exc)}") from exc
     # A line ends only at \n, and a \r just before it is dropped. Text
     # mode and ``str.splitlines`` would also break at a lone \r, U+2028,
     # \x1c and the like, which user text such as a group subject may hold.

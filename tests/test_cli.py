@@ -626,6 +626,26 @@ def test_a_hot_rollback_journal_is_a_warning(conversation_dir, tmp_path, store):
         assert run([command, "--in", str(conversation_dir), "--out", str(out)]) == expected
 
 
+@pytest.mark.parametrize("store", [layout.MSGSTORE_DB, layout.WA_DB], ids=["msgstore", "wa"])
+def test_an_unreadable_rollback_journal_is_a_warning(
+    conversation_dir, tmp_path, monkeypatch, store
+):
+    journal = conversation_dir / f"{store}-journal"
+    journal.write_bytes(bytes(512))
+    _make_unreadable(monkeypatch, journal)
+    out = tmp_path / "report.json"
+    assert run(["report", "--in", str(conversation_dir), "--out", str(out)]) == EXIT_WARNINGS
+    (warning,) = json.loads(out.read_text(encoding="utf-8"))["warnings"]
+    assert warning["source"] == f"{store}-journal"
+    assert warning["message"].startswith("rollback journal not read: [Errno 13] Permission denied")
+    assert str(conversation_dir) not in warning["message"]
+    assert run(["ingest", "--in", str(conversation_dir)]) == EXIT_WARNINGS
+    # timeline and diff read msgstore.db only.
+    expected = EXIT_WARNINGS if store == layout.MSGSTORE_DB else EXIT_OK
+    for command in ("timeline", "diff"):
+        assert run([command, "--in", str(conversation_dir), "--out", str(out)]) == expected
+
+
 def test_diff_takes_no_grammar(conversation_dir, tmp_path, capsys):
     grammar = tmp_path / "grammar.json"
     grammar.write_text("{}", encoding="utf-8")
@@ -1344,6 +1364,22 @@ def test_an_unreadable_log_file_is_a_warning(tmp_path, monkeypatch, capsys, caus
     assert run(["timeline", "--in", str(root)]) == EXIT_WARNINGS
     assert json.loads(capsys.readouterr().out) == clean["timeline"]
     assert run(["diff", "--in", str(root)]) == EXIT_OK
+
+
+def test_a_report_does_not_depend_on_where_the_evidence_lies(tmp_path, monkeypatch):
+    """Warnings about a file that cannot be read name it relative to the evidence root only."""
+    root = _full_device(tmp_path / "evidence")
+    (root / layout.LOGS_DIR / "whatsapp-old.log").mkdir()
+    (root / layout.BACKUPS_DIR / "msgstore-2099-01-01.1.db.crypt").mkdir()
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for evidence in ("evidence", str(root)):
+        out = tmp_path / f"report-{len(reports)}.json"
+        assert run(["report", "--in", evidence, "--out", str(out)]) == EXIT_WARNINGS
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    messages = [w["message"] for w in json.loads(reports[0])["warnings"]]
+    assert [m.split(": ")[0] for m in messages] == ["backup not decrypted", "log file not read"]
 
 
 def _record_calls(monkeypatch, module, name: str) -> collections.Counter:

@@ -824,9 +824,30 @@ def test_key_first_filter_fetches_only_the_kept_rows(tmp_path):
     source.connection.set_trace_callback(statements.append)
     records = load_messages(source, skip_pairs=skip)
     assert [r.id for r in records] == [n for n in range(1, 2501) if n % 3]
-    fetched = [s for s in statements if "WHERE rowid IN" in s]
-    sizes = [s.count(",", s.index("WHERE rowid IN")) + 1 for s in fetched]
-    assert sum(sizes) == len(records) and max(sizes) <= 999
+    # Besides the probe, which reads no row, one statement reads the kept rows.
+    probe, read = statements
+    assert probe.endswith("LIMIT 0") and read.startswith("SELECT _id, ")
+    assert not any("rowid IN" in s for s in statements)
+
+
+def test_a_filtered_table_without_rowid_or_id_counts_positions_over_the_whole_table(tmp_path):
+    partner = jid("393480000002")
+    keys = ["1-1", "1-2", "1-3", "x-4", "x-5"]  # primary-key order; x-4 and x-5 are malformed
+    path = build_db(tmp_path / "b.crypt", """
+        CREATE TABLE messages (key_remote_jid TEXT, key_id TEXT, data TEXT,
+                               PRIMARY KEY (key_remote_jid, key_id)) WITHOUT ROWID;
+    """, {"messages": [
+        {"key_remote_jid": partner, "key_id": key, "data": key} for key in reversed(keys)
+    ]})
+    source = open_source(path)
+    skip = frozenset({(partner, "1-1"), (partner, "1-3")})  # live at positions 1 and 3
+    records, warnings = _load(source, skip_pairs=skip)
+    everything, every_warning = _load(source)
+    assert [r.data for r in everything] == keys
+    assert records == [r for r in everything if (r.key_remote_jid.raw, r.key_id_raw) not in skip]
+    assert [r.data for r in records] == ["1-2", "x-4", "x-5"]
+    assert [w.source for w in warnings] == ["b.crypt:messages#4", "b.crypt:messages#5"]
+    assert warnings == every_warning
 
 
 def test_column_names_match_case_insensitively(tmp_path):
