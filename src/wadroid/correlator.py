@@ -18,9 +18,9 @@ the window itself, rather than in every finding. Device timestamps come
 from the local clock, so absolute times from different devices are never
 treated as comparable ground truth.
 
-All functions are pure over an immutable CaseBundle; independent
-analyses may run concurrently and findings merge deterministically by
-(category, subject, time).
+Every function reads an immutable CaseBundle. Only ``correlate_media``
+also reads files: it hashes media files, and warns about one it cannot
+read. Findings merge deterministically by (category, subject, time).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import MalformedGroupId
+from .errors import MalformedGroupId, os_reason
 from .model import (
     CaseBundle,
     CONTACT_ADDITION_KINDS,
@@ -305,13 +305,6 @@ def reconstruct_history(
 # --- communication partners -------------------------------------------------
 
 
-class PartnerResolution(NamedTuple):
-    kind: str  # direct / broadcast-sent / broadcast-received / group / group-control
-    partners: frozenset[str]
-    originator: str | None = None
-    authored_by_owner: bool = False
-
-
 class BroadcastGroup(NamedTuple):
     key_raw: str
     destinations: frozenset[str]
@@ -319,11 +312,6 @@ class BroadcastGroup(NamedTuple):
     self_record_id: int | None
     record_ids: tuple[int, ...]
     count_mismatch: bool
-
-
-class PartnerAnalysis(NamedTuple):
-    per_message: dict
-    broadcasts: tuple[BroadcastGroup, ...]
 
 
 def _split_jid_set(raw: str | None) -> list[str]:
@@ -334,45 +322,18 @@ def _split_jid_set(raw: str | None) -> list[str]:
 
 def resolve_partners(
     bundle: CaseBundle, warn: list[ParseWarning] | None = None
-) -> PartnerAnalysis:
-    """Determine, per message, the set of users it was exchanged with.
+) -> tuple[BroadcastGroup, ...]:
+    """The broadcasts: the sender rows of a fan-out, grouped by their shared key.
 
-    Broadcast fan-outs are grouped by their shared key: destinations come
-    from each row's conversation jid plus the destination set stored in
-    remote_resource, with the sender's own row marked by the broadcast
-    keyword. A group row with no originator and an on-server status was
-    authored by the device owner.
+    The destinations are each row's conversation jid plus the set stored in
+    remote_resource; the sender's own row has the broadcast keyword as its
+    conversation. A group control row or a broadcast receipt is never a sender row.
     """
-    per_message: dict[int, PartnerResolution] = {}
     broadcast_rows: dict[str, list[MessageRecord]] = {}
-
     for record in bundle.messages:
-        conversation = record.key_remote_jid.raw
-        originator = None
-        authored = False
-        if record.is_control and conversation.endswith("@g.us"):
-            kind = "group-control"
-            originator = record.remote_resource_raw or _group_creator_raw(conversation)
-        elif record.is_broadcast_receipt:
-            kind = "broadcast-received"
-            originator = conversation
-        elif record.is_broadcast_sender_row:
+        group_control = record.is_control and record.key_remote_jid.raw.endswith("@g.us")
+        if record.is_broadcast_sender_row and not (group_control or record.is_broadcast_receipt):
             broadcast_rows.setdefault(record.key_id_raw, []).append(record)
-            continue
-        elif record.key_remote_jid.kind is JidKind.GROUP or conversation.endswith("@g.us"):
-            kind = "group"
-            originator = record.remote_resource_raw or None
-            authored = originator is None and (
-                record.status_code == MessageRecord.STATUS_ON_SERVER or record.from_me
-            )
-        else:
-            kind = "direct"
-        per_message[record.id] = PartnerResolution(
-            kind=kind,
-            partners=frozenset({conversation}),
-            originator=originator,
-            authored_by_owner=authored,
-        )
 
     broadcasts = []
     for key_raw in sorted(broadcast_rows):
@@ -406,13 +367,7 @@ def resolve_partners(
             count_mismatch=mismatch,
         )
         broadcasts.append(group)
-        for row in rows:
-            per_message[row.id] = PartnerResolution(
-                kind="broadcast-sent",
-                partners=group.destinations,
-                authored_by_owner=True,
-            )
-    return PartnerAnalysis(per_message=per_message, broadcasts=tuple(broadcasts))
+    return tuple(broadcasts)
 
 
 def _group_creator_raw(gid_raw: str) -> str | None:
@@ -858,14 +813,17 @@ def _media_records(records):
     return [r for r in records if r.media_wa_type in (1, 2, 3)]
 
 
-def correlate_media(sender_records, recipient_records, media_inventory) -> list[Finding]:
+def correlate_media(
+    sender_records, recipient_records, media_inventory, warn: list[ParseWarning] | None = None
+) -> list[Finding]:
     """Correlate transferred files across records and the media directories.
 
     A sender/recipient record pair is a full-confidence match only when
     both the server-assigned file name and the content hash agree;
     agreement on just one of the two is reported at lower confidence.
     Files on disk are identified by recomputed content hash, never by
-    name alone, because the receiving side stores no local file name.
+    name alone, because the receiving side stores no local file name. A
+    file that cannot be read is warned about under its path and matches nothing.
     """
     findings = []
     senders = sorted(_media_records(sender_records), key=lambda r: r.id)
@@ -932,7 +890,12 @@ def correlate_media(sender_records, recipient_records, media_inventory) -> list[
     by_hash: dict[str, list] = {}
     if hashed_records:
         for media in media_inventory:
-            by_hash.setdefault(media.sha256, []).append(media)
+            try:
+                digest = media.sha256
+            except OSError as exc:
+                warn_to(warn, media.path, f"media file not read: {os_reason(exc)}")
+                continue
+            by_hash.setdefault(digest, []).append(media)
     for record, hex_digest in hashed_records:
         for media in by_hash.get(hex_digest, []):
             findings.append(
@@ -1029,14 +992,15 @@ class Chronology(NamedTuple):
 
 
 class Analysis(NamedTuple):
-    """A bundle's chronology, its partners and the findings of every correlator.
+    """A bundle's chronology, its broadcasts and the findings of every correlator.
 
     Each finding is an inference that no one artifact holds; the
-    per-conversation and per-group summaries are read from the chronology.
+    per-conversation and per-group summaries are read from the chronology,
+    and a conversation's partner is its jid.
     """
 
     chronology: Chronology
-    partners: PartnerAnalysis
+    broadcasts: tuple[BroadcastGroup, ...]
     findings: list[Finding]
 
 
@@ -1051,13 +1015,13 @@ def build_chronology(bundle: CaseBundle) -> Chronology:
 
 
 def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
-    """Build the chronology and the partners, then run every correlator.
+    """Build the chronology and the broadcasts, then run every correlator.
 
-    The chronology and the partners are the only steps that warn about
-    the evidence; they share one list.
+    The chronology, the broadcasts and the media correlation are the only
+    steps that warn about the evidence; they share one list.
     """
     chronology = build_chronology(bundle)
-    partners = resolve_partners(bundle, chronology.warnings)
+    broadcasts = resolve_partners(bundle, chronology.warnings)
     index = log_index(bundle)
     findings = [
         *contact_added_findings(index),
@@ -1068,7 +1032,8 @@ def analyze(bundle: CaseBundle, sim_number: str | None = None) -> Analysis:
             [m for m in bundle.messages if m.from_me],
             [m for m in bundle.messages if not m.from_me],
             bundle.media_inventory,
+            chronology.warnings,
         ),
         identity_check(bundle, sim_number),
     ]
-    return Analysis(chronology=chronology, partners=partners, findings=sort_findings(findings))
+    return Analysis(chronology=chronology, broadcasts=broadcasts, findings=sort_findings(findings))

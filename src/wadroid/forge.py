@@ -244,7 +244,6 @@ class ExpectedAnalytics:
     """Normalized analytical ground truth derived from the simulation."""
 
     histories: dict  # jid_raw -> tuple[HistoryLine, ...]
-    partners: dict  # record_id -> (kind, partners, originator, authored_by_owner)
     broadcasts: tuple  # (key, destinations, recipient_count, self_row_present)
     group_timelines: dict  # gid_raw -> (name, tuple[(ms, kind, member, source), ...])
     deleted_messages: frozenset  # (key, deleted, sent, received, partners, state, recovered)
@@ -1248,29 +1247,13 @@ def _expected_analytics(
         for jid, rows in sorted(entries.items())
     }
 
-    # partner resolution for live rows
-    partners: dict[int, tuple] = {}
+    # broadcasts: live fan-out rows that are neither group control nor receipts
     broadcast_rows: dict[str, list[_SimMessage]] = {}
     for m in sim.messages:
-        if m.delete_ms is not None:
+        if m.delete_ms is not None or m.final_status == 6 or m.key_raw.startswith("%~"):
             continue
-        if m.final_status == 6:
-            # the owner creates every group
-            member = m.remote_resource or _user_jid(sim.owner)
-            partners[m.id] = ("group-control", frozenset({m.jid_raw}), member, False)
-        elif m.key_raw.startswith("%~"):
-            partners[m.id] = ("broadcast-received", frozenset({m.jid_raw}), m.jid_raw, False)
-        elif m.needs_push == 2 or m.jid_raw == BROADCAST_JID:
+        if m.needs_push == 2 or m.jid_raw == BROADCAST_JID:
             broadcast_rows.setdefault(m.key_raw, []).append(m)
-        elif m.jid_raw.endswith("@g.us"):
-            partners[m.id] = (
-                "group",
-                frozenset({m.jid_raw}),
-                m.remote_resource,
-                m.remote_resource is None,
-            )
-        else:
-            partners[m.id] = ("direct", frozenset({m.jid_raw}), None, False)
     broadcasts = []
     for key in sorted(broadcast_rows):
         rows = broadcast_rows[key]
@@ -1285,10 +1268,7 @@ def _expected_analytics(
             if row.remote_resource:
                 destinations.update(row.remote_resource.split(","))
             count = row.recipient_count if count is None else count
-        destinations = frozenset(destinations)
-        broadcasts.append((key, destinations, count, self_present))
-        for row in rows:
-            partners[row.id] = ("broadcast-sent", destinations, None, True)
+        broadcasts.append((key, frozenset(destinations), count, self_present))
 
     # group timelines (db events unless the control row was deleted)
     timelines = {}
@@ -1353,7 +1333,6 @@ def _expected_analytics(
     )
     return ExpectedAnalytics(
         histories=histories,
-        partners=partners,
         broadcasts=tuple(broadcasts),
         group_timelines=timelines,
         deleted_messages=frozenset(deleted),

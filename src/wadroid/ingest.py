@@ -88,23 +88,28 @@ def _live_source(root: Path, rel_path: str, warn: list[ParseWarning]) -> db_read
     return db_reader.open_source(root / rel_path)
 
 
-def _skip_unreadable(error: OSError) -> None:
-    if not isinstance(error, PermissionError):
-        raise error
-
-
-def _list_media(root: Path) -> list[tuple[str, int, str]]:
+def _list_media(root: Path, warn: list[ParseWarning] | None = None) -> list[tuple[str, int, str]]:
     """(path relative to ``root``, size, path) of every media file, by relative path.
 
-    Listed, not read: one ``stat`` per file, and no warning. As under
-    ``Path.rglob``, a link to a directory is not followed, and a
-    directory that cannot be read is skipped.
+    Listed, not read: one ``stat`` per file. As under ``Path.rglob``, a
+    link to a directory is not followed. A directory that cannot be read
+    is skipped with a warning under its relative path; any other listing
+    error is raised.
     """
     listed = []
     media_dir = os.path.join(root, layout.MEDIA_DIR)
+
+    def rel_dir(dir_path: str) -> str:
+        return layout.MEDIA_DIR + dir_path[len(media_dir) :].replace(os.sep, "/")
+
+    def unreadable(error: OSError) -> None:
+        if not isinstance(error, PermissionError):
+            raise error
+        warn_to(warn, rel_dir(error.filename), f"media directory not listed: {os_reason(error)}")
+
     if os.path.isdir(media_dir):
-        for dir_path, _, names in os.walk(media_dir, onerror=_skip_unreadable):
-            rel_dir = layout.MEDIA_DIR + dir_path[len(media_dir) :].replace(os.sep, "/")
+        for dir_path, _, names in os.walk(media_dir, onerror=unreadable):
+            prefix = rel_dir(dir_path)
             for name in names:
                 path = os.path.join(dir_path, name)
                 try:
@@ -112,7 +117,7 @@ def _list_media(root: Path) -> list[tuple[str, int, str]]:
                 except OSError:  # a dangling or looping link: not a file
                     continue
                 if stat.S_ISREG(info.st_mode):
-                    listed.append((f"{rel_dir}/{name}", info.st_size, path))
+                    listed.append((f"{prefix}/{name}", info.st_size, path))
         listed.sort(key=lambda item: item[0])
     return listed
 
@@ -304,7 +309,7 @@ class Evidence:
     @cached_property
     def media_inventory(self) -> tuple[MediaFile, ...]:
         """Every media file, listed, not read: ``MediaFile.sha256`` hashes one when first asked."""
-        listed = _list_media(self.root)
+        listed = _list_media(self.root, self.warnings)
         return tuple(MediaFile(rel, size, source=path) for rel, size, path in listed)
 
     @cached_property

@@ -234,17 +234,18 @@ def _classify_line(
     if not line.strip():
         return _other(line, source, number)
     m = grammar.line_pattern.match(line)
-    if not m:
+    # A match in which the ts or body group takes no part does not fit either.
+    ts, body = m.group("ts", "body") if m else (None, None)
+    if ts is None or body is None:
         warn_to(warn, where, "line does not match the grammar line pattern")
         return _other(line, source, number)
-    body = m.group("body")
     found = _find_rule(grammar, body)
     if kinds is not None and (found is None or found[0].kind not in kinds):
         return None
     try:
-        occurred_at = _parse_timestamp(m.group("ts"), grammar.timestamp_format)
+        occurred_at = _parse_timestamp(ts, grammar.timestamp_format)
     except ValueError:
-        warn_to(warn, where, f"unparsable timestamp {m.group('ts')!r}")
+        warn_to(warn, where, f"unparsable timestamp {ts!r}")
         return _other(line, source, number)
     if found is None:
         return _other(line, source, number, occurred_at)

@@ -225,7 +225,7 @@ def build_report(bundle: CaseBundle, analysis: Analysis, tz: int = 0) -> dict:
                 "record_ids": list(b.record_ids),
                 "count_mismatch": b.count_mismatch,
             }
-            for b in analysis.partners.broadcasts
+            for b in analysis.broadcasts
         ],
         "findings": [_finding_json(f, tz) for f in analysis.findings],
         "warnings": _warnings_json((*bundle.warnings, *analysis.chronology.warnings)),

