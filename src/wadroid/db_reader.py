@@ -310,8 +310,6 @@ _CONTACT_COLUMNS = {
     "_id": int,
     "jid": str,
     "is_whatsapp_user": int,
-    "unseen_msg_count": int,
-    "photo_ts": int,
     "thumb_ts": int,
     "photo_id_timestamp": int,
     "wa_name": str,
@@ -333,8 +331,6 @@ def load_contacts(source: DbSource, warn: list[ParseWarning] | None = None) -> l
             id_,
             jid_raw,
             is_whatsapp_user,
-            unseen_msg_count,
-            photo_ts,
             thumb_ts,
             photo_id_ts,
             wa_name,
@@ -345,8 +341,6 @@ def load_contacts(source: DbSource, warn: list[ParseWarning] | None = None) -> l
             id=id_ or 0,
             jid=classify_jid(jid_raw, warn, where),
             is_whatsapp_user=bool(is_whatsapp_user),
-            unseen_msg_count=unseen_msg_count or 0,
-            photo_ts=photo_ts,
             thumb_ts=thumb_ts,
             photo_id_timestamp=photo_id_ts,
             wa_name=wa_name,
@@ -414,7 +408,6 @@ _MESSAGE_COLUMNS = {
     "received_timestamp": int,
     "receipt_server_timestamp": int,
     "receipt_device_timestamp": int,
-    "send_timestamp": int,
     "needs_push": int,
     "recipient_count": int,
     "remote_resource": str,
@@ -429,7 +422,6 @@ _MESSAGE_COLUMNS = {
     "media_duration": int,
     "latitude": float,
     "longitude": float,
-    "thumb_image": bytes,
 }
 
 
@@ -442,8 +434,8 @@ def load_messages(
 
     The statement reading the rows leaves out those whose (conversation
     jid, key) pair is in ``skip_pairs``: they give neither a record nor a
-    warning, and the others keep their labels. Blob columns are carried
-    as opaque bytes; ``thumb_image`` is retained but never examined.
+    warning, and the others keep their labels. ``raw_data`` is carried
+    as opaque bytes.
     """
     with _reading(source, MESSAGES_TABLE) as conn:
         shape = _Table.probe(conn, MESSAGES_TABLE)
@@ -484,7 +476,6 @@ def _message(row: Sequence, source: str, warn: list[ParseWarning] | None) -> Mes
         received_timestamp,
         receipt_server_timestamp,
         receipt_device_timestamp,
-        send_timestamp,
         needs_push,
         recipient_count,
         rr_raw,
@@ -499,7 +490,6 @@ def _message(row: Sequence, source: str, warn: list[ParseWarning] | None) -> Mes
         media_duration,
         latitude,
         longitude,
-        thumb_image,
     ) = row
     key_raw = key_raw or ""
     _message_key(key_raw, source, warn)
@@ -516,7 +506,6 @@ def _message(row: Sequence, source: str, warn: list[ParseWarning] | None) -> Mes
         received_timestamp=received_timestamp,
         receipt_server_timestamp=receipt_server_timestamp,
         receipt_device_timestamp=receipt_device_timestamp,
-        send_timestamp=send_timestamp,
         needs_push=needs_push,
         recipient_count=recipient_count,
         remote_resource_raw=rr_raw,
@@ -531,7 +520,6 @@ def _message(row: Sequence, source: str, warn: list[ParseWarning] | None) -> Mes
         media_duration=media_duration,
         latitude=latitude,
         longitude=longitude,
-        thumb_image=thumb_image,
     )
     _check_message_invariants(record, source, warn)
     return record

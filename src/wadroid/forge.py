@@ -956,7 +956,6 @@ def _expected_message(columns: dict) -> MessageRecord:
         received_timestamp=columns["received_timestamp"],
         receipt_server_timestamp=columns["receipt_server_timestamp"],
         receipt_device_timestamp=columns["receipt_device_timestamp"],
-        send_timestamp=columns["send_timestamp"],
         needs_push=columns["needs_push"],
         recipient_count=columns["recipient_count"],
         remote_resource_raw=columns["remote_resource"],
@@ -971,7 +970,6 @@ def _expected_message(columns: dict) -> MessageRecord:
         media_duration=columns["media_duration"],
         latitude=columns["latitude"],
         longitude=columns["longitude"],
-        thumb_image=columns["thumb_image"],
     )
 
 
@@ -980,8 +978,6 @@ def _expected_contact(columns: dict) -> ContactRecord:
         id=columns["_id"],
         jid=classify_jid(columns["jid"]),
         is_whatsapp_user=bool(columns["is_whatsapp_user"]),
-        unseen_msg_count=columns["unseen_msg_count"],
-        photo_ts=columns["photo_ts"],
         thumb_ts=columns["thumb_ts"],
         photo_id_timestamp=columns["photo_id_timestamp"],
         wa_name=columns["wa_name"],
@@ -990,8 +986,8 @@ def _expected_contact(columns: dict) -> ContactRecord:
     )
 
 
-def _expected_log_event(record: tuple, line: str, number: int) -> LogEvent:
-    """The event the parser must read from ``line``, the rendering of ``record``."""
+def _expected_log_event(record: tuple, number: int) -> LogEvent:
+    """The event the parser must read from line ``number``, the rendering of ``record``."""
     ms, _, _, kind, jid, key, gid, subject = record
     return LogEvent(
         occurred_at=ms,
@@ -1000,7 +996,6 @@ def _expected_log_event(record: tuple, line: str, number: int) -> LogEvent:
         message_key=parse_message_key(key) if key else None,
         group_id=parse_group_id(gid) if gid else None,
         group_subject=subject,
-        raw_line=line,
         source_file="whatsapp.log",
         line_number=number,
     )
@@ -1154,8 +1149,7 @@ def generate_bundle(script: ScenarioScript, out_dir: str | Path) -> ForgeResult:
     log_path = root / layout.MAIN_LOG
     log_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     expected_events = tuple(
-        _expected_log_event(record, line, number)
-        for number, (record, line) in enumerate(zip(ordered_log, lines), start=1)
+        _expected_log_event(record, number) for number, record in enumerate(ordered_log, start=1)
     )
 
     # avatars, media, settings

@@ -12,13 +12,14 @@ are decrypted in memory and never written anywhere.
 
 from __future__ import annotations
 
+import fnmatch
 import os
 import re
 import stat
 from contextlib import ExitStack
 from functools import cached_property
 from pathlib import Path
-from typing import Collection
+from typing import Collection, Iterator
 
 from . import db_reader, layout
 from .backup_crypto import decrypt_backup
@@ -88,37 +89,49 @@ def _live_source(root: Path, rel_path: str, warn: list[ParseWarning]) -> db_read
     return db_reader.open_source(root / rel_path)
 
 
+def _walk(root: Path, rel_dir: str, what: str, warn: list[ParseWarning] | None) -> Iterator:
+    """``os.walk`` of ``rel_dir``; nothing if it is not a directory.
+
+    A directory that cannot be read is skipped with a warning under its
+    path relative to ``root``; any other listing error is raised.
+    """
+
+    def unlisted(error: OSError) -> None:
+        if not isinstance(error, PermissionError):
+            raise error
+        rel = _rel(root, Path(error.filename))
+        warn_to(warn, rel, f"{what} directory not listed: {os_reason(error)}")
+
+    top = os.path.join(root, rel_dir)
+    return os.walk(top, onerror=unlisted) if os.path.isdir(top) else iter(())
+
+
+def _list_dir(root: Path, rel: str, glob: str, what: str, warn: list[ParseWarning]) -> list[Path]:
+    """The entries of ``rel`` whose names match ``glob``, in name order, whatever their type."""
+    _, dirs, files = next(_walk(root, rel, what, warn), ("", [], []))
+    return [root / rel / name for name in sorted(fnmatch.filter(dirs + files, glob))]
+
+
 def _list_media(root: Path, warn: list[ParseWarning] | None = None) -> list[tuple[str, int, str]]:
     """(path relative to ``root``, size, path) of every media file, by relative path.
 
     Listed, not read: one ``stat`` per file. As under ``Path.rglob``, a
     link to a directory is not followed. A directory that cannot be read
-    is skipped with a warning under its relative path; any other listing
-    error is raised.
+    is skipped with a warning (``_walk``).
     """
     listed = []
     media_dir = os.path.join(root, layout.MEDIA_DIR)
-
-    def rel_dir(dir_path: str) -> str:
-        return layout.MEDIA_DIR + dir_path[len(media_dir) :].replace(os.sep, "/")
-
-    def unreadable(error: OSError) -> None:
-        if not isinstance(error, PermissionError):
-            raise error
-        warn_to(warn, rel_dir(error.filename), f"media directory not listed: {os_reason(error)}")
-
-    if os.path.isdir(media_dir):
-        for dir_path, _, names in os.walk(media_dir, onerror=unreadable):
-            prefix = rel_dir(dir_path)
-            for name in names:
-                path = os.path.join(dir_path, name)
-                try:
-                    info = os.stat(path)
-                except OSError:  # a dangling or looping link: not a file
-                    continue
-                if stat.S_ISREG(info.st_mode):
-                    listed.append((f"{prefix}/{name}", info.st_size, path))
-        listed.sort(key=lambda item: item[0])
+    for dir_path, _, names in _walk(root, layout.MEDIA_DIR, "media", warn):
+        prefix = layout.MEDIA_DIR + dir_path[len(media_dir) :].replace(os.sep, "/")
+        for name in names:
+            path = os.path.join(dir_path, name)
+            try:
+                info = os.stat(path)
+            except OSError:  # a dangling or looping link: not a file
+                continue
+            if stat.S_ISREG(info.st_mode):
+                listed.append((f"{prefix}/{name}", info.st_size, path))
+    listed.sort(key=lambda item: item[0])
     return listed
 
 
@@ -140,10 +153,12 @@ class Evidence:
         root = Path(root)
         if not root.is_dir():
             raise StructuralError(f"evidence root {root} is not a directory")
-        logs_dir = root / layout.LOGS_DIR
-        backups_dir = root / layout.BACKUPS_DIR
-        self._log_files = sorted(logs_dir.glob("whatsapp*.log")) if logs_dir.is_dir() else []
-        self._crypt_files = sorted(backups_dir.glob("*.crypt")) if backups_dir.is_dir() else []
+        # Listed for the check below; a listing warning is given by the reader.
+        self._log_unlisted: list[ParseWarning] = []
+        self._crypt_unlisted: list[ParseWarning] = []
+        logs, backups = layout.LOGS_DIR, layout.BACKUPS_DIR
+        self._log_files = _list_dir(root, logs, "whatsapp*.log", "log", self._log_unlisted)
+        self._crypt_files = _list_dir(root, backups, "*.crypt", "backup", self._crypt_unlisted)
         if (
             not (root / layout.WA_DB).is_file()
             and not (root / layout.MSGSTORE_DB).is_file()
@@ -220,6 +235,7 @@ class Evidence:
         copy does not hold, so it is not decoded.
         """
         live_pairs, warn = self.live_pairs, self.warnings
+        warn.extend(self._crypt_unlisted)
         backups = []
         for crypt in self._crypt_files:
             rel_path = _rel(self.root, crypt)
@@ -258,7 +274,9 @@ class Evidence:
     def log_events(self) -> tuple[LogEvent, ...]:
         if not self._log_files:
             warn = self.warnings
-            warn_to(warn, layout.LOGS_DIR, "no log files found; log-based inference disabled")
+            warn.extend(self._log_unlisted)
+            if not self._log_unlisted:
+                warn_to(warn, layout.LOGS_DIR, "no log files found; log-based inference disabled")
             return ()
         if "group_events" not in self.__dict__:
             return self._parse_logs(None, self.warnings)
@@ -292,7 +310,11 @@ class Evidence:
         if not me_file.is_file():
             warn_to(warn, layout.ME_FILE, "settings file with the registered number missing")
             return None
-        raw = me_file.read_bytes()
+        try:
+            raw = me_file.read_bytes()
+        except OSError as exc:
+            warn_to(warn, layout.ME_FILE, f"settings file not read: {os_reason(exc)}")
+            return None
         registered = raw.decode("utf-8", errors="replace").strip() or None
         try:
             damaged = _CONTROL_CHARACTER.search(raw.decode("utf-8").strip()) is not None
@@ -317,8 +339,9 @@ class Evidence:
         avatars = [
             AvatarFile(jid_raw=path.name[: -len(layout.AVATAR_SUFFIX)], path=_rel(self.root, path))
             for directory in (layout.AVATARS_DIR, layout.PROFILE_PICTURES_DIR)
-            if (self.root / directory).is_dir()
-            for path in (self.root / directory).glob(f"*{layout.AVATAR_SUFFIX}")
+            for path in _list_dir(
+                self.root, directory, f"*{layout.AVATAR_SUFFIX}", "avatar", self.warnings
+            )
             if path.is_file()  # a link is followed, as for media
         ]
         return tuple(sorted(avatars, key=lambda a: (a.jid_raw, a.path)))

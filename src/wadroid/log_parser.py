@@ -194,7 +194,7 @@ def _parse_timestamp(text: str, fmt: str) -> int:
     return int(round(stamp.timestamp() * 1000))
 
 
-def _other(line: str, source: str, number: int, occurred_at: int | None = None) -> LogEvent:
+def _other(source: str, number: int, occurred_at: int | None = None) -> LogEvent:
     return LogEvent(
         occurred_at=occurred_at,
         kind=EventKind.OTHER,
@@ -202,7 +202,6 @@ def _other(line: str, source: str, number: int, occurred_at: int | None = None) 
         message_key=None,
         group_id=None,
         group_subject=None,
-        raw_line=line,
         source_file=source,
         line_number=number,
     )
@@ -232,13 +231,13 @@ def _classify_line(
     """
     where = f"{source}:{number}"
     if not line.strip():
-        return _other(line, source, number)
+        return _other(source, number)
     m = grammar.line_pattern.match(line)
     # A match in which the ts or body group takes no part does not fit either.
     ts, body = m.group("ts", "body") if m else (None, None)
     if ts is None or body is None:
         warn_to(warn, where, "line does not match the grammar line pattern")
-        return _other(line, source, number)
+        return _other(source, number)
     found = _find_rule(grammar, body)
     if kinds is not None and (found is None or found[0].kind not in kinds):
         return None
@@ -246,9 +245,9 @@ def _classify_line(
         occurred_at = _parse_timestamp(ts, grammar.timestamp_format)
     except ValueError:
         warn_to(warn, where, f"unparsable timestamp {ts!r}")
-        return _other(line, source, number)
+        return _other(source, number)
     if found is None:
-        return _other(line, source, number, occurred_at)
+        return _other(source, number, occurred_at)
 
     rule, bm = found
     groups = bm.groupdict()
@@ -265,7 +264,7 @@ def _classify_line(
             warn_to(warn, where, f"malformed message key {groups['key']!r}")
     if rule.kind in KEY_BEARING_KINDS and key is None:
         warn_to(warn, where, f"{rule.kind.value} line lacks a message key; kept as other")
-        return _other(line, source, number, occurred_at)
+        return _other(source, number, occurred_at)
     gid = None
     if groups.get("gid"):
         try:
@@ -279,7 +278,6 @@ def _classify_line(
         message_key=key,
         group_id=gid,
         group_subject=groups.get("subject"),
-        raw_line=line,
         source_file=source,
         line_number=number,
     )

@@ -299,15 +299,13 @@ class ContactRecord(NamedTuple):
     """One decoded row of the contacts table.
 
     WhatsApp-sourced fields are decoded; the phonebook-sourced fields are
-    retained verbatim in ``phonebook`` without interpretation. ``photo_ts``
-    is kept verbatim and never interpreted.
+    retained verbatim in ``phonebook`` without interpretation. Columns
+    that nothing reads are not kept.
     """
 
     id: int
     jid: WaJid
     is_whatsapp_user: bool
-    unseen_msg_count: int
-    photo_ts: int | None
     thumb_ts: int | None
     photo_id_timestamp: int | None
     wa_name: str | None
@@ -329,7 +327,7 @@ class MessageRecord(NamedTuple):
     incoming rows (for an outgoing row it holds the insertion time only
     while the message is still pending locally). The ``receipt_*`` pair
     tracks the server/device acknowledgements of outgoing messages; -1
-    means "no ack yet".
+    means "no ack yet". Columns that nothing reads are not kept.
     """
 
     id: int
@@ -341,7 +339,6 @@ class MessageRecord(NamedTuple):
     received_timestamp: int | None
     receipt_server_timestamp: int | None
     receipt_device_timestamp: int | None
-    send_timestamp: int | None  # unused on-device; retained verbatim
     needs_push: int
     recipient_count: int | None
     remote_resource_raw: str | None
@@ -356,7 +353,6 @@ class MessageRecord(NamedTuple):
     media_duration: int | None
     latitude: float | None
     longitude: float | None
-    thumb_image: bytes | None  # housekeeping blob; retained, never examined
 
     STATUS_RECEIVED = 0
     STATUS_ON_SERVER = 4
@@ -480,7 +476,6 @@ class LogEvent(NamedTuple):
     message_key: MessageKey | None
     group_id: GroupId | None
     group_subject: str | None
-    raw_line: str
     source_file: str
     line_number: int
 

@@ -1067,6 +1067,18 @@ def _make_unreadable(monkeypatch, *paths: Path) -> None:
     monkeypatch.setattr(io, "open", guarded_open)
 
 
+def _make_unlistable(monkeypatch, *paths: Path) -> None:
+    """Listing any of the directories ``paths``, or one under them, raises PermissionError."""
+    real_scandir = os.scandir
+
+    def guarded_scandir(path="."):
+        if any(Path(path).absolute().is_relative_to(p) for p in paths):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", guarded_scandir)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["diff"], ["timeline", "--format", "json"], ["timeline", "--format", "csv"], ["ingest"]],
@@ -1142,15 +1154,7 @@ def test_report_on_unreadable_media_is_an_io_error(media_root, monkeypatch, tmp_
 @pytest.mark.parametrize("command", ["ingest", "report"])
 def test_an_unlisted_media_directory_is_a_warning(media_root, monkeypatch, tmp_path, command):
     """Its files are left out of the output, which is still written, with exit 1."""
-    locked = media_root / layout.MEDIA_DIR / "Sent"
-    real_scandir = os.scandir
-
-    def scandir(path="."):
-        if Path(path) == locked:
-            raise PermissionError(13, "Permission denied", str(path))
-        return real_scandir(path)
-
-    monkeypatch.setattr(os, "scandir", scandir)
+    _make_unlistable(monkeypatch, media_root / layout.MEDIA_DIR / "Sent")
     out = tmp_path / f"{command}.json"
     assert run([command, "--in", str(media_root), "--out", str(out)]) == EXIT_WARNINGS
     doc = json.loads(out.read_text(encoding="utf-8"))
@@ -1290,33 +1294,34 @@ def _truncate_backup(root: Path) -> None:
     crypt.write_bytes(crypt.read_bytes()[:17])
 
 
-# Each damage, and the exit code of ingest, report, timeline and diff after it.
+# Each damage, given the evidence root, a scratch directory and the test's
+# monkeypatch, and the exit code of ingest, report, timeline and diff after it.
 _EXIT_CONTRACT = {
     "contact-jid": (
-        lambda root, tmp_path: _update(
+        lambda root, tmp_path, monkeypatch: _update(
             root / layout.WA_DB,
             "UPDATE wa_contacts SET jid = 'not a jid' WHERE _id = (SELECT min(_id) FROM wa_contacts)",
         ),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
     ),
     "chat-list-pointer": (
-        lambda root, tmp_path: _update(
+        lambda root, tmp_path, monkeypatch: _update(
             root / layout.MSGSTORE_DB, "UPDATE chat_list SET message_table_id = 9999"
         ),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
     ),
     "me-file": (
-        lambda root, tmp_path: (root / layout.ME_FILE).write_bytes(b"\x00\xff"),
+        lambda root, tmp_path, monkeypatch: (root / layout.ME_FILE).write_bytes(b"\x00\xff"),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
     ),
     "log-key": (
-        lambda root, tmp_path: _append_log_line(
+        lambda root, tmp_path, monkeypatch: _append_log_line(
             root, log_parser.format_line(helpers.CONV_OUT_2, log_parser.body_message_deleted("bad"))
         ),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
     ),
     "group-log-date": (
-        lambda root, tmp_path: _append_log_line(
+        lambda root, tmp_path, monkeypatch: _append_log_line(
             root,
             "2013-02-30 10:00:00.000 +0000 "
             + log_parser.body_group_member_left(_A_GROUP, helpers.jid(helpers.PARTNER)),
@@ -1324,50 +1329,78 @@ _EXIT_CONTRACT = {
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK),
     ),
     "message-key": (
-        lambda root, tmp_path: _update(
+        lambda root, tmp_path, monkeypatch: _update(
             root / layout.MSGSTORE_DB,
             "UPDATE messages SET key_id = 'not a key' WHERE _id = (SELECT min(_id) FROM messages)",
         ),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK),
     ),
     "wa-wal": (
-        lambda root, tmp_path: Path(f"{root / layout.WA_DB}-wal").write_bytes(
+        lambda root, tmp_path, monkeypatch: Path(f"{root / layout.WA_DB}-wal").write_bytes(
             _committed_wal(root / layout.WA_DB, tmp_path)
         ),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
     ),
     "msgstore-wal": (
-        lambda root, tmp_path: Path(f"{root / layout.MSGSTORE_DB}-wal").write_bytes(
+        lambda root, tmp_path, monkeypatch: Path(f"{root / layout.MSGSTORE_DB}-wal").write_bytes(
             _committed_wal(root / layout.MSGSTORE_DB, tmp_path)
         ),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS),
     ),
     "backup": (
-        lambda root, tmp_path: _truncate_backup(root),
+        lambda root, tmp_path, monkeypatch: _truncate_backup(root),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS),
     ),
     "log-unreadable": (
-        lambda root, tmp_path: (root / layout.LOGS_DIR / "whatsapp-old.log").mkdir(),
+        lambda root, tmp_path, monkeypatch: (root / layout.LOGS_DIR / "whatsapp-old.log").mkdir(),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK),
     ),
     "no-wa.db": (
-        lambda root, tmp_path: (root / layout.WA_DB).unlink(),
+        lambda root, tmp_path, monkeypatch: (root / layout.WA_DB).unlink(),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
     ),
     "no-chat_list": (
-        lambda root, tmp_path: _update(root / layout.MSGSTORE_DB, "DROP TABLE chat_list"),
+        lambda root, tmp_path, monkeypatch: _update(
+            root / layout.MSGSTORE_DB, "DROP TABLE chat_list"
+        ),
         (EXIT_ERROR, EXIT_ERROR, EXIT_OK, EXIT_OK),
     ),
     "no-msgstore.db": (
-        lambda root, tmp_path: (root / layout.MSGSTORE_DB).unlink(),
+        lambda root, tmp_path, monkeypatch: (root / layout.MSGSTORE_DB).unlink(),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS),
     ),
     "no-logs": (
-        lambda root, tmp_path: shutil.rmtree(root / layout.LOGS_DIR),
+        lambda root, tmp_path, monkeypatch: shutil.rmtree(root / layout.LOGS_DIR),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK),
     ),
     "no-me": (
-        lambda root, tmp_path: (root / layout.ME_FILE).unlink(),
+        lambda root, tmp_path, monkeypatch: (root / layout.ME_FILE).unlink(),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
+    ),
+    "me-unreadable": (
+        lambda root, tmp_path, monkeypatch: _make_unreadable(monkeypatch, root / layout.ME_FILE),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
+    ),
+    "backups-unlisted": (
+        lambda root, tmp_path, monkeypatch: _make_unlistable(
+            monkeypatch, root / layout.BACKUPS_DIR
+        ),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS),
+    ),
+    "logs-unlisted": (
+        lambda root, tmp_path, monkeypatch: _make_unlistable(monkeypatch, root / layout.LOGS_DIR),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK),
+    ),
+    "avatars-unlisted": (
+        lambda root, tmp_path, monkeypatch: _make_unlistable(
+            monkeypatch, root / layout.AVATARS_DIR
+        ),
+        (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
+    ),
+    "profile-pictures-unlisted": (
+        lambda root, tmp_path, monkeypatch: _make_unlistable(
+            monkeypatch, root / layout.PROFILE_PICTURES_DIR
+        ),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
     ),
 }
@@ -1375,14 +1408,48 @@ _EXIT_CONTRACT = {
 
 @pytest.mark.parametrize("command", ["ingest", "report", "timeline", "diff"])
 @pytest.mark.parametrize("damage", list(_EXIT_CONTRACT))
-def test_exit_code_counts_the_warnings_about_what_the_command_reads(tmp_path, damage, command):
+def test_exit_code_counts_the_warnings_about_what_the_command_reads(
+    tmp_path, monkeypatch, damage, command
+):
     root = _full_device(tmp_path / "evidence")
     argv = [command, "--in", str(root), "--out", str(tmp_path / "out")]
     assert run(argv) == EXIT_OK
     harm, codes = _EXIT_CONTRACT[damage]
-    harm(root, tmp_path)
+    harm(root, tmp_path, monkeypatch)
     expected = dict(zip(["ingest", "report", "timeline", "diff"], codes))[command]
     assert run(argv) == expected
+
+
+@pytest.mark.parametrize(
+    "rel_path, deny, message, changed",
+    [
+        (layout.BACKUPS_DIR, _make_unlistable, "backup directory not listed", {"backups"}),
+        (layout.LOGS_DIR, _make_unlistable, "log directory not listed",
+         {"log_events", "log_coverage"}),
+        (layout.AVATARS_DIR, _make_unlistable, "avatar directory not listed", {"avatar_files"}),
+        (layout.PROFILE_PICTURES_DIR, _make_unlistable, "avatar directory not listed",
+         {"avatar_files"}),
+        (layout.ME_FILE, _make_unreadable, "settings file not read", {"registered_number"}),
+    ],
+    ids=["backups", "logs", "avatars", "profile-pictures", "me"],
+)
+def test_an_unlisted_evidence_directory_or_unread_me_file_is_a_warning(
+    tmp_path, monkeypatch, rel_path, deny, message, changed
+):
+    """One warning under its relative path, and the report, written with exit 1, lacks only it."""
+    root = _full_device(tmp_path / "evidence")
+    clean = tmp_path / "clean.json"
+    assert run(["report", "--in", str(root), "--out", str(clean)]) == EXIT_OK
+    deny(monkeypatch, root / rel_path, Path("evidence", rel_path))
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "report.json"
+    assert run(["report", "--in", "evidence", "--out", str(out)]) == EXIT_WARNINGS
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["warnings"] == [
+        {"source": rel_path, "message": f"{message}: [Errno 13] Permission denied"}
+    ]
+    summary = json.loads(clean.read_text(encoding="utf-8"))["bundle_summary"]
+    assert {k for k, v in doc["bundle_summary"].items() if summary[k] != v} == changed
 
 
 @pytest.mark.parametrize("cause", ["directory", "permission"])
@@ -1564,14 +1631,7 @@ def test_timeline_reads_only_the_chat_store_the_backups_and_the_logs(tmp_path, m
     ]
     assert all(path.exists() for path in unreadable)
     _make_unreadable(monkeypatch, *unreadable)
-    real_scandir = os.scandir
-
-    def guarded_scandir(path="."):
-        if any(Path(path).is_relative_to(p) for p in unreadable):
-            raise PermissionError(13, "Permission denied", str(path))
-        return real_scandir(path)
-
-    monkeypatch.setattr(os, "scandir", guarded_scandir)
+    _make_unlistable(monkeypatch, *unreadable)
     assert run(["report", "--in", str(root)]) == EXIT_ERROR  # the traps are armed
     for fmt, path in expected.items():
         out = tmp_path / f"out.{fmt}"

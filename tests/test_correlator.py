@@ -72,7 +72,6 @@ def make_record(**overrides) -> MessageRecord:
         received_timestamp=1000,
         receipt_server_timestamp=-1,
         receipt_device_timestamp=-1,
-        send_timestamp=-1,
         needs_push=0,
         recipient_count=None,
         remote_resource_raw=None,
@@ -87,7 +86,6 @@ def make_record(**overrides) -> MessageRecord:
         media_duration=None,
         latitude=None,
         longitude=None,
-        thumb_image=None,
     )
     base.update(overrides)
     if "key_remote_jid" in overrides and isinstance(overrides["key_remote_jid"], str):

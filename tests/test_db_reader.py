@@ -68,7 +68,7 @@ def test_load_single_contact(tmp_path):
     assert record.status_line == "hi"
     assert record.phonebook["display_name"] == "Someone"
     assert record.phonebook["sort_name"] == "Someone"
-    assert record.photo_ts == 0
+    assert record.thumb_ts == 1380000000
     assert len(warn) == 0
 
 
@@ -451,7 +451,6 @@ _PLAIN_ROW = {
     "received_timestamp": 1329112000500,
     "receipt_server_timestamp": 1329112001000,
     "receipt_device_timestamp": 1329112002000,
-    "send_timestamp": -1,
     "needs_push": 0,
     "recipient_count": 1,
     "remote_resource": jid("393200000003"),
@@ -466,7 +465,6 @@ _PLAIN_ROW = {
     "media_duration": 0,
     "latitude": 45.5,
     "longitude": 9.25,
-    "thumb_image": b"\xff\xd8",
 }
 
 _STORAGE_CLASSES = {
@@ -599,7 +597,6 @@ def _reference_message(row):
         received_timestamp=row.int_("received_timestamp"),
         receipt_server_timestamp=row.int_("receipt_server_timestamp"),
         receipt_device_timestamp=row.int_("receipt_device_timestamp"),
-        send_timestamp=row.int_("send_timestamp"),
         needs_push=needs_push,
         recipient_count=row.int_("recipient_count"),
         remote_resource_raw=rr_raw,
@@ -614,7 +611,6 @@ def _reference_message(row):
         media_duration=row.int_("media_duration"),
         latitude=row.float_("latitude"),
         longitude=row.float_("longitude"),
-        thumb_image=row.blob("thumb_image"),
     )
     db_reader._check_message_invariants(record, row.source, row.warn)
     return record
@@ -628,8 +624,6 @@ def _reference_contact(row):
         id=row.int_("_id", 0) or 0,
         jid=jid_,
         is_whatsapp_user=row.bool_("is_whatsapp_user"),
-        unseen_msg_count=row.int_("unseen_msg_count", 0) or 0,
-        photo_ts=row.int_("photo_ts"),
         thumb_ts=thumb_ts,
         photo_id_timestamp=photo_id_ts,
         wa_name=row.text("wa_name"),
@@ -658,8 +652,6 @@ _PLAIN_CONTACT = {
     "_id": 1,
     "jid": jid("393480000002"),
     "is_whatsapp_user": 1,
-    "unseen_msg_count": 2,
-    "photo_ts": 0,
     "thumb_ts": 1380000000,
     "photo_id_timestamp": 1380111266000,
     "wa_name": "someone",
@@ -828,6 +820,31 @@ def test_key_first_filter_fetches_only_the_kept_rows(tmp_path):
     probe, read = statements
     assert probe.endswith("LIMIT 0") and read.startswith("SELECT _id, ")
     assert not any("rowid IN" in s for s in statements)
+
+
+@pytest.mark.parametrize(
+    "table, row, unread",
+    [
+        ("messages", {"key_remote_jid": jid("393480000002"), "key_id": "1-1", "thumb_image": 7},
+         {"thumb_image", "send_timestamp"}),
+        ("wa_contacts", dict(CONTACT_ROW, photo_ts="never"), {"unseen_msg_count", "photo_ts"}),
+    ],
+    ids=["messages", "wa_contacts"],
+)
+def test_columns_no_output_reads_are_not_fetched(tmp_path, table, row, unread):
+    """The statement reading the rows names none of them, so their values are not warned about."""
+    if table == "messages":
+        source, load = _store_source(tmp_path, [row]), load_messages
+    else:
+        source, load = _contacts_source(tmp_path, [row]), load_contacts
+    statements = []
+    source.connection.set_trace_callback(statements.append)
+    warn = []
+    assert len(load(source, warn)) == 1
+    probe, read = statements
+    assert read.startswith("SELECT _id, ") and f" FROM {table} " in read
+    assert not unread & set(re.findall(r"\w+", read))
+    assert warn == []
 
 
 def test_a_filtered_table_without_rowid_or_id_counts_positions_over_the_whole_table(tmp_path):

@@ -113,7 +113,7 @@ def test_unmatched_body_is_other_with_time():
     event = _one(format_line(5000, "something/else entirely"))
     assert event.kind is EventKind.OTHER
     assert event.occurred_at == 5000
-    assert event.raw_line.endswith("something/else entirely")
+    assert event.evidence_ref == "whatsapp.log:1"
 
 
 def test_parse_is_total():
