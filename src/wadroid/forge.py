@@ -8,10 +8,12 @@ the settings files. Because the same simulation also derives the
 expected parse result and the expected analytical conclusions, a forged
 bundle is the ground-truth oracle for every correlation test.
 
-Each log line is recorded where it is emitted, together with what the
-parser must read from its body (event kind, jid, message key, group id,
-group subject); the expected log events are built from those records,
-so the DEFAULT grammar is the only reader of the bodies.
+Each log line is emitted as its event kind and the fields of its body
+(jid, message key, group id, group subject, ...): the body is formatted
+from the table the DEFAULT grammar's rules are compiled from
+(``log_parser.format_body``), and the expected log events are built
+from the kind and fields, so the DEFAULT grammar is the only reader of
+the bodies.
 
 Determinism contract: identical (script, seed) pairs produce
 byte-identical bundles, and every generated artifact passes its parser
@@ -399,8 +401,8 @@ class _Simulator:
         self.chat_rows: dict[str, list[int]] = {}  # jid -> [chat_id, last_msg_id]
         self.groups: dict[str, _SimGroup] = {}
         self.group_by_gid: dict[str, _SimGroup] = {}
-        # (ms, emission order, body, kind, jid, key, gid, subject): each log
-        # line with the fields the parser must read from its body
+        # (ms, emission order, body, kind, fields): each log line with the
+        # fields the parser must read from its body
         self.log: list[tuple] = []
         self.snapshots: list[tuple[str, int]] = []  # (file name, as_of_ms)
         self.media_files: dict[str, tuple[bytes, bytes]] = {}  # path -> (content, SHA-256)
@@ -425,33 +427,23 @@ class _Simulator:
         if not 0 <= ms < self.time_end:
             self.fail(f"time {ms} is before 1970 or past the year 9999")
 
-    def emit(
-        self,
-        ms: int,
-        body: str,
-        kind: EventKind = EventKind.OTHER,
-        jid: str | None = None,
-        key: str | None = None,
-        gid: str | None = None,
-        subject: str | None = None,
-    ) -> None:
+    def emit(self, ms: int, kind: EventKind, **fields: str) -> None:
+        """Log the DEFAULT line of ``kind`` that holds ``fields``."""
+        self.log_line(ms, log_parser.format_body(kind, **fields), kind, fields)
+
+    def log_line(self, ms: int, body: str, kind: EventKind, fields: dict[str, str]) -> None:
         self.check_time(ms)
-        self.log.append((ms, len(self.log), body, kind, jid, key, gid, subject))
+        self.log.append((ms, len(self.log), body, kind, fields))
 
     def log_sent(
         self, at: int, key: str, destinations, server: int | None, device: int | None
     ) -> None:
         for jid in destinations:
-            self.emit(at, log_parser.body_message_sent(key, jid), EventKind.MESSAGE_SENT, jid, key)
+            self.emit(at, EventKind.MESSAGE_SENT, key=key, jid=jid)
         if server is not None:
-            self.emit(server, log_parser.body_server_ack(key), EventKind.SERVER_ACK, key=key)
+            self.emit(server, EventKind.SERVER_ACK, key=key)
         if device is not None:
-            self.emit(device, log_parser.body_device_ack(key), EventKind.DEVICE_ACK, key=key)
-
-    def log_received(self, at: int, key: str, jid: str) -> None:
-        self.emit(
-            at, log_parser.body_message_received(key, jid), EventKind.MESSAGE_RECEIVED, jid, key
-        )
+            self.emit(device, EventKind.DEVICE_ACK, key=key)
 
     def next_key(self, number: str) -> str:
         state = self.sessions.get(number)
@@ -558,11 +550,10 @@ class _Simulator:
         self.contacts.append(contact)
         self.contact_by_number[number] = contact
         t = action.at_ms
-        self.emit(t, log_parser.body_contact_missing(jid), EventKind.CONTACT_NOT_IN_DB, jid)
-        for delay, what in ((400, "profile"), (800, "status"), (1200, "avatar")):
-            query = log_parser.body_contact_query(jid, what)
-            self.emit(t + delay, query, EventKind.CONTACT_QUERY, jid)
-        self.emit(t + 2000, log_parser.body_avatar_downloaded(jid), EventKind.AVATAR_DOWNLOADED, jid)
+        self.emit(t, EventKind.CONTACT_NOT_IN_DB, jid=jid)
+        for delay, query in ((400, "profile"), (800, "status"), (1200, "avatar")):
+            self.emit(t + delay, EventKind.CONTACT_QUERY, query=query, jid=jid)
+        self.emit(t + 2000, EventKind.AVATAR_DOWNLOADED, jid=jid)
 
     def do_blockcontact(self, action: BlockContact) -> None:
         self.check_actor(action.number)
@@ -570,13 +561,13 @@ class _Simulator:
         if jid in self.blocked:
             self.fail(f"{action.number} is already blocked")
         self.blocked.add(jid)
-        self.emit(action.at_ms, log_parser.body_contact_blocked(jid), EventKind.CONTACT_BLOCKED, jid)
+        self.emit(action.at_ms, EventKind.CONTACT_BLOCKED, jid=jid)
 
     def do_unblockall(self, action: UnblockAll) -> None:
         if not self.blocked:
             self.fail("unblock with no blocked contacts")
         self.blocked.clear()
-        self.emit(action.at_ms, log_parser.body_contact_unblocked(), EventKind.CONTACT_UNBLOCKED)
+        self.emit(action.at_ms, EventKind.CONTACT_UNBLOCKED)
 
     def _send_common(self, action, **columns) -> None:
         """The message row of a direct or group send, and its log lines.
@@ -617,7 +608,7 @@ class _Simulator:
         if outgoing:
             self.log_sent(action.at_ms, key, (conversation,), server, device)
         else:
-            self.log_received(action.at_ms, key, conversation)
+            self.emit(action.at_ms, EventKind.MESSAGE_RECEIVED, key=key, jid=conversation)
         self.insert_message(sim, action.label)
 
     def do_sendtext(self, action: SendText) -> None:
@@ -732,7 +723,7 @@ class _Simulator:
                 received_ms=action.at_ms,
                 data=action.text,
             )
-            self.log_received(action.at_ms, key, sender_jid)
+            self.emit(action.at_ms, EventKind.MESSAGE_RECEIVED, key=key, jid=sender_jid)
             self.insert_message(sim, action.label)
 
     def insert_control_row(self, at_ms: int, group: _SimGroup, kind: str, number: str) -> None:
@@ -762,8 +753,8 @@ class _Simulator:
             self.fail(f"duplicate group label {action.label!r}")
         if not action.name:
             self.fail("group name must not be empty")
-        # The name ends the group/create log line: a line break would split
-        # it, and the parser drops a carriage return that ends a line.
+        # The name ends the group creation log line: a line break would
+        # split it, and the parser drops a carriage return that ends a line.
         if "\n" in action.name or action.name.endswith("\r"):
             self.fail("a group name must not hold a line feed or end in a carriage return")
         gid_raw = f"{self.owner}-{action.at_ms // 1000}@g.us"
@@ -773,8 +764,7 @@ class _Simulator:
         self.groups[action.label] = group
         self.group_by_gid[gid_raw] = group
         self.insert_control_row(action.at_ms, group, "created", self.owner)
-        body = log_parser.body_group_created(gid_raw, action.name)
-        self.emit(action.at_ms, body, EventKind.GROUP_CREATED, gid=gid_raw, subject=action.name)
+        self.emit(action.at_ms, EventKind.GROUP_CREATED, gid=gid_raw, subject=action.name)
 
     def do_addtogroup(self, action: AddToGroup) -> None:
         group = self.groups.get(action.group)
@@ -787,10 +777,8 @@ class _Simulator:
         group.members.add(member_jid)
         self.insert_control_row(action.at_ms, group, "joined", action.member)
         gid = group.gid_raw
-        body = log_parser.body_group_add_requested(gid, [member_jid])
-        self.emit(action.at_ms, body, EventKind.GROUP_ADD_REQUESTED, gid=gid)
-        body = log_parser.body_group_member_added(gid, member_jid)
-        self.emit(action.at_ms, body, EventKind.GROUP_MEMBER_ADDED, member_jid, gid=gid)
+        self.emit(action.at_ms, EventKind.GROUP_ADD_REQUESTED, gid=gid, jids=member_jid)
+        self.emit(action.at_ms, EventKind.GROUP_MEMBER_ADDED, gid=gid, jid=member_jid)
 
     def do_leavegroup(self, action: LeaveGroup) -> None:
         group = self.groups.get(action.group)
@@ -803,8 +791,7 @@ class _Simulator:
             self.fail(f"{action.member} is not a group member")
         group.members.discard(member_jid)
         self.insert_control_row(action.at_ms, group, "left", action.member)
-        body = log_parser.body_group_member_left(group.gid_raw, member_jid)
-        self.emit(action.at_ms, body, EventKind.GROUP_MEMBER_LEFT, member_jid, gid=group.gid_raw)
+        self.emit(action.at_ms, EventKind.GROUP_MEMBER_LEFT, gid=group.gid_raw, jid=member_jid)
 
     def do_deletemessage(self, action: DeleteMessage) -> None:
         key = self.resolve_target(action.target)
@@ -819,7 +806,7 @@ class _Simulator:
             )
         for sim in rows:
             sim.delete_ms = action.at_ms
-        self.emit(action.at_ms, log_parser.body_message_deleted(key), EventKind.MESSAGE_DELETED, key=key)
+        self.emit(action.at_ms, EventKind.MESSAGE_DELETED, key=key)
 
     def do_deletecontact(self, action: DeleteContact) -> None:
         contact = self.contact_by_number.get(action.number)
@@ -827,7 +814,7 @@ class _Simulator:
             self.fail(f"contact {action.number} is not present")
         contact.deleted = True
         # Contact deletions log no identifier; the avatar files survive.
-        self.emit(action.at_ms, "contact/delete completed")
+        self.log_line(action.at_ms, "contact/delete completed", EventKind.OTHER, {})
 
     def do_snapshotbackup(self, action: SnapshotBackup) -> None:
         base = f"msgstore-{render_local_ms(action.at_ms)[:10]}"
@@ -988,14 +975,15 @@ def _expected_contact(columns: dict) -> ContactRecord:
 
 def _expected_log_event(record: tuple, number: int) -> LogEvent:
     """The event the parser must read from line ``number``, the rendering of ``record``."""
-    ms, _, _, kind, jid, key, gid, subject = record
+    ms, _, _, kind, fields = record
+    jid, key, gid = fields.get("jid"), fields.get("key"), fields.get("gid")
     return LogEvent(
         occurred_at=ms,
         kind=kind,
         subject_jid=classify_jid(jid) if jid else None,
         message_key=parse_message_key(key) if key else None,
         group_id=parse_group_id(gid) if gid else None,
-        group_subject=subject,
+        group_subject=fields.get("subject"),
         source_file="whatsapp.log",
         line_number=number,
     )

@@ -112,17 +112,20 @@ def _list_dir(root: Path, rel: str, glob: str, what: str, warn: list[ParseWarnin
     return [root / rel / name for name in sorted(fnmatch.filter(dirs + files, glob))]
 
 
-def _list_media(root: Path, warn: list[ParseWarning] | None = None) -> list[tuple[str, int, str]]:
-    """(path relative to ``root``, size, path) of every media file, by relative path.
+def _list_files(
+    root: Path, rel_dir: str, what: str, warn: list[ParseWarning] | None
+) -> list[tuple[str, os.stat_result, str]]:
+    """(path relative to ``root``, stat, path) of every file under ``rel_dir``, by relative path.
 
-    Listed, not read: one ``stat`` per file. As under ``Path.rglob``, a
-    link to a directory is not followed. A directory that cannot be read
+    Listed, not read: one ``stat`` per file. A link to a file is listed
+    under its own name; a link to a directory is not followed, and a
+    dangling or looping link is no file. A directory that cannot be read
     is skipped with a warning (``_walk``).
     """
     listed = []
-    media_dir = os.path.join(root, layout.MEDIA_DIR)
-    for dir_path, _, names in _walk(root, layout.MEDIA_DIR, "media", warn):
-        prefix = layout.MEDIA_DIR + dir_path[len(media_dir) :].replace(os.sep, "/")
+    top = os.path.join(root, rel_dir)
+    for dir_path, _, names in _walk(root, rel_dir, what, warn):
+        prefix = rel_dir + dir_path[len(top) :].replace(os.sep, "/")
         for name in names:
             path = os.path.join(dir_path, name)
             try:
@@ -130,9 +133,19 @@ def _list_media(root: Path, warn: list[ParseWarning] | None = None) -> list[tupl
             except OSError:  # a dangling or looping link: not a file
                 continue
             if stat.S_ISREG(info.st_mode):
-                listed.append((f"{prefix}/{name}", info.st_size, path))
+                listed.append((f"{prefix}/{name}" if prefix else name, info, path))
     listed.sort(key=lambda item: item[0])
     return listed
+
+
+def _list_media(root: Path, warn: list[ParseWarning] | None = None) -> list[tuple[str, int, str]]:
+    """(path relative to ``root``, size, path) of every media file (``_list_files``)."""
+    listed = _list_files(root, layout.MEDIA_DIR, "media", warn)
+    return [(rel, info.st_size, path) for rel, info, path in listed]
+
+
+def _unlisted_text(unlisted: list[ParseWarning]) -> str:
+    return "; ".join(f"{w.source}: {w.message}" for w in unlisted)
 
 
 class Evidence:
@@ -165,9 +178,11 @@ class Evidence:
             and not self._log_files
             and not self._crypt_files
         ):
+            # A directory that could not be listed may hold what is missing.
+            unlisted = _unlisted_text(self._log_unlisted + self._crypt_unlisted)
             raise StructuralError(
                 f"{root} holds no recognizable evidence (no contacts/chat database, "
-                "logs, or backups in the expected layout)"
+                "logs, or backups in the expected layout)" + (f"; {unlisted}" if unlisted else "")
             )
         self.root = root
         self.grammar = grammar
@@ -369,14 +384,13 @@ def load_case_bundle(
 
 
 def snapshot_tree(root: str | Path) -> dict[str, tuple[int, int]]:
-    """Map of every file to (mtime_ns, size), for read-only verification."""
-    root = Path(root)
-    snapshot = {}
-    for path in sorted(root.rglob("*")):
-        try:
-            info = path.stat()
-        except OSError:  # vanished, or a dangling or looping link: not a file
-            continue
-        if stat.S_ISREG(info.st_mode):
-            snapshot[_rel(root, path)] = (info.st_mtime_ns, info.st_size)
-    return snapshot
+    """Map of every file to (mtime_ns, size), for read-only verification.
+
+    StructuralError if a directory cannot be listed: its files would go
+    unverified.
+    """
+    unlisted: list[ParseWarning] = []
+    listed = _list_files(Path(root), "", "evidence", unlisted)
+    if unlisted:
+        raise StructuralError(f"read-only verification incomplete: {_unlisted_text(unlisted)}")
+    return {rel: (info.st_mtime_ns, info.st_size) for rel, info, _ in listed}

@@ -6,14 +6,17 @@ deletions, and group lifecycle operations. The exact line syntax varies
 between application builds, so classification is driven by a grammar: a
 line pattern splitting timestamp from body, plus an ordered rule list
 mapping body patterns to event kinds. The DEFAULT grammar below encodes
-the event taxonomy this toolkit relies on; a user-supplied grammar file
-(JSON, versioned) adapts the parser to other builds without touching
-the analysis code.
+the event taxonomy this toolkit relies on: one ordered table of line
+bodies (``_DEFAULT_BODIES``) gives both its rules and, through
+``format_body``, the lines the fixture forge writes. A user-supplied
+grammar file (JSON, versioned) adapts the parser to other builds without
+touching the analysis code.
 
-Recognized capture group names in rules: ``jid`` (also ``to``/``from``),
-``key``, ``gid``, ``subject``. The timestamp format is either a strptime
-pattern (naive times are taken as UTC) or the literal ``epoch_s`` /
-``epoch_ms`` for logs that stamp lines with raw epoch integers.
+Recognized capture group names in rules: ``jid`` (a custom grammar may
+name it ``to`` or ``from``), ``key``, ``gid``, ``subject``. The timestamp
+format is either a strptime pattern (naive times are taken as UTC) or
+the literal ``epoch_s`` / ``epoch_ms`` for logs that stamp lines with
+raw epoch integers.
 
 Parsing is total: every input line yields exactly one event; lines that
 match no rule (or whose timestamp cannot be read) are preserved as
@@ -54,24 +57,40 @@ _DEFAULT_LINE_PATTERN = (
 )
 _DEFAULT_TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S.%f %z"
 
-_DEFAULT_RULES = (
-    (EventKind.MESSAGE_DELETED, r"^msgstore/delete key=(?P<key>\S+)$"),
-    (EventKind.MESSAGE_SENT, r"^msgstore/send key=(?P<key>\S+) to=(?P<to>\S+)$"),
-    (EventKind.MESSAGE_RECEIVED, r"^msgstore/recv key=(?P<key>\S+) from=(?P<from>\S+)$"),
-    (EventKind.SERVER_ACK, r"^msgstore/ack/server key=(?P<key>\S+)$"),
-    (EventKind.DEVICE_ACK, r"^msgstore/ack/device key=(?P<key>\S+)$"),
-    (EventKind.CONTACT_NOT_IN_DB, r"^contact/sync/missing jid=(?P<jid>\S+)$"),
-    (EventKind.CONTACT_QUERY, r"^contact/query/\w+ jid=(?P<jid>\S+)$"),
-    (EventKind.AVATAR_DOWNLOADED, r"^contact/avatar/downloaded jid=(?P<jid>\S+)$"),
-    (EventKind.CONTACT_BLOCKED, r"^contact/block jid=(?P<jid>\S+)$"),
+# The DEFAULT grammar's line bodies, in first-match order. Each rule is
+# compiled from its body (``_body_pattern``), and the forge writes its
+# lines from the same text (``format_body``).
+_DEFAULT_BODIES = (
+    (EventKind.MESSAGE_DELETED, "msgstore/delete key={key}"),
+    (EventKind.MESSAGE_SENT, "msgstore/send key={key} to={jid}"),
+    (EventKind.MESSAGE_RECEIVED, "msgstore/recv key={key} from={jid}"),
+    (EventKind.SERVER_ACK, "msgstore/ack/server key={key}"),
+    (EventKind.DEVICE_ACK, "msgstore/ack/device key={key}"),
+    (EventKind.CONTACT_NOT_IN_DB, "contact/sync/missing jid={jid}"),
+    (EventKind.CONTACT_QUERY, "contact/query/{query} jid={jid}"),
+    (EventKind.AVATAR_DOWNLOADED, "contact/avatar/downloaded jid={jid}"),
+    (EventKind.CONTACT_BLOCKED, "contact/block jid={jid}"),
     # Unblocks are anonymous and cumulative: the line never names who
     # was unblocked, and one line may cover several contacts.
-    (EventKind.CONTACT_UNBLOCKED, r"^contact/unblock/completed$"),
-    (EventKind.GROUP_CREATED, r"^group/create gid=(?P<gid>\S+) subject=(?P<subject>.*)$"),
-    (EventKind.GROUP_ADD_REQUESTED, r"^group/add/request gid=(?P<gid>\S+) jids=(?P<jids>\S+)$"),
-    (EventKind.GROUP_MEMBER_ADDED, r"^group/add gid=(?P<gid>\S+) jid=(?P<jid>\S+)$"),
-    (EventKind.GROUP_MEMBER_LEFT, r"^group/leave gid=(?P<gid>\S+) jid=(?P<jid>\S+)$"),
+    (EventKind.CONTACT_UNBLOCKED, "contact/unblock/completed"),
+    (EventKind.GROUP_CREATED, "group/create gid={gid} subject={subject}"),
+    (EventKind.GROUP_ADD_REQUESTED, "group/add/request gid={gid} jids={jids}"),
+    (EventKind.GROUP_MEMBER_ADDED, "group/add gid={gid} jid={jid}"),
+    (EventKind.GROUP_MEMBER_LEFT, "group/leave gid={gid} jid={jid}"),
 )
+
+# A field matches one token, except these.
+_FIELD_PATTERNS = {"subject": ".*", "query": r"\w+"}
+
+
+def _body_pattern(body: str) -> re.Pattern:
+    """The rule of ``body``: its text literally, each ``{field}`` a named group."""
+    parts = re.split(r"\{(\w+)\}", body)  # text, field, text, ..., field, text
+    pattern = re.escape(parts[0])
+    for field, text in zip(parts[1::2], parts[2::2]):
+        group = _FIELD_PATTERNS.get(field, r"\S+")
+        pattern += f"(?P<{field}>{group})" + re.escape(text)
+    return re.compile(f"^{pattern}$")
 
 
 class GrammarRule(NamedTuple):
@@ -126,7 +145,7 @@ class LogGrammar(NamedTuple):
 DEFAULT_GRAMMAR = LogGrammar(
     line_pattern=re.compile(_DEFAULT_LINE_PATTERN),
     timestamp_format=_DEFAULT_TIMESTAMP_FORMAT,
-    rules=tuple(GrammarRule(kind=k, pattern=re.compile(p)) for k, p in _DEFAULT_RULES),
+    rules=tuple(GrammarRule(kind=k, pattern=_body_pattern(b)) for k, b in _DEFAULT_BODIES),
 )
 
 
@@ -353,10 +372,18 @@ def merge_events(*event_lists) -> list[LogEvent]:
     return merged
 
 
-# --- canonical line bodies -------------------------------------------------
+# --- DEFAULT lines -----------------------------------------------------------
 #
-# The fixture forge emits log lines through these helpers so the DEFAULT
-# grammar and the generated fixtures cannot drift apart.
+# The fixture forge writes its log lines with these. A body is formatted
+# from the text its rule is compiled from, so the DEFAULT grammar reads
+# every forged line as the forge meant it.
+
+_BODY_OF = dict(_DEFAULT_BODIES)
+
+
+def format_body(kind: EventKind, **fields: str) -> str:
+    """The DEFAULT body of a ``kind`` line, e.g. ``key`` and ``jid`` for ``message_sent``."""
+    return _BODY_OF[kind].format_map(fields)
 
 
 def format_line(occurred_at_ms: int, body: str, tz_offset_minutes: int = 0) -> str:
@@ -367,59 +394,3 @@ def format_line(occurred_at_ms: int, body: str, tz_offset_minutes: int = 0) -> s
     sign = "-" if tz_offset_minutes < 0 else "+"
     mins = abs(tz_offset_minutes)
     return f"{local} {sign}{mins // 60:02d}{mins % 60:02d} {body}"
-
-
-def body_message_deleted(key: str) -> str:
-    return f"msgstore/delete key={key}"
-
-
-def body_message_sent(key: str, to_jid: str) -> str:
-    return f"msgstore/send key={key} to={to_jid}"
-
-
-def body_message_received(key: str, from_jid: str) -> str:
-    return f"msgstore/recv key={key} from={from_jid}"
-
-
-def body_server_ack(key: str) -> str:
-    return f"msgstore/ack/server key={key}"
-
-
-def body_device_ack(key: str) -> str:
-    return f"msgstore/ack/device key={key}"
-
-
-def body_contact_missing(jid: str) -> str:
-    return f"contact/sync/missing jid={jid}"
-
-
-def body_contact_query(jid: str, what: str = "profile") -> str:
-    return f"contact/query/{what} jid={jid}"
-
-
-def body_avatar_downloaded(jid: str) -> str:
-    return f"contact/avatar/downloaded jid={jid}"
-
-
-def body_contact_blocked(jid: str) -> str:
-    return f"contact/block jid={jid}"
-
-
-def body_contact_unblocked() -> str:
-    return "contact/unblock/completed"
-
-
-def body_group_created(gid: str, subject: str) -> str:
-    return f"group/create gid={gid} subject={subject}"
-
-
-def body_group_add_requested(gid: str, jids) -> str:
-    return f"group/add/request gid={gid} jids={','.join(jids)}"
-
-
-def body_group_member_added(gid: str, jid: str) -> str:
-    return f"group/add gid={gid} jid={jid}"
-
-
-def body_group_member_left(gid: str, jid: str) -> str:
-    return f"group/leave gid={gid} jid={jid}"

@@ -27,6 +27,7 @@ from wadroid import report as report_mod
 from wadroid.backup_crypto import SQLITE_MAGIC, decrypt_backup, encrypt_fixture
 from wadroid.cli import EXIT_ERROR, EXIT_OK, EXIT_USAGE, EXIT_WARNINGS, run
 from wadroid.errors import StructuralError
+from wadroid.model import EventKind
 
 
 @pytest.fixture()
@@ -1171,7 +1172,37 @@ def test_an_unlisted_media_directory_is_a_warning(media_root, monkeypatch, tmp_p
         }
 
 
-_SPLIT_LINES = {"line_pattern": r"^(?P<ts>\S+) (?P<body>.*)$", "timestamp_format": "epoch_s"}
+@pytest.mark.parametrize("command", ["report", "timeline", "diff", "ingest"])
+def test_evidence_only_in_an_unlisted_directory_is_named(tmp_path, monkeypatch, capsys, command):
+    """The structural error says which directory could not be listed, relative to the root."""
+    root = tmp_path / "evidence"
+    backups = root / layout.BACKUPS_DIR
+    backups.mkdir(parents=True)
+    (backups / "msgstore.db.crypt").write_bytes(b"\0" * 64)
+    _make_unlistable(monkeypatch, backups)
+    assert run([command, "--in", str(root)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "holds no recognizable evidence" in err
+    assert err.endswith(
+        f"; {layout.BACKUPS_DIR}: backup directory not listed: [Errno 13] Permission denied\n"
+    )
+
+
+def test_verify_readonly_refuses_a_directory_it_cannot_list(
+    conversation_dir, monkeypatch, tmp_path, capsys
+):
+    """The databases stay readable, but their files could not be verified: exit 2."""
+    _make_unlistable(monkeypatch, conversation_dir / layout.DB_DIR)
+    out = tmp_path / "report.json"
+    argv = ["report", "--in", str(conversation_dir), "--out", str(out), "--verify-readonly"]
+    assert run(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: read-only verification incomplete: {layout.DB_DIR}: "
+        "evidence directory not listed: [Errno 13] Permission denied\n"
+    )
+
+
+_SPLIT_LINES ={"line_pattern": r"^(?P<ts>\S+) (?P<body>.*)$", "timestamp_format": "epoch_s"}
 
 
 @pytest.mark.parametrize(
@@ -1231,13 +1262,14 @@ def test_timeline_json_matches_the_report(tmp_path, capsys):
 
 
 def test_timeline_exit_code_counts_analysis_warnings(tmp_path, capsys):
-    from wadroid.log_parser import body_group_member_left, format_line
+    from wadroid.log_parser import format_body, format_line
 
     result = forge.generate_bundle(helpers.group_script(), tmp_path / "evidence")
     (gid,) = result.expected.group_timelines
     stranger = helpers.jid("393209999999")
     with (result.root / layout.MAIN_LOG).open("a", encoding="utf-8") as log:
-        log.write(format_line(helpers.GRP_LEAVE_E + 1000, body_group_member_left(gid, stranger)))
+        leave = format_body(EventKind.GROUP_MEMBER_LEFT, gid=gid, jid=stranger)
+        log.write(format_line(helpers.GRP_LEAVE_E + 1000, leave))
         log.write("\n")
     out = tmp_path / "report.json"
     assert run(["report", "--in", str(result.root), "--out", str(out)]) == EXIT_WARNINGS
@@ -1316,7 +1348,10 @@ _EXIT_CONTRACT = {
     ),
     "log-key": (
         lambda root, tmp_path, monkeypatch: _append_log_line(
-            root, log_parser.format_line(helpers.CONV_OUT_2, log_parser.body_message_deleted("bad"))
+            root,
+            log_parser.format_line(
+                helpers.CONV_OUT_2, log_parser.format_body(EventKind.MESSAGE_DELETED, key="bad")
+            ),
         ),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK, EXIT_OK),
     ),
@@ -1324,7 +1359,9 @@ _EXIT_CONTRACT = {
         lambda root, tmp_path, monkeypatch: _append_log_line(
             root,
             "2013-02-30 10:00:00.000 +0000 "
-            + log_parser.body_group_member_left(_A_GROUP, helpers.jid(helpers.PARTNER)),
+            + log_parser.format_body(
+                EventKind.GROUP_MEMBER_LEFT, gid=_A_GROUP, jid=helpers.jid(helpers.PARTNER)
+            ),
         ),
         (EXIT_WARNINGS, EXIT_WARNINGS, EXIT_WARNINGS, EXIT_OK),
     ),
@@ -1572,11 +1609,16 @@ def test_each_log_line_is_warned_about_once(tmp_path, order):
     _append_log_line(
         root,
         "2013-02-30 10:00:00.000 +0000 "
-        + log_parser.body_group_member_left(_A_GROUP, helpers.jid(helpers.PARTNER)),
+        + log_parser.format_body(
+            EventKind.GROUP_MEMBER_LEFT, gid=_A_GROUP, jid=helpers.jid(helpers.PARTNER)
+        ),
     )
     _append_log_line(root, "not a log line")
     _append_log_line(
-        root, log_parser.format_line(helpers.CONV_OUT_2, log_parser.body_message_deleted("bad"))
+        root,
+        log_parser.format_line(
+            helpers.CONV_OUT_2, log_parser.format_body(EventKind.MESSAGE_DELETED, key="bad")
+        ),
     )
     (root / layout.LOGS_DIR / "whatsapp-old.log").mkdir()
     with ingest.Evidence(root) as evidence:
@@ -1868,11 +1910,14 @@ def test_a_line_whose_match_leaves_out_ts_or_body_does_not_fit_the_grammar(
 
 
 def test_rotated_logs_are_merged(conversation_dir, capsys):
-    from wadroid.log_parser import body_contact_missing, format_line
+    from wadroid.log_parser import format_body, format_line
 
     rotated = conversation_dir / "data/data/com.whatsapp/files/Logs/whatsapp-2012-02-12.log"
     rotated.write_text(
-        format_line(1329000000000, body_contact_missing(helpers.jid(helpers.PARTNER)))
+        format_line(
+            1329000000000,
+            format_body(EventKind.CONTACT_NOT_IN_DB, jid=helpers.jid(helpers.PARTNER)),
+        )
         + "\n",
         encoding="utf-8",
     )

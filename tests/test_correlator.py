@@ -35,23 +35,11 @@ from wadroid.correlator import (
     resolve_partners,
     server_filename,
 )
-from wadroid.log_parser import (
-    body_avatar_downloaded,
-    body_contact_blocked,
-    body_contact_missing,
-    body_contact_query,
-    body_contact_unblocked,
-    body_device_ack,
-    body_group_member_left,
-    body_message_deleted,
-    body_message_sent,
-    body_server_ack,
-    format_line,
-    parse_log_lines,
-)
+from wadroid.log_parser import format_body, format_line, parse_log_lines
 from wadroid.model import (
     AvatarFile,
     CaseBundle,
+    EventKind,
     MediaFile,
     MessageRecord,
     classify_jid,
@@ -542,9 +530,11 @@ def _log_bundle(lines, **kwargs):
 def test_log_index_block_facts():
     target = "39331xxxxxxx@s.whatsapp.net"
     lines = [
-        format_line(1000, body_contact_blocked(target)),
-        format_line(2000, body_contact_unblocked()),
-        format_line(3000, body_contact_blocked("39320xxxxxxx@s.whatsapp.net")),
+        format_line(1000, format_body(EventKind.CONTACT_BLOCKED, jid=target)),
+        format_line(2000, format_body(EventKind.CONTACT_UNBLOCKED)),
+        format_line(
+            3000, format_body(EventKind.CONTACT_BLOCKED, jid="39320xxxxxxx@s.whatsapp.net")
+        ),
     ]
     index = log_index(_log_bundle(lines))
     assert [(j.raw, t) for j, t in index.blocks] == [
@@ -557,8 +547,8 @@ def test_log_index_block_facts():
 def test_undated_block_events():
     target = "39331xxxxxxx@s.whatsapp.net"
     lines = [
-        format_line(1000, body_contact_blocked(target)),
-        format_line(2000, body_contact_unblocked()),
+        format_line(1000, format_body(EventKind.CONTACT_BLOCKED, jid=target)),
+        format_line(2000, format_body(EventKind.CONTACT_UNBLOCKED)),
     ]
     blocked, unblocked = (
         e._replace(occurred_at=None) for e in parse_log_lines(lines, "whatsapp.log")
@@ -581,11 +571,11 @@ ADD_TIME = 1380118464000  # 2013-09-25 14:14:24Z
 
 def _addition_lines(jid_raw, t0=ADD_TIME):
     return [
-        format_line(t0, body_contact_missing(jid_raw)),
-        format_line(t0 + 400, body_contact_query(jid_raw, "profile")),
-        format_line(t0 + 800, body_contact_query(jid_raw, "status")),
-        format_line(t0 + 1200, body_contact_query(jid_raw, "avatar")),
-        format_line(t0 + 2000, body_avatar_downloaded(jid_raw)),
+        format_line(t0, format_body(EventKind.CONTACT_NOT_IN_DB, jid=jid_raw)),
+        format_line(t0 + 400, format_body(EventKind.CONTACT_QUERY, jid=jid_raw, query="profile")),
+        format_line(t0 + 800, format_body(EventKind.CONTACT_QUERY, jid=jid_raw, query="status")),
+        format_line(t0 + 1200, format_body(EventKind.CONTACT_QUERY, jid=jid_raw, query="avatar")),
+        format_line(t0 + 2000, format_body(EventKind.AVATAR_DOWNLOADED, jid=jid_raw)),
     ]
 
 
@@ -599,10 +589,10 @@ def test_contact_addition_time_from_log_sequence():
 def test_contact_addition_interleaved():
     a, b = jid("393310000001"), jid("393310000002")
     lines = [
-        format_line(1000, body_contact_missing(a)),
-        format_line(1500, body_contact_missing(b)),
-        format_line(2000, body_avatar_downloaded(a)),
-        format_line(2500, body_avatar_downloaded(b)),
+        format_line(1000, format_body(EventKind.CONTACT_NOT_IN_DB, jid=a)),
+        format_line(1500, format_body(EventKind.CONTACT_NOT_IN_DB, jid=b)),
+        format_line(2000, format_body(EventKind.AVATAR_DOWNLOADED, jid=a)),
+        format_line(2500, format_body(EventKind.AVATAR_DOWNLOADED, jid=b)),
     ]
     additions = log_index(_log_bundle(lines)).additions
     assert {j.raw: t for j, t in additions} == {a: 1000, b: 1500}
@@ -687,10 +677,10 @@ def test_deleted_message_reference_case():
     key = "1363253484-1"
     partner = "39366xxxxxxx@s.whatsapp.net"
     lines = [
-        format_line(1363253864000, body_message_sent(key, partner)),
-        format_line(1363253866000, body_server_ack(key)),
-        format_line(1363253870000, body_device_ack(key)),
-        format_line(1363258162000, body_message_deleted(key)),
+        format_line(1363253864000, format_body(EventKind.MESSAGE_SENT, key=key, jid=partner)),
+        format_line(1363253866000, format_body(EventKind.SERVER_ACK, key=key)),
+        format_line(1363253870000, format_body(EventKind.DEVICE_ACK, key=key)),
+        format_line(1363258162000, format_body(EventKind.MESSAGE_DELETED, key=key)),
     ]
     bundle = _log_bundle(lines)
     findings = infer_deleted_messages(bundle)
@@ -822,7 +812,8 @@ def test_chronology_is_the_start_of_the_analysis(tmp_path):
     (gid,) = result.expected.group_timelines
     stranger = jid("393209999999")
     with (result.root / layout.MAIN_LOG).open("a", encoding="utf-8") as log:
-        log.write(format_line(helpers.GRP_LEAVE_E + 1000, body_group_member_left(gid, stranger)))
+        leave = format_body(EventKind.GROUP_MEMBER_LEFT, gid=gid, jid=stranger)
+        log.write(format_line(helpers.GRP_LEAVE_E + 1000, leave))
         log.write("\n")
     bundle = ingest.load_case_bundle(result.root)
     chronology, analysis = build_chronology(bundle), analyze(bundle)
@@ -839,13 +830,13 @@ def test_analyze_scans_log_coverage_once(monkeypatch):
     lines = [
         *_addition_lines(a, 1000),
         *_addition_lines(b, 5000),
-        format_line(9000, body_contact_blocked(a)),
-        format_line(9500, body_contact_blocked(c)),
-        format_line(9800, body_contact_unblocked()),
-        format_line(10000, body_message_sent("1-1", a)),
-        format_line(10500, body_message_sent("1-2", b)),
-        format_line(11000, body_message_deleted("1-1")),
-        format_line(11500, body_message_deleted("1-2")),
+        format_line(9000, format_body(EventKind.CONTACT_BLOCKED, jid=a)),
+        format_line(9500, format_body(EventKind.CONTACT_BLOCKED, jid=c)),
+        format_line(9800, format_body(EventKind.CONTACT_UNBLOCKED)),
+        format_line(10000, format_body(EventKind.MESSAGE_SENT, key="1-1", jid=a)),
+        format_line(10500, format_body(EventKind.MESSAGE_SENT, key="1-2", jid=b)),
+        format_line(11000, format_body(EventKind.MESSAGE_DELETED, key="1-1")),
+        format_line(11500, format_body(EventKind.MESSAGE_DELETED, key="1-2")),
     ]
     bundle = _log_bundle(lines)
     scans = []

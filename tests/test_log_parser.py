@@ -13,26 +13,19 @@ from wadroid.log_parser import (
     DEFAULT_GRAMMAR,
     GrammarRule,
     LogGrammar,
-    body_avatar_downloaded,
-    body_contact_blocked,
-    body_contact_missing,
-    body_contact_query,
-    body_contact_unblocked,
-    body_device_ack,
-    body_group_add_requested,
-    body_group_created,
-    body_group_member_added,
-    body_group_member_left,
-    body_message_deleted,
-    body_message_received,
-    body_message_sent,
-    body_server_ack,
+    format_body,
     format_line,
     merge_events,
     parse_log_file,
     parse_log_lines,
 )
-from wadroid.model import GROUP_MEMBERSHIP_KINDS, EventKind
+from wadroid.model import (
+    GROUP_MEMBERSHIP_KINDS,
+    EventKind,
+    classify_jid,
+    parse_group_id,
+    parse_message_key,
+)
 
 JID = "39331xxxxxxx@s.whatsapp.net"
 GID = "3933xxxxxxx-1363078943@g.us"
@@ -47,21 +40,99 @@ def _one(line, warn=None):
 @pytest.mark.parametrize(
     "body,kind,has_jid,has_key,has_gid",
     [
-        (body_contact_missing(JID), EventKind.CONTACT_NOT_IN_DB, True, False, False),
-        (body_contact_query(JID, "profile"), EventKind.CONTACT_QUERY, True, False, False),
-        (body_contact_query(JID, "status"), EventKind.CONTACT_QUERY, True, False, False),
-        (body_avatar_downloaded(JID), EventKind.AVATAR_DOWNLOADED, True, False, False),
-        (body_contact_blocked(JID), EventKind.CONTACT_BLOCKED, True, False, False),
-        (body_contact_unblocked(), EventKind.CONTACT_UNBLOCKED, False, False, False),
-        (body_message_sent("123-1", JID), EventKind.MESSAGE_SENT, True, True, False),
-        (body_message_received("%~123-1", JID), EventKind.MESSAGE_RECEIVED, True, True, False),
-        (body_server_ack("123-1"), EventKind.SERVER_ACK, False, True, False),
-        (body_device_ack("123-1"), EventKind.DEVICE_ACK, False, True, False),
-        (body_message_deleted("123-1"), EventKind.MESSAGE_DELETED, False, True, False),
-        (body_group_created(GID, "wa test group"), EventKind.GROUP_CREATED, False, False, True),
-        (body_group_add_requested(GID, [JID]), EventKind.GROUP_ADD_REQUESTED, False, False, True),
-        (body_group_member_added(GID, JID), EventKind.GROUP_MEMBER_ADDED, True, False, True),
-        (body_group_member_left(GID, JID), EventKind.GROUP_MEMBER_LEFT, True, False, True),
+        (
+            format_body(EventKind.CONTACT_NOT_IN_DB, jid=JID),
+            EventKind.CONTACT_NOT_IN_DB,
+            True,
+            False,
+            False,
+        ),
+        (
+            format_body(EventKind.CONTACT_QUERY, jid=JID, query="profile"),
+            EventKind.CONTACT_QUERY,
+            True,
+            False,
+            False,
+        ),
+        (
+            format_body(EventKind.CONTACT_QUERY, jid=JID, query="status"),
+            EventKind.CONTACT_QUERY,
+            True,
+            False,
+            False,
+        ),
+        (
+            format_body(EventKind.AVATAR_DOWNLOADED, jid=JID),
+            EventKind.AVATAR_DOWNLOADED,
+            True,
+            False,
+            False,
+        ),
+        (
+            format_body(EventKind.CONTACT_BLOCKED, jid=JID),
+            EventKind.CONTACT_BLOCKED,
+            True,
+            False,
+            False,
+        ),
+        (
+            format_body(EventKind.CONTACT_UNBLOCKED),
+            EventKind.CONTACT_UNBLOCKED,
+            False,
+            False,
+            False,
+        ),
+        (
+            format_body(EventKind.MESSAGE_SENT, key="123-1", jid=JID),
+            EventKind.MESSAGE_SENT,
+            True,
+            True,
+            False,
+        ),
+        (
+            format_body(EventKind.MESSAGE_RECEIVED, key="%~123-1", jid=JID),
+            EventKind.MESSAGE_RECEIVED,
+            True,
+            True,
+            False,
+        ),
+        (format_body(EventKind.SERVER_ACK, key="123-1"), EventKind.SERVER_ACK, False, True, False),
+        (format_body(EventKind.DEVICE_ACK, key="123-1"), EventKind.DEVICE_ACK, False, True, False),
+        (
+            format_body(EventKind.MESSAGE_DELETED, key="123-1"),
+            EventKind.MESSAGE_DELETED,
+            False,
+            True,
+            False,
+        ),
+        (
+            format_body(EventKind.GROUP_CREATED, gid=GID, subject="wa test group"),
+            EventKind.GROUP_CREATED,
+            False,
+            False,
+            True,
+        ),
+        (
+            format_body(EventKind.GROUP_ADD_REQUESTED, gid=GID, jids=JID),
+            EventKind.GROUP_ADD_REQUESTED,
+            False,
+            False,
+            True,
+        ),
+        (
+            format_body(EventKind.GROUP_MEMBER_ADDED, gid=GID, jid=JID),
+            EventKind.GROUP_MEMBER_ADDED,
+            True,
+            False,
+            True,
+        ),
+        (
+            format_body(EventKind.GROUP_MEMBER_LEFT, gid=GID, jid=JID),
+            EventKind.GROUP_MEMBER_LEFT,
+            True,
+            False,
+            True,
+        ),
     ],
 )
 def test_emitters_roundtrip_through_grammar(body, kind, has_jid, has_key, has_gid):
@@ -75,7 +146,8 @@ def test_emitters_roundtrip_through_grammar(body, kind, has_jid, has_key, has_gi
 
 
 def test_delete_line_reference_values():
-    event = _one(format_line(1363258162000, body_message_deleted("1363253484-1")))
+    body = format_body(EventKind.MESSAGE_DELETED, key="1363253484-1")
+    event = _one(format_line(1363258162000, body))
     assert event.kind is EventKind.MESSAGE_DELETED
     assert event.message_key.raw == "1363253484-1"
     assert event.occurred_at == 1363258162000  # 2013-03-14 10:49:22Z
@@ -83,16 +155,184 @@ def test_delete_line_reference_values():
 
 def test_send_line_reference_values():
     jid = "39366xxxxxxx@s.whatsapp.net"
-    event = _one(format_line(1363253864000, body_message_sent("1363253484-1", jid)))
+    body = format_body(EventKind.MESSAGE_SENT, key="1363253484-1", jid=jid)
+    event = _one(format_line(1363253864000, body))
     assert event.kind is EventKind.MESSAGE_SENT
     assert event.subject_jid.raw == jid
     assert event.occurred_at == 1363253864000  # 2013-03-14 09:37:44Z
 
 
 def test_group_created_carries_subject():
-    event = _one(format_line(1, body_group_created(GID, "wa test group")))
+    body = format_body(EventKind.GROUP_CREATED, gid=GID, subject="wa test group")
+    event = _one(format_line(1, body))
     assert event.group_subject == "wa test group"
     assert event.group_id.creator.phone_number == "3933xxxxxxx"
+
+
+_USER = "393311234567@s.whatsapp.net"
+_OTHER_USER = "393317654321@s.whatsapp.net"
+_GROUP = "393311234567-1363078943@g.us"
+
+# One line of each DEFAULT kind, written out by hand rather than through
+# format_body: (body, kind, jid, key, gid, subject).
+_LITERAL_LINES = [
+    (
+        "msgstore/delete key=1363253484-1",
+        EventKind.MESSAGE_DELETED,
+        None,
+        "1363253484-1",
+        None,
+        None,
+    ),
+    (
+        "msgstore/send key=1363253484-2 to=393311234567@s.whatsapp.net",
+        EventKind.MESSAGE_SENT,
+        _USER,
+        "1363253484-2",
+        None,
+        None,
+    ),
+    (
+        "msgstore/recv key=%~1363253000-7 from=393311234567@s.whatsapp.net",
+        EventKind.MESSAGE_RECEIVED,
+        _USER,
+        "%~1363253000-7",
+        None,
+        None,
+    ),
+    (
+        "msgstore/ack/server key=1363253484-3",
+        EventKind.SERVER_ACK,
+        None,
+        "1363253484-3",
+        None,
+        None,
+    ),
+    (
+        "msgstore/ack/device key=1363253484-4",
+        EventKind.DEVICE_ACK,
+        None,
+        "1363253484-4",
+        None,
+        None,
+    ),
+    (
+        "contact/sync/missing jid=393311234567@s.whatsapp.net",
+        EventKind.CONTACT_NOT_IN_DB,
+        _USER,
+        None,
+        None,
+        None,
+    ),
+    (
+        "contact/query/status jid=393311234567@s.whatsapp.net",
+        EventKind.CONTACT_QUERY,
+        _USER,
+        None,
+        None,
+        None,
+    ),
+    (
+        "contact/avatar/downloaded jid=393311234567@s.whatsapp.net",
+        EventKind.AVATAR_DOWNLOADED,
+        _USER,
+        None,
+        None,
+        None,
+    ),
+    (
+        "contact/block jid=393311234567@s.whatsapp.net",
+        EventKind.CONTACT_BLOCKED,
+        _USER,
+        None,
+        None,
+        None,
+    ),
+    ("contact/unblock/completed", EventKind.CONTACT_UNBLOCKED, None, None, None, None),
+    (
+        "group/create gid=393311234567-1363078943@g.us subject=wa test group",
+        EventKind.GROUP_CREATED,
+        None,
+        None,
+        _GROUP,
+        "wa test group",
+    ),
+    (
+        "group/add/request gid=393311234567-1363078943@g.us"
+        " jids=393311234567@s.whatsapp.net,393317654321@s.whatsapp.net",
+        EventKind.GROUP_ADD_REQUESTED,
+        None,
+        None,
+        _GROUP,
+        None,
+    ),
+    (
+        "group/add gid=393311234567-1363078943@g.us jid=393317654321@s.whatsapp.net",
+        EventKind.GROUP_MEMBER_ADDED,
+        _OTHER_USER,
+        None,
+        _GROUP,
+        None,
+    ),
+    (
+        "group/leave gid=393311234567-1363078943@g.us jid=393317654321@s.whatsapp.net",
+        EventKind.GROUP_MEMBER_LEFT,
+        _OTHER_USER,
+        None,
+        _GROUP,
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "body, kind, jid, key, gid, subject",
+    _LITERAL_LINES,
+    ids=[row[1].value for row in _LITERAL_LINES],
+)
+def test_a_literal_line_of_each_default_kind(body, kind, jid, key, gid, subject):
+    warn = []
+    event = _one("2013-03-14 09:37:44.000 +0000 " + body, warn)
+    assert warn == []
+    assert (event.kind, event.occurred_at) == (kind, 1363253864000)
+    assert event.subject_jid == (None if jid is None else classify_jid(jid))
+    assert event.message_key == (None if key is None else parse_message_key(key))
+    assert event.group_id == (None if gid is None else parse_group_id(gid))
+    assert event.group_subject == subject
+
+
+def test_every_default_kind_has_a_literal_line():
+    assert {row[1] for row in _LITERAL_LINES} == {rule.kind for rule in DEFAULT_GRAMMAR.rules}
+    assert len(_LITERAL_LINES) == len(DEFAULT_GRAMMAR.rules) == 14
+
+
+def test_a_custom_grammar_may_capture_the_jid_as_to_or_from():
+    """The README's custom rules may name the jid group ``to`` or ``from``."""
+    grammar = LogGrammar.from_dict(
+        {
+            "version": 1,
+            "line_pattern": r"^(?P<ts>\d+) (?P<body>.*)$",
+            "timestamp_format": "epoch_s",
+            "rules": [
+                {"kind": "message_sent", "pattern": r"^OUT (?P<key>\S+) (?P<to>\S+)$"},
+                {"kind": "message_received", "pattern": r"^IN (?P<key>\S+) (?P<from>\S+)$"},
+            ],
+        }
+    )
+    lines = [f"1363253864 OUT 1363253484-2 {_USER}", f"1363253865 IN 1363253000-7 {_OTHER_USER}"]
+    warn = []
+    sent, received = parse_log_lines(lines, "custom.log", grammar, warn)
+    assert warn == []
+    assert (sent.kind, sent.subject_jid.raw, sent.message_key.raw) == (
+        EventKind.MESSAGE_SENT,
+        _USER,
+        "1363253484-2",
+    )
+    assert (received.kind, received.subject_jid.raw, received.message_key.raw) == (
+        EventKind.MESSAGE_RECEIVED,
+        _OTHER_USER,
+        "1363253000-7",
+    )
 
 
 def test_blank_line_is_other():
@@ -118,10 +358,10 @@ def test_unmatched_body_is_other_with_time():
 
 def test_parse_is_total():
     lines = [
-        format_line(1000, body_contact_missing(JID)),
+        format_line(1000, format_body(EventKind.CONTACT_NOT_IN_DB, jid=JID)),
         "",
         "garbage",
-        format_line(2000, body_contact_unblocked()),
+        format_line(2000, format_body(EventKind.CONTACT_UNBLOCKED)),
     ]
     events = parse_log_lines(lines, "whatsapp.log")
     assert len(events) == len(lines)
@@ -132,18 +372,18 @@ _IMPOSSIBLE_DATE = "2013-02-30 10:00:00.000 +0000 "
 
 # Line numbers in comments; "warns" marks a line the full parse warns about.
 _MIXED_LOG = [
-    format_line(1000, body_group_created(GID, "wa test group")),  # 1
-    format_line(2000, body_group_member_added(GID, JID)),  # 2
-    format_line(3000, body_message_sent("123-1", JID)),  # 3
-    format_line(4000, body_contact_blocked("not a jid")),  # 4 warns
+    format_line(1000, format_body(EventKind.GROUP_CREATED, gid=GID, subject="wa test group")),  # 1
+    format_line(2000, format_body(EventKind.GROUP_MEMBER_ADDED, gid=GID, jid=JID)),  # 2
+    format_line(3000, format_body(EventKind.MESSAGE_SENT, key="123-1", jid=JID)),  # 3
+    format_line(4000, format_body(EventKind.CONTACT_BLOCKED, jid="not a jid")),  # 4 warns
     "",  # 5
     "garbage",  # 6 warns: fails the line pattern
-    _IMPOSSIBLE_DATE + body_group_member_left(GID, JID),  # 7 warns
-    _IMPOSSIBLE_DATE + body_contact_blocked(JID),  # 8 warns
-    format_line(5000, body_message_deleted("bad")),  # 9 warns twice
-    format_line(6000, body_group_member_added("bad", JID)),  # 10 warns
+    _IMPOSSIBLE_DATE + format_body(EventKind.GROUP_MEMBER_LEFT, gid=GID, jid=JID),  # 7 warns
+    _IMPOSSIBLE_DATE + format_body(EventKind.CONTACT_BLOCKED, jid=JID),  # 8 warns
+    format_line(5000, format_body(EventKind.MESSAGE_DELETED, key="bad")),  # 9 warns twice
+    format_line(6000, format_body(EventKind.GROUP_MEMBER_ADDED, gid="bad", jid=JID)),  # 10 warns
     format_line(7000, "something/else entirely"),  # 11
-    format_line(8000, body_group_member_left(GID, JID)),  # 12
+    format_line(8000, format_body(EventKind.GROUP_MEMBER_LEFT, gid=GID, jid=JID)),  # 12
 ]
 
 # An unwanted rule that takes every group/add line before the DEFAULT one.
@@ -211,13 +451,15 @@ def test_file_merge_order(tmp_path):
     old = tmp_path / "whatsapp-2013-03-13.log"
     new = tmp_path / "whatsapp.log"
     old.write_text(
-        format_line(1000, body_contact_missing(JID))
+        format_line(1000, format_body(EventKind.CONTACT_NOT_IN_DB, jid=JID))
         + "\n"
-        + format_line(3000, body_contact_blocked(JID))
+        + format_line(3000, format_body(EventKind.CONTACT_BLOCKED, jid=JID))
         + "\n",
         encoding="utf-8",
     )
-    new.write_text(format_line(2000, body_contact_unblocked()) + "\n", encoding="utf-8")
+    new.write_text(
+        format_line(2000, format_body(EventKind.CONTACT_UNBLOCKED)) + "\n", encoding="utf-8"
+    )
     events = merge_events(parse_log_file(old), parse_log_file(new))
     assert [e.occurred_at for e in events] == [1000, 2000, 3000]
     assert [e.source_file for e in events] == [old.name, new.name, old.name]
@@ -228,9 +470,9 @@ def test_lines_end_only_at_newline(tmp_path, newline):
     """A subject holding U+2028, U+0085, \\x0b, \\x0c, \\x1c-\\x1e or \\r stays one line."""
     subject = "trip\u2028plans\x85and\x0bmore\x0c\x1c\x1d\x1e\rend"
     bodies = [
-        body_contact_missing(JID),
-        body_group_created(GID, subject),
-        body_contact_blocked(JID),
+        format_body(EventKind.CONTACT_NOT_IN_DB, jid=JID),
+        format_body(EventKind.GROUP_CREATED, gid=GID, subject=subject),
+        format_body(EventKind.CONTACT_BLOCKED, jid=JID),
     ]
     path = tmp_path / "whatsapp.log"
     text = "".join(format_line(1000 * i, body) + newline for i, body in enumerate(bodies))
@@ -302,7 +544,8 @@ def test_only_ascii_digits_date_a_line(line_pattern, timestamp_format, stamp, wa
     )
     separator = " | " if "|" in line_pattern else " "
     warn = []
-    (event,) = parse_log_lines([stamp + separator + body_contact_blocked(JID)], "x.log", grammar, warn)
+    line = stamp + separator + format_body(EventKind.CONTACT_BLOCKED, jid=JID)
+    (event,) = parse_log_lines([line], "x.log", grammar, warn)
     assert (event.kind, event.occurred_at) == (EventKind.OTHER, None)
     (message,) = [w.message for w in warn]
     assert message.startswith(warning)
@@ -398,7 +641,7 @@ def test_default_timestamp_parse_equals_strptime_on_a_forged_log(tmp_path):
 def test_malformed_stamps_give_the_strptime_events_and_warnings(monkeypatch):
     # A line pattern that hands any stamp to the default timestamp format.
     grammar = DEFAULT_GRAMMAR._replace(line_pattern=re.compile(r"^(?P<ts>.+?) \| (?P<body>.*)$"))
-    lines = [f"{stamp} | {body_contact_blocked(JID)}" for stamp in _STAMPS]
+    lines = [f"{stamp} | {format_body(EventKind.CONTACT_BLOCKED, jid=JID)}" for stamp in _STAMPS]
 
     def parse():
         warn = []
